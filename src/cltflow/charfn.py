@@ -28,6 +28,11 @@ So cf values (``eval_cf``, ``eval_cf_grid``) are 1 + D wherever
 * convolution products multiply the values of their parts, and affine
   images take the base value at the scaled argument times the shift phase.
 
+Affine images and squaring chains scale the argument; the value form gets
+the scaled argument as hi + lo, the rounded product and its error, because
+near a zero of sin the uniform's sin(t)/t loses every digit to a rounded t.
+The other forms take hi alone.
+
 The value form keeps the relative error of phi within a few (1 + |ln phi|)
 machine epsilons where phi -> 0.  heavy_cubic has no value form and stays
 on 1 + D.  Sums over atoms run atom by atom in a fixed order, so a value at
@@ -71,6 +76,8 @@ __all__ = [
 MODULUS_SLACK = 1e-12
 _SERIES_CUT = 0.1
 _CHUNK = 1 << 22
+# samples per cache-sized block of a dense empirical cf chunk
+_ROW_BLOCK = 512
 # below this |phi| the cf value comes from the value form, not from 1 + D
 _VALUE_CUT = 0.5
 
@@ -274,16 +281,18 @@ def cf_deviation(m: Measure, xi) -> np.ndarray:
     return out
 
 
-def _phi_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:
+def _phi_parametric(family: str, p: tuple, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     if family == "gaussian":
         mu, var = p
         body, loc = np.exp(-0.5 * var * xi * xi) + 0j, mu
     elif family == "uniform":
         a, b = p
-        # sin(t)/t needs t = half * xi exactly: near a zero of sin its relative
-        # error is that of t times t / |sin t|
-        t, lo = _two_prod(0.5 * (b - a), xi)
-        sinc = (np.sin(t) + lo * np.cos(t)) / _nonzero(t)
+        # sin(t)/t needs t = half * (xi + lo) exactly: near a zero of sin its
+        # relative error is that of t times t / |sin t|
+        half = 0.5 * (b - a)
+        t, tlo = _two_prod(half, xi)
+        tlo = tlo + half * lo
+        sinc = (np.sin(t) + tlo * np.cos(t)) / _nonzero(t)
         body, loc = np.where(t == 0.0, 1.0, sinc) + 0j, 0.5 * (a + b)
     elif family == "laplace":
         loc, b = p
@@ -298,44 +307,66 @@ def _phi_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:
     return body if loc == 0.0 else body * _phase(loc * xi)
 
 
-def _phi(m: Measure, xi: np.ndarray) -> np.ndarray:
-    """phi_m(xi) in value form, accurate relative to |phi| where it is small."""
+def _level_scale(count: int) -> tuple[float, float]:
+    """2^(-count/2) as hi + lo: hi is the rounded value, lo its error.
+
+    hi^2 = p + e exactly, and 2^-count - p is exact because p is that close
+    to it, so lo = (2^-count - hi^2) / (2 hi) to about eps^2 relative.
+    """
+    hi = 2.0 ** (-count / 2.0)
+    p, e = _two_prod(hi, hi)
+    return hi, ((2.0**-count - p) - e) / (2.0 * hi)
+
+
+def _scaled(c: float, clo: float, xi: np.ndarray, lo: np.ndarray):
+    """(c + clo) * (xi + lo) as hi + lo, dropping only the product clo * lo."""
+    hi, plo = _two_prod(c, xi)
+    return hi, plo + (c * lo + clo * xi)
+
+
+def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """phi_m(xi + lo) in value form, accurate relative to |phi| where it is small.
+
+    xi + lo is the argument carried to double length through affine and
+    level scalings; only the uniform's sin(t)/t needs lo, every other form
+    takes the argument xi.
+    """
     if isinstance(m, Atomic):
         return _phi_atomic(m.positions, m.weights, xi)
     if isinstance(m, Parametric):
-        return _phi_parametric(m.family, m.params, xi)
+        return _phi_parametric(m.family, m.params, xi, lo)
     if isinstance(m, Empirical):
         x = m.samples
         ws = np.full(x.size, 1.0 / x.size)
         return _chunked(lambda p: _phi_atomic(x, ws, p), x.size, xi)
     if isinstance(m, CfLevel):
-        arg = xi * 2.0 ** (-m.count / 2.0)
-        return _pair_power(_pair(m.base, arg), 2**m.count)[1]
+        arg, arg_lo = _scaled(*_level_scale(m.count), xi, lo)
+        return _pair_power(_pair(m.base, arg, arg_lo), 2**m.count)[1]
     if isinstance(m, ConvProduct):
-        out = _phi(m.parts[0], xi)
+        out = _phi(m.parts[0], xi, lo)
         for part in m.parts[1:]:
-            out = out * _phi(part, xi)
+            out = out * _phi(part, xi, lo)
         return out
     if isinstance(m, ConvPower):
-        return _pair_power(_pair(m.base, xi), m.n)[1]
+        return _pair_power(_pair(m.base, xi, lo), m.n)[1]
     if isinstance(m, Affine):
-        out = _phi(m.base, m.scale * xi)
+        out = _phi(m.base, *_scaled(m.scale, 0.0, xi, lo))
         return out if m.shift == 0.0 else out * _phase(m.shift * xi)
     raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 
-def _value(m: Measure, xi: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _value(m: Measure, xi: np.ndarray, d: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """phi_m(xi) from its deviation d: 1 + d, or the value form where |1 + d| < 1/2."""
     v = 1.0 + d
     low = np.abs(v) < _VALUE_CUT
     if np.any(low):
-        v[low] = _phi(m, xi[low])
+        v[low] = _phi(m, xi[low], lo[low])
     return v
 
 
-def _pair(m: Measure, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair(m: Measure, xi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = _dev(m, xi)
-    return d, _value(m, xi, d)
+    return d, _value(m, xi, d, lo)
 
 
 def _pair_mul(a, b):
@@ -362,7 +393,7 @@ def _pair_power(pair, n: int):
 
 def _cf_values(m: Measure, xi) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _value(m, arr, cf_deviation(m, arr))
+    return _value(m, arr, cf_deviation(m, arr), np.zeros_like(arr))
 
 
 def eval_cf(m: Measure, xi):
@@ -451,31 +482,70 @@ def taylor_data(m: Measure) -> TaylorData:
     raise MeasureError("no dyadic radius >= 2^-9 certifies the cubic model")
 
 
+def _dense_sums(x: np.ndarray, cols: np.ndarray, step: int):
+    """Column sums of cos and sin of outer(x, cols), added chunk by chunk.
+
+    Each chunk of step samples is reduced over its rows, and the chunk sums
+    are added to the totals in order.  numpy reduces axis 0 of a C-ordered
+    array with two or more columns row by row, so a chunk is computed in
+    blocks of _ROW_BLOCK rows that stay in cache: the running sums of the
+    blocks before sit in row 0 of the next block, and the rows are added in
+    exactly the order of one pass over the whole chunk.  One column reduces
+    pairwise instead, so it is computed a whole chunk at a time.
+    """
+    block = _ROW_BLOCK if cols.size > 1 else step
+    rows = min(block, x.size)
+    ph = np.empty((rows, cols.size))
+    c = np.empty((rows + 1, cols.size))
+    s = np.empty((rows + 1, cols.size))
+    re = np.zeros(cols.size)
+    im = np.zeros(cols.size)
+    for k in range(0, x.size, step):
+        chunk = x[k : k + step]
+        for j in range(0, chunk.size, block):
+            b = min(block, chunk.size - j)
+            np.multiply.outer(chunk[j : j + b], cols, out=ph[:b])
+            np.cos(ph[:b], out=c[1 : b + 1])
+            np.sin(ph[:b], out=s[1 : b + 1])
+            top = 0 if j else 1  # the first block of a chunk has no carry
+            c[0] = c[top : b + 1].sum(axis=0)
+            s[0] = s[top : b + 1].sum(axis=0)
+        re += c[0]
+        im += s[0]
+    return re, im
+
+
 def empirical_cf(samples, xi):
     """Sample-average cf (1/N) sum exp(i x_j xi).
 
+    The sums run only at the distinct |xi|, and phi(-xi) = conj phi(xi)
+    fills in the rest.  That is exact in floating point: x * (-xi) is
+    -(x * xi), and numpy's cos and sin are even and odd bit for bit.
     Lattice-valued samples are compressed to distinct values first, which is
-    an exact regrouping; dense samples fall back to chunked summation.
+    an exact regrouping.  Dense samples are summed in chunks of
+    _CHUNK // xi.size samples, xi.size counting every point asked for, and
+    each chunk in cache-sized row blocks that add the samples in the same
+    order as one pass over the chunk (see _dense_sums).  A value therefore
+    has the same bits as a direct sum over the points asked for.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise MeasureError("empirical cf needs a nonempty sample")
     scalar = np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
     pts = np.atleast_1d(np.asarray(xi, dtype=float))
+    mag, inv = np.unique(np.abs(pts), return_inverse=True)
     vals, counts = np.unique(x, return_counts=True)
     if vals.size <= 4096:
-        ph = np.multiply.outer(pts, vals)
+        ph = np.multiply.outer(mag, vals)
         wts = counts.astype(float)
         re = (np.cos(ph) * wts).sum(axis=1)
         im = (np.sin(ph) * wts).sum(axis=1)
-        out = (re + 1j * im) / x.size
     else:
-        re = np.zeros(pts.shape)
-        im = np.zeros(pts.shape)
-        step = max(1, _CHUNK // pts.size)
-        for k in range(0, x.size, step):
-            ph = np.multiply.outer(x[k : k + step], pts)
-            re += np.cos(ph).sum(axis=0)
-            im += np.sin(ph).sum(axis=0)
-        out = (re + 1j * im) / x.size
+        # several points share one |xi|: keep two columns, so the chunk
+        # still reduces row by row as it does over the points asked for
+        cols = mag if mag.size > 1 or pts.size == 1 else np.repeat(mag, 2)
+        re, im = _dense_sums(x, cols, max(1, _CHUNK // pts.size))
+    re, im = re[inv], im[inv]
+    np.negative(im, out=im, where=pts < 0)
+    out = (re + 1j * im) / x.size
     return complex(out[0]) if scalar else out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,6 +39,13 @@ from .mc import ORACLE_GRID, empirical_flow_check
 
 DEFAULT_SEED = 1234
 DEFAULT_ORACLE_SAMPLES = 1_000_000
+# caps on the two sizes a config sets directly; both stay far above what
+# the benchmark and the accuracy studies use (2e5 samples, 3200 per decade)
+MAX_ORACLE_SAMPLES = 10_000_000
+MAX_POINTS_PER_DECADE = 10_000
+# a Lyapunov step passes when d2 falls by more than this fraction of itself;
+# d2 is accurate to about 1e-14 relative, its true decrease is above 0.1
+LYAPUNOV_MIN_RELATIVE_DECREASE = 1e-9
 IDEAL_LAMBDAS = (0.5, 2.0**-0.5, 1.0, 2.0)
 _COMMANDS = (
     "distance",
@@ -207,7 +215,7 @@ def _run_verify_lyapunov(cmd: dict, env: _Env) -> CommandResult:
         d2 = report.distances_d2
         for n in range(steps):
             decrease = d2[n] - d2[n + 1]
-            good = decrease > 1e-10
+            good = decrease > LYAPUNOV_MIN_RELATIVE_DECREASE * d2[n]
             ok &= good
             rows.append(
                 f"{name},{n},{_fmt(d2[n])},{_fmt(d2[n + 1])},{_fmt(decrease)},"
@@ -304,9 +312,26 @@ def _validate_command(cmd) -> dict:
     if name == "distance" and cmd["s"] not in (2, 3):
         raise ConfigError("distance command needs s in {2, 3}")
     for key in ("steps", "n_max", "levels", "samples"):
-        if key in cmd and (not isinstance(cmd[key], int) or cmd[key] < 1):
+        if key in cmd and (not _is_int(cmd[key]) or cmd[key] < 1):
             raise ConfigError(f"command key {key!r} must be a positive integer")
+    if cmd.get("samples", 0) > MAX_ORACLE_SAMPLES:
+        raise ConfigError(f"command key 'samples' must be at most {MAX_ORACLE_SAMPLES}")
     return cmd
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_real(doc: dict, key: str, default: float) -> float:
+    value = doc.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"grid key {key!r} must be a finite real number")
 
 
 def parse_config(doc) -> dict:
@@ -335,16 +360,21 @@ def parse_config(doc) -> dict:
     grid_extra = set(grid_doc) - {"xi_min", "xi_max", "points_per_decade"}
     if grid_extra:
         raise ConfigError(f"unknown grid keys: {sorted(grid_extra)}")
+    ppd = grid_doc.get("points_per_decade", 200)
+    if not _is_int(ppd) or not 1 <= ppd <= MAX_POINTS_PER_DECADE:
+        raise ConfigError(
+            f"grid key 'points_per_decade' must be an integer in 1..{MAX_POINTS_PER_DECADE}"
+        )
     try:
         grid = GridSpec(
-            xi_min=float(grid_doc.get("xi_min", 1e-3)),
-            xi_max=float(grid_doc.get("xi_max", 50.0)),
-            points_per_decade=int(grid_doc.get("points_per_decade", 200)),
+            xi_min=_finite_real(grid_doc, "xi_min", 1e-3),
+            xi_max=_finite_real(grid_doc, "xi_max", 50.0),
+            points_per_decade=ppd,
         )
     except MeasureError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     seed = doc.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
     validated = [_validate_command(c) for c in commands]
     env = _Env(measures, grid, seed)
@@ -420,7 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--xi-min", type=float, default=1e-3)
         p.add_argument("--xi-max", type=float, default=50.0)
-        p.add_argument("--points-per-decade", type=int, default=200)
+        p.add_argument(
+            "--points-per-decade", type=int, default=200,
+            help=f"grid resolution, at most {MAX_POINTS_PER_DECADE}",
+        )
 
     p = sub.add_parser("distance", help="one Fourier distance, printed as CSV")
     p.add_argument("--a", required=True)
@@ -449,7 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="Monte Carlo agreement with the analytic flow")
     p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--samples", type=int, default=DEFAULT_ORACLE_SAMPLES)
+    p.add_argument(
+        "--samples", type=int, default=DEFAULT_ORACLE_SAMPLES,
+        help=f"draws per level, at most {MAX_ORACLE_SAMPLES}",
+    )
     add_common(p)
 
     p = sub.add_parser("run", help="execute a JSON experiment config")

@@ -216,7 +216,30 @@ def _relative_accuracy_cases():
         ),
         "laplace": (lap, lambda x, mp: 1 / (1 + x * x / 2), wide),
         "exponential": (expo, lambda x, mp: mp.exp(-1j * x) / (1 - 1j * x), wide),
+        # the scaled argument of the uniform is carried as hi + lo: near the
+        # zeros of sin a rounded argument alone costs every digit
+        "affine-uniform": (
+            cf.Affine(bank.uniform_std(), 0.7),
+            lambda x, mp: _sinc(mp.mpf(half) * mp.mpf(0.7) * x, mp),
+            _near_sinc_zeros(half * 0.7),
+        ),
+        "cflevel-uniform-3": (
+            cf.CfLevel(bank.uniform_std(), 3),
+            lambda x, mp: _sinc(mp.mpf(half) * x / mp.mpf(2) ** 1.5, mp) ** 8,
+            _near_sinc_zeros(half * 2.0**-1.5),
+        ),
     }
+
+
+def _sinc(t, mp):
+    return mp.sin(t) / t
+
+
+def _near_sinc_zeros(rate):
+    """A grid over |xi| <= 300 plus the doubles nearest the zeros of sin(rate xi)."""
+    k = np.arange(1, int(300.0 * rate / math.pi) + 1)
+    zeros = k * math.pi / rate
+    return np.concatenate([np.linspace(-300.0, 300.0, 121) + 0.01, zeros, -zeros[::3]])
 
 
 @pytest.mark.parametrize("name", sorted(_relative_accuracy_cases()))

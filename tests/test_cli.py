@@ -194,3 +194,80 @@ def test_seventeen_digit_floats(capsys):
     assert code == 0
     row = out.splitlines()[1]
     assert "0.33333333333333331" in row
+
+
+def run_raw_config(text, tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text(text)
+    return run_cli(["run", "--config", str(p)], capsys)
+
+
+@pytest.mark.parametrize(
+    "grid, word",
+    [
+        ('{"xi_max": 1e400}', "xi_max"),  # JSON reads 1e400 as inf
+        ('{"xi_max": 1' + "0" * 400 + "}", "xi_max"),  # an int beyond float range
+        ('{"xi_min": "abc"}', "xi_min"),
+        ('{"xi_min": true}', "xi_min"),
+        ('{"xi_min": NaN}', "xi_min"),
+        ('{"points_per_decade": [1]}', "points_per_decade"),
+        ('{"points_per_decade": true}', "points_per_decade"),
+        ('{"points_per_decade": 200.0}', "points_per_decade"),
+        ('{"points_per_decade": 10001}', "points_per_decade"),
+    ],
+    ids=["inf", "huge-int", "string", "bool", "nan", "list", "bool-ppd", "float-ppd",
+         "ppd-over-cap"],
+)
+def test_grid_values_must_be_finite_reals(grid, word, tmp_path, capsys):
+    text = '{"grid": %s, "commands": [{"command": "verify-contraction"}]}' % grid
+    code, _, err = run_raw_config(text, tmp_path, capsys)
+    assert code == 2
+    assert "config error" in err and word in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--xi-max", "inf"], ["--xi-min", "nan"], ["--xi-max", "1e400"],
+     ["--points-per-decade", "10001"], ["--samples", "10000001"]],
+)
+def test_cli_grid_and_size_flags_exit_2(args, capsys):
+    code, _, err = run_cli(["oracle", *args], capsys)
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        {"command": "flow", "measure": "skewed", "steps": True},
+        {"command": "verify-lyapunov", "steps": True},
+        {"command": "verify-clt-rate", "n_max": True},
+        {"command": "oracle", "levels": True},
+        {"command": "oracle", "samples": True},
+        {"command": "oracle", "samples": 10_000_001},
+    ],
+)
+def test_bool_and_oversized_command_values_exit_2(cmd, tmp_path, capsys):
+    code, _, err = run_raw_config(json.dumps({"commands": [cmd]}), tmp_path, capsys)
+    assert code == 2
+    assert "config error" in err
+
+
+def test_size_caps_are_in_help(capsys):
+    assert main(["oracle", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "at most 10000000" in out and "at most 10000" in out
+
+
+def test_verify_lyapunov_passes_at_40_steps(tmp_path, capsys):
+    # d2 falls below 1e-10 from n = 28 on; the decrease is judged relative
+    # to d2, where the smallest of the 240 steps is about 0.18
+    code, out, _ = run_cli(
+        ["verify-lyapunov", "--steps", "40", "--out", str(tmp_path)], capsys
+    )
+    assert code == 0
+    rows = (tmp_path / "01_verify-lyapunov.csv").read_text().splitlines()[1:]
+    assert len(rows) == 240
+    assert all(row.endswith(",true") for row in rows)
+    rel = [float(r.split(",")[4]) / float(r.split(",")[2]) for r in rows]
+    assert min(rel) > 0.1
