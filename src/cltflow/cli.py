@@ -29,11 +29,14 @@ from .flow import (
 )
 from .measures import Measure, convolve, measure_from_literal
 from .metrics import (
+    GRID_XI_MAX,
+    GRID_XI_MIN,
     GridSpec,
     check_convolution_invariance,
     check_convolution_subadditivity,
     check_scaling_ideality,
     ds_distance,
+    shared_deviations,
 )
 from .mc import ORACLE_GRID, empirical_flow_check
 
@@ -400,7 +403,8 @@ def run(config: dict, out_dir: str | None = None, stream=None) -> int:
     for cmd in config["commands"]:
         runner = _RUNNERS[cmd["command"]]
         try:
-            results.append(runner(cmd, env))
+            with shared_deviations():
+                results.append(runner(cmd, env))
         except (MeasureError, CharFnBoundError, FloatingPointError) as exc:
             results.append(
                 CommandResult(
@@ -448,8 +452,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default=None, help="directory for CSV reports")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--xi-min", type=float, default=1e-3)
-        p.add_argument("--xi-max", type=float, default=50.0)
+        p.add_argument(
+            "--xi-min", type=float, default=1e-3,
+            help=f"smallest grid point, at least {GRID_XI_MIN:g}",
+        )
+        p.add_argument(
+            "--xi-max", type=float, default=50.0,
+            help=f"largest grid point, at most {GRID_XI_MAX:g}",
+        )
         p.add_argument(
             "--points-per-decade", type=int, default=200,
             help=f"grid resolution, at most {MAX_POINTS_PER_DECADE}",

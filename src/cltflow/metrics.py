@@ -12,11 +12,28 @@ from three mechanisms, one per regime of the ratio:
 
 The reported value is max(grid supremum, zero limit); the result is marked
 certified when the tail certificate cannot exceed it.
+
+The grid ratio is evaluated on the positive points alone.  A deviation
+satisfies D(-xi) = conj D(xi), and the computed values at -xi are the
+conjugates of those at +xi, so the modulus of a difference (and so the
+ratio, the supremum and the |phi| <= 1 check) is the same at +xi and -xi
+to the bit.  grid_argmax is the smallest positive point that attains the
+supremum, the point a mirrored grid reports when its ties go to the
+smallest |xi|, then to the positive sign.
+
+Inside a ``shared_deviations()`` scope, ``ds_distance`` keeps the grid
+deviations of the last few (law, grid) pairs it evaluated and reuses them;
+the checks compare many laws against the same gaussian and each flow
+iterate against it twice.  Outside a scope every deviation is computed
+afresh, so a library caller never sees a value from before a change to a
+mutable sample or to the cf code.  The CLI opens one scope per command.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +54,7 @@ __all__ = [
     "GridSpec",
     "DistanceResult",
     "ds_distance",
+    "shared_deviations",
     "zero_limit",
     "check_convolution_subadditivity",
     "check_scaling_ideality",
@@ -49,6 +67,13 @@ __all__ = [
 
 SUP_SLACK = 1e-8
 _MOMENT_MATCH_TOL = 1e-9
+# grid endpoints stay where xi^3 and 2 / xi^3 are normal floats
+GRID_XI_MIN = 1e-100
+GRID_XI_MAX = 1e100
+# deviations kept inside a shared_deviations() scope: at 1,600 points per
+# decade an entry holds 7,520 complex values, about 120 KB
+_MEMO_SIZE = 8
+_memo: OrderedDict | None = None
 
 
 @dataclass(frozen=True)
@@ -68,6 +93,10 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.xi_min < self.xi_max):
             raise MeasureError("grid needs 0 < xi_min < xi_max")
+        if not (GRID_XI_MIN <= self.xi_min and self.xi_max <= GRID_XI_MAX):
+            raise MeasureError(
+                f"grid needs {GRID_XI_MIN:g} <= xi_min and xi_max <= {GRID_XI_MAX:g}"
+            )
         if not isinstance(self.points_per_decade, int) or self.points_per_decade < 1:
             raise MeasureError("points_per_decade must be a positive integer")
         if self.symmetric is not True:
@@ -167,6 +196,43 @@ def _zero_limit_relaxed(a: Measure, b: Measure, s: int) -> float:
     return abs(m3a - m3b) / 6.0
 
 
+@contextmanager
+def shared_deviations():
+    """Let ds_distance reuse grid deviations until the scope ends.
+
+    Up to _MEMO_SIZE deviations are kept, least recently used out first,
+    keyed by (law, grid): laws compare by value, Empirical by identity.  A
+    scope opened inside another shares the outer one's deviations.  Keep a
+    scope short: a law mutated or a cf routine replaced inside it is not
+    seen by deviations computed before.
+    """
+    global _memo
+    outer = _memo
+    if outer is None:
+        _memo = OrderedDict()
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _grid_deviation(m: Measure, grid: GridSpec) -> np.ndarray:
+    """cf deviation of m at the positive grid points, shared inside a scope."""
+    if _memo is None:
+        return charfn.cf_deviation(m, grid.positive_points())
+    key = (m, grid)
+    dev = _memo.get(key)
+    if dev is None:
+        dev = charfn.cf_deviation(m, grid.positive_points())
+        dev.setflags(write=False)
+        _memo[key] = dev
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return dev
+
+
 def zero_limit(a: Measure, b: Measure, s) -> float:
     """The xi -> 0 limit of |phi_a - phi_b| / |xi|^s for laws in the s-class."""
     s = _validate_s(s)
@@ -187,6 +253,12 @@ def ds_distance(
 ) -> DistanceResult:
     """Fourier distance of exponent s between a and b.
 
+    The grid supremum is taken over the positive grid points, where the
+    ratio equals its value at the mirrored negative point bit for bit;
+    grid_argmax is the smallest positive point that attains it.  Inside a
+    shared_deviations() scope the deviation of each law on the grid is
+    reused from earlier calls; outside one it is computed afresh.
+
     With require_class_membership (the default) both laws must be centred,
     reduced, and have a finite s-th absolute moment.  The structural checks
     relax that to compare convolutions and rescalings, whose moments match
@@ -202,12 +274,11 @@ def ds_distance(
         raise MembershipError(
             "the distance diverges at xi -> 0: means/variances do not match"
         )
-    xi = grid.points()
-    diff = np.abs(charfn.cf_deviation(a, xi) - charfn.cf_deviation(b, xi))
-    ratio = diff / np.abs(xi) ** s
+    xi = grid.positive_points()
+    diff = np.abs(_grid_deviation(a, grid) - _grid_deviation(b, grid))
+    ratio = diff / xi**s
     grid_sup = float(np.max(ratio))
-    peak = np.flatnonzero(ratio == grid_sup)
-    argmax = min((abs(xi[i]), 0.0 if xi[i] >= 0 else 1.0, xi[i]) for i in peak)[2]
+    argmax = xi[np.flatnonzero(ratio == grid_sup)[0]]
     tail = 2.0 / grid.xi_max**s
     value = max(grid_sup, zl)
     return DistanceResult(

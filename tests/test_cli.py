@@ -2,10 +2,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import cltflow.charfn as charfn
+from cltflow import cli, metrics
 from cltflow.cli import main
+from cltflow.errors import MeasureError
 
 
 def run_cli(args, capsys):
@@ -132,7 +135,7 @@ def test_run_config_unknown_command_keys_exit_2(tmp_path, capsys):
     assert "unknown keys" in err
 
 
-def test_fault_injection_exits_1(tmp_path, capsys, monkeypatch):
+def perturb_gaussian(monkeypatch):
     # damp the gaussian reference cf by ~1e-3: inequalities must now fail
     orig = charfn._dev_parametric
 
@@ -144,6 +147,10 @@ def test_fault_injection_exits_1(tmp_path, capsys, monkeypatch):
         return dev
 
     monkeypatch.setattr(charfn, "_dev_parametric", perturbed)
+
+
+def test_fault_injection_exits_1(tmp_path, capsys, monkeypatch):
+    perturb_gaussian(monkeypatch)
     code, out, _ = run_cli(
         ["flow", "--measure", "skewed", "--steps", "4", "--out", str(tmp_path)],
         capsys,
@@ -271,3 +278,93 @@ def test_verify_lyapunov_passes_at_40_steps(tmp_path, capsys):
     assert all(row.endswith(",true") for row in rows)
     rel = [float(r.split(",")[4]) / float(r.split(",")[2]) for r in rows]
     assert min(rel) > 0.1
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [["--xi-max", "1e305"],
+     ["--xi-min", "1e-300", "--xi-max", "1e300", "--points-per-decade", "10000"],
+     ["--xi-min", "1e-120", "--xi-max", "1e20"]],
+    ids=["xi-max-1e305", "1e-300..1e300", "1e-120..1e20"],
+)
+def test_extreme_grids_exit_2(grid, capsys):
+    code, out, err = run_cli(
+        ["distance", "--a", "uniform-std", "--b", "gaussian", "--s", "2", *grid], capsys
+    )
+    assert code == 2
+    assert "config error" in err and "1e-100 <= xi_min and xi_max <= 1e+100" in err
+    assert out == ""
+
+
+def test_grid_range_is_in_help(capsys):
+    assert main(["distance", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "at least 1e-100" in out and "at most 1e+100" in out
+
+
+# ---------------------------------------------------------------------------
+# deviations shared within one command
+# ---------------------------------------------------------------------------
+
+
+def test_perturbed_deviations_do_not_outlive_the_command(tmp_path, capsys, monkeypatch):
+    args = ["flow", "--measure", "skewed", "--steps", "4", "--out"]
+    code, _, _ = run_cli(args + [str(tmp_path / "clean")], capsys)
+    assert code == 0
+    with monkeypatch.context() as patch:
+        perturb_gaussian(patch)
+        code, out, _ = run_cli(args + [str(tmp_path / "faulty")], capsys)
+        assert code == 1 and "FAIL" in out
+    code, _, _ = run_cli(args + [str(tmp_path / "again")], capsys)
+    assert code == 0
+    clean = (tmp_path / "clean" / "01_flow.csv").read_bytes()
+    assert (tmp_path / "again" / "01_flow.csv").read_bytes() == clean
+    assert (tmp_path / "faulty" / "01_flow.csv").read_bytes() != clean
+
+
+def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
+    seen = []
+
+    def failing(cmd, env):
+        cli.ds_distance(env.resolve("skewed"), env.resolve("gaussian"), 3, env.grid)
+        seen.append(len(metrics._memo))
+        raise MeasureError("injected")
+
+    monkeypatch.setitem(cli._RUNNERS, "distance", failing)
+    code, out, _ = run_cli(
+        ["distance", "--a", "skewed", "--b", "gaussian", "--s", "3"], capsys
+    )
+    assert code == 1 and "FAIL (injected)" in out
+    assert seen == [2]
+    assert metrics._memo is None
+
+
+def count_deviations(monkeypatch):
+    calls = {"calls": 0, "points": 0}
+    orig = charfn.cf_deviation
+
+    def counted(m, xi):
+        calls["calls"] += 1
+        calls["points"] += np.size(xi)
+        return orig(m, xi)
+
+    monkeypatch.setattr(charfn, "cf_deviation", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, calls, points",
+    [
+        # 41 iterates and the gaussian, each on the 941 positive points; the
+        # mirrored grid without sharing made 164 calls on 308,648 points
+        (["flow", "--measure", "skewed", "--steps", "40"], 42, 42 * 941),
+        # 126 sums, the two laws and the gaussian, where 504 calls were made
+        (["verify-clt-rate", "--n-max", "64"], 129, 129 * 941),
+    ],
+)
+def test_each_deviation_is_evaluated_once_per_command(args, calls, points, capsys,
+                                                      monkeypatch):
+    counts = count_deviations(monkeypatch)
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    assert counts == {"calls": calls, "points": points}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import bank
+from cltflow import bank, metrics
 from cltflow.errors import MeasureError, MembershipError
 
 SQRT2 = math.sqrt(2.0)
@@ -79,6 +79,18 @@ def test_gridspec_validation():
         cf.GridSpec(points_per_decade=0)
     with pytest.raises(MeasureError):
         cf.GridSpec(symmetric=False)
+    # endpoints stay where xi^3 and 2 / xi^3 are normal floats
+    for xi_min, xi_max in ((1e-3, 1e305), (1e-300, 1e300), (1e-120, 1e20),
+                           (1e-101, 1.0), (1.0, 1.1e100)):
+        with pytest.raises(MeasureError, match="1e-100 <= xi_min and xi_max <= 1e\\+100"):
+            cf.GridSpec(xi_min, xi_max, 10)
+
+
+def test_gridspec_extreme_endpoints_give_a_finite_distance(gauss):
+    grid = cf.GridSpec(1e-100, 1e100, 2)
+    res = cf.ds_distance(bank.uniform_std(), gauss, 3, grid)
+    assert math.isfinite(res.grid_sup) and res.grid_argmax > 0
+    assert res.tail_bound == 2e-300
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +309,49 @@ def test_csv_row_format(gauss, rademacher):
     assert fields[0] == "3"
     assert fields[-1] == "true"
     assert float(fields[7]) == res.value
+
+
+# ---------------------------------------------------------------------------
+# shared deviations
+# ---------------------------------------------------------------------------
+
+
+def test_memo_exists_only_inside_a_scope(skewed, gauss, grid):
+    assert metrics._memo is None
+    with metrics.shared_deviations():
+        cf.ds_distance(skewed, gauss, 3, grid)
+        assert set(metrics._memo) == {(skewed, grid), (gauss, grid)}
+        with metrics.shared_deviations():  # a nested scope shares the outer one
+            assert len(metrics._memo) == 2
+        assert len(metrics._memo) == 2
+    assert metrics._memo is None
+    with pytest.raises(MembershipError):
+        with metrics.shared_deviations():
+            cf.ds_distance(skewed, gauss, 3, cf.GridSpec(1e-3, 50.0, 10))
+            cf.ds_distance(cf.Affine(skewed, 1.0, 1.0), gauss, 3, grid)
+    assert metrics._memo is None
+
+
+def test_memo_keeps_the_most_recent_eight(gauss, coarse_grid):
+    laws = [cf.CfLevel(bank.skewed_two_atom(), n) for n in range(1, 21)]
+    with metrics.shared_deviations():
+        for m in laws:
+            cf.ds_distance(m, gauss, 3, coarse_grid)
+            assert len(metrics._memo) <= metrics._MEMO_SIZE == 8
+        recent = [(m, coarse_grid) for m in laws[-7:]] + [(gauss, coarse_grid)]
+        assert set(metrics._memo) == set(recent)
+        assert all(not dev.flags.writeable for dev in metrics._memo.values())
+
+
+def test_mutated_empirical_sample_is_seen_outside_a_scope(gauss, coarse_grid):
+    y = np.random.default_rng(5).normal(size=400)
+    emp = cf.Empirical(np.concatenate([y, -y]))  # mean 0 to rounding
+    before = cf.ds_distance(emp, gauss, 2, coarse_grid, require_class_membership=False)
+    emp.samples[:] = 1.5 * emp.samples
+    after = cf.ds_distance(emp, gauss, 2, coarse_grid, require_class_membership=False)
+    fresh = cf.ds_distance(
+        cf.Empirical(emp.samples.copy()), gauss, 2, coarse_grid,
+        require_class_membership=False,
+    )
+    assert after.grid_sup != before.grid_sup
+    assert after == fresh
