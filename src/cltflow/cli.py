@@ -5,8 +5,9 @@ bank (or measures declared in a JSON config) and emit one CSV per command
 plus a human-readable summary on stdout.  Exit status: 0 when every asserted
 inequality held, 1 when at least one failed (or a computational contract was
 violated mid-run), 2 for config parse/validation problems, 3 for I/O
-failures.  All floating-point output uses 17 significant digits so repeated
-runs can be compared byte for byte.
+failures of the CSV reports.  A reader that closes stdout early (`| head`)
+only cuts the summary short.  All floating-point output uses 17 significant
+digits so repeated runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -427,13 +428,22 @@ def run(config: dict, out_dir: str | None = None, stream=None) -> int:
         except OSError as exc:
             print(f"i/o failure: {exc}", file=stream)
             return 3
-    for res in results:
-        print(res.summary, file=stream)
     failed = sum(1 for r in results if not r.ok)
-    print(
-        "all checks passed" if failed == 0 else f"{failed} command(s) failed",
-        file=stream,
-    )
+    try:
+        for res in results:
+            print(res.summary, file=stream)
+        print(
+            "all checks passed" if failed == 0 else f"{failed} command(s) failed",
+            file=stream,
+        )
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); the rest goes to devnull,
+        # so the flush at exit stays quiet, and the status still reports
+        # the checks
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
     return 0 if failed == 0 else 1
 
 

@@ -12,15 +12,38 @@ as 1, 2, 3", for counter-based generation).  Uniforms take the top 52 bits
 offset by half an ulp, landing strictly inside (0, 1); parametric laws
 invert their CDFs, atomic laws draw categorically.
 
-The generator runs in place: every SplitMix step rewrites one uint64 array,
-with a single scratch array for the shifted copies, so no step allocates a
-full-size temporary.  Integer arithmetic modulo 2^64 does not depend on how
-the steps are grouped, so the bits are those of the formula above.  Atomic
-laws with at most _COUNT_EDGES_MAX atoms find the categorical index by
-counting the cumulative-weight edges at or below u, which equals the
-searchsorted index because the edges never decrease.  A sampler works out
-the stream key, edges and positions once, so the 2^k folds of a level-k
-draw reuse them.
+A draw of a law takes a fixed number of counters, its width: one for an
+atomic, empirical or closed-form law (and an affine image of one), and
+2^k times the base's width for a level-k CfLevel.  A call for n draws from
+counter start gives draw i the counters start + i + t n, t = 0..width-1:
+fold j of a CfLevel whose base has width w takes the base's counters from
+start + j w n on, so nested levels never draw a counter twice.  For the
+flat laws the CLI builds, fold j of draw i is counter start + j n + i.
+
+Draws are made in blocks of cols draws, cols chosen so that the block's
+2^k x cols fold counters (_BLOCK_CELLS of them) stay in L2.  Row j of a
+block holds fold j's words key + PHI64 (counter + 1): a base array
+PHI64 (j w n + i) is built once per block shape, and each block adds one
+scalar to it.  SplitMix and the uniform map then run in place on the block,
+the base law's transform (categorical index, inverse CDF, empirical index,
+affine map) writes the fold values into rows 1.. of a sums block, and one
+axis-0 reduction adds the folds.  The bits are those of a loop that starts
+from zeros(n) and adds the folds one at a time:
+
+- uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
+  words, counters that wrap past 2^64 included, equal the formula above;
+- every transform works element by element, so it does not matter how
+  the draws are cut into blocks;
+- numpy reduces axis 0 of a C-ordered array with two or more columns row
+  by row (one column would reduce pairwise, so a call for one draw makes
+  two and a last lone column is drawn with the one before), and row 0
+  holds +0.0 or, when 2^k rows exceed a block, the running sums of the
+  rows before, so each draw's folds are added in the loop's order from
+  the loop's +0.0.
+
+Atomic laws with at most _COUNT_EDGES_MAX atoms find the categorical index
+by counting the cumulative-weight edges at or below u, which equals the
+searchsorted index because the edges never decrease.
 """
 
 from __future__ import annotations
@@ -59,6 +82,8 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 MAX_SAMPLING_LEVELS = 25
+# counters per block: its few buffers stay in L2 and serve every block
+_BLOCK_CELLS = 1 << 14
 # atomic laws with at most this many atoms draw by counting edges
 _COUNT_EDGES_MAX = 8
 ORACLE_GRID = GridSpec(1e-3, 50.0, 10)
@@ -75,20 +100,14 @@ def _stream_key(seed: int, stream: int) -> int:
     return _mix64_int(seed) ^ _mix64_int((stream * PHI64) & _MASK)
 
 
-def _uniforms(key: int, start: int, count: int) -> np.ndarray:
-    """count uniforms in (0, 1) from counter positions start.. of the stream with key.
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1) from the words z = key + PHI64 * (counter + 1), in place.
 
-    SplitMix runs in place on one uint64 array, with one scratch array for
-    the shifted copies that ends up holding the float64 result.  uint64
-    arithmetic wraps mod 2^64 like _mix64_int, and key + PHI64 * (start + 1 + i)
-    is the same residue as (key + PHI64 * (start + 1)) + PHI64 * i, so the
-    bits equal those of the formula in the module notes, counters that wrap
-    past 2^64 included.
+    SplitMix runs on z, with scratch, a uint64 array of z's shape, for the
+    shifted copies.  The top 52 bits m become the float 1 + m 2^-52 in z's
+    memory, which returns as (1 + m 2^-52) - (1 - 2^-53) = (m + 1/2) 2^-52,
+    exact because 2m + 1 < 2^53 makes the difference a float.
     """
-    z = np.arange(count, dtype=np.uint64)
-    scratch = np.empty_like(z)
-    z *= np.uint64(PHI64)
-    z += np.uint64((key + PHI64 * (start + 1)) & _MASK)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)
         z ^= scratch
@@ -96,11 +115,18 @@ def _uniforms(key: int, start: int, count: int) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
     z >>= np.uint64(12)
-    u = scratch.view(np.float64)
-    u[...] = z  # exact: z < 2^52
-    u += 0.5
-    u *= 2.0**-52
+    z |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
+    u = z.view(np.float64)
+    u -= 1.0 - 2.0**-53
     return u
+
+
+def _uniforms(key: int, start: int, count: int) -> np.ndarray:
+    """count uniforms in (0, 1) from counter positions start.. of the stream with key."""
+    z = np.arange(count, dtype=np.uint64)
+    z *= np.uint64(PHI64)
+    z += np.uint64((key + PHI64 * (start + 1)) & _MASK)
+    return _mix(z, np.empty_like(z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,68 +163,148 @@ def _pick(edges: np.ndarray):
     return count
 
 
-def _invert(fam: str, p: tuple, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of a closed-form family at the uniforms u."""
+def _invert(fam: str, p: tuple, u: np.ndarray, out: np.ndarray) -> None:
+    """Inverse CDF of a closed-form family at the uniforms u, into out."""
     if fam == "gaussian":
-        return p[0] + math.sqrt(p[1]) * ndtri(u)
-    if fam == "uniform":
-        return p[0] + (p[1] - p[0]) * u
-    if fam == "laplace":
+        ndtri(u, out=out)
+        out *= math.sqrt(p[1])
+        out += p[0]
+    elif fam == "uniform":
+        np.multiply(u, p[1] - p[0], out=out)
+        out += p[0]
+    elif fam == "laplace":
         v = u - 0.5
-        return p[0] - p[1] * np.sign(v) * np.log1p(-2.0 * np.abs(v))
-    if fam == "exponential":
-        return p[1] - np.log1p(-u) / p[0]
-    if fam == "heavy_cubic":
+        out[...] = p[0] - p[1] * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+    elif fam == "exponential":
+        out[...] = p[1] - np.log1p(-u) / p[0]
+    elif fam == "heavy_cubic":
         sign = np.where(u < 0.5, -1.0, 1.0)
         tail = 1.0 - np.abs(2.0 * u - 1.0)
-        return sign * (3.0 * math.sqrt(3.0) * tail) ** (-1.0 / 3.0)
-    raise MeasureError(f"unknown family {fam!r}")
+        out[...] = sign * (3.0 * math.sqrt(3.0) * tail) ** (-1.0 / 3.0)
+    else:
+        raise MeasureError(f"unknown family {fam!r}")
 
 
-def _sampler(m: Measure, seed: int, stream: int):
-    """draw(start, n): n draws of m from counter positions start.. of a stream.
+def _leaf(transform):
+    """(width 1, prepare) for a law drawn from one uniform u by transform(u, out)."""
 
-    What does not depend on the counter (stream key, cumulative weights,
-    positions) is worked out here once, not once per call, so the fold loop
-    of a CfLevel pays for it once.
+    def prepare(delta, n):
+        words = np.empty_like(delta)
+
+        def run(z0, out):
+            np.add(delta, np.uint64(z0), out=words)
+            transform(_mix(words, out.view(np.uint64)), out)
+
+        return run
+
+    return 1, prepare
+
+
+def _fold(prepare_base, width: int, count: int):
+    """prepare for 2^count folds of a base law that takes width counters a draw.
+
+    Fold j of the draw whose first word is z starts at z + PHI64 * j * width * n.
+    The folds are drawn rows at a time into rows 1.. of a sums block whose
+    row 0 holds the running total, +0.0 at first, and numpy's axis-0
+    reduction adds the rows in order (module notes).
     """
-    key = _stream_key(seed, stream)
+    folds = 1 << count
+    scale = 2.0 ** (-count / 2.0)
+
+    def prepare(delta, n):
+        step = (PHI64 * width * n) & _MASK
+        rows = min(folds, max(1, _BLOCK_CELLS // (delta.size * width)))
+        words = (np.arange(rows, dtype=np.uint64) * np.uint64(step))[:, None] + delta
+        sums = np.empty((rows + 1, delta.size))
+        runs = {r: prepare_base(words[:r].reshape(-1), n) for r in {rows, folds % rows or rows}}
+
+        def run(z0, out):
+            sums[0] = 0.0
+            for j0 in range(0, folds, rows):
+                r = min(rows, folds - j0)
+                runs[r]((z0 + j0 * step) & _MASK, sums[1 : r + 1].reshape(-1))
+                np.add.reduce(sums[: r + 1], axis=0, out=out)
+                sums[0] = out
+            out *= scale
+
+        return run
+
+    return prepare
+
+
+def _drawer(m: Measure):
+    """(width, prepare) for m, where each draw of m takes width counters.
+
+    prepare(delta, n) returns run(z0, out), which writes into out the draws
+    whose first words are z0 + delta (uint64, wrapping), as draws of a call
+    for n of them: n sets the stride of the folds.  All that does not depend
+    on z0 (fold words, buffers) is worked out by prepare.
+    """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
-        return lambda start, n: pos[pick(_uniforms(key, start, n))]
+        return _leaf(lambda u, out: np.take(pos, pick(u), out=out, mode="clip"))
     if isinstance(m, Empirical):
         x = m.samples
 
-        def draw(start, n):
-            u = _uniforms(key, start, n)
-            return x[np.minimum((u * x.size).astype(np.int64), x.size - 1)]
+        def index(u, out):
+            u *= x.size
+            np.take(x, np.minimum(u.astype(np.int64), x.size - 1), out=out, mode="clip")
 
-        return draw
+        return _leaf(index)
     if isinstance(m, Parametric):
-        return lambda start, n: _invert(m.family, m.params, _uniforms(key, start, n))
+        return _leaf(lambda u, out: _invert(m.family, m.params, u, out))
     if isinstance(m, Affine):
-        base = _sampler(m.base, seed, stream)
-        return lambda start, n: m.shift + m.scale * base(start, n)
+        width, prepare_base = _drawer(m.base)
+
+        def prepare(delta, n):
+            base = prepare_base(delta, n)
+
+            def run(z0, out):
+                base(z0, out)
+                out *= m.scale
+                out += m.shift
+
+            return run
+
+        return width, prepare
     if isinstance(m, CfLevel):
         if m.count > MAX_SAMPLING_LEVELS:
             raise MeasureError(
                 f"sampling refuses cf iteration depth {m.count} > "
                 f"{MAX_SAMPLING_LEVELS} (2^{m.count} base draws per sample)"
             )
-        base = _sampler(m.base, seed, stream)
-        folds = 1 << m.count
-
-        def draw(start, n):
-            total = np.zeros(n)
-            for j in range(folds):
-                total += base(start + j * n, n)
-            return total * 2.0 ** (-m.count / 2.0)
-
-        return draw
+        width, prepare_base = _drawer(m.base)
+        return width << m.count, _fold(prepare_base, width, m.count)
     raise MeasureError(
         f"sampling supports atomic, parametric, empirical, affine and cf-level "
         f"laws, not {type(m).__name__}"
     )
+
+
+def _sampler(m: Measure, seed: int, stream: int):
+    """draw(start, n): n draws of m from counter positions start.. of a stream.
+
+    The draws are made in blocks of cols, as many as fill _BLOCK_CELLS
+    counters with all their folds, and every block of one size reuses what
+    prepare worked out for it.
+    """
+    key = _stream_key(seed, stream)
+    width, prepare = _drawer(m)
+    cols = max(2, _BLOCK_CELLS // width)
+
+    def draw(start, n):
+        size = max(n, 2)  # a fold sum needs two columns (module notes)
+        blocks = [(b0, min(cols, size - b0)) for b0 in range(0, size, cols)]
+        if blocks[-1][1] == 1:  # a last column alone is drawn with the one before
+            blocks[-1] = (size - 2, 2)
+        delta = np.arange(blocks[0][1], dtype=np.uint64) * np.uint64(PHI64)
+        runs = {b: prepare(delta[:b], n) for b in {b for _, b in blocks}}
+        out = np.empty(size)
+        for b0, b in blocks:
+            runs[b]((key + PHI64 * (start + 1 + b0)) & _MASK, out[b0 : b0 + b])
+        return out[:n]
+
+    return draw
 
 
 def sample(m: Measure, n: int, seed: int) -> SampleBatch:

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 ATOM_MERGE_TOL = 1e-12
+# atom positions up to this size keep x^4, and the cumulant cross terms of
+# up to 12 x^4, within the float range
+ATOM_ABS_MAX = 1e75
 PUBLIC_FAMILIES = ("gaussian", "uniform", "exponential", "laplace")
 _MEMBER_TOL = 1e-10
 
@@ -225,12 +228,17 @@ class QMembership:
 
 def make_atomic(atoms) -> Atomic:
     """Build an atomic measure: sort, merge positions closer than 1e-12, renormalize."""
-    pairs = [(float(x), float(w)) for x, w in atoms]
+    try:
+        pairs = [(float(x), float(w)) for x, w in atoms]
+    except OverflowError:  # an integer beyond the float range
+        raise MeasureError("atom positions and weights must be finite") from None
     if not pairs:
         raise MeasureError("atomic measure needs at least one atom")
     for x, w in pairs:
         if not (math.isfinite(x) and math.isfinite(w)):
             raise MeasureError("atom positions and weights must be finite")
+        if abs(x) > ATOM_ABS_MAX:
+            raise MeasureError(f"atom positions must lie within ±{ATOM_ABS_MAX:g}, got {x}")
         if w <= 0:
             raise MeasureError(f"atom weight must be positive, got {w}")
     pairs.sort()
@@ -240,7 +248,12 @@ def make_atomic(atoms) -> Atomic:
             merged[-1][1] += w
         else:
             merged.append([x, w])
-    total = math.fsum(w for _, w in merged)
+    try:
+        total = math.fsum(w for _, w in merged)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise MeasureError("atom weights must have a finite sum")
     return Atomic(tuple((x, w / total) for x, w in merged))
 
 
@@ -250,7 +263,10 @@ def make_parametric(family: str, params) -> Parametric:
         raise MeasureError(
             f"unknown family {family!r}; expected one of {PUBLIC_FAMILIES}"
         )
-    p = tuple(float(v) for v in params)
+    try:
+        p = tuple(float(v) for v in params)
+    except OverflowError:  # an integer beyond the float range
+        raise MeasureError(f"{family} parameters must be finite") from None
     if family == "exponential":
         if len(p) != 1:
             raise MeasureError("exponential takes a single rate parameter")
@@ -261,6 +277,11 @@ def make_parametric(family: str, params) -> Parametric:
 def dirac(x: float = 0.0) -> Atomic:
     """Point mass at x."""
     return Atomic(((float(x), 1.0),))
+
+
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def measure_from_literal(obj) -> Measure:
@@ -279,9 +300,10 @@ def measure_from_literal(obj) -> Measure:
             raise MeasureError(f"unknown keys in atomic literal: {sorted(extra)}")
         atoms = obj.get("atoms")
         if not isinstance(atoms, list) or not all(
-            isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms
+            isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_is_number, a))
+            for a in atoms
         ):
-            raise MeasureError("atomic literal needs atoms: [[x, w], ...]")
+            raise MeasureError("atomic literal needs atoms: [[x, w], ...] of numbers")
         return make_atomic(atoms)
     if kind == "parametric":
         extra = set(obj) - {"type", "family", "params"}
@@ -289,8 +311,9 @@ def measure_from_literal(obj) -> Measure:
             raise MeasureError(f"unknown keys in parametric literal: {sorted(extra)}")
         family = obj.get("family")
         params = obj.get("params")
-        if not isinstance(family, str) or not isinstance(params, list):
-            raise MeasureError("parametric literal needs family and params")
+        if (not isinstance(family, str) or not isinstance(params, list)
+                or not all(map(_is_number, params))):
+            raise MeasureError("parametric literal needs family and params (numbers)")
         return make_parametric(family, params)
     raise MeasureError(f"unknown measure literal type {kind!r}")
 

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cltflow
 import cltflow.charfn as charfn
 from cltflow import cli, metrics
 from cltflow.cli import main
@@ -368,3 +371,30 @@ def test_each_deviation_is_evaluated_once_per_command(args, calls, points, capsy
     code, _, _ = run_cli(args, capsys)
     assert code == 0
     assert counts == {"calls": calls, "points": points}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+def test_closed_stdout_exits_quietly(tmp_path, failing):
+    # the read end is closed before the CLI writes a byte, as when `| head`
+    # has read what it wanted: no traceback, no noise at exit, the CSV
+    # report is written and the status still reports the checks
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cltflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["distance", "--a", "skewed", "--b", "gaussian", "--s", "3"]
+    if failing:  # heavy-tail-std has no third moment, so its d3 fails: exit 1
+        config = tmp_path / "failing.json"
+        config.write_text(json.dumps({"commands": [
+            {"command": "distance", "a": "heavy-tail-std", "b": "gaussian", "s": 3}]}))
+        args = ["run", "--config", str(config)]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cltflow.cli", *args, "--out", str(tmp_path / "out")],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == (1 if failing else 0)
+    assert proc.stderr == b""
+    assert os.listdir(tmp_path / "out") == ["01_distance.csv"]

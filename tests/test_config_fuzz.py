@@ -3,12 +3,15 @@
 Grid values range over huge, tiny and subnormal floats, inf, NaN, integers
 beyond the float range, bools and strings; the commands are the cheap ones,
 a distance and a flow of at most three steps, at most 20 points per decade.
+Atomic literals take huge, tiny and non-finite atoms, integers beyond the
+float range, bools and strings, and zero, negative and unnormalised weights.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,3 +66,109 @@ def test_config_never_ends_in_a_traceback(grid, commands, tmp_path_factory):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("config error:")
+
+
+atom_number = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=1e70, max_value=1.7e308).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.floats(min_value=5e-324, max_value=1e-70).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e75, -1e75, 1e300, -1e300]),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.booleans(),
+    st.text(max_size=3),
+)
+atom_weight = st.one_of(
+    atom_number,
+    st.sampled_from([0.0, -0.5, 5.0, 1e300, 1e-300, 5e-324]),
+)
+atomic_literal = st.one_of(
+    st.fixed_dictionaries({
+        "type": st.just("atomic"),
+        "atoms": st.lists(st.tuples(atom_number, atom_weight).map(list),
+                          min_size=0, max_size=4),
+    }),
+    # mean 0 and variance 1 with far-out atoms of tiny weight, and with
+    # the atoms close to 0 carrying the rest
+    st.tuples(st.floats(min_value=1e-30, max_value=1e75),
+              st.floats(min_value=1e-300, max_value=1e-3)).map(
+        lambda xw: {"type": "atomic", "atoms": [
+            [-xw[0], 0.5 / xw[0] ** 2], [xw[0], 0.5 / xw[0] ** 2],
+            [xw[1], max(1.0 - 1.0 / xw[0] ** 2, 0.0)]]}),
+)
+literal_command = st.one_of(
+    st.fixed_dictionaries({
+        "command": st.just("distance"),
+        "a": st.just("lit"),
+        "b": st.sampled_from(["gaussian", "lit"]),
+        "s": st.sampled_from([2, 3]),
+    }),
+    st.fixed_dictionaries({
+        "command": st.just("flow"),
+        "measure": st.just("lit"),
+        "steps": st.integers(min_value=0, max_value=3),
+    }),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(literal=atomic_literal, commands=st.lists(literal_command, min_size=1, max_size=2),
+       xi_max=st.sampled_from([50.0, 1e100]))
+def test_atomic_literal_never_ends_in_a_traceback(literal, commands, xi_max,
+                                                  tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz-literal.json"
+    path.write_text(json.dumps({
+        "measures": {"lit": literal},
+        "grid": {"xi_max": xi_max, "points_per_decade": 10},
+        "commands": commands,
+    }))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("config error:")
+
+
+@pytest.mark.parametrize("atoms, code", [
+    ([[1e300, 0.5], [-1e300, 0.5]], 2),  # x^4 overflows
+    ([[2e75, 0.5], [-2e75, 0.5]], 2),
+    ([[10**400, 0.5], [0.0, 0.5]], 2),  # an integer beyond the float range
+    ([[float("inf"), 0.5], [0.0, 0.5]], 2),
+    ([[float("nan"), 0.5], [0.0, 0.5]], 2),
+    ([[1.0, 0.0], [-1.0, 1.0]], 2),  # zero weight
+    ([[1.0, -0.5], [-1.0, 1.5]], 2),  # negative weight
+    ([[1.0, 1e308], [-1.0, 1e308]], 2),  # weights whose sum overflows
+    ([[True, 0.5], [-1.0, 0.5]], 2),
+    ([["1", 0.5], [-1.0, 0.5]], 2),
+    ([], 2),
+    ([[1e-300, 0.5], [-1e-300, 0.5]], 1),  # a law, but not reduced: d3 fails
+    ([[1.0, 5.0], [-1.0, 5.0]], 0),  # unnormalised weights: rademacher
+    ([[1.0, 5e-324], [-1.0, 5e-324]], 0),
+    ([[-1e75, 0.5e-150], [1e75, 0.5e-150], [0.0, 1.0 - 1e-150]], 0),  # reduced, d3 about 4e57
+], ids=lambda v: str(v) if isinstance(v, int) else None)
+def test_atomic_literal_exit_codes(atoms, code, tmp_path):
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps({
+        "measures": {"lit": {"type": "atomic", "atoms": atoms}},
+        "commands": [{"command": "distance", "a": "lit", "b": "gaussian", "s": 3}],
+    }))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(["run", "--config", str(path)])
+    assert got == code, (out.getvalue(), err.getvalue())
+    assert err.getvalue().startswith("config error:") == (code == 2)
+
+
+@pytest.mark.parametrize("params", [["0", 1.0], [True, 1.0], [0.0, 10**400], [0.0, None]])
+def test_parametric_literal_params_must_be_numbers(params, tmp_path):
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps({
+        "measures": {"lit": {"type": "parametric", "family": "gaussian", "params": params}},
+        "commands": [{"command": "distance", "a": "lit", "b": "gaussian", "s": 3}],
+    }))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["run", "--config", str(path)]) == 2
+    assert err.getvalue().startswith("config error:")

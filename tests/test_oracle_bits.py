@@ -1,13 +1,17 @@
-"""The oracle path keeps its bits: empirical cf, uniforms and categorical draws.
+"""The oracle path keeps its bits: empirical cf, uniforms and sampler draws.
 
 The references below are the straightforward versions of empirical_cf,
-_uniforms and the atomic branch of the sampler that the mirrored, blocked
-and in-place versions in the library replace.  Every comparison is bit for
-bit (view(np.float64)), because the oracle CSVs must not change by a byte.
+_uniforms and the sampler (a loop that draws each fold in full and adds
+the folds in order) that the mirrored, blocked and in-place versions in the
+library replace.  Every comparison is bit for bit (view(np.uint64)),
+because the oracle CSVs must not change by a byte.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import cltflow as cf
 from cltflow import bank, charfn, mc
@@ -50,8 +54,8 @@ def ref_empirical_cf(samples, xi):
 def ref_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     """count uniforms in the open interval (0, 1) from counter positions start.."""
     key = np.uint64(mc._stream_key(seed, stream))
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
+        idx = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) % 2**64)
         z = key + np.uint64(mc.PHI64) * idx
         z = (z ^ (z >> np.uint64(30))) * np.uint64(mc._MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(mc._MIX2)
@@ -64,6 +68,53 @@ def ref_draw_atomic(m, n, seed, stream, start):
     edges = np.cumsum(m.weights)
     idx = np.minimum(np.searchsorted(edges, u, side="right"), len(m.atoms) - 1)
     return m.positions[idx]
+
+
+def ref_invert(fam, p, u):
+    if fam == "gaussian":
+        return p[0] + math.sqrt(p[1]) * ndtri(u)
+    if fam == "uniform":
+        return p[0] + (p[1] - p[0]) * u
+    if fam == "laplace":
+        v = u - 0.5
+        return p[0] - p[1] * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+    if fam == "exponential":
+        return p[1] - np.log1p(-u) / p[0]
+    if fam == "heavy_cubic":
+        sign = np.where(u < 0.5, -1.0, 1.0)
+        tail = 1.0 - np.abs(2.0 * u - 1.0)
+        return sign * (3.0 * math.sqrt(3.0) * tail) ** (-1.0 / 3.0)
+    raise AssertionError(fam)
+
+
+def ref_width(m) -> int:
+    if isinstance(m, cf.CfLevel):
+        return ref_width(m.base) << m.count
+    return ref_width(m.base) if isinstance(m, cf.Affine) else 1
+
+
+def ref_draw(m, seed, stream, start, n):
+    """n draws of m from counter start: each fold drawn in full, added to zeros(n).
+
+    A fold steps by the base law's width times n; the base of a flat law
+    has width 1, and then this is the fold loop the blocked sampler
+    replaced, line for line.
+    """
+    if isinstance(m, cf.CfLevel):
+        total = np.zeros(n)
+        width = ref_width(m.base)
+        for j in range(1 << m.count):
+            total += ref_draw(m.base, seed, stream, start + j * width * n, n)
+        return total * 2.0 ** (-m.count / 2.0)
+    if isinstance(m, cf.Affine):
+        return m.shift + m.scale * ref_draw(m.base, seed, stream, start, n)
+    if isinstance(m, cf.Atomic):
+        return ref_draw_atomic(m, n, seed, stream, start)
+    u = ref_uniforms(seed, stream, start, n)
+    if isinstance(m, cf.Empirical):
+        x = m.samples
+        return x[np.minimum((u * x.size).astype(np.int64), x.size - 1)]
+    return ref_invert(m.family, m.params, u)
 
 
 def same_bits(a, b) -> bool:
@@ -181,3 +232,127 @@ def test_cflevel_folds_add_reference_draws(skewed):
         total += ref_draw_atomic(skewed, n, seed, stream, j * n)
     got = mc._sampler(cf.CfLevel(skewed, 3), seed, stream)(0, n)
     assert np.array_equal(got, total * 2.0**-1.5)
+
+
+def random_atomic(atoms):
+    rng = np.random.default_rng(atoms)
+    ws = rng.random(atoms) + 0.01
+    return cf.measures.make_atomic(zip(np.sort(rng.normal(size=atoms)), ws / ws.sum()))
+
+
+BASES = {
+    **{f"atomic-{k}": (lambda k=k: random_atomic(k)) for k in (2, 3, 9, 13)},
+    # a fold sum of -0.0 draws is +0.0 only when it starts from +0.0
+    "atomic-negative-zero": lambda: cf.measures.make_atomic(
+        [(-1.0, 0.25), (-0.0, 0.5), (1.0, 0.25)]),
+    "gaussian": bank.gaussian,
+    "uniform": bank.uniform_std,
+    "laplace": bank.laplace_std,
+    "exponential-std": bank.exponential_std,  # an Affine of the exponential
+    "heavy-cubic": bank.heavy_tail_std,
+    "empirical": lambda: cf.Empirical(np.random.default_rng(8).standard_t(3, 777)),
+}
+STARTS = (0, 12_345, 2**64 - 600)  # the last one wraps past 2^64 mid-draw
+
+
+def draw_sizes(width):
+    """One draw, fewer than a block's columns, exactly one block, a lone last column, a ragged tail."""
+    cols = max(2, mc._BLOCK_CELLS // width)
+    return (1, cols - 1, cols, 2 * cols + 1, 2 * cols + 5)
+
+
+def assert_sampler_bits(m, seed=1234, stream=5, starts=STARTS, sizes=None):
+    draw = mc._sampler(m, seed, stream)
+    for start in starts:
+        for n in sizes or draw_sizes(ref_width(m)):
+            got = draw(start, n)
+            want = ref_draw(m, seed, stream, start, n)
+            assert got.shape == (n,)
+            assert same_bits(got, want), (start, n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 6])
+@pytest.mark.parametrize("name", list(BASES))
+def test_sampler_matches_fold_loop(name, k):
+    base = BASES[name]()
+    assert_sampler_bits(base if k == 0 else cf.CfLevel(base, k))
+
+
+@pytest.mark.parametrize("name", ["atomic-2", "atomic-13", "gaussian", "exponential-std"])
+def test_sampler_matches_fold_loop_beyond_one_block(name):
+    # 2^15 folds of up to three draws exceed a block's 2^14 counters, so
+    # the folds are added in row blocks that carry their sums
+    base, k = BASES[name](), 15
+    assert (1 << k) * 2 > mc._BLOCK_CELLS
+    draw = mc._sampler(cf.CfLevel(base, k), 1234, 5)
+    for start in (0, 2**64 - 70_000):
+        for n in (1, 2, 3):
+            # ref_draw's loop, with the folds of this flat law (counters
+            # start + j n ..) drawn in one call instead of 2^15
+            folds = ref_draw(base, 1234, 5, start, n << k).reshape(1 << k, n)
+            total = np.zeros(n)
+            for fold in folds:
+                total += fold
+            assert same_bits(draw(start, n), total * 2.0 ** (-k / 2.0)), (start, n)
+
+
+@pytest.fixture
+def small_block(monkeypatch):
+    # 64 counters a block: a level-7 law spans two columns and four row
+    # blocks, so every carry and ragged edge shows at a small size
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", 64)
+
+
+NESTED = {
+    "affine-cflevel": lambda: cf.CfLevel(cf.Affine(cf.CfLevel(bank.gaussian(), 1), 1.0), 1),
+    "skewed-3-in-2": lambda: cf.CfLevel(
+        cf.Affine(cf.CfLevel(bank.skewed_two_atom(), 3), 0.5, 0.25), 2),
+    "shifted-level": lambda: cf.Affine(cf.CfLevel(bank.rademacher(), 4), 2.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", ["atomic-2", "atomic-9", "gaussian", "empirical"])
+def test_sampler_matches_fold_loop_small_block(name, small_block):
+    assert_sampler_bits(cf.CfLevel(BASES[name](), 7))
+
+
+@pytest.mark.parametrize("block", [8, 64, 1 << 14])
+@pytest.mark.parametrize("name", list(NESTED))
+def test_nested_sampler_matches_fold_loop(name, block, monkeypatch):
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
+    assert_sampler_bits(NESTED[name]())
+
+
+def test_nested_levels_have_the_law_variance():
+    # the law is T applied twice to the gaussian: variance 1; with the
+    # folds of the outer level stepping by n instead of 2n, fold (0, 1) and
+    # fold (1, 0) were one counter block and the variance read 1.5
+    vals = cf.sample(NESTED["affine-cflevel"](), 200_000, seed=3).values
+    assert abs(vals.var() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("block", [8, 64, 1 << 14])
+@pytest.mark.parametrize("name", list(NESTED) + ["flat"])
+def test_no_counter_is_drawn_twice(name, block, monkeypatch):
+    # every word the generator mixes, mapped back to its counter, covers
+    # start .. start + width * n - 1 once each
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
+    m = cf.CfLevel(bank.skewed_two_atom(), 5) if name == "flat" else NESTED[name]()
+    seen = []
+    mix = mc._mix
+
+    def recording_mix(z, scratch):
+        seen.append(z.copy())
+        return mix(z, scratch)
+
+    monkeypatch.setattr(mc, "_mix", recording_mix)
+    seed, stream, start, n = 4, 2, 2**64 - 1000, 1000
+    width = ref_width(m)
+    assert (n % max(2, block // width)) != 1  # no lone last column drawn twice
+    mc._sampler(m, seed, stream)(start, n)
+    words = np.concatenate(seen)
+    inv = np.uint64(pow(mc.PHI64, -1, 2**64))
+    key = np.uint64(mc._stream_key(seed, stream))
+    counters = (words - key) * inv - np.uint64(1)
+    want = (np.arange(width * n, dtype=np.uint64) + np.uint64(start % 2**64))
+    assert np.array_equal(np.sort(counters), np.sort(want))
