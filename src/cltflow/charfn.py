@@ -70,6 +70,7 @@ __all__ = [
     "eval_cf_grid",
     "taylor_data",
     "empirical_cf",
+    "binned_cf",
     "char_fn",
 ]
 
@@ -78,6 +79,14 @@ _SERIES_CUT = 0.1
 _CHUNK = 1 << 22
 # samples per cache-sized block of a dense empirical cf chunk
 _ROW_BLOCK = 512
+# samples with at most this many distinct values are summed value by value
+_LATTICE_MAX = 4096
+# binned moments: series terms, samples (and bin-point cells) per block, and
+# the largest |x| / h that is binned
+_MOMENTS = 12
+_FACTORIALS = np.array([[math.factorial(p)] for p in range(_MOMENTS)], dtype=float)
+_MOMENT_ROWS = 1 << 13
+_BIN_SPAN_MAX = 2.0**40
 # below this |phi| the cf value comes from the value form, not from 1 + D
 _VALUE_CUT = 0.5
 
@@ -515,37 +524,124 @@ def _dense_sums(x: np.ndarray, cols: np.ndarray, step: int):
     return re, im
 
 
-def empirical_cf(samples, xi):
-    """Sample-average cf (1/N) sum exp(i x_j xi).
+def _exact_dense(x, srt, mag, npts):
+    """Cos and sin sums over every sample, in the chunks empirical_cf sums in."""
+    # several points share one |xi|: keep two columns, so the chunk still
+    # reduces row by row as it does over the points asked for
+    cols = mag if mag.size > 1 or npts == 1 else np.repeat(mag, 2)
+    return _dense_sums(x, cols, max(1, _CHUNK // npts))
 
-    The sums run only at the distinct |xi|, and phi(-xi) = conj phi(xi)
-    fills in the rest.  That is exact in floating point: x * (-xi) is
-    -(x * xi), and numpy's cos and sin are even and odd bit for bit.
-    Lattice-valued samples are compressed to distinct values first, which is
-    an exact regrouping.  Dense samples are summed in chunks of
-    _CHUNK // xi.size samples, xi.size counting every point asked for, and
-    each chunk in cache-sized row blocks that add the samples in the same
-    order as one pass over the chunk (see _dense_sums).  A value therefore
-    has the same bits as a direct sum over the points asked for.
+
+def _binned_dense(x, srt, mag, npts):
+    """Cos and sin sums from binned moments of the sorted samples srt.
+
+    A sample x = c + u, with centre c = k h at k = rint(x / h) and offset
+    |u| <= h / 2, has exp(i xi x) = exp(i xi c) sum_p (i xi u)^p / p!, so
+    the sums are sum_k exp(i xi c_k) sum_p (i xi)^p M[p, k] with
+    M[p, k] = sum u^p / p! over bin k.  With h = 1 / max|xi| the series
+    cut after _MOMENTS = 12 terms errs by at most (1/2)^12 / 12! < 5.1e-13
+    per sample at every point.  |x| / h below _BIN_SPAN_MAX keeps the
+    rounding of x / h and of k h to 2^-11 of h / 2, which moves that bound
+    by under 1%.  The moments are formed _MOMENT_ROWS sorted samples at a
+    time into the columns of the bins they cover, and the sums taken over
+    blocks of _MOMENT_ROWS bin-point cells, so the only array that grows
+    with the sample is the table, at most n + 2 columns for n samples:
+    wider samples, and those beyond _BIN_SPAN_MAX, go to _exact_dense.
     """
+    if not mag[-1] > 0.0:  # xi = 0 alone sets no bin width
+        return _exact_dense(x, srt, mag, npts)
+    h = 1.0 / float(mag[-1])
+    lo, hi = float(srt[0]) / h, float(srt[-1]) / h
+    if not (-_BIN_SPAN_MAX < lo and hi < _BIN_SPAN_MAX and hi - lo <= x.size):
+        return _exact_dense(x, srt, mag, npts)
+    k_lo = round(lo)
+    moments = np.zeros((_MOMENTS, round(hi) - k_lo + 1))
+    for a in range(0, srt.size, _MOMENT_ROWS):
+        v = srt[a : a + _MOMENT_ROWS]
+        k = np.rint(v / h)
+        u = v - k * h
+        bins = (k - k[0]).astype(np.intp)
+        first = int(k[0]) - k_lo
+        cols = slice(first, first + int(bins[-1]) + 1)
+        w = np.ones_like(v)
+        for row in moments[:, cols]:
+            row += np.bincount(bins, weights=w)
+            w *= u
+    moments /= _FACTORIALS
+    re = np.zeros(mag.size)
+    im = np.zeros(mag.size)
+    xi = mag[:, None]
+    z = -xi * xi
+    step = max(1, _MOMENT_ROWS // mag.size)
+    for b in range(0, moments.shape[1], step):
+        m = moments[:, b : b + step]
+        # sum_p (i xi)^p M[p] = even + i odd, by Horner in z = -xi^2
+        even = m[_MOMENTS - 2] * z
+        odd = m[_MOMENTS - 1] * z
+        for p in range(_MOMENTS - 4, 0, -2):
+            even += m[p]
+            even *= z
+            odd += m[p + 1]
+            odd *= z
+        even += m[0]
+        odd += m[1]
+        odd *= xi
+        ph = xi * ((k_lo + b + np.arange(m.shape[1])) * h)
+        c, s = np.cos(ph), np.sin(ph)
+        re += (c * even - s * odd).sum(axis=1)
+        im += (s * even + c * odd).sum(axis=1)
+    return re, im
+
+
+def _empirical(samples, xi, dense):
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise MeasureError("empirical cf needs a nonempty sample")
     scalar = np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
     pts = np.atleast_1d(np.asarray(xi, dtype=float))
     mag, inv = np.unique(np.abs(pts), return_inverse=True)
-    vals, counts = np.unique(x, return_counts=True)
-    if vals.size <= 4096:
-        ph = np.multiply.outer(mag, vals)
-        wts = counts.astype(float)
+    # the distinct values and counts np.unique would give, from one sorted
+    # copy: np.unique adds four more sample-sized arrays
+    srt = np.sort(x)
+    if np.count_nonzero(srt[1:] != srt[:-1]) < _LATTICE_MAX:
+        starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+        ph = np.multiply.outer(mag, srt[starts])
+        wts = np.diff(np.append(starts, srt.size)).astype(float)
         re = (np.cos(ph) * wts).sum(axis=1)
         im = (np.sin(ph) * wts).sum(axis=1)
     else:
-        # several points share one |xi|: keep two columns, so the chunk
-        # still reduces row by row as it does over the points asked for
-        cols = mag if mag.size > 1 or pts.size == 1 else np.repeat(mag, 2)
-        re, im = _dense_sums(x, cols, max(1, _CHUNK // pts.size))
+        re, im = dense(x, srt, mag, pts.size)
     re, im = re[inv], im[inv]
     np.negative(im, out=im, where=pts < 0)
     out = (re + 1j * im) / x.size
     return complex(out[0]) if scalar else out
+
+
+def empirical_cf(samples, xi):
+    """Sample-average cf (1/N) sum exp(i x_j xi).
+
+    The sums run only at the distinct |xi|, and phi(-xi) = conj phi(xi)
+    fills in the rest.  That is exact in floating point: x * (-xi) is
+    -(x * xi), and numpy's cos and sin are even and odd bit for bit.
+    Lattice-valued samples (at most _LATTICE_MAX distinct values) are
+    compressed to distinct values first, which is an exact regrouping.
+    Dense samples are summed in chunks of _CHUNK // xi.size samples,
+    xi.size counting every point asked for, and each chunk in cache-sized
+    row blocks that add the samples in the same order as one pass over the
+    chunk (see _dense_sums).  A value therefore has the same bits as a
+    direct sum over the points asked for.
+    """
+    return _empirical(samples, xi, _exact_dense)
+
+
+def binned_cf(samples, xi):
+    """empirical_cf with the dense sums taken from binned moments.
+
+    Lattice samples, and dense ones too wide to bin, get empirical_cf's
+    bits.  Dense samples are binned at width h = 1 / max|xi| and summed
+    through the first _MOMENTS moments of each bin (see _binned_dense):
+    the result differs from empirical_cf by at most 5.1e-13 of truncation
+    plus rounding, at a cost that grows with the number of bins times the
+    distinct |xi| instead of the samples times the distinct |xi|.
+    """
+    return _empirical(samples, xi, _binned_dense)

@@ -86,6 +86,8 @@ class _Env:
         self.seed = seed
 
     def resolve(self, name: str) -> Measure:
+        if not isinstance(name, str):
+            raise ConfigError(f"a measure reference must be a name, got {name!r}")
         if name in self.measures:
             return self.measures[name]
         try:
@@ -304,7 +306,7 @@ def _validate_command(cmd) -> dict:
     if not isinstance(cmd, dict) or "command" not in cmd:
         raise ConfigError("each command must be an object with a 'command' key")
     name = cmd["command"]
-    if name not in _COMMAND_KEYS:
+    if not isinstance(name, str) or name not in _COMMAND_KEYS:
         raise ConfigError(f"unknown command {name!r}; known: {sorted(_COMMAND_KEYS)}")
     allowed, required = _COMMAND_KEYS[name]
     extra = set(cmd) - allowed
@@ -320,6 +322,8 @@ def _validate_command(cmd) -> dict:
             raise ConfigError(f"command key {key!r} must be a positive integer")
     if cmd.get("samples", 0) > MAX_ORACLE_SAMPLES:
         raise ConfigError(f"command key 'samples' must be at most {MAX_ORACLE_SAMPLES}")
+    if not isinstance(cmd.get("measures", []), list):
+        raise ConfigError("command key 'measures' must be a list of measure names")
     return cmd
 
 
@@ -377,6 +381,9 @@ def parse_config(doc) -> dict:
         )
     except MeasureError as exc:
         raise ConfigError(f"grid: {exc}") from exc
+    output_path = doc.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("'output_path' must be a string")
     seed = doc.get("seed", DEFAULT_SEED)
     if not _is_int(seed) or seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
@@ -391,7 +398,7 @@ def parse_config(doc) -> dict:
     return {
         "commands": validated,
         "env": env,
-        "output_path": doc.get("output_path"),
+        "output_path": output_path,
     }
 
 

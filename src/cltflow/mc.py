@@ -44,6 +44,27 @@ from zeros(n) and adds the folds one at a time:
 Atomic laws with at most _COUNT_EDGES_MAX atoms find the categorical index
 by counting the cumulative-weight edges at or below u, which equals the
 searchsorted index because the edges never decrease.
+
+The flow check compares each level's draws with the analytic cf through
+charfn.binned_cf, which sorts a copy of the draws once and then:
+
+- keeps empirical_cf's exact sums, bit for bit, for lattice draws (at most
+  4096 distinct values).  They cost one cos and sin per distinct value and
+  point, less than binning would (rademacher and skewed stay as they were);
+- bins dense draws at width h = 1 / max|xi| of the grid and sums
+  exp(i xi x) as sum_k exp(i xi c_k) sum_p (i xi)^p M[p, k] over the bins
+  k, with centres c_k = k h and moments M[p, k] = sum u^p / p! of the
+  offsets |u| <= h / 2 for p < P = 12.  |xi u| <= 1/2 at every point, so
+  the cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, a
+  priori and for any grid, far inside the envelope 4 / sqrt(n); the rest
+  of the difference from empirical_cf is rounding, of order 1e-14 for
+  1e5 gaussian draws;
+- falls back to empirical_cf's exact dense sums when the draws span more
+  bins than there are draws, or |x| / h reaches 2^40, where rounding
+  would no longer keep the offsets within h / 2.
+
+The cost of a dense level drops from one cos and sin per draw and point to
+P moment passes over the draws plus work per bin and point.
 """
 
 from __future__ import annotations
@@ -64,7 +85,7 @@ from .measures import (
     Parametric,
     require_membership,
 )
-from .charfn import empirical_cf, eval_cf_grid
+from .charfn import binned_cf, eval_cf_grid
 from .metrics import GridSpec
 
 __all__ = [
@@ -341,6 +362,12 @@ def empirical_flow_check(
     k-th iterate.  Passing means every deviation stays within the conservative
     envelope 4/sqrt(n).  The default grid is the coarse ORACLE_GRID; the
     envelope does not depend on grid resolution.
+
+    The empirical cf is charfn.binned_cf (module notes): exact for lattice
+    draws, and for dense draws a binned-moment sum with bins of width
+    1 / max|xi| and 12 moments, within (1/2)^12 / 12! < 5.1e-13 of the
+    exact sum plus rounding, or the exact sum where the draws are too
+    widely spread to bin.
     """
     if not isinstance(levels, int) or not 0 <= levels <= 12:
         raise MeasureError("levels must be an integer in 0..12")
@@ -359,7 +386,7 @@ def empirical_flow_check(
         else:
             level_m = CfLevel(m, k)
         draws = _sampler(level_m, seed, k)(0, n)
-        ecf = empirical_cf(draws, pts)
+        ecf = binned_cf(draws, pts)
         acf = eval_cf_grid(level_m, pts)
         devs.append(float(np.max(np.abs(ecf - acf))))
     worst = max(devs)

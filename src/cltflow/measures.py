@@ -56,8 +56,10 @@ __all__ = [
 ]
 
 ATOM_MERGE_TOL = 1e-12
-# atom positions up to this size keep x^4, and the cumulant cross terms of
-# up to 12 x^4, within the float range
+# atom positions, and the locations, scales and rates of the closed-form
+# families (mean and standard deviation, endpoints, location and scale,
+# shift, rate and 1/rate), up to this size keep x^4, and the cumulant cross
+# terms of up to 12 x^4, within the float range
 ATOM_ABS_MAX = 1e75
 PUBLIC_FAMILIES = ("gaussian", "uniform", "exponential", "laplace")
 _MEMBER_TOL = 1e-10
@@ -120,20 +122,30 @@ class Parametric(Measure):
         if fam == "gaussian":
             if len(p) != 2 or not p[1] > 0 or not all(map(math.isfinite, p)):
                 raise MeasureError("gaussian needs (mean, variance) with variance > 0")
+            sizes = (p[0], math.sqrt(p[1]))
         elif fam == "uniform":
             if len(p) != 2 or not p[0] < p[1] or not all(map(math.isfinite, p)):
                 raise MeasureError("uniform needs (a, b) with a < b")
+            sizes = p
         elif fam == "laplace":
             if len(p) != 2 or not p[1] > 0 or not all(map(math.isfinite, p)):
                 raise MeasureError("laplace needs (loc, scale) with scale > 0")
+            sizes = p
         elif fam == "exponential":
             if len(p) != 2 or not p[0] > 0 or not all(map(math.isfinite, p)):
                 raise MeasureError("exponential needs (rate, shift) with rate > 0")
+            sizes = (p[1], p[0], 1.0 / p[0])
         elif fam == "heavy_cubic":
             if p != ():
                 raise MeasureError("heavy_cubic takes no parameters")
+            sizes = ()
         else:
             raise MeasureError(f"unknown parametric family {fam!r}")
+        if any(abs(v) > ATOM_ABS_MAX for v in sizes):
+            raise MeasureError(
+                f"{fam} parameters {p} out of range: locations, scales and rates "
+                f"must lie within ±{ATOM_ABS_MAX:g}"
+            )
         object.__setattr__(self, "moment_cache", _parametric_summary(fam, p))
 
 

@@ -1,0 +1,127 @@
+"""The oracle's binned-moment empirical cf against the exact empirical_cf.
+
+binned_cf bins dense samples at width 1 / max|xi| and sums 12 moments per
+bin, so it differs from empirical_cf by at most (1/2)^12 / 12! < 5.1e-13
+of truncation plus rounding; the tests allow 1e-12.  Lattice samples, and
+dense ones too wide to bin, must get empirical_cf's bits.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import cltflow as cf
+from cltflow import bank, charfn, mc
+from cltflow.metrics import GridSpec
+from cltflow.mc import ORACLE_GRID
+
+from test_oracle_bits import EXPLICIT, same_bits
+
+TOL = 1e-12
+
+LAWS = {
+    "gaussian-0": lambda: bank.gaussian(),
+    "gaussian-3": lambda: cf.CfLevel(bank.gaussian(), 3),
+    "gaussian-6": lambda: cf.CfLevel(bank.gaussian(), 6),
+    "uniform": lambda: bank.ALIASES["uniform-std"](),
+    "heavy-cubic": lambda: bank.heavy_tail_std(),
+    "empirical-2": lambda: cf.CfLevel(
+        cf.Empirical(np.random.default_rng(8).standard_t(3, 777)), 2
+    ),
+}
+POINTS = {
+    "oracle-grid": lambda: ORACLE_GRID.points(),
+    "explicit": lambda: EXPLICIT,  # asymmetric, holds 0 and repeated |xi|
+    "xi-max-500": lambda: GridSpec(1e-3, 500.0, 10).points(),
+    "scalar": lambda: -3.25,
+}
+
+
+def draws(m, n=50_000):
+    return mc._sampler(m, 1234, 3)(0, n)
+
+
+@pytest.mark.parametrize("points", sorted(POINTS))
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_binned_cf_within_the_truncation_bound(law, points, monkeypatch):
+    x = draws(LAWS[law]())
+    xi = POINTS[points]()
+    assert np.unique(x).size > charfn._LATTICE_MAX  # dense samples
+    exact = charfn.empirical_cf(x, xi)
+
+    def no_exact(*args):
+        raise AssertionError("binned_cf fell back to the exact sums")
+
+    monkeypatch.setattr(charfn, "_exact_dense", no_exact)
+    got = charfn.binned_cf(x, xi)
+    assert isinstance(got, complex) == isinstance(exact, complex)
+    assert np.max(np.abs(np.asarray(got) - exact)) <= TOL
+
+
+def test_binned_cf_keeps_the_bits_of_lattice_samples():
+    x = draws(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000)
+    assert np.unique(x).size <= charfn._LATTICE_MAX
+    for xi in (ORACLE_GRID.points(), EXPLICIT, 0.7):
+        assert same_bits(charfn.binned_cf(x, xi), charfn.empirical_cf(x, xi))
+
+
+def atoms_near(scale):
+    # incommensurate offsets, so that level-6 sums rarely coincide
+    return cf.make_atomic(
+        [[(-1.0) ** j * scale * (1.0 - math.sqrt(j) / 100.0), 1.0] for j in range(13)]
+    )
+
+
+WIDE = {
+    # 13 atoms near +-1e75 at level 6: more bins than samples, and far
+    # beyond 2^40 bin widths from 0
+    "atoms-1e75": lambda: cf.CfLevel(atoms_near(1e75), 6),
+    # more bins than samples alone
+    "atoms-1e3": lambda: cf.CfLevel(atoms_near(1e3), 6),
+    # a narrow sample beyond 2^40 bin widths from 0
+    "shift-1e12": lambda: cf.Affine(cf.CfLevel(bank.gaussian(), 3), 1.0, 1e12),
+}
+
+
+@pytest.mark.parametrize("law", sorted(WIDE))
+def test_binned_cf_falls_back_for_a_wide_span(law):
+    x = draws(WIDE[law](), 20_000)
+    assert np.unique(x).size > charfn._LATTICE_MAX
+    pts = ORACLE_GRID.points()
+    tracemalloc.start()
+    try:
+        got = charfn.binned_cf(x, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # a few sample-sized arrays, no bin table
+    assert same_bits(got, charfn.empirical_cf(x, pts))
+
+
+def test_binned_cf_at_zero_alone_is_exact():
+    x = draws(bank.gaussian())
+    for xi in (0.0, np.array([0.0, -0.0])):
+        assert same_bits(charfn.binned_cf(x, xi), charfn.empirical_cf(x, xi))
+
+
+@pytest.mark.parametrize("name", ["rademacher", "skewed"])
+def test_flow_check_keeps_the_lattice_bits(name, monkeypatch):
+    m = bank.ALIASES[name]()
+    got = mc.empirical_flow_check(m, levels=6, n=100_000, seed=1234)
+    monkeypatch.setattr(mc, "binned_cf", charfn.empirical_cf)
+    want = mc.empirical_flow_check(m, levels=6, n=100_000, seed=1234)
+    assert np.array_equal(
+        np.array(got.per_level).view(np.uint64), np.array(want.per_level).view(np.uint64)
+    )
+    assert got == want
+
+
+def test_flow_check_gaussian_within_the_bound_of_the_exact_path(monkeypatch):
+    m = bank.gaussian()
+    got = mc.empirical_flow_check(m, levels=2, n=100_000, seed=1234)
+    monkeypatch.setattr(mc, "binned_cf", charfn.empirical_cf)
+    want = mc.empirical_flow_check(m, levels=2, n=100_000, seed=1234)
+    assert max(map(abs, np.subtract(got.per_level, want.per_level))) <= TOL
+    assert got.ok and want.ok and got.envelope == want.envelope == 4.0 / math.sqrt(1e5)

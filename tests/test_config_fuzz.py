@@ -2,7 +2,9 @@
 
 Grid values range over huge, tiny and subnormal floats, inf, NaN, integers
 beyond the float range, bools and strings; the commands are the cheap ones,
-a distance and a flow of at most three steps, at most 20 points per decade.
+a distance, a flow of at most three steps and a one-level oracle, at most
+20 points per decade.  Measure references are alias names, lists, objects,
+numbers, bools and null, and output paths lists, objects, numbers and bools.
 Atomic literals take huge, tiny and non-finite atoms, integers beyond the
 float range, bools and strings, and zero, negative and unnormalised weights.
 """
@@ -19,6 +21,16 @@ from cltflow.bank import ALIASES
 from cltflow.cli import main
 
 NAMES = sorted(ALIASES) + ["no-such-law"]
+# anything JSON can hold where a measure name belongs
+reference = st.one_of(
+    st.sampled_from(NAMES),
+    st.lists(st.sampled_from(NAMES), max_size=2),
+    st.dictionaries(st.sampled_from(NAMES), st.integers(), max_size=1),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
 
 grid_value = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -43,23 +55,36 @@ grid = st.fixed_dictionaries(
 command = st.one_of(
     st.fixed_dictionaries({
         "command": st.just("distance"),
-        "a": st.sampled_from(NAMES),
-        "b": st.sampled_from(NAMES),
+        "a": reference,
+        "b": reference,
         "s": st.sampled_from([2, 3, 4]),
     }),
     st.fixed_dictionaries({
         "command": st.just("flow"),
-        "measure": st.sampled_from(NAMES),
+        "measure": reference,
         "steps": st.integers(min_value=-1, max_value=3),
     }),
+    st.fixed_dictionaries({
+        "command": st.just("oracle"),
+        "measures": st.one_of(reference, st.lists(reference, max_size=2)),
+        "levels": st.just(1),
+        "samples": st.just(100_000),
+    }),
+)
+output_path = st.one_of(
+    st.lists(st.integers(), max_size=1),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+    st.integers(),
+    st.booleans(),
 )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(grid=grid, commands=st.lists(command, min_size=1, max_size=2))
-def test_config_never_ends_in_a_traceback(grid, commands, tmp_path_factory):
+@given(grid=grid, commands=st.lists(command, min_size=1, max_size=2),
+       extra=st.fixed_dictionaries({}, optional={"output_path": output_path}))
+def test_config_never_ends_in_a_traceback(grid, commands, extra, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
-    path.write_text(json.dumps({"grid": grid, "commands": commands}))
+    path.write_text(json.dumps({"grid": grid, "commands": commands, **extra}))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", "--config", str(path)])
@@ -172,3 +197,69 @@ def test_parametric_literal_params_must_be_numbers(params, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["run", "--config", str(path)]) == 2
     assert err.getvalue().startswith("config error:")
+
+
+def run_config(doc, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("ref", [[1], ["gaussian"], {"x": 1}, {}, 1, 1.5, True, None],
+                         ids=["list", "name-list", "object", "empty-object", "int",
+                              "float", "bool", "null"])
+@pytest.mark.parametrize("where", ["distance", "flow", "oracle"])
+def test_measure_reference_of_the_wrong_type_exits_2(ref, where, tmp_path):
+    cmd = {
+        "distance": {"command": "distance", "a": ref, "b": "gaussian", "s": 3},
+        "flow": {"command": "flow", "measure": ref, "steps": 1},
+        "oracle": {"command": "oracle", "measures": ["gaussian", ref], "levels": 1,
+                   "samples": 100_000},
+    }[where]
+    code, out, err = run_config({"commands": [cmd]}, tmp_path)
+    assert code == 2, (out, err)
+    assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"commands": [{"command": "oracle", "measures": "gaussian"}]},
+    {"commands": [{"command": "oracle", "measures": {"gaussian": 1}}]},
+    {"commands": [{"command": "oracle", "measures": 5}]},
+    {"commands": [{"command": ["flow"], "measure": "gaussian"}]},
+    {"commands": [{"command": {"flow": 1}, "measure": "gaussian"}]},
+    {"output_path": [1], "commands": [{"command": "flow", "measure": "gaussian"}]},
+    {"output_path": 5, "commands": [{"command": "flow", "measure": "gaussian"}]},
+], ids=["measures-name", "measures-object", "measures-int", "command-list",
+        "command-object", "output-path-list", "output-path-int"])
+def test_config_value_of_the_wrong_type_exits_2(doc, tmp_path):
+    code, out, err = run_config(doc, tmp_path)
+    assert code == 2, (out, err)
+    assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("family, params, code", [
+    ("laplace", [0, 1e100], 2),
+    ("laplace", [1e200, 1], 2),
+    ("gaussian", [0, 1e300], 2),
+    ("uniform", [-1e300, 1e300], 2),
+    ("exponential", [1e-100], 2),
+    ("exponential", [1e300], 2),  # the third absolute moment takes rate^3
+    ("gaussian", [1e76, 1.0], 2),
+    ("gaussian", [1e75, 1e150], 1),  # at the bound: a law, but not reduced
+    ("uniform", [-1e75, 1e75], 1),
+    ("laplace", [-1e75, 1e75], 1),
+    ("exponential", [1e75], 1),
+    ("exponential", [1.01e-75], 1),
+    ("gaussian", [0, 1e-300], 1),
+], ids=lambda v: str(v) if isinstance(v, (int, str)) else None)
+def test_parametric_literal_out_of_range_exits_2(family, params, code, tmp_path):
+    doc = {
+        "measures": {"lit": {"type": "parametric", "family": family, "params": params}},
+        "commands": [{"command": "distance", "a": "lit", "b": "gaussian", "s": 3}],
+    }
+    got, out, err = run_config(doc, tmp_path)
+    assert got == code, (out, err)
+    assert err.startswith("config error:") == (code == 2)

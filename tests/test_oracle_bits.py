@@ -4,7 +4,8 @@ The references below are the straightforward versions of empirical_cf,
 _uniforms and the sampler (a loop that draws each fold in full and adds
 the folds in order) that the mirrored, blocked and in-place versions in the
 library replace.  Every comparison is bit for bit (view(np.uint64)),
-because the oracle CSVs must not change by a byte.
+because empirical_cf keeps its bits as the exact reference for the
+oracle's binned cf, and the oracle's draws keep theirs.
 """
 
 import math
