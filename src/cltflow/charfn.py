@@ -9,6 +9,7 @@ on the default grid.  Deviations avoid that:
 
 * atomic laws use  cos(t) - 1 = -2 sin^2(t/2)  and a series kernel for
   sin(t) - t, with the exact linear term split off through the stored mean;
+* the heavy-cubic law uses the power series of phi - 1 below t = 2;
 * closed-form families use expm1-style identities;
 * convolution products combine deviations via  (1+a)(1+b) - 1 = a + b + ab;
 * the renormalization squaring chain iterates  d -> 2 d + d^2.
@@ -22,7 +23,9 @@ So cf values (``eval_cf``, ``eval_cf_grid``) are 1 + D wherever
 
 * atomic and empirical laws sum  w exp(i xi x)  over the atoms;
 * closed-form families use exp(-var xi^2 / 2), sin(t)/t, 1/(1 + t^2) and
-  1/(1 - i xi/rate), each times the phase of its location;
+  1/(1 - i xi/rate), each times the phase of its location, and the
+  heavy-cubic law its form in the sine integral's auxiliary functions,
+  12 R_F cos t / t^2 - 3 sin t / t + 60 R_G sin t / t^3 (see _special);
 * squaring chains carry D while |1 + D| >= 1/2 and square the value from
   the first step where it drops below 1/2;
 * convolution products multiply the values of their parts, and affine
@@ -34,9 +37,18 @@ near a zero of sin the uniform's sin(t)/t loses every digit to a rounded t.
 The other forms take hi alone.
 
 The value form keeps the relative error of phi within a few (1 + |ln phi|)
-machine epsilons where phi -> 0.  heavy_cubic has no value form and stays
-on 1 + D.  Sums over atoms run atom by atom in a fixed order, so a value at
-one point never depends on which other points are evaluated with it.
+machine epsilons where phi -> 0.  The heavy-cubic law, whose phi decays
+like 3 sin t / t, takes its value form from t = |xi| / sqrt 3 = 2 on: the
+value stays within a few epsilons of the envelope 3 / t out to
+|xi| = 1e100, and the deviation there, that value minus 1, within a few
+epsilons absolute.  Sums over atoms run atom by atom in a fixed order, so
+a value at one point never depends on which other points are evaluated
+with it.
+
+An atomic deviation's imaginary part, xi mean + sum w (sin t - t), cancels
+terms of size |t| = |x xi|, so at the points where some atom has
+|t| > _REMAINDER_T_MAX = 256 it is sum w sin t instead.  Arguments beyond
+XI_ABS_MAX = 1e100, the largest grid point, and NaN are refused.
 """
 
 from __future__ import annotations
@@ -45,8 +57,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
+from ._special import heavy_cubic_cf
 from .errors import CharFnBoundError, MeasureError, MomentUnavailableError
 from .measures import (
     Affine,
@@ -89,6 +101,13 @@ _MOMENT_ROWS = 1 << 13
 _BIN_SPAN_MAX = 2.0**40
 # below this |phi| the cf value comes from the value form, not from 1 + D
 _VALUE_CUT = 0.5
+# |t| = |x xi| beyond which an atomic deviation's imaginary part is
+# sum w sin t (module notes); the built-in configs on the default grid
+# reach |t| = 200, so their reports keep the remainder form's bits
+_REMAINDER_T_MAX = 256.0
+# cf arguments are refused beyond the largest grid point, 1e100: every form
+# stays finite there (xi^2 overflows near 1e154)
+XI_ABS_MAX = 1e100
 
 
 def _sin_rem(t: np.ndarray) -> np.ndarray:
@@ -162,10 +181,15 @@ def _atom_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _dev_atomic(positions, weights, mean, xi):
+def _dev_atomic(positions, weights, mean, span, xi):
+    """Deviation of sum w exp(i xi x) with mean sum w x and span max |x|."""
     t = np.multiply.outer(positions, xi)
     re = _atom_sum(weights, _cos_rem(t))
     im = xi * mean + _atom_sum(weights, _sin_rem(t))
+    lim = _REMAINDER_T_MAX / span if span else math.inf
+    if xi.size and (xi.max() > lim or xi.min() < -lim):
+        far = np.abs(xi) > lim
+        im[far] = _atom_sum(weights, np.sin(t[:, far]))
     return re + 1j * im
 
 
@@ -222,30 +246,24 @@ def _dev_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:
             return body
         return _combine(body, _cexpm1(np.zeros_like(xi), shift * xi))
     if family == "heavy_cubic":
-        # the closed form cancels at large t and no value form is known, so
-        # cf values of this law are 1 + D even where they are small
-        t = np.abs(xi) / math.sqrt(3.0)
-        si = sici(t)[0]
-        return (
-            _cos_rem(t)
-            - 0.5 * t * np.sin(t)
-            - 0.5 * t * t * np.cos(t)
-            + 0.5 * t**3 * (0.5 * math.pi - si)
-        ) + 0j
+        return heavy_cubic_cf(np.abs(xi) / math.sqrt(3.0), 1.0) + 0j
     raise MeasureError(f"unknown family {family!r}")
 
 
 def _dev(m: Measure, xi: np.ndarray) -> np.ndarray:
     if isinstance(m, Atomic):
         pos, ws = m.positions, m.weights
-        return _dev_atomic(pos, ws, float(np.dot(ws, pos)), xi)
+        # the positions ascend, so the largest |x| is at an end
+        span = max(-pos[0], pos[-1])
+        return _dev_atomic(pos, ws, float(np.dot(ws, pos)), span, xi)
     if isinstance(m, Parametric):
         return _dev_parametric(m.family, m.params, xi)
     if isinstance(m, Empirical):
         x = m.samples
         ws = np.full(x.size, 1.0 / x.size)
         mean = float(np.mean(x))
-        return _chunked(lambda p: _dev_atomic(x, ws, mean, p), x.size, xi)
+        span = float(np.max(np.abs(x)))
+        return _chunked(lambda p: _dev_atomic(x, ws, mean, span, p), x.size, xi)
     if isinstance(m, CfLevel):
         d = _dev(m.base, xi * 2.0 ** (-m.count / 2.0))
         for _ in range(m.count):
@@ -276,12 +294,16 @@ def _dev(m: Measure, xi: np.ndarray) -> np.ndarray:
 
 
 def cf_deviation(m: Measure, xi) -> np.ndarray:
-    """phi_m(xi) - 1 as a complex array, exact zero at xi = 0."""
+    """phi_m(xi) - 1 as a complex array, exact zero at xi = 0.
+
+    Raises MeasureError for |xi| > XI_ABS_MAX and for NaN.
+    """
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    if arr.size and not (-XI_ABS_MAX <= arr.min() and arr.max() <= XI_ABS_MAX):
+        raise MeasureError(f"cf arguments must lie within ±{XI_ABS_MAX:g}")
     out = _dev(m, arr)
-    zero = arr == 0.0
-    if np.any(zero):
-        out = np.where(zero, 0.0 + 0.0j, out)
+    if not arr.all():  # some xi is zero
+        out = np.where(arr == 0.0, 0.0 + 0.0j, out)
     peak = float(np.max(np.abs(1.0 + out))) if out.size else 0.0
     if peak > 1.0 + MODULUS_SLACK:
         raise CharFnBoundError(
@@ -310,7 +332,7 @@ def _phi_parametric(family: str, p: tuple, xi: np.ndarray, lo: np.ndarray) -> np
         rate, loc = p
         body = 1.0 / (1.0 - 1j * (xi / rate))
     elif family == "heavy_cubic":
-        return 1.0 + _dev_parametric(family, p, xi)
+        return heavy_cubic_cf(np.abs(xi) / math.sqrt(3.0), 0.0) + 0j
     else:
         raise MeasureError(f"unknown family {family!r}")
     return body if loc == 0.0 else body * _phase(loc * xi)

@@ -324,6 +324,8 @@ def _validate_command(cmd) -> dict:
         raise ConfigError(f"command key 'samples' must be at most {MAX_ORACLE_SAMPLES}")
     if not isinstance(cmd.get("measures", []), list):
         raise ConfigError("command key 'measures' must be a list of measure names")
+    if cmd.get("measures") == []:
+        raise ConfigError("command key 'measures' must name at least one measure")
     return cmd
 
 

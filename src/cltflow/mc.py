@@ -9,8 +9,16 @@ style: draw i of stream s under seed k is
 with pure 64-bit integer arithmetic, so batches are bit-identical across
 platforms and runs (Salmon et al. 2011, "Parallel random numbers: as easy
 as 1, 2, 3", for counter-based generation).  Uniforms take the top 52 bits
-offset by half an ulp, landing strictly inside (0, 1); parametric laws
-invert their CDFs, atomic laws draw categorically.
+offset by half an ulp, landing strictly inside (0, 1) on multiples of
+2^-53; parametric laws invert their CDFs, atomic laws draw categorically.
+
+The gaussian's inverse CDF is Wichura's AS241 (1988) in numpy
+(_special.InverseNormal), about 1e-16 relative from u = 2^-53 to
+1 - 2^-53: a degree-7/7 rational function of 0.180625 - (u - 1/2)^2 for
+|u - 1/2| <= 0.425, and beyond it one of sqrt(-log min(u, 1 - u)), where
+1 - u is exact.  It runs on each block of draws with buffers allocated
+once per block shape, and gaussian(0, 1) skips the scale and shift.  The
+other families' inverse CDFs are closed forms.
 
 A draw of a law takes a fixed number of counters, its width: one for an
 atomic, empirical or closed-form law (and an affine image of one), and
@@ -73,8 +81,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import InverseNormal
 from .errors import MeasureError
 from .measures import (
     Affine,
@@ -185,12 +193,8 @@ def _pick(edges: np.ndarray):
 
 
 def _invert(fam: str, p: tuple, u: np.ndarray, out: np.ndarray) -> None:
-    """Inverse CDF of a closed-form family at the uniforms u, into out."""
-    if fam == "gaussian":
-        ndtri(u, out=out)
-        out *= math.sqrt(p[1])
-        out += p[0]
-    elif fam == "uniform":
+    """Inverse CDF of a closed-form family other than the gaussian at the uniforms u, into out."""
+    if fam == "uniform":
         np.multiply(u, p[1] - p[0], out=out)
         out += p[0]
     elif fam == "laplace":
@@ -206,11 +210,32 @@ def _invert(fam: str, p: tuple, u: np.ndarray, out: np.ndarray) -> None:
         raise MeasureError(f"unknown family {fam!r}")
 
 
-def _leaf(transform):
-    """(width 1, prepare) for a law drawn from one uniform u by transform(u, out)."""
+def _gaussian(p: tuple, size: int):
+    """transform(u, out) for gaussian(mean, variance) p, for blocks of up to size draws."""
+    ndtri = InverseNormal(size)
+    if p[0] == 0.0 and p[1] == 1.0:
+        return ndtri
+    sd = math.sqrt(p[1])
+
+    def transform(u, out):
+        ndtri(u, out)
+        out *= sd
+        out += p[0]
+
+    return transform
+
+
+def _leaf(make):
+    """(width 1, prepare) for a law drawn from one uniform u.
+
+    make(size) returns transform(u, out), which writes the draws for the
+    uniforms u of a block of size into out; buffers it needs are allocated
+    by make, once per block shape.
+    """
 
     def prepare(delta, n):
         words = np.empty_like(delta)
+        transform = make(delta.size)
 
         def run(z0, out):
             np.add(delta, np.uint64(z0), out=words)
@@ -263,7 +288,7 @@ def _drawer(m: Measure):
     """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
-        return _leaf(lambda u, out: np.take(pos, pick(u), out=out, mode="clip"))
+        return _leaf(lambda size: lambda u, out: np.take(pos, pick(u), out=out, mode="clip"))
     if isinstance(m, Empirical):
         x = m.samples
 
@@ -271,9 +296,11 @@ def _drawer(m: Measure):
             u *= x.size
             np.take(x, np.minimum(u.astype(np.int64), x.size - 1), out=out, mode="clip")
 
-        return _leaf(index)
+        return _leaf(lambda size: index)
     if isinstance(m, Parametric):
-        return _leaf(lambda u, out: _invert(m.family, m.params, u, out))
+        if m.family == "gaussian":
+            return _leaf(lambda size: _gaussian(m.params, size))
+        return _leaf(lambda size: lambda u, out: _invert(m.family, m.params, u, out))
     if isinstance(m, Affine):
         width, prepare_base = _drawer(m.base)
 

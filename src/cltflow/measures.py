@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
+from ._special import gammainc_int
 from .errors import (
     DegenerateMeasureError,
     MeasureError,
@@ -520,7 +520,7 @@ def _abs_moment_shifted_exp(rate, shift, k):
         * (-1.0) ** j
         * t ** (k - j)
         * (math.factorial(j) / rate**j)
-        * float(gammainc(j + 1, u))
+        * gammainc_int(j, u)
         for j in range(k + 1)
     )
     above = math.exp(-u) * math.factorial(k) / rate**k

@@ -67,9 +67,10 @@ __all__ = [
 
 SUP_SLACK = 1e-8
 _MOMENT_MATCH_TOL = 1e-9
-# grid endpoints stay where xi^3 and 2 / xi^3 are normal floats
+# grid endpoints stay where xi^3 and 2 / xi^3 are normal floats, and the
+# cf takes every point (charfn.XI_ABS_MAX)
 GRID_XI_MIN = 1e-100
-GRID_XI_MAX = 1e100
+GRID_XI_MAX = charfn.XI_ABS_MAX
 # deviations kept inside a shared_deviations() scope: at 1,600 points per
 # decade an entry holds 7,520 complex values, about 120 KB
 _MEMO_SIZE = 8

@@ -298,3 +298,45 @@ def test_uniform_deviation_at_zero_has_no_zero_division():
     unif = cf.Affine(bank.uniform_std(), 1.0, 0.25)
     d = cf.cf_deviation(unif, [-1.0, 0.0, 1.0])
     assert d[1] == 0.0
+
+
+@pytest.mark.parametrize("name, xi", [
+    ("uniform-std", 1e305), ("gaussian", 1e200), ("rademacher", -1e101), ("heavy-tail-std", 2e100),
+    ("skewed", math.nan),
+])
+def test_cf_arguments_beyond_the_largest_grid_point_are_refused(name, xi):
+    # these overflowed inside the cf forms (uniform: the Dekker split;
+    # gaussian: xi^2) and warned before any result; NaN gave NaN
+    m = bank.ALIASES[name]()
+    with pytest.raises(MeasureError, match="within"):
+        cf.eval_cf(m, xi)
+    with pytest.raises(MeasureError, match="within"):
+        cf.eval_cf_grid(m, [0.5, xi])
+    with pytest.raises(MeasureError, match="within"):
+        cf.cf_deviation(m, np.array([xi, 1.0]))
+
+
+def test_cf_at_the_largest_grid_point(q2_bank):
+    # runs under error::RuntimeWarning: nothing overflows at |xi| = 1e100
+    xi = np.array([-1e100, -3e99, 1e99, 1e100])
+    for m in [bank.gaussian(), *q2_bank.values()]:
+        assert np.all(np.abs(cf.eval_cf(m, xi)) <= 1.0 + 1e-12)
+        assert np.all(np.abs(1.0 + cf.cf_deviation(m, xi)) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ["skewed", "rademacher"])
+def test_atomic_deviation_keeps_its_digits_at_large_xi(name):
+    # xi mean + sum w (sin t - t) cancels terms of size |t|; beyond
+    # |t| = 256 the imaginary part is sum w sin t, as accurate as the value
+    mp = pytest.importorskip("mpmath")
+    m = bank.ALIASES[name]()
+    xi = np.concatenate([np.geomspace(1.0, 1e14, 57), [127.9, 128.1]])
+    d = cf.cf_deviation(m, xi)
+    assert np.max(np.abs(1.0 + d)) <= 1.0 + 1e-12
+    span = float(np.max(np.abs(m.positions)))
+    with mp.workdps(50):
+        for x, dev in zip(xi, d):
+            atoms = zip(m.positions, m.weights)
+            want = mp.fsum(w * mp.expj(mp.mpf(p) * mp.mpf(x)) for p, w in atoms) - 1
+            tol = 4 * EPS if x * span > 256.0 else 256.0 * x * span * EPS
+            assert abs(mp.mpc(dev.real, dev.imag) - want) <= tol, (x, dev)

@@ -77,6 +77,35 @@ def test_unknown_measure_exits_2(capsys):
     assert "undeclared measure" in err
 
 
+def test_oracle_with_no_measures_exits_2(tmp_path, capsys):
+    # checking nothing is not a pass
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"commands": [{"command": "oracle", "measures": []}]}))
+    code, out, err = run_cli(["run", "--config", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "all checks passed" not in out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, s",
+    [(name, 2) for name in cltflow.bank.ALIASES]
+    + [(name, 3) for name in cltflow.bank.Q3_BANK_NAMES],
+)
+def test_bank_distances_reach_xi_1e14(name, s, tmp_path, capsys):
+    # every deviation keeps |phi| <= 1 + 1e-12 out to the grid's last point
+    code, _, err = run_cli(
+        ["distance", "--a", name, "--b", "gaussian", "--s", str(s), "--xi-max", "1e14",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0, err
+    xi = metrics.GridSpec(1e-3, 1e14, 200).positive_points()
+    dev = charfn.cf_deviation(cltflow.bank.ALIASES[name](), xi)
+    assert np.max(np.abs(1.0 + dev)) <= 1.0 + 1e-12
+
+
 def test_run_config_roundtrip(tmp_path, capsys):
     config = {
         "measures": {

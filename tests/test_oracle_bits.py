@@ -5,17 +5,20 @@ _uniforms and the sampler (a loop that draws each fold in full and adds
 the folds in order) that the mirrored, blocked and in-place versions in the
 library replace.  Every comparison is bit for bit (view(np.uint64)),
 because empirical_cf keeps its bits as the exact reference for the
-oracle's binned cf, and the oracle's draws keep theirs.
+oracle's binned cf, and the oracle's draws keep theirs.  The gaussian
+reference draws through the library's own inverse normal: these tests
+check blocking and fold order, and test_special checks the transform
+against mpmath.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 import cltflow as cf
 from cltflow import bank, charfn, mc
+from cltflow._special import ndtri
 from cltflow.errors import MeasureError
 from cltflow.mc import ORACLE_GRID
 
