@@ -316,14 +316,10 @@ def _series_coef(k: int) -> float:
 _SERIES = tuple(_series_coef(k) for k in range(11, 0, -1))
 _SERIES_TOP = 2.0
 _T_LO = np.array([piece[0] for piece in _FG_PIECES])
-_MID = np.array([piece[1] for piece in _FG_PIECES])
-_SCALE = np.array([1.0 / piece[2] for piece in _FG_PIECES])
-_DEGREE = max(len(piece[3]) for piece in _FG_PIECES) - 1
-# _ROWS[j, :, i] = (F_j, G_j) of piece i, the shorter pieces padded with
-# leading zeros to the common degree
-_ROWS = np.stack(
-    [np.pad(np.array(rows), ((_DEGREE + 1 - len(rows), 0), (0, 0))) for *_, rows in _FG_PIECES],
-    axis=2,
+# per piece: its centre and 1 / half-width in y, and the Horner rows of R_F and R_G
+_FG = tuple(
+    (mid, 1.0 / half, tuple(r[0] for r in rows), tuple(r[1] for r in rows))
+    for _, mid, half, rows in _FG_PIECES
 )
 
 
@@ -342,10 +338,16 @@ def _fg_value(t: np.ndarray) -> np.ndarray:
     """phi(t) for t >= 2 from the fitted remainders R_F and R_G."""
     piece = np.searchsorted(_T_LO, t, side="right") - 1
     inv = 1.0 / t
-    s = inv * inv  # y underflows to 0 harmlessly for t above 1e154
-    s -= _MID[piece]
-    s *= _SCALE[piece]
-    rf, rg = _horner(np.take(_ROWS, piece, axis=2), s, np.empty((2, t.size)))
+    y = inv * inv  # underflows to 0 harmlessly for t above 1e154
+    rf, rg = np.empty_like(t), np.empty_like(t)
+    for i, (mid, scale, f_rows, g_rows) in enumerate(_FG):
+        at = piece == i
+        if at.any():
+            s = y[at]
+            s -= mid
+            s *= scale
+            rf[at] = _horner(f_rows, s, np.empty_like(s))
+            rg[at] = _horner(g_rows, s, np.empty_like(s))
     c, sn = np.cos(t), np.sin(t)
     return inv * (-3.0 * sn + inv * (12.0 * rf * c + 60.0 * rg * sn * inv))
 

@@ -48,7 +48,13 @@ with it.
 An atomic deviation's imaginary part, xi mean + sum w (sin t - t), cancels
 terms of size |t| = |x xi|, so at the points where some atom has
 |t| > _REMAINDER_T_MAX = 256 it is sum w sin t instead.  Arguments beyond
-XI_ABS_MAX = 1e100, the largest grid point, and NaN are refused.
+XI_ABS_MAX = 1e100, the largest grid point, and NaN are refused, and so is
+a deviation with |1 + D| above 1 + MODULUS_SLACK or not finite.
+
+Inside a metrics.shared_deviations() scope, a leaf law (atomic, parametric,
+empirical) evaluated at a grid's own positive points, alone or as a part of
+a convolution product or power, is computed once and then read from the
+scope's table (see _scope).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scope
 from ._special import heavy_cubic_cf
 from .errors import CharFnBoundError, MeasureError, MomentUnavailableError
 from .measures import (
@@ -89,6 +96,11 @@ __all__ = [
 MODULUS_SLACK = 1e-12
 _SERIES_CUT = 0.1
 _CHUNK = 1 << 22
+# atom-point cells per block of atom rows in an atomic cf sum: one row at a
+# time on a grid of more points, so the transient stays the size of the grid
+_ROW_CELLS = 1 << 13
+# laws whose deviation a shared_deviations() scope keeps per grid
+_LEAF_TYPES = (Atomic, Parametric, Empirical)
 # samples per cache-sized block of a dense empirical cf chunk
 _ROW_BLOCK = 512
 # samples with at most this many distinct values are summed value by value
@@ -140,8 +152,10 @@ def _cexpm1(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Deviation of a product of cfs from the factor deviations."""
-    return a + b + a * b
+    """Deviation of a product of cfs from the factor deviations: a + b + a b."""
+    out = a + b
+    out += a * b
+    return out
 
 
 def _nonzero(t: np.ndarray) -> np.ndarray:
@@ -169,44 +183,42 @@ def _phase(t: np.ndarray) -> np.ndarray:
     return np.cos(t) + 1j * np.sin(t)
 
 
-def _atom_sum(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * rows[j], accumulated atom by atom in order.
+def _atom_sums(positions, weights, xi, *fns) -> list[np.ndarray]:
+    """sum_j weights[j] * fn(positions[j] * xi) for each fn, atom by atom in order.
 
-    The summation order depends only on the atoms, never on how many points
-    a row holds; a BLAS product chooses its order by the shape.
+    The atoms are taken in blocks of at most _ROW_CELLS atom-point cells, one
+    row at a time when xi has more points, so no array grows with atoms times
+    points.  The summation order depends only on the atoms, never on how many
+    points a row holds or how the rows are blocked; a BLAS product chooses
+    its order by the shape.
     """
-    acc = weights[0] * rows[0]
-    for w, row in zip(weights[1:], rows[1:]):
-        acc += w * row
-    return acc
+    step = max(1, _ROW_CELLS // max(xi.size, 1))
+    sums: list = [None] * len(fns)
+    for a in range(0, positions.size, step):
+        t = np.multiply.outer(positions[a : a + step], xi)
+        for i, fn in enumerate(fns):
+            for w, row in zip(weights[a : a + step], fn(t)):
+                if sums[i] is None:
+                    sums[i] = w * row
+                else:
+                    sums[i] += w * row
+    return sums
 
 
 def _dev_atomic(positions, weights, mean, span, xi):
     """Deviation of sum w exp(i xi x) with mean sum w x and span max |x|."""
-    t = np.multiply.outer(positions, xi)
-    re = _atom_sum(weights, _cos_rem(t))
-    im = xi * mean + _atom_sum(weights, _sin_rem(t))
+    re, rem = _atom_sums(positions, weights, xi, _cos_rem, _sin_rem)
+    im = xi * mean + rem
     lim = _REMAINDER_T_MAX / span if span else math.inf
     if xi.size and (xi.max() > lim or xi.min() < -lim):
         far = np.abs(xi) > lim
-        im[far] = _atom_sum(weights, np.sin(t[:, far]))
+        im[far] = _atom_sums(positions, weights, xi[far], np.sin)[0]
     return re + 1j * im
 
 
 def _phi_atomic(positions, weights, xi):
-    t = np.multiply.outer(positions, xi)
-    return _atom_sum(weights, np.cos(t)) + 1j * _atom_sum(weights, np.sin(t))
-
-
-def _chunked(fn, n: int, xi: np.ndarray) -> np.ndarray:
-    """fn over slices of xi, each with at most _CHUNK point-sample pairs."""
-    if xi.size * n <= _CHUNK:
-        return fn(xi)
-    step = max(1, _CHUNK // n)
-    out = np.empty(xi.shape, dtype=complex)
-    for k in range(0, xi.size, step):
-        out[k : k + step] = fn(xi[k : k + step])
-    return out
+    re, im = _atom_sums(positions, weights, xi, np.cos, np.sin)
+    return re + 1j * im
 
 
 def _dev_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:
@@ -250,7 +262,7 @@ def _dev_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:
     raise MeasureError(f"unknown family {family!r}")
 
 
-def _dev(m: Measure, xi: np.ndarray) -> np.ndarray:
+def _dev_leaf(m: Measure, xi: np.ndarray) -> np.ndarray:
     if isinstance(m, Atomic):
         pos, ws = m.positions, m.weights
         # the positions ascend, so the largest |x| is at an end
@@ -258,32 +270,61 @@ def _dev(m: Measure, xi: np.ndarray) -> np.ndarray:
         return _dev_atomic(pos, ws, float(np.dot(ws, pos)), span, xi)
     if isinstance(m, Parametric):
         return _dev_parametric(m.family, m.params, xi)
-    if isinstance(m, Empirical):
-        x = m.samples
-        ws = np.full(x.size, 1.0 / x.size)
-        mean = float(np.mean(x))
-        span = float(np.max(np.abs(x)))
-        return _chunked(lambda p: _dev_atomic(x, ws, mean, span, p), x.size, xi)
+    x = m.samples
+    ws = np.full(x.size, 1.0 / x.size)
+    return _dev_atomic(x, ws, float(np.mean(x)), float(np.max(np.abs(x))), xi)
+
+
+def _square(d: np.ndarray, sq: np.ndarray | None):
+    """2 d + d^2, the deviation of the squared cf, with the roundings of 2 d + d*d.
+
+    Without scratch sq the result and d^2 are new arrays and d is left
+    alone; with it, d is overwritten and sq takes d^2.  Returns (d, sq).
+    """
+    if sq is None:
+        sq = d * d
+        d = 2.0 * d
+    else:
+        np.multiply(d, d, out=sq)
+        d *= 2.0
+    d += sq
+    return d, sq
+
+
+def _dev(m: Measure, xi: np.ndarray, grid=None) -> np.ndarray:
+    """phi_m(xi) - 1.
+
+    grid is set inside a shared_deviations() scope when xi are that grid's
+    own positive points: a leaf there comes from the scope's table, checked
+    against |phi| <= 1 when first computed.  Arrays from the table are
+    read-only, and a squaring chain starts with new arrays.
+    """
+    if isinstance(m, _LEAF_TYPES):
+        if grid is None:
+            return _dev_leaf(m, xi)
+        return _scope.active.deviation(
+            m, grid, xi, True, lambda: _checked(m, _dev_leaf(m, xi))
+        )
     if isinstance(m, CfLevel):
-        d = _dev(m.base, xi * 2.0 ** (-m.count / 2.0))
+        d, sq = _dev(m.base, xi * 2.0 ** (-m.count / 2.0)), None
         for _ in range(m.count):
-            d = 2.0 * d + d * d
+            d, sq = _square(d, sq)
         return d
     if isinstance(m, ConvProduct):
-        out = _dev(m.parts[0], xi)
+        out = _dev(m.parts[0], xi, grid)
         for part in m.parts[1:]:
-            out = _combine(out, _dev(part, xi))
+            out = _combine(out, _dev(part, xi, grid))
         return out
     if isinstance(m, ConvPower):
-        base = _dev(m.base, xi)
+        base, sq = _dev(m.base, xi, grid), None
         acc = None
         k = m.n
         while k:
             if k & 1:
                 acc = base if acc is None else _combine(acc, base)
             k >>= 1
-            if k:
-                base = 2.0 * base + base * base
+            if k:  # square in place only once acc no longer holds base
+                base, sq = _square(base, None if acc is base else sq)
         return acc
     if isinstance(m, Affine):
         d = _dev(m.base, m.scale * xi)
@@ -293,23 +334,30 @@ def _dev(m: Measure, xi: np.ndarray) -> np.ndarray:
     raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 
+def _checked(m: Measure, dev: np.ndarray) -> np.ndarray:
+    """dev, once |1 + dev| <= 1 + MODULUS_SLACK holds at every point; NaN fails."""
+    peak = float(np.max(np.abs(1.0 + dev))) if dev.size else 0.0
+    if not peak <= 1.0 + MODULUS_SLACK:
+        raise CharFnBoundError(
+            f"|phi| reached {peak!r} > 1 + {MODULUS_SLACK} for {type(m).__name__}"
+        )
+    return dev
+
+
 def cf_deviation(m: Measure, xi) -> np.ndarray:
     """phi_m(xi) - 1 as a complex array, exact zero at xi = 0.
 
-    Raises MeasureError for |xi| > XI_ABS_MAX and for NaN.
+    Raises MeasureError for |xi| > XI_ABS_MAX and for NaN, and
+    CharFnBoundError where |phi| exceeds 1 + MODULUS_SLACK or is not finite.
     """
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if arr.size and not (-XI_ABS_MAX <= arr.min() and arr.max() <= XI_ABS_MAX):
         raise MeasureError(f"cf arguments must lie within ±{XI_ABS_MAX:g}")
-    out = _dev(m, arr)
+    scope = _scope.active
+    out = _dev(m, arr, None if scope is None else scope.grid_of(arr))
     if not arr.all():  # some xi is zero
         out = np.where(arr == 0.0, 0.0 + 0.0j, out)
-    peak = float(np.max(np.abs(1.0 + out))) if out.size else 0.0
-    if peak > 1.0 + MODULUS_SLACK:
-        raise CharFnBoundError(
-            f"|phi| reached {peak!r} > 1 + {MODULUS_SLACK} for {type(m).__name__}"
-        )
-    return out
+    return _checked(m, out)
 
 
 def _phi_parametric(family: str, p: tuple, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -368,8 +416,7 @@ def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         return _phi_parametric(m.family, m.params, xi, lo)
     if isinstance(m, Empirical):
         x = m.samples
-        ws = np.full(x.size, 1.0 / x.size)
-        return _chunked(lambda p: _phi_atomic(x, ws, p), x.size, xi)
+        return _phi_atomic(x, np.full(x.size, 1.0 / x.size), xi)
     if isinstance(m, CfLevel):
         arg, arg_lo = _scaled(*_level_scale(m.count), xi, lo)
         return _pair_power(_pair(m.base, arg, arg_lo), 2**m.count)[1]

@@ -51,6 +51,9 @@ MAX_POINTS_PER_DECADE = 10_000
 # d2 is accurate to about 1e-14 relative, its true decrease is above 0.1
 LYAPUNOV_MIN_RELATIVE_DECREASE = 1e-9
 IDEAL_LAMBDAS = (0.5, 2.0**-0.5, 1.0, 2.0)
+# a command that raises one of these fails with an error row; any other
+# exception propagates
+_RUN_ERRORS = (MeasureError, CharFnBoundError, FloatingPointError)
 _COMMANDS = (
     "distance",
     "flow",
@@ -185,6 +188,16 @@ def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
             sub = check_convolution_subadditivity(ma, mb, gauss, gauss, s, env.grid)
             emit("subadditivity", s, (na, nb, "gaussian", "gaussian"), None,
                  sub.lhs, sub.rhs, sub.margin, sub.ok)
+        # lambda in the outer loop keeps one lambda's rescaled laws shared
+        # across the pairs; a check that fails raises at its own row
+        scaling = {}
+        for lam in IDEAL_LAMBDAS:
+            for (na, ma), (nb, mb) in pairs:
+                try:
+                    sc = check_scaling_ideality(ma, mb, lam, s, env.grid)
+                except _RUN_ERRORS as exc:
+                    sc = exc
+                scaling[na, nb, lam] = sc
         for (na, ma), (nb, mb) in pairs:
             for eta_name in ("gaussian", "rademacher"):
                 inv = check_convolution_invariance(
@@ -193,7 +206,9 @@ def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
                 emit("conv-invariance", s, (na, nb, eta_name), None,
                      inv.lhs, inv.rhs, inv.margin, inv.ok)
             for lam in IDEAL_LAMBDAS:
-                sc = check_scaling_ideality(ma, mb, lam, s, env.grid)
+                sc = scaling[na, nb, lam]
+                if isinstance(sc, Exception):
+                    raise sc
                 emit("scaling", s, (na, nb), lam, sc.lhs, sc.rhs, sc.ratio, sc.ok)
             # generic doubling bound: d(nu*nu, mu*mu) <= 2 d(nu, mu)
             lhs = ds_distance(
@@ -415,7 +430,7 @@ def run(config: dict, out_dir: str | None = None, stream=None) -> int:
         try:
             with shared_deviations():
                 results.append(runner(cmd, env))
-        except (MeasureError, CharFnBoundError, FloatingPointError) as exc:
+        except _RUN_ERRORS as exc:
             results.append(
                 CommandResult(
                     cmd["command"],

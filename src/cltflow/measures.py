@@ -14,16 +14,19 @@ A measure is represented by one of a small set of immutable value types:
 All representations carry exact first-through-fourth cumulants (with ``inf``
 and ``nan`` markers where a moment is infinite or not absolutely convergent),
 which is what the metric layer needs for its zero-frequency limits.  Every
-value is frozen; operations return new measures.
+value is frozen; operations return new measures.  Inside a
+metrics.shared_deviations() scope, cumulants, moment, abs_moment_bound and
+q_membership are computed once per law and arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._scope import summary
 from ._special import gammainc_int
 from .errors import (
     DegenerateMeasureError,
@@ -56,10 +59,11 @@ __all__ = [
 ]
 
 ATOM_MERGE_TOL = 1e-12
-# atom positions, and the locations, scales and rates of the closed-form
+# atom positions, the locations, scales and rates of the closed-form
 # families (mean and standard deviation, endpoints, location and scale,
-# shift, rate and 1/rate), up to this size keep x^4, and the cumulant cross
-# terms of up to 12 x^4, within the float range
+# shift, rate and 1/rate), and affine scales and shifts, up to this size
+# keep x^4, and the cumulant cross terms of up to 12 x^4, within the float
+# range
 ATOM_ABS_MAX = 1e75
 PUBLIC_FAMILIES = ("gaussian", "uniform", "exponential", "laplace")
 _MEMBER_TOL = 1e-10
@@ -77,9 +81,6 @@ class Atomic(Measure):
     """Finite discrete law: sorted positions with positive weights summing to 1."""
 
     atoms: tuple[tuple[float, float], ...]
-    moment_cache: tuple[float, float, float, float] | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if not self.atoms:
@@ -89,7 +90,6 @@ class Atomic(Measure):
             raise MeasureError("atomic positions must be strictly increasing")
         if any(w <= 0 for _, w in self.atoms):
             raise MeasureError("atomic weights must be strictly positive")
-        object.__setattr__(self, "moment_cache", _atomic_summary(self.atoms))
 
     @property
     def positions(self) -> np.ndarray:
@@ -113,9 +113,6 @@ class Parametric(Measure):
 
     family: str
     params: tuple[float, ...]
-    moment_cache: tuple[float, float, float, float] | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         fam, p = self.family, self.params
@@ -146,7 +143,6 @@ class Parametric(Measure):
                 f"{fam} parameters {p} out of range: locations, scales and rates "
                 f"must lie within ±{ATOM_ABS_MAX:g}"
             )
-        object.__setattr__(self, "moment_cache", _parametric_summary(fam, p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +206,10 @@ class Affine(Measure):
     shift: float = 0.0
 
     def __post_init__(self):
-        if not self.scale > 0 or not math.isfinite(self.scale):
-            raise MeasureError("affine scale must be a positive finite number")
-        if not math.isfinite(self.shift):
-            raise MeasureError("affine shift must be finite")
+        if not 0.0 < self.scale <= ATOM_ABS_MAX:
+            raise MeasureError(f"affine scale must lie in (0, {ATOM_ABS_MAX:g}]")
+        if not abs(self.shift) <= ATOM_ABS_MAX:
+            raise MeasureError(f"affine shift must lie within ±{ATOM_ABS_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -284,11 +280,6 @@ def make_parametric(family: str, params) -> Parametric:
             raise MeasureError("exponential takes a single rate parameter")
         p = (p[0], 0.0)
     return Parametric(family, p)
-
-
-def dirac(x: float = 0.0) -> Atomic:
-    """Point mass at x."""
-    return Atomic(((float(x), 1.0),))
 
 
 def _is_number(v) -> bool:
@@ -362,21 +353,6 @@ def _atomic_raw(atoms):
     return tuple(float(np.dot(ws, xs**k)) for k in (1, 2, 3, 4))
 
 
-def _atomic_summary(atoms):
-    m1, m2, m3, _ = _atomic_raw(atoms)
-    xs = np.array([a[0] for a in atoms])
-    ws = np.array([a[1] for a in atoms])
-    abs3 = float(np.dot(ws, np.abs(xs) ** 3))
-    return (m1, m2 - m1 * m1, m3, abs3)
-
-
-def _parametric_summary(family, params):
-    k1, k2, k3, _ = _parametric_cumulants(family, params)
-    m3 = _cumulants_to_raw(k1, k2, k3, 0.0)[2]
-    abs3 = _parametric_abs_odd(family, params, 3)
-    return (k1, k2, m3, abs3)
-
-
 def _parametric_cumulants(family, p):
     if family == "gaussian":
         return (p[0], p[1], 0.0, 0.0)
@@ -395,6 +371,7 @@ def _parametric_cumulants(family, p):
     raise MeasureError(f"unknown family {family!r}")
 
 
+@summary
 def cumulants(m: Measure) -> tuple[float, float, float, float]:
     """First through fourth cumulants, exact per representation.
 
@@ -437,6 +414,7 @@ def _validate_order(k):
         raise MeasureError("moment order must be an integer in 1..4")
 
 
+@summary
 def moment(m: Measure, k: int, absolute: bool = False) -> float:
     """E(X^k) or E(|X|^k) for k <= 4.
 
@@ -527,6 +505,7 @@ def _abs_moment_shifted_exp(rate, shift, k):
     return below + above
 
 
+@summary
 def abs_moment_bound(m: Measure, k: int) -> float:
     """A finite upper bound on E|X|^k whenever the moment is finite.
 
@@ -680,6 +659,7 @@ def convolution_power(m: Measure, n: int) -> Measure:
     return ConvPower(m, n)
 
 
+@summary
 def q_membership(m: Measure, r) -> QMembership:
     """Check mean 0, variance 1, and finiteness of the r-th absolute moment."""
     if r not in (2, 3, 2.0, 3.0):

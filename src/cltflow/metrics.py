@@ -21,9 +21,12 @@ to the bit.  grid_argmax is the smallest positive point that attains the
 supremum, the point a mirrored grid reports when its ties go to the
 smallest |xi|, then to the positive sign.
 
-Inside a ``shared_deviations()`` scope, ``ds_distance`` keeps the grid
-deviations of the last few (law, grid) pairs it evaluated and reuses them;
-the checks compare many laws against the same gaussian and each flow
+Inside a ``shared_deviations()`` scope each leaf law (atomic, parametric,
+empirical) has its deviation on a grid computed once, whether ds_distance
+takes it alone or as a part of a convolution, while it stays among the 12
+(law, grid) pairs most recently used; the last two composite deviations are
+kept too, and the moment summaries of every law.  The checks compare many
+laws and their convolutions against the same gaussian, and each flow
 iterate against it twice.  Outside a scope every deviation is computed
 afresh, so a library caller never sees a value from before a change to a
 mutable sample or to the cf code.  The CLI opens one scope per command.
@@ -32,14 +35,13 @@ mutable sample or to the cf code.  The CLI opens one scope per command.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import charfn
+from . import _scope, charfn
 from .errors import MeasureError, MembershipError
 from .measures import (
     Measure,
@@ -71,10 +73,6 @@ _MOMENT_MATCH_TOL = 1e-9
 # cf takes every point (charfn.XI_ABS_MAX)
 GRID_XI_MIN = 1e-100
 GRID_XI_MAX = charfn.XI_ABS_MAX
-# deviations kept inside a shared_deviations() scope: at 1,600 points per
-# decade an entry holds 7,520 complex values, about 120 KB
-_MEMO_SIZE = 8
-_memo: OrderedDict | None = None
 
 
 @dataclass(frozen=True)
@@ -199,39 +197,38 @@ def _zero_limit_relaxed(a: Measure, b: Measure, s: int) -> float:
 
 @contextmanager
 def shared_deviations():
-    """Let ds_distance reuse grid deviations until the scope ends.
+    """Compute each grid deviation and moment summary once until the scope ends.
 
-    Up to _MEMO_SIZE deviations are kept, least recently used out first,
-    keyed by (law, grid): laws compare by value, Empirical by identity.  A
-    scope opened inside another shares the outer one's deviations.  Keep a
-    scope short: a law mutated or a cf routine replaced inside it is not
-    seen by deviations computed before.
+    Keyed by (law, grid), laws by value and Empirical by identity, the
+    scope keeps the deviations of the 12 leaf laws (atomic, parametric,
+    empirical) most recently used, whether ds_distance took them alone or
+    as parts of a convolution product or power, and of the last two
+    composite laws; and the cumulants, moments, absolute moment bounds and
+    memberships of every law asked about.  Everything is freed when the
+    scope ends.  A scope opened inside another shares the outer one.  Keep
+    a scope short: a law mutated or a cf routine replaced inside it is not
+    seen by what was computed before.
     """
-    global _memo
-    outer = _memo
-    if outer is None:
-        _memo = OrderedDict()
+    if _scope.active is not None:
+        yield
+        return
+    _scope.active = _scope.Scope()
     try:
         yield
     finally:
-        _memo = outer
+        _scope.active = None
 
 
 def _grid_deviation(m: Measure, grid: GridSpec) -> np.ndarray:
     """cf deviation of m at the positive grid points, shared inside a scope."""
-    if _memo is None:
-        return charfn.cf_deviation(m, grid.positive_points())
-    key = (m, grid)
-    dev = _memo.get(key)
-    if dev is None:
-        dev = charfn.cf_deviation(m, grid.positive_points())
-        dev.setflags(write=False)
-        _memo[key] = dev
-        if len(_memo) > _MEMO_SIZE:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(key)
-    return dev
+    pts = grid.positive_points()
+    scope = _scope.active
+    if scope is None:
+        return charfn.cf_deviation(m, pts)
+    return scope.deviation(
+        m, grid, pts, isinstance(m, charfn._LEAF_TYPES),
+        lambda: charfn.cf_deviation(m, pts),
+    )
 
 
 def zero_limit(a: Measure, b: Measure, s) -> float:
@@ -276,8 +273,8 @@ def ds_distance(
             "the distance diverges at xi -> 0: means/variances do not match"
         )
     xi = grid.positive_points()
-    diff = np.abs(_grid_deviation(a, grid) - _grid_deviation(b, grid))
-    ratio = diff / xi**s
+    ratio = np.abs(_grid_deviation(a, grid) - _grid_deviation(b, grid))
+    ratio /= xi**s
     grid_sup = float(np.max(ratio))
     argmax = xi[np.flatnonzero(ratio == grid_sup)[0]]
     tail = 2.0 / grid.xi_max**s

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cltflow as cf
-from cltflow import bank
-from cltflow.errors import MeasureError, MomentUnavailableError
+from cltflow import bank, charfn, metrics
+from cltflow.errors import CharFnBoundError, MeasureError, MomentUnavailableError
 
 XIS = np.array([-7.3, -2.0, -0.4, -1e-3, 1e-3, 0.17, 1.0, 3.5, 24.0])
 
@@ -340,3 +342,109 @@ def test_atomic_deviation_keeps_its_digits_at_large_xi(name):
             want = mp.fsum(w * mp.expj(mp.mpf(p) * mp.mpf(x)) for p, w in atoms) - 1
             tol = 4 * EPS if x * span > 256.0 else 256.0 * x * span * EPS
             assert abs(mp.mpc(dev.real, dev.imag) - want) <= tol, (x, dev)
+
+
+@st.composite
+def centred_dyadic_laws(draw):
+    """2 to 12 atoms at multiples of 1/8 with weights in 1/1024, mean exactly 0.
+
+    The last atom, of weight 1/2, balances the others, so the mean the
+    deviation splits off is exact and the reference below is the law itself.
+    """
+    k = draw(st.integers(1, 11))
+    xs = draw(st.lists(st.integers(-32, 32), min_size=k, max_size=k))
+    cuts = sorted(draw(st.lists(st.integers(1, 511), min_size=k - 1, max_size=k - 1)))
+    ws = np.diff([0, *cuts, 512]) / 1024.0
+    atoms = [(x / 8.0, w) for x, w in zip(xs, ws) if w > 0]
+    atoms.append((-2.0 * math.fsum(x * w for x, w in atoms), 0.5))
+    return cf.make_atomic(atoms)
+
+
+@given(
+    centred_dyadic_laws(),
+    st.integers(0, 40),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_atomic_level_deviation_against_mpmath(law, depth, exponents):
+    # D = phi(xi 2^{-n/2})^{2^n} - 1 to 80 digits.  The double keeps it to a
+    # few epsilons of |D|, plus what rounding the phases t = x xi 2^{-n/2}
+    # costs: eps |t| per atom where |t| is large, eps t^2 where it is small,
+    # both carried 2^n times by the squarings
+    mp = pytest.importorskip("mpmath")
+    xi = np.array([math.copysign(10.0 ** abs(e), e) for e in exponents])
+    m = law if depth == 0 else cf.CfLevel(law, depth)
+    got = cf.cf_deviation(m, xi)
+    with mp.workdps(80):
+        scale = mp.mpf(2) ** (-mp.mpf(depth) / 2)
+        for x, dev in zip(xi, got):
+            ts = [mp.mpf(float(p)) * mp.mpf(float(x)) * scale for p in law.positions]
+            ws = [mp.mpf(float(w)) for w in law.weights]
+            want = mp.fsum(w * (mp.expj(t) - 1) for t, w in zip(ts, ws))
+            phases = mp.fsum(w * abs(t) * min(abs(t), 2) for t, w in zip(ts, ws))
+            for _ in range(depth):
+                want = 2 * want + want * want
+            err = abs(mp.mpc(dev.real, dev.imag) - want)
+            assert err <= 4 * EPS * (abs(want) + 2**depth * phases), (x, dev, want)
+
+
+def _outer_dev_atomic(positions, weights, mean, span, xi):
+    """The atomic deviation over the whole atoms-by-points outer product."""
+    t = np.multiply.outer(positions, xi)
+
+    def atom_sum(rows):
+        acc = weights[0] * rows[0]
+        for w, row in zip(weights[1:], rows[1:]):
+            acc += w * row
+        return acc
+
+    re = atom_sum(charfn._cos_rem(t))
+    im = xi * mean + atom_sum(charfn._sin_rem(t))
+    lim = charfn._REMAINDER_T_MAX / span
+    far = np.abs(xi) > lim
+    if far.any():
+        im[far] = atom_sum(np.sin(t[:, far]))
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("atoms, points", [
+    (2, 7521), (12, 941), (700, 941), (700, 5), (5000, 1), (5000, 7),
+])
+def test_atomic_rows_keep_the_outer_product_bits(atoms, points):
+    # the rows are summed one at a time on a grid, in blocks of rows on few
+    # points; each point adds the same terms in the same atom order either way
+    rng = np.random.default_rng(atoms * 7 + points)
+    pos = np.sort(rng.normal(scale=3.0, size=atoms))
+    ws = rng.random(atoms)
+    ws /= ws.sum()
+    xi = np.sort(rng.choice([-1.0, 1.0], points) * 10.0 ** rng.uniform(-3.0, 2.5, points))
+    mean, span = float(np.dot(ws, pos)), float(np.max(np.abs(pos)))
+    want = _outer_dev_atomic(pos, ws, mean, span, xi)
+    assert np.array_equal(charfn._dev_atomic(pos, ws, mean, span, xi), want)
+    t = np.multiply.outer(pos, xi)
+    re = ws[0] * np.cos(t[0])
+    im = ws[0] * np.sin(t[0])
+    for w, c, s in zip(ws[1:], np.cos(t[1:]), np.sin(t[1:])):
+        re += w * c
+        im += w * s
+    assert np.array_equal(charfn._phi_atomic(pos, ws, xi), re + 1j * im)
+
+
+def test_non_finite_deviations_are_refused(monkeypatch, gauss, grid):
+    # NaN fails every comparison, so a check `peak > bound` let it through
+    m = bank.uniform_std()
+    for _ in range(4):  # scale 1e300: xi = 1e10 overflows to inf, sin(inf) is NaN
+        m = cf.Affine(m, 1e75)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CharFnBoundError, match="nan"):
+            cf.cf_deviation(m, [1.0, 1e10])
+        with pytest.raises(CharFnBoundError, match="nan"):
+            cf.eval_cf(m, 1e10)
+    # inside a scope a leaf first evaluated as a part is checked on its own,
+    # before the product it enters is
+    monkeypatch.setattr(
+        charfn, "_dev_parametric", lambda family, p, xi: np.full(xi.shape, np.nan + 0j)
+    )
+    with metrics.shared_deviations():
+        with pytest.raises(CharFnBoundError, match="nan"):
+            charfn._dev(cf.ConvProduct((bank.rademacher(), gauss)), grid.positive_points(), grid)

@@ -9,7 +9,7 @@ import pytest
 
 import cltflow
 import cltflow.charfn as charfn
-from cltflow import cli, metrics
+from cltflow import _scope, cli, metrics
 from cltflow.cli import main
 from cltflow.errors import MeasureError
 
@@ -359,7 +359,7 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
 
     def failing(cmd, env):
         cli.ds_distance(env.resolve("skewed"), env.resolve("gaussian"), 3, env.grid)
-        seen.append(len(metrics._memo))
+        seen.append(len(_scope.active.leaves))
         raise MeasureError("injected")
 
     monkeypatch.setitem(cli._RUNNERS, "distance", failing)
@@ -368,7 +368,7 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
     )
     assert code == 1 and "FAIL (injected)" in out
     assert seen == [2]
-    assert metrics._memo is None
+    assert _scope.active is None
 
 
 def count_deviations(monkeypatch):
@@ -400,6 +400,57 @@ def test_each_deviation_is_evaluated_once_per_command(args, calls, points, capsy
     code, _, _ = run_cli(args, capsys)
     assert code == 0
     assert counts == {"calls": calls, "points": points}
+
+
+def test_verify_ideal_evaluates_each_leaf_about_once(capsys, monkeypatch):
+    # an 8-entry memo of whole deviations, where composites and rescaled
+    # laws evicted the bank laws, made 537 leaf evaluations; the scope's
+    # leaf table makes 54
+    leaves = {"n": 0}
+    for name in ("_dev_atomic", "_dev_parametric"):
+        def counted(*args, _orig=getattr(charfn, name)):
+            leaves["n"] += 1
+            return _orig(*args)
+        monkeypatch.setattr(charfn, name, counted)
+    code, _, _ = run_cli(["verify-ideal"], capsys)
+    assert code == 0
+    assert leaves["n"] <= 80
+
+
+@pytest.mark.parametrize("cmd", [
+    {"command": "verify-ideal"},
+    {"command": "verify-contraction"},
+    {"command": "flow", "measure": "skewed", "steps": 12},
+    {"command": "flow", "measure": "uniform-std", "steps": 12},
+    {"command": "verify-clt-rate"},
+], ids=lambda cmd: "-".join(map(str, cmd.values())))
+def test_shared_rows_equal_fresh_rows(cmd):
+    # outside a scope every deviation and moment is computed afresh
+    env = cli.parse_config({"commands": [cmd]})["env"]
+    runner = cli._RUNNERS[cmd["command"]]
+    fresh = runner(cmd, env).rows
+    with metrics.shared_deviations():
+        shared = runner(cmd, env).rows
+    assert shared == fresh
+
+
+def test_a_failing_scaling_check_fails_at_its_own_row(monkeypatch):
+    # the scaling checks run lambda by lambda ahead of the rows, so the last
+    # pair at lambda 1/2 runs before the first pair at lambda 2; the first
+    # failure in row order is still the one reported
+    orig = cli.check_scaling_ideality
+    first = (cltflow.bank.rademacher(), cltflow.bank.skewed_two_atom())
+    last = (cltflow.bank.exponential_std(), cltflow.bank.heavy_tail_std())
+
+    def failing(nu, mu, lam, s, grid):
+        if ((nu, mu), lam) in ((first, 2.0), (last, 0.5)):
+            raise MeasureError(f"injected at lambda {lam}")
+        return orig(nu, mu, lam, s, grid)
+
+    monkeypatch.setattr(cli, "check_scaling_ideality", failing)
+    env = cli.parse_config({"commands": [{"command": "verify-ideal"}]})["env"]
+    with pytest.raises(MeasureError, match="injected at lambda 2.0$"):
+        cli._run_verify_ideal({"command": "verify-ideal"}, env)
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])

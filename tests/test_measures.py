@@ -318,15 +318,34 @@ def test_centered_third_moments_add(aa, bb):
     )
 
 
-def test_moment_cache_matches_recomputation(q3_bank):
-    for m in q3_bank.values():
-        cache = m.moment_cache
-        assert cache is not None
-        mean, var, third, abs3 = cache
-        assert mean == pytest.approx(cf.moment(m, 1), abs=1e-10)
-        assert var == pytest.approx(cf.cumulants(m)[1], rel=1e-10)
-        assert third == pytest.approx(cf.moment(m, 3), rel=1e-10, abs=1e-12)
-        assert abs3 == pytest.approx(cf.moment(m, 3, absolute=True), rel=1e-10)
+@pytest.mark.parametrize("scale, shift", [
+    (1e80, 0.0), (1e300, 0.0), (math.inf, 0.0), (math.nan, 0.0), (0.0, 0.0), (-1.0, 0.0),
+    (1.0, 1e76), (1.0, -1e300), (1.0, math.inf), (1.0, math.nan),
+])
+def test_affine_scale_and_shift_are_bounded(scale, shift):
+    # cumulants(Affine(uniform_std, 1e80)) raised OverflowError from s**4,
+    # and Affine(uniform_std, 1e300) gave NaN cf values at xi = 1e10
+    with pytest.raises(MeasureError, match="affine"):
+        cf.Affine(bank.uniform_std(), scale, shift)
+
+
+def test_affine_at_the_bound_has_finite_moments():
+    m = cf.Affine(bank.uniform_std(), cf.measures.ATOM_ABS_MAX, -cf.measures.ATOM_ABS_MAX)
+    assert all(map(math.isfinite, cf.cumulants(m)))
+    assert math.isfinite(cf.abs_moment_bound(m, 3))
+
+
+def test_moment_summaries_are_shared_inside_a_scope(skewed):
+    law = cf.CfLevel(skewed, 3)
+    assert cf.cumulants(law) is not cf.cumulants(law)
+    with cf.metrics.shared_deviations():
+        assert cf.cumulants(law) is cf.cumulants(law)
+        assert cf.q_membership(law, 3) is cf.q_membership(law, 3)
+        assert cf.moment(law, 3) == cf.moment(law, 3)
+        with pytest.raises(MeasureError):  # not the summary of moment(law, 3)
+            cf.moment(law, 3.0)
+    assert cf.cumulants(law) == cf.cumulants(law)
+    assert cf.cumulants(law) is not cf.cumulants(law)
 
 
 def test_third_absolute_moment_growth_under_step(q3_bank):

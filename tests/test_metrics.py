@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import bank, metrics
+from cltflow import _scope, bank, metrics
 from cltflow.errors import MeasureError, MembershipError
 
 SQRT2 = math.sqrt(2.0)
@@ -317,30 +317,50 @@ def test_csv_row_format(gauss, rademacher):
 
 
 def test_memo_exists_only_inside_a_scope(skewed, gauss, grid):
-    assert metrics._memo is None
+    assert _scope.active is None
     with metrics.shared_deviations():
         cf.ds_distance(skewed, gauss, 3, grid)
-        assert set(metrics._memo) == {(skewed, grid), (gauss, grid)}
+        scope = _scope.active
+        assert set(scope.leaves) == {(skewed, grid), (gauss, grid)}
+        assert not scope.composites
         with metrics.shared_deviations():  # a nested scope shares the outer one
-            assert len(metrics._memo) == 2
-        assert len(metrics._memo) == 2
-    assert metrics._memo is None
+            assert _scope.active is scope
+        assert len(scope.leaves) == 2
+    assert _scope.active is None
     with pytest.raises(MembershipError):
         with metrics.shared_deviations():
             cf.ds_distance(skewed, gauss, 3, cf.GridSpec(1e-3, 50.0, 10))
             cf.ds_distance(cf.Affine(skewed, 1.0, 1.0), gauss, 3, grid)
-    assert metrics._memo is None
+    assert _scope.active is None
 
 
-def test_memo_keeps_the_most_recent_eight(gauss, coarse_grid):
-    laws = [cf.CfLevel(bank.skewed_two_atom(), n) for n in range(1, 21)]
+def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coarse_grid):
+    # symmetric two-atom laws of growing variance: leaves, with finite d2
+    leaves = [cf.make_atomic([(-x, 0.5), (x, 0.5)]) for x in np.linspace(0.5, 1.5, 20)]
+    levels = [cf.CfLevel(bank.skewed_two_atom(), n) for n in range(1, 6)]
     with metrics.shared_deviations():
-        for m in laws:
+        scope = _scope.active
+        for m in leaves:
+            cf.ds_distance(m, gauss, 2, coarse_grid, require_class_membership=False)
+            assert len(scope.leaves) <= _scope._LEAVES == 12
+        recent = {(m, coarse_grid) for m in leaves[-11:]} | {(gauss, coarse_grid)}
+        assert set(scope.leaves) == recent
+        for m in levels:
             cf.ds_distance(m, gauss, 3, coarse_grid)
-            assert len(metrics._memo) <= metrics._MEMO_SIZE == 8
-        recent = [(m, coarse_grid) for m in laws[-7:]] + [(gauss, coarse_grid)]
-        assert set(metrics._memo) == set(recent)
-        assert all(not dev.flags.writeable for dev in metrics._memo.values())
+            assert len(scope.composites) <= _scope._COMPOSITES == 2
+        # a level's base is evaluated at scaled points, never stored by grid
+        assert set(scope.leaves) == recent
+        assert set(scope.composites) == {(m, coarse_grid) for m in levels[-2:]}
+        # the parts of a product on the grid are leaves, looked up and stored
+        product = cf.ConvProduct((leaves[0], leaves[-1]))
+        cf.ds_distance(product, product, 2, coarse_grid, require_class_membership=False)
+        assert list(scope.leaves)[-2:] == [(leaves[0], coarse_grid), (leaves[-1], coarse_grid)]
+        assert (leaves[-11], coarse_grid) not in scope.leaves
+        assert (product, coarse_grid) == list(scope.composites)[-1]
+        tables = [*scope.leaves.values(), *scope.composites.values()]
+        assert all(not dev.flags.writeable for dev in tables)
+        assert scope.summaries
+    assert _scope.active is None
 
 
 def test_mutated_empirical_sample_is_seen_outside_a_scope(gauss, coarse_grid):
