@@ -7,135 +7,23 @@ the contraction, ideality, rate, and Lyapunov properties of that flow at desk
 scale.  See the README for the CLI and the acceptance suite.
 """
 
-from .errors import (
-    CharFnBoundError,
-    ConfigError,
-    DegenerateMeasureError,
-    MeasureError,
-    MembershipError,
-    MomentUnavailableError,
-)
-from .measures import (
-    Affine,
-    Atomic,
-    CfLevel,
-    ConvPower,
-    ConvProduct,
-    Empirical,
-    Measure,
-    Parametric,
-    QMembership,
-    abs_moment_bound,
-    convolution_power,
-    convolve,
-    cumulants,
-    make_atomic,
-    make_parametric,
-    measure_from_literal,
-    moment,
-    q_membership,
-    scale_law,
-    standardize,
-)
-from .charfn import (
-    CharFn,
-    TaylorData,
-    cf_deviation,
-    char_fn,
-    empirical_cf,
-    eval_cf,
-    eval_cf_grid,
-    taylor_data,
-)
-from .metrics import (
-    DistanceResult,
-    GridSpec,
-    InvarianceCheck,
-    ScalingCheck,
-    SubadditivityCheck,
-    check_convolution_invariance,
-    check_convolution_subadditivity,
-    check_scaling_ideality,
-    check_triangle,
-    ds_distance,
-    zero_limit,
-)
-from .flow import (
-    CONTRACTION_BOUND,
-    CltRateCheck,
-    FlowReport,
-    LyapunovCheck,
-    clt_rate_check,
-    contraction_ratio,
-    lyapunov_decrease_check,
-    lyapunov_value,
-    renorm_step,
-    renorm_trajectory,
-)
-from .mc import FlowCheck, SampleBatch, empirical_flow_check, sample
-from . import bank
+# each module's __all__ is its public API, and the package exports all of it
+from . import bank, charfn, errors, flow, mc, measures, metrics
+from .charfn import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .flow import *  # noqa: F403
+from .mc import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .metrics import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Affine",
-    "Atomic",
-    "CfLevel",
-    "CharFn",
-    "CharFnBoundError",
-    "CltRateCheck",
-    "ConfigError",
-    "ConvPower",
-    "ConvProduct",
-    "CONTRACTION_BOUND",
-    "DegenerateMeasureError",
-    "DistanceResult",
-    "Empirical",
-    "FlowCheck",
-    "FlowReport",
-    "GridSpec",
-    "InvarianceCheck",
-    "LyapunovCheck",
-    "Measure",
-    "MeasureError",
-    "MembershipError",
-    "MomentUnavailableError",
-    "Parametric",
-    "QMembership",
-    "SampleBatch",
-    "ScalingCheck",
-    "SubadditivityCheck",
-    "TaylorData",
-    "abs_moment_bound",
     "bank",
-    "cf_deviation",
-    "char_fn",
-    "check_convolution_invariance",
-    "check_convolution_subadditivity",
-    "check_scaling_ideality",
-    "check_triangle",
-    "clt_rate_check",
-    "contraction_ratio",
-    "convolution_power",
-    "convolve",
-    "cumulants",
-    "ds_distance",
-    "empirical_cf",
-    "empirical_flow_check",
-    "eval_cf",
-    "eval_cf_grid",
-    "lyapunov_decrease_check",
-    "lyapunov_value",
-    "make_atomic",
-    "make_parametric",
-    "measure_from_literal",
-    "moment",
-    "q_membership",
-    "renorm_step",
-    "renorm_trajectory",
-    "sample",
-    "scale_law",
-    "standardize",
-    "taylor_data",
-    "zero_limit",
+    *errors.__all__,
+    *measures.__all__,
+    *charfn.__all__,
+    *metrics.__all__,
+    *flow.__all__,
+    *mc.__all__,
 ]

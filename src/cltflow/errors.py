@@ -1,5 +1,14 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "MeasureError",
+    "DegenerateMeasureError",
+    "MembershipError",
+    "MomentUnavailableError",
+    "CharFnBoundError",
+    "ConfigError",
+]
+
 
 class MeasureError(ValueError):
     """Invalid construction or use of a probability measure."""

@@ -1,11 +1,11 @@
 """The renormalization map T and measurements along its trajectories.
 
 T sends a centred, reduced law nu to the law of (X + Y)/sqrt(2) for
-independent X, Y ~ nu.  Atomic laws step exactly (convolve, rescale, merge);
-everything else steps at cf level, where n applications cost n complex
-squarings per evaluation point.  Trajectory distances are always computed on
-the cf-level iterates; exact atomic iteration is kept as a low-depth
-cross-check in the test suite.
+independent X, Y ~ nu.  Laws that convolve in closed form (atomic laws, the
+gaussian) step exactly (convolve, rescale, merge); everything else steps at
+cf level, where n applications cost n complex squarings per evaluation
+point.  Trajectory distances are always computed on the cf-level iterates;
+exact atomic iteration is kept as a low-depth cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from .errors import MeasureError, MembershipError
 from .measures import (
     Affine,
-    Atomic,
     CfLevel,
+    ConvProduct,
     Measure,
     Parametric,
     convolution_power,
@@ -51,15 +51,14 @@ _GAUSSIAN_STD = Parametric("gaussian", (0.0, 1.0))
 def renorm_step(m: Measure) -> Measure:
     """One application of T: the law of (X + Y)/sqrt(2), X, Y independent ~ m.
 
-    Atomic laws and the gaussian step in closed form; every other input gains
-    one cf-iteration level.
+    Laws whose convolution stays in closed form (atomic laws, the gaussian)
+    step in closed form; every other input gains one cf-iteration level.
     """
     require_membership(m, 2, "the renormalization step")
-    if isinstance(m, Atomic) or (isinstance(m, Parametric) and m.family == "gaussian"):
-        return scale_law(convolve(m, m), CONTRACTION_BOUND)
-    if isinstance(m, CfLevel):
-        return CfLevel(m.base, m.count + 1)
-    return CfLevel(m, 1)
+    both = convolve(m, m)
+    if isinstance(both, ConvProduct):
+        return _iterate(m, 1)
+    return scale_law(both, CONTRACTION_BOUND)
 
 
 def _iterate(m: Measure, n: int) -> Measure:

@@ -11,14 +11,8 @@ platforms and runs (Salmon et al. 2011, "Parallel random numbers: as easy
 as 1, 2, 3", for counter-based generation).  Uniforms take the top 52 bits
 offset by half an ulp, landing strictly inside (0, 1) on multiples of
 2^-53; parametric laws invert their CDFs, atomic laws draw categorically.
-
-The gaussian's inverse CDF is Wichura's AS241 (1988) in numpy
-(_special.InverseNormal), about 1e-16 relative from u = 2^-53 to
-1 - 2^-53: a degree-7/7 rational function of 0.180625 - (u - 1/2)^2 for
-|u - 1/2| <= 0.425, and beyond it one of sqrt(-log min(u, 1 - u)), where
-1 - u is exact.  It runs on each block of draws with buffers allocated
-once per block shape, and gaussian(0, 1) skips the scale and shift.  The
-other families' inverse CDFs are closed forms.
+Each closed-form family's inverse CDF is in its row of the _families table;
+a row's transform is made once per block shape, with the buffers it needs.
 
 A draw of a law takes a fixed number of counters, its width: one for an
 atomic, empirical or closed-form law (and an affine image of one), and
@@ -49,30 +43,18 @@ from zeros(n) and adds the folds one at a time:
   rows before, so each draw's folds are added in the loop's order from
   the loop's +0.0.
 
-Atomic laws with at most _COUNT_EDGES_MAX atoms find the categorical index
-by counting the cumulative-weight edges at or below u, which equals the
-searchsorted index because the edges never decrease.
+Atomic laws with at most _COUNT_EDGES_MAX atoms count edges (_pick).
 
 The flow check compares each level's draws with the analytic cf through
-charfn.binned_cf, which sorts a copy of the draws once and then:
-
-- keeps empirical_cf's exact sums, bit for bit, for lattice draws (at most
-  4096 distinct values).  They cost one cos and sin per distinct value and
-  point, less than binning would (rademacher and skewed stay as they were);
-- bins dense draws at width h = 1 / max|xi| of the grid and sums
-  exp(i xi x) as sum_k exp(i xi c_k) sum_p (i xi)^p M[p, k] over the bins
-  k, with centres c_k = k h and moments M[p, k] = sum u^p / p! of the
-  offsets |u| <= h / 2 for p < P = 12.  |xi u| <= 1/2 at every point, so
-  the cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, a
-  priori and for any grid, far inside the envelope 4 / sqrt(n); the rest
-  of the difference from empirical_cf is rounding, of order 1e-14 for
-  1e5 gaussian draws;
-- falls back to empirical_cf's exact dense sums when the draws span more
-  bins than there are draws, or |x| / h reaches 2^40, where rounding
-  would no longer keep the offsets within h / 2.
-
-The cost of a dense level drops from one cos and sin per draw and point to
-P moment passes over the draws plus work per bin and point.
+charfn.binned_cf: empirical_cf's exact sums, bit for bit, for lattice draws
+(at most 4096 distinct values), which cost one cos and sin per distinct
+value and point, less than binning would; for dense draws a sum over bins
+of width 1 / max|xi| through 12 moments each, whose cut series errs by at
+most (1/2)^12 / 12! < 5.1e-13 per sample, a priori and for any grid, far
+inside the envelope 4 / sqrt(n); the rest of the difference from
+empirical_cf is rounding, of order 1e-14 for 1e5 gaussian draws.  The cost
+of a dense level drops from one cos and sin per draw and point to 12
+moment passes over the draws plus work per bin and point.
 """
 
 from __future__ import annotations
@@ -82,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import InverseNormal
+from . import _families
 from .errors import MeasureError
 from .measures import (
     Affine,
@@ -192,39 +174,6 @@ def _pick(edges: np.ndarray):
     return count
 
 
-def _invert(fam: str, p: tuple, u: np.ndarray, out: np.ndarray) -> None:
-    """Inverse CDF of a closed-form family other than the gaussian at the uniforms u, into out."""
-    if fam == "uniform":
-        np.multiply(u, p[1] - p[0], out=out)
-        out += p[0]
-    elif fam == "laplace":
-        v = u - 0.5
-        out[...] = p[0] - p[1] * np.sign(v) * np.log1p(-2.0 * np.abs(v))
-    elif fam == "exponential":
-        out[...] = p[1] - np.log1p(-u) / p[0]
-    elif fam == "heavy_cubic":
-        sign = np.where(u < 0.5, -1.0, 1.0)
-        tail = 1.0 - np.abs(2.0 * u - 1.0)
-        out[...] = sign * (3.0 * math.sqrt(3.0) * tail) ** (-1.0 / 3.0)
-    else:
-        raise MeasureError(f"unknown family {fam!r}")
-
-
-def _gaussian(p: tuple, size: int):
-    """transform(u, out) for gaussian(mean, variance) p, for blocks of up to size draws."""
-    ndtri = InverseNormal(size)
-    if p[0] == 0.0 and p[1] == 1.0:
-        return ndtri
-    sd = math.sqrt(p[1])
-
-    def transform(u, out):
-        ndtri(u, out)
-        out *= sd
-        out += p[0]
-
-    return transform
-
-
 def _leaf(make):
     """(width 1, prepare) for a law drawn from one uniform u.
 
@@ -298,9 +247,7 @@ def _drawer(m: Measure):
 
         return _leaf(lambda size: index)
     if isinstance(m, Parametric):
-        if m.family == "gaussian":
-            return _leaf(lambda size: _gaussian(m.params, size))
-        return _leaf(lambda size: lambda u, out: _invert(m.family, m.params, u, out))
+        return _leaf(lambda size: _families.row(m.family).sampler(m.params, size))
     if isinstance(m, Affine):
         width, prepare_base = _drawer(m.base)
 
@@ -388,13 +335,8 @@ def empirical_flow_check(
     their empirical cf is compared on the grid against the analytic cf of the
     k-th iterate.  Passing means every deviation stays within the conservative
     envelope 4/sqrt(n).  The default grid is the coarse ORACLE_GRID; the
-    envelope does not depend on grid resolution.
-
-    The empirical cf is charfn.binned_cf (module notes): exact for lattice
-    draws, and for dense draws a binned-moment sum with bins of width
-    1 / max|xi| and 12 moments, within (1/2)^12 / 12! < 5.1e-13 of the
-    exact sum plus rounding, or the exact sum where the draws are too
-    widely spread to bin.
+    envelope does not depend on grid resolution.  The empirical cf is
+    charfn.binned_cf (module notes).
     """
     if not isinstance(levels, int) or not 0 <= levels <= 12:
         raise MeasureError("levels must be an integer in 0..12")

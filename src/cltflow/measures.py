@@ -4,7 +4,8 @@ A measure is represented by one of a small set of immutable value types:
 
 * ``Atomic``        finite support, positive weights summing to one
 * ``Parametric``    closed-form family (gaussian, uniform, exponential, laplace,
-                    plus the internal heavy-tail family used by the test bank)
+                    plus the internal heavy-tail family used by the test bank),
+                    each with its rules in one row of the _families table
 * ``Empirical``     a finite sample treated as its empirical law
 * ``CfLevel``       n applications of the renormalization map to a base law
 * ``ConvProduct``   convolution of independent component laws
@@ -26,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _families
+from ._families import ATOM_ABS_MAX, PUBLIC_FAMILIES
 from ._scope import summary
-from ._special import gammainc_int
 from .errors import (
     DegenerateMeasureError,
     MeasureError,
@@ -59,16 +61,7 @@ __all__ = [
 ]
 
 ATOM_MERGE_TOL = 1e-12
-# atom positions, the locations, scales and rates of the closed-form
-# families (mean and standard deviation, endpoints, location and scale,
-# shift, rate and 1/rate), and affine scales and shifts, up to this size
-# keep x^4, and the cumulant cross terms of up to 12 x^4, within the float
-# range
-ATOM_ABS_MAX = 1e75
-PUBLIC_FAMILIES = ("gaussian", "uniform", "exponential", "laplace")
 _MEMBER_TOL = 1e-10
-
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -102,47 +95,13 @@ class Atomic(Measure):
 
 @dataclass(frozen=True)
 class Parametric(Measure):
-    """Closed-form family; params are family specific.
-
-    gaussian: (mean, variance); uniform: (a, b); laplace: (loc, scale);
-    exponential: (rate, shift) with the shift used internally for
-    standardized forms; heavy_cubic: () is the standardized symmetric law
-    with density (sqrt(3)/6) |x|^-4 on |x| >= 1/sqrt(3), which has unit
-    variance and no finite third absolute moment.
-    """
+    """Closed-form family; params are family specific (see _families)."""
 
     family: str
     params: tuple[float, ...]
 
     def __post_init__(self):
-        fam, p = self.family, self.params
-        if fam == "gaussian":
-            if len(p) != 2 or not p[1] > 0 or not all(map(math.isfinite, p)):
-                raise MeasureError("gaussian needs (mean, variance) with variance > 0")
-            sizes = (p[0], math.sqrt(p[1]))
-        elif fam == "uniform":
-            if len(p) != 2 or not p[0] < p[1] or not all(map(math.isfinite, p)):
-                raise MeasureError("uniform needs (a, b) with a < b")
-            sizes = p
-        elif fam == "laplace":
-            if len(p) != 2 or not p[1] > 0 or not all(map(math.isfinite, p)):
-                raise MeasureError("laplace needs (loc, scale) with scale > 0")
-            sizes = p
-        elif fam == "exponential":
-            if len(p) != 2 or not p[0] > 0 or not all(map(math.isfinite, p)):
-                raise MeasureError("exponential needs (rate, shift) with rate > 0")
-            sizes = (p[1], p[0], 1.0 / p[0])
-        elif fam == "heavy_cubic":
-            if p != ():
-                raise MeasureError("heavy_cubic takes no parameters")
-            sizes = ()
-        else:
-            raise MeasureError(f"unknown parametric family {fam!r}")
-        if any(abs(v) > ATOM_ABS_MAX for v in sizes):
-            raise MeasureError(
-                f"{fam} parameters {p} out of range: locations, scales and rates "
-                f"must lie within ±{ATOM_ABS_MAX:g}"
-            )
+        _families.check(self.family, self.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,11 +234,7 @@ def make_parametric(family: str, params) -> Parametric:
         p = tuple(float(v) for v in params)
     except OverflowError:  # an integer beyond the float range
         raise MeasureError(f"{family} parameters must be finite") from None
-    if family == "exponential":
-        if len(p) != 1:
-            raise MeasureError("exponential takes a single rate parameter")
-        p = (p[0], 0.0)
-    return Parametric(family, p)
+    return Parametric(family, _families.row(family).from_public(p))
 
 
 def _is_number(v) -> bool:
@@ -353,24 +308,6 @@ def _atomic_raw(atoms):
     return tuple(float(np.dot(ws, xs**k)) for k in (1, 2, 3, 4))
 
 
-def _parametric_cumulants(family, p):
-    if family == "gaussian":
-        return (p[0], p[1], 0.0, 0.0)
-    if family == "uniform":
-        half = 0.5 * (p[1] - p[0])
-        return (0.5 * (p[0] + p[1]), half * half / 3.0, 0.0, -2.0 * half**4 / 15.0)
-    if family == "laplace":
-        b = p[1]
-        return (p[0], 2.0 * b * b, 0.0, 12.0 * b**4)
-    if family == "exponential":
-        rate, shift = p
-        return (1.0 / rate + shift, rate**-2, 2.0 * rate**-3, 6.0 * rate**-4)
-    if family == "heavy_cubic":
-        # third moment not absolutely convergent, fourth infinite
-        return (0.0, 1.0, math.nan, math.inf)
-    raise MeasureError(f"unknown family {family!r}")
-
-
 @summary
 def cumulants(m: Measure) -> tuple[float, float, float, float]:
     """First through fourth cumulants, exact per representation.
@@ -382,7 +319,7 @@ def cumulants(m: Measure) -> tuple[float, float, float, float]:
     if isinstance(m, Atomic):
         return _raw_to_cumulants(*_atomic_raw(m.atoms))
     if isinstance(m, Parametric):
-        return _parametric_cumulants(m.family, m.params)
+        return _families.row(m.family).cumulants(m.params)
     if isinstance(m, Empirical):
         x = m.samples
         return _raw_to_cumulants(*(float(np.mean(x**k)) for k in (1, 2, 3, 4)))
@@ -440,69 +377,13 @@ def _abs_moment_odd(m: Measure, k: int) -> float:
     if isinstance(m, Empirical):
         return float(np.mean(np.abs(m.samples) ** k))
     if isinstance(m, Parametric):
-        return _parametric_abs_odd(m.family, m.params, k)
+        return _families.row(m.family).abs_odd(m.params, k)
     if isinstance(m, Affine) and m.shift == 0.0:
         return m.scale**k * _abs_moment_odd(m.base, k)
     raise MomentUnavailableError(
         f"absolute moment of order {k} has no exact rule for "
         f"{type(m).__name__}; use abs_moment_bound for a certificate"
     )
-
-
-def _parametric_abs_odd(family, p, k):
-    if family == "gaussian":
-        mu, sd = p[0], math.sqrt(p[1])
-        t = mu / sd
-        e = math.exp(-0.5 * t * t)
-        g = math.erf(t / math.sqrt(2.0))
-        if k == 1:
-            return sd * _SQRT_2_OVER_PI * e + mu * g
-        return sd**3 * (_SQRT_2_OVER_PI * (t * t + 2.0) * e + t * (t * t + 3.0) * g)
-    if family == "uniform":
-        a, b = p
-        if a >= 0.0:
-            return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
-        if b <= 0.0:
-            return ((-a) ** (k + 1) - (-b) ** (k + 1)) / ((k + 1) * (b - a)) * -1.0
-        return ((-a) ** (k + 1) + b ** (k + 1)) / ((k + 1) * (b - a))
-    if family == "laplace":
-        loc, b = p
-        if loc == 0.0:
-            return math.factorial(k) * b**k
-        half = 0.5 * (
-            _abs_moment_shifted_exp(1.0 / b, loc, k)
-            + _abs_moment_shifted_exp(1.0 / b, -loc, k)
-        )
-        return half
-    if family == "exponential":
-        rate, shift = p
-        return _abs_moment_shifted_exp(rate, shift, k)
-    if family == "heavy_cubic":
-        if k == 1:
-            return math.sqrt(3.0) / 2.0
-        return math.inf
-    raise MeasureError(f"unknown family {family!r}")
-
-
-def _abs_moment_shifted_exp(rate, shift, k):
-    """E|Z + shift|^k for Z ~ exponential(rate), exact via incomplete gammas."""
-    if shift >= 0.0:
-        return math.fsum(
-            math.comb(k, j) * shift ** (k - j) * math.factorial(j) / rate**j
-            for j in range(k + 1)
-        )
-    t = -shift
-    u = rate * t
-    below = math.fsum(
-        math.comb(k, j)
-        * (-1.0) ** j
-        * t ** (k - j)
-        * (math.factorial(j) / rate**j)
-        * gammainc_int(j, u)
-        for j in range(k + 1)
-    )
-    above = math.exp(-u) * math.factorial(k) / rate**k
-    return below + above
 
 
 @summary
@@ -551,16 +432,7 @@ def standardize(m: Measure) -> Measure:
         xs = xs - float(np.dot(ws, xs))  # second pass kills rounding in the mean
         return make_atomic(zip(xs, ws))
     if isinstance(m, Parametric):
-        fam, p = m.family, m.params
-        if fam == "gaussian":
-            return Parametric("gaussian", (0.0, 1.0))
-        if fam == "uniform":
-            return Parametric("uniform", ((p[0] - mean) / sd, (p[1] - mean) / sd))
-        if fam == "laplace":
-            return Parametric("laplace", (0.0, p[1] / sd))
-        if fam == "exponential":
-            return Parametric("exponential", (1.0, -1.0))
-        return m  # heavy_cubic is standardized by construction
+        return Parametric(m.family, _families.row(m.family).standardize(m.params, mean, sd))
     if isinstance(m, Empirical):
         xs = (m.samples - mean) / sd
         return Empirical(xs - float(np.mean(xs)))
@@ -575,15 +447,9 @@ def _shift(m: Measure, c: float) -> Measure:
     if isinstance(m, Atomic):
         return make_atomic(zip(m.positions + c, m.weights))
     if isinstance(m, Parametric):
-        fam, p = m.family, m.params
-        if fam == "gaussian":
-            return Parametric(fam, (p[0] + c, p[1]))
-        if fam == "uniform":
-            return Parametric(fam, (p[0] + c, p[1] + c))
-        if fam == "laplace":
-            return Parametric(fam, (p[0] + c, p[1]))
-        if fam == "exponential":
-            return Parametric(fam, (p[0], p[1] + c))
+        p = _families.row(m.family).shifted(m.params, c)
+        if p is not None:
+            return Parametric(m.family, p)
     if isinstance(m, Empirical):
         return Empirical(m.samples + c)
     if isinstance(m, Affine):
@@ -601,16 +467,9 @@ def scale_law(m: Measure, lam: float) -> Measure:
     if isinstance(m, Atomic):
         return make_atomic(zip(m.positions * lam, m.weights))
     if isinstance(m, Parametric):
-        fam, p = m.family, m.params
-        if fam == "gaussian":
-            return Parametric(fam, (lam * p[0], lam * lam * p[1]))
-        if fam == "uniform":
-            return Parametric(fam, (lam * p[0], lam * p[1]))
-        if fam == "laplace":
-            return Parametric(fam, (lam * p[0], lam * p[1]))
-        if fam == "exponential":
-            return Parametric(fam, (p[0] / lam, lam * p[1]))
-        return Affine(m, lam, 0.0)
+        p = _families.row(m.family).scaled(m.params, lam)
+        if p is not None:
+            return Parametric(m.family, p)
     if isinstance(m, Empirical):
         return Empirical(m.samples * lam)
     if isinstance(m, Affine):
@@ -621,9 +480,10 @@ def scale_law(m: Measure, lam: float) -> Measure:
 def convolve(a: Measure, b: Measure) -> Measure:
     """The law of X + Y for independent X ~ a, Y ~ b.
 
-    Atomic pairs convolve exactly (with position merging); gaussian pairs
-    stay gaussian; point masses act as shifts; everything else becomes a
-    cf-product representation.
+    Atomic pairs convolve exactly (with position merging); pairs of one
+    family that is closed under convolution (the gaussian) stay in it; point
+    masses act as shifts; everything else becomes a cf-product
+    representation.
     """
     for m in (a, b):
         if not math.isfinite(cumulants(m)[1]):
@@ -636,14 +496,10 @@ def convolve(a: Measure, b: Measure) -> Measure:
         pos = np.add.outer(a.positions, b.positions).ravel()
         ws = np.multiply.outer(a.weights, b.weights).ravel()
         return make_atomic(zip(pos, ws))
-    if (
-        isinstance(a, Parametric)
-        and isinstance(b, Parametric)
-        and a.family == b.family == "gaussian"
-    ):
-        return Parametric(
-            "gaussian", (a.params[0] + b.params[0], a.params[1] + b.params[1])
-        )
+    if isinstance(a, Parametric) and isinstance(b, Parametric):
+        p = _families.closed_sum(a, b)
+        if p is not None:
+            return Parametric(a.family, p)
     parts: list[Measure] = []
     for m in (a, b):
         parts.extend(m.parts if isinstance(m, ConvProduct) else (m,))

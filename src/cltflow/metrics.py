@@ -87,7 +87,6 @@ class GridSpec:
     xi_min: float = 1e-3
     xi_max: float = 50.0
     points_per_decade: int = 200
-    symmetric: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.xi_min < self.xi_max):
@@ -98,11 +97,9 @@ class GridSpec:
             )
         if not isinstance(self.points_per_decade, int) or self.points_per_decade < 1:
             raise MeasureError("points_per_decade must be a positive integer")
-        if self.symmetric is not True:
-            raise MeasureError("the evaluation grid is always symmetric")
 
     def positive_points(self) -> np.ndarray:
-        return _positive_points(self)
+        return _positive_points(self)[0]
 
     def points(self) -> np.ndarray:
         """All evaluation points, ascending, negatives mirrored, zero excluded."""
@@ -117,15 +114,18 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64)
-def _positive_points(spec: GridSpec) -> np.ndarray:
+def _positive_points(spec: GridSpec) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The positive points, and their powers xi^s for s = 2, 3, all read-only."""
     e0 = math.log10(spec.xi_min)
     span = math.log10(spec.xi_max) - e0
     top = int(math.floor(span * spec.points_per_decade + 1e-9))
     pts = 10.0 ** (e0 + np.arange(top + 1) / spec.points_per_decade)
     if pts[-1] < spec.xi_max:
         pts = np.append(pts, spec.xi_max)
-    pts.setflags(write=False)
-    return pts
+    powers = {s: pts**s for s in (2, 3)}
+    for arr in (pts, *powers.values()):
+        arr.setflags(write=False)
+    return pts, powers
 
 
 @dataclass(frozen=True)
@@ -272,9 +272,9 @@ def ds_distance(
         raise MembershipError(
             "the distance diverges at xi -> 0: means/variances do not match"
         )
-    xi = grid.positive_points()
+    xi, powers = _positive_points(grid)
     ratio = np.abs(_grid_deviation(a, grid) - _grid_deviation(b, grid))
-    ratio /= xi**s
+    ratio /= powers[s]
     grid_sup = float(np.max(ratio))
     argmax = xi[np.flatnonzero(ratio == grid_sup)[0]]
     tail = 2.0 / grid.xi_max**s

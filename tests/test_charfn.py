@@ -175,17 +175,6 @@ def test_empirical_measure_cf(rademacher):
         assert cf.eval_cf(emp, xi) == pytest.approx(math.cos(xi), abs=1e-14)
 
 
-def test_char_fn_wrapper(gauss):
-    fn = cf.char_fn(gauss)
-    assert fn.closed_form
-    assert fn.source is gauss
-    assert fn(1.0) == cf.eval_cf(gauss, 1.0)
-    emp = cf.Empirical(np.array([0.0, 1.0]))
-    assert not cf.char_fn(emp).closed_form
-    assert not cf.char_fn(cf.CfLevel(emp, 2)).closed_form
-    assert cf.char_fn(cf.CfLevel(bank.rademacher(), 2)).closed_form
-
-
 EPS = np.finfo(float).eps
 
 
