@@ -88,6 +88,7 @@ __all__ = [
     "taylor_data",
     "empirical_cf",
     "binned_cf",
+    "EmpiricalCf",
 ]
 
 MODULUS_SLACK = 1e-12
@@ -101,8 +102,8 @@ _LEAF_TYPES = (Atomic, Parametric, Empirical)
 _ROW_BLOCK = 512
 # samples with at most this many distinct values are summed value by value
 _LATTICE_MAX = 4096
-# binned moments: series terms, samples (and bin-point cells) per block, and
-# the largest |x| / h that is binned
+# binned moments: series terms, bin-point cells per block, and the largest
+# |x| / h that is binned
 _MOMENTS = 12
 _FACTORIALS = np.array([[math.factorial(p)] for p in range(_MOMENTS)], dtype=float)
 _MOMENT_ROWS = 1 << 13
@@ -446,124 +447,136 @@ def _dense_sums(x: np.ndarray, cols: np.ndarray, step: int):
     return re, im
 
 
-def _exact_dense(x, srt, mag, npts):
+def _exact_dense(x, mag, npts):
     """Cos and sin sums over every sample, in the chunks empirical_cf sums in."""
     # several points share one |xi|: keep two columns, so the chunk still
     # reduces row by row as it does over the points asked for
     cols = mag if mag.size > 1 or npts == 1 else np.repeat(mag, 2)
-    return _dense_sums(x, cols, max(1, _CHUNK // npts))
+    re, im = _dense_sums(x, cols, max(1, _CHUNK // npts))
+    return re[: mag.size], im[: mag.size]
 
 
-def _binned_dense(x, srt, mag, npts):
-    """Cos and sin sums from binned moments of the sorted samples srt.
+class EmpiricalCf:
+    """The empirical cf of samples added chunk by chunk, in memory that does not grow with them.
 
-    A sample x = c + u, with centre c = k h at k = rint(x / h) and offset
-    |u| <= h / 2, has exp(i xi x) = exp(i xi c) sum_p (i xi u)^p / p!, so
-    the sums are sum_k exp(i xi c_k) sum_p (i xi)^p M[p, k] with
-    M[p, k] = sum u^p / p! over bin k.  With h = 1 / max|xi| the series
-    cut after _MOMENTS = 12 terms errs by at most (1/2)^12 / 12! < 5.1e-13
-    per sample at every point.  |x| / h below _BIN_SPAN_MAX keeps the
-    rounding of x / h and of k h to 2^-11 of h / 2, which moves that bound
-    by under 1%.  The moments are formed _MOMENT_ROWS sorted samples at a
-    time into the columns of the bins they cover, and the sums taken over
-    blocks of _MOMENT_ROWS bin-point cells, so the only array that grows
-    with the sample is the table, at most n + 2 columns for n samples:
-    wider samples, and those beyond _BIN_SPAN_MAX, go to _exact_dense.
+    add(chunk) takes the next samples; value() is (1/N) sum exp(i x_j xi)
+    over the N so far.  Up to _LATTICE_MAX distinct values the sums run over
+    a histogram of exact counts, which then stays, and each later chunk gets
+    _dense_sums, or with binned=True binned moments: for x = k h + u,
+    k = rint(x / h), exp(i xi x) = exp(i xi k h) sum_p (i xi u)^p / p!, and
+    with h = 1 / max|xi| the series cut after _MOMENTS = 12 terms errs by at
+    most (1/2)^12 / 12! < 5.1e-13 per sample (|x| / h below _BIN_SPAN_MAX
+    moves that by under 1%).  The table of moments grows with the bins seen
+    while no wider than the samples so far; samples it cannot take get
+    _dense_sums.  Dense values depend, within rounding, on the chunks.
     """
-    if not mag[-1] > 0.0:  # xi = 0 alone sets no bin width
-        return _exact_dense(x, srt, mag, npts)
-    h = 1.0 / float(mag[-1])
-    lo, hi = float(srt[0]) / h, float(srt[-1]) / h
-    if not (-_BIN_SPAN_MAX < lo and hi < _BIN_SPAN_MAX and hi - lo <= x.size):
-        return _exact_dense(x, srt, mag, npts)
-    k_lo = round(lo)
-    moments = np.zeros((_MOMENTS, round(hi) - k_lo + 1))
-    for a in range(0, srt.size, _MOMENT_ROWS):
-        v = srt[a : a + _MOMENT_ROWS]
-        k = np.rint(v / h)
-        u = v - k * h
-        bins = (k - k[0]).astype(np.intp)
-        first = int(k[0]) - k_lo
-        cols = slice(first, first + int(bins[-1]) + 1)
-        w = np.ones_like(v)
-        for row in moments[:, cols]:
-            row += np.bincount(bins, weights=w)
+
+    def __init__(self, xi, binned=True):
+        self._scalar = np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
+        self._pts = np.atleast_1d(np.asarray(xi, dtype=float))
+        self._mag, self._inv = np.unique(np.abs(self._pts), return_inverse=True)
+        self._h = 1.0 / self._mag[-1] if binned and self._mag[-1] > 0.0 else None
+        self._n, self._dense = 0, False
+        self._vals, self._counts = np.empty(0), np.empty(0)
+        self._moments, self._k_lo, self._k_hi = np.zeros((_MOMENTS, 0)), math.inf, -math.inf
+        self._exact = np.zeros((2, self._mag.size))
+
+    def add(self, chunk) -> EmpiricalCf:
+        x = np.asarray(chunk, dtype=float).ravel()
+        self._n += x.size
+        if not self._dense:
+            v, c = np.unique(x, return_counts=True)
+            if v.size <= _LATTICE_MAX:
+                vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
+                if vals.size <= _LATTICE_MAX:
+                    self._vals = vals
+                    self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
+                    return self
+            self._dense = True
+        if self._h is None:
+            self._exact += _exact_dense(x, self._mag, self._pts.size)
+            return self
+        k = x / self._h
+        fit = np.abs(k) < _BIN_SPAN_MAX
+        np.rint(k, out=k)
+        lo = min(self._k_lo, k.min(where=fit, initial=math.inf))
+        hi = max(self._k_hi, k.max(where=fit, initial=-math.inf))
+        if hi - lo > self._n:  # no table wider than the samples so far
+            fit &= (k >= self._k_lo) & (k <= self._k_hi)
+        elif (lo, hi) != (self._k_lo, self._k_hi):
+            grown = np.zeros((_MOMENTS, int(hi - lo) + 1))
+            if self._moments.size:
+                grown[:, int(self._k_lo - lo) : int(self._k_hi - lo) + 1] = self._moments
+            self._moments, self._k_lo, self._k_hi = grown, lo, hi
+        if not fit.all():
+            self._exact += _exact_dense(x[~fit], self._mag, self._pts.size)
+            x, k = x[fit], k[fit]
+        if not x.size:
+            return self
+        u = x - k * self._h
+        w = np.ones(x.size)
+        k0, k1 = k.min(), k.max()
+        if k1 - k0 <= x.size:  # count over the bins the samples span
+            bins = (k - k0).astype(np.intp)
+            cols = slice(int(k0 - self._k_lo), int(k1 - self._k_lo) + 1)
+        else:  # or over the bins they hit, when those are sparse
+            ks, bins = np.unique(k, return_inverse=True)
+            cols = (ks - self._k_lo).astype(np.intp)
+        for row in range(_MOMENTS):
+            self._moments[row, cols] += np.bincount(bins, weights=w)
             w *= u
-    moments /= _FACTORIALS
-    re = np.zeros(mag.size)
-    im = np.zeros(mag.size)
-    xi = mag[:, None]
-    z = -xi * xi
-    step = max(1, _MOMENT_ROWS // mag.size)
-    for b in range(0, moments.shape[1], step):
-        m = moments[:, b : b + step]
-        # sum_p (i xi)^p M[p] = even + i odd, by Horner in z = -xi^2
-        even = m[_MOMENTS - 2] * z
-        odd = m[_MOMENTS - 1] * z
-        for p in range(_MOMENTS - 4, 0, -2):
-            even += m[p]
-            even *= z
-            odd += m[p + 1]
-            odd *= z
-        even += m[0]
-        odd += m[1]
-        odd *= xi
-        ph = xi * ((k_lo + b + np.arange(m.shape[1])) * h)
-        c, s = np.cos(ph), np.sin(ph)
-        re += (c * even - s * odd).sum(axis=1)
-        im += (s * even + c * odd).sum(axis=1)
-    return re, im
+        return self
 
-
-def _empirical(samples, xi, dense):
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise MeasureError("empirical cf needs a nonempty sample")
-    scalar = np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
-    pts = np.atleast_1d(np.asarray(xi, dtype=float))
-    mag, inv = np.unique(np.abs(pts), return_inverse=True)
-    # the distinct values and counts np.unique would give, from one sorted
-    # copy: np.unique adds four more sample-sized arrays
-    srt = np.sort(x)
-    if np.count_nonzero(srt[1:] != srt[:-1]) < _LATTICE_MAX:
-        starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
-        ph = np.multiply.outer(mag, srt[starts])
-        wts = np.diff(np.append(starts, srt.size)).astype(float)
-        re = (np.cos(ph) * wts).sum(axis=1)
-        im = (np.sin(ph) * wts).sum(axis=1)
-    else:
-        re, im = dense(x, srt, mag, pts.size)
-    re, im = re[inv], im[inv]
-    np.negative(im, out=im, where=pts < 0)
-    out = (re + 1j * im) / x.size
-    return complex(out[0]) if scalar else out
+    def value(self):
+        """The cf at the points xi, a complex for a scalar xi."""
+        if not self._n:
+            raise MeasureError("empirical cf needs a nonempty sample")
+        ph = np.multiply.outer(self._mag, self._vals)
+        re, im = (np.cos(ph) * self._counts).sum(axis=1), (np.sin(ph) * self._counts).sum(axis=1)
+        if self._dense:  # an empty histogram's +0.0 moves no bit: _dense_sums are never -0.0
+            re, im = re + self._exact[0], im + self._exact[1]
+        moments = self._moments / _FACTORIALS
+        xi = self._mag[:, None]
+        z = -xi * xi
+        step = max(1, _MOMENT_ROWS // xi.size)
+        for b in range(0, moments.shape[1], step):
+            m = moments[:, b : b + step]
+            even = odd = 0.0  # sum_p (i xi)^p M[p] = even + i odd, by Horner in -xi^2
+            for p in range(_MOMENTS - 2, -1, -2):
+                even = even * z + m[p]
+                odd = odd * z + m[p + 1]
+            odd *= xi
+            ph = xi * ((self._k_lo + b + np.arange(m.shape[1])) * self._h)
+            c, s = np.cos(ph), np.sin(ph)
+            re += (c * even - s * odd).sum(axis=1)
+            im += (s * even + c * odd).sum(axis=1)
+        re, im = re[self._inv], im[self._inv]
+        np.negative(im, out=im, where=self._pts < 0)
+        out = (re + 1j * im) / self._n
+        return complex(out[0]) if self._scalar else out
 
 
 def empirical_cf(samples, xi):
-    """Sample-average cf (1/N) sum exp(i x_j xi).
+    """Sample-average cf (1/N) sum exp(i x_j xi): EmpiricalCf(xi, binned=False) fed one chunk.
 
     The sums run only at the distinct |xi|, and phi(-xi) = conj phi(xi)
-    fills in the rest.  That is exact in floating point: x * (-xi) is
-    -(x * xi), and numpy's cos and sin are even and odd bit for bit.
-    Lattice-valued samples (at most _LATTICE_MAX distinct values) are
-    compressed to distinct values first, which is an exact regrouping.
-    Dense samples are summed in chunks of _CHUNK // xi.size samples,
-    xi.size counting every point asked for, and each chunk in cache-sized
-    row blocks that add the samples in the same order as one pass over the
-    chunk (see _dense_sums).  A value therefore has the same bits as a
-    direct sum over the points asked for.
+    fills in the rest, exactly: x * (-xi) is -(x * xi), and numpy's cos and
+    sin are even and odd bit for bit.  Lattice-valued samples (at most
+    _LATTICE_MAX distinct values) are compressed to distinct values first,
+    an exact regrouping.  Dense samples are summed in chunks of
+    _CHUNK // xi.size samples, xi.size counting every point asked for, in
+    cache-sized row blocks that add them in the order of one pass over the
+    chunk (_dense_sums): a value has the bits of a direct sum over the
+    points asked for.
     """
-    return _empirical(samples, xi, _exact_dense)
+    return EmpiricalCf(xi, binned=False).add(samples).value()
 
 
 def binned_cf(samples, xi):
-    """empirical_cf with the dense sums taken from binned moments.
+    """empirical_cf with the dense sums taken from binned moments: EmpiricalCf(xi) fed one chunk.
 
     Lattice samples, and dense ones too wide to bin, get empirical_cf's
-    bits.  Dense samples are binned at width h = 1 / max|xi| and summed
-    through the first _MOMENTS moments of each bin (see _binned_dense):
-    the result differs from empirical_cf by at most 5.1e-13 of truncation
-    plus rounding, at a cost that grows with the number of bins times the
-    distinct |xi| instead of the samples times the distinct |xi|.
+    bits; dense ones differ by at most 5.1e-13 of truncation plus rounding,
+    at a cost that grows with the bins, not the samples, times the |xi|.
     """
-    return _empirical(samples, xi, _binned_dense)
+    return EmpiricalCf(xi).add(samples).value()

@@ -39,7 +39,7 @@ from .metrics import (
     ds_distance,
     shared_deviations,
 )
-from .mc import ORACLE_GRID, empirical_flow_check
+from .mc import MAX_FLOW_LEVELS, MIN_FLOW_SAMPLES, ORACLE_GRID, empirical_flow_check
 
 DEFAULT_SEED = 1234
 DEFAULT_ORACLE_SAMPLES = 1_000_000
@@ -335,8 +335,11 @@ def _validate_command(cmd) -> dict:
     for key in ("steps", "n_max", "levels", "samples"):
         if key in cmd and (not _is_int(cmd[key]) or cmd[key] < 1):
             raise ConfigError(f"command key {key!r} must be a positive integer")
-    if cmd.get("samples", 0) > MAX_ORACLE_SAMPLES:
-        raise ConfigError(f"command key 'samples' must be at most {MAX_ORACLE_SAMPLES}")
+    if not MIN_FLOW_SAMPLES <= cmd.get("samples", MIN_FLOW_SAMPLES) <= MAX_ORACLE_SAMPLES:
+        raise ConfigError(
+            f"command key 'samples' must be in {MIN_FLOW_SAMPLES}..{MAX_ORACLE_SAMPLES}")
+    if cmd.get("levels", 1) > MAX_FLOW_LEVELS:
+        raise ConfigError(f"command key 'levels' must be at most {MAX_FLOW_LEVELS}")
     if not isinstance(cmd.get("measures", []), list):
         raise ConfigError("command key 'measures' must be a list of measure names")
     if cmd.get("measures") == []:
@@ -483,9 +486,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, grid=True):
         p.add_argument("--out", default=None, help="directory for CSV reports")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if not grid:
+            return
         p.add_argument(
             "--xi-min", type=float, default=1e-3,
             help=f"smallest grid point, at least {GRID_XI_MIN:g}",
@@ -524,15 +529,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=64)
     add_common(p)
 
-    p = sub.add_parser("oracle", help="Monte Carlo agreement with the analytic flow")
-    p.add_argument("--levels", type=int, default=6)
+    p = sub.add_parser("oracle", help="Monte Carlo agreement with the analytic flow",
+                       description=f"It takes no grid flags: ORACLE_GRID = {ORACLE_GRID}.")
+    p.add_argument("--levels", type=int, default=6,
+                   help=f"pairwise-sum levels, at least 1 and at most {MAX_FLOW_LEVELS}")
     p.add_argument(
         "--samples", type=int, default=DEFAULT_ORACLE_SAMPLES,
-        help=f"draws per level, at most {MAX_ORACLE_SAMPLES}",
+        help=f"draws per level, at least {MIN_FLOW_SAMPLES} and at most {MAX_ORACLE_SAMPLES}",
     )
-    add_common(p)
+    add_common(p, grid=False)
 
-    p = sub.add_parser("run", help="execute a JSON experiment config")
+    p = sub.add_parser("run", help="execute a JSON experiment config",
+                       description="Its grid serves every command but oracle (ORACLE_GRID).")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="overrides the config output_path")
     return parser
@@ -550,15 +558,13 @@ def _args_to_config(args) -> dict:
         cmd.update(n_max=args.n_max)
     elif args.subcommand == "oracle":
         cmd.update(levels=args.levels, samples=args.samples)
-    doc = {
-        "commands": [cmd],
-        "grid": {
+    doc = {"commands": [cmd], "seed": args.seed}
+    if args.subcommand != "oracle":
+        doc["grid"] = {
             "xi_min": args.xi_min,
             "xi_max": args.xi_max,
             "points_per_decade": args.points_per_decade,
-        },
-        "seed": args.seed,
-    }
+        }
     return doc
 
 

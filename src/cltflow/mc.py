@@ -45,16 +45,13 @@ from zeros(n) and adds the folds one at a time:
 
 Atomic laws with at most _COUNT_EDGES_MAX atoms count edges (_pick).
 
-The flow check compares each level's draws with the analytic cf through
-charfn.binned_cf: empirical_cf's exact sums, bit for bit, for lattice draws
-(at most 4096 distinct values), which cost one cos and sin per distinct
-value and point, less than binning would; for dense draws a sum over bins
+The flow check adds the parts of a stream (_stream: whole blocks in one
+reused buffer, no array of n draws) to a charfn.EmpiricalCf: empirical_cf's
+sums, bit for bit, for lattice draws (at most 4096 distinct values), one
+cos and sin per distinct value and point; for dense draws a sum over bins
 of width 1 / max|xi| through 12 moments each, whose cut series errs by at
-most (1/2)^12 / 12! < 5.1e-13 per sample, a priori and for any grid, far
-inside the envelope 4 / sqrt(n); the rest of the difference from
-empirical_cf is rounding, of order 1e-14 for 1e5 gaussian draws.  The cost
-of a dense level drops from one cos and sin per draw and point to 12
-moment passes over the draws plus work per bin and point.
+most (1/2)^12 / 12! < 5.1e-13 per sample, far inside the envelope
+4 / sqrt(n), plus rounding, of order 1e-14 for 1e5 gaussian draws.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ from .measures import (
     Parametric,
     require_membership,
 )
-from .charfn import binned_cf, eval_cf_grid
+from .charfn import EmpiricalCf, eval_cf_grid
 from .metrics import GridSpec
 
 __all__ = [
@@ -93,7 +90,11 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 MAX_SAMPLING_LEVELS = 25
-# counters per block: its few buffers stay in L2 and serve every block
+# the flow check's levels 0..MAX_FLOW_LEVELS, and its fewest draws per level
+MAX_FLOW_LEVELS = 12
+MIN_FLOW_SAMPLES = 10**5
+# counters per block, and about as many draws per part of a stream: their
+# few buffers stay in L2 and serve every block and part
 _BLOCK_CELLS = 1 << 14
 # atomic laws with at most this many atoms draw by counting edges
 _COUNT_EDGES_MAX = 8
@@ -276,28 +277,47 @@ def _drawer(m: Measure):
     )
 
 
-def _sampler(m: Measure, seed: int, stream: int):
-    """draw(start, n): n draws of m from counter positions start.. of a stream.
+def _stream(m: Measure, seed: int, stream: int):
+    """blocks(start, n): the draws of draw(start, n), in parts.
 
     The draws are made in blocks of cols, as many as fill _BLOCK_CELLS
     counters with all their folds, and every block of one size reuses what
-    prepare worked out for it.
+    prepare worked out for it.  A part is whole blocks in a buffer of about
+    _BLOCK_CELLS draws, valid until the next part; a lone last column is
+    drawn again with the one before (module notes) and handed out once.
     """
     key = _stream_key(seed, stream)
     width, prepare = _drawer(m)
     cols = max(2, _BLOCK_CELLS // width)
 
-    def draw(start, n):
+    def blocks(start, n):
+        buf = np.empty(cols * max(1, _BLOCK_CELLS // cols))
         size = max(n, 2)  # a fold sum needs two columns (module notes)
-        blocks = [(b0, min(cols, size - b0)) for b0 in range(0, size, cols)]
-        if blocks[-1][1] == 1:  # a last column alone is drawn with the one before
-            blocks[-1] = (size - 2, 2)
-        delta = np.arange(blocks[0][1], dtype=np.uint64) * np.uint64(PHI64)
-        runs = {b: prepare(delta[:b], n) for b in {b for _, b in blocks}}
-        out = np.empty(size)
-        for b0, b in blocks:
-            runs[b]((key + PHI64 * (start + 1 + b0)) & _MASK, out[b0 : b0 + b])
-        return out[:n]
+        spans = [(b0, min(cols, size - b0)) for b0 in range(0, size, cols)]
+        if spans[-1][1] == 1:  # a last column alone is drawn with the one before
+            spans[-1] = (size - 2, 2)
+        delta = np.arange(spans[0][1], dtype=np.uint64) * np.uint64(PHI64)
+        runs = {b: prepare(delta[:b], n) for b in {b for _, b in spans}}
+        c0 = 0  # the draw in buf[0]
+        for b0, b in spans:
+            if b0 + b - c0 > buf.size:
+                yield buf[: b0 - c0]
+                c0 = b0
+            runs[b]((key + PHI64 * (start + 1 + b0)) & _MASK, buf[b0 - c0 : b0 - c0 + b])
+        yield buf[: n - c0]
+
+    return blocks
+
+
+def _sampler(m: Measure, seed: int, stream: int):
+    """draw(start, n): n draws of m from counter positions start.. of a stream."""
+    blocks = _stream(m, seed, stream)
+
+    def draw(start, n):
+        out, i = np.empty(n), 0
+        for part in blocks(start, n):
+            out[i : i + part.size], i = part, i + part.size
+        return out
 
     return draw
 
@@ -335,12 +355,12 @@ def empirical_flow_check(
     their empirical cf is compared on the grid against the analytic cf of the
     k-th iterate.  Passing means every deviation stays within the conservative
     envelope 4/sqrt(n).  The default grid is the coarse ORACLE_GRID; the
-    envelope does not depend on grid resolution.  The empirical cf is
-    charfn.binned_cf (module notes).
+    envelope does not depend on grid resolution.  Each level is streamed
+    through a charfn.EmpiricalCf (module notes): memory does not grow with n.
     """
-    if not isinstance(levels, int) or not 0 <= levels <= 12:
-        raise MeasureError("levels must be an integer in 0..12")
-    if not isinstance(n, int) or n < 10**5:
+    if not isinstance(levels, int) or not 0 <= levels <= MAX_FLOW_LEVELS:
+        raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
+    if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
         raise MeasureError("the flow check needs at least 1e5 samples per level")
     require_membership(m, 2, "the empirical flow check")
     grid = grid or ORACLE_GRID
@@ -354,9 +374,10 @@ def empirical_flow_check(
             level_m = CfLevel(m.base, m.count + k)
         else:
             level_m = CfLevel(m, k)
-        draws = _sampler(level_m, seed, k)(0, n)
-        ecf = binned_cf(draws, pts)
+        ecf = EmpiricalCf(pts)
+        for part in _stream(level_m, seed, k)(0, n):
+            ecf.add(part)
         acf = eval_cf_grid(level_m, pts)
-        devs.append(float(np.max(np.abs(ecf - acf))))
+        devs.append(float(np.max(np.abs(ecf.value() - acf))))
     worst = max(devs)
     return FlowCheck(worst <= envelope, worst, envelope, tuple(devs))

@@ -1,9 +1,11 @@
 """The oracle's binned-moment empirical cf against the exact empirical_cf.
 
-binned_cf bins dense samples at width 1 / max|xi| and sums 12 moments per
-bin, so it differs from empirical_cf by at most (1/2)^12 / 12! < 5.1e-13
-of truncation plus rounding; the tests allow 1e-12.  Lattice samples, and
-dense ones too wide to bin, must get empirical_cf's bits.
+binned_cf (EmpiricalCf fed one chunk) bins dense samples at width 1 / max|xi|
+and sums 12 moments per bin, so it differs from empirical_cf by at most
+(1/2)^12 / 12! < 5.1e-13 of truncation plus rounding; the tests allow
+1e-12.  Lattice samples, and dense ones too wide to bin, must get
+empirical_cf's bits.  The flow check streams each level through EmpiricalCf
+and is held to the same, against empirical_cf on the whole level.
 """
 
 import math
@@ -60,6 +62,17 @@ def test_binned_cf_within_the_truncation_bound(law, points, monkeypatch):
     assert np.max(np.abs(np.asarray(got) - exact)) <= TOL
 
 
+def test_binned_cf_adds_chunks_of_any_size():
+    # the 10-sample chunk spans more bins than it has samples, and is
+    # counted over the bins it hits
+    x = draws(bank.gaussian())
+    pts = ORACLE_GRID.points()
+    acc = charfn.EmpiricalCf(pts)
+    for a, b in ((0, 40_000), (40_000, 40_010), (40_010, x.size)):
+        acc.add(x[a:b])
+    assert np.max(np.abs(acc.value() - charfn.empirical_cf(x, pts))) <= TOL
+
+
 def test_binned_cf_keeps_the_bits_of_lattice_samples():
     x = draws(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000)
     assert np.unique(x).size <= charfn._LATTICE_MAX
@@ -106,22 +119,47 @@ def test_binned_cf_at_zero_alone_is_exact():
         assert same_bits(charfn.binned_cf(x, xi), charfn.empirical_cf(x, xi))
 
 
+def exact_devs(m, levels, n, seed):
+    """The flow check's deviations, from empirical_cf on each whole level."""
+    pts = ORACLE_GRID.points()
+    devs = []
+    for k in range(levels + 1):
+        level = cf.CfLevel(m, k) if k else m
+        x = mc._sampler(level, seed, k)(0, n)
+        dev = charfn.empirical_cf(x, pts) - charfn.eval_cf_grid(level, pts)
+        devs.append(float(np.max(np.abs(dev))))
+    return devs
+
+
 @pytest.mark.parametrize("name", ["rademacher", "skewed"])
-def test_flow_check_keeps_the_lattice_bits(name, monkeypatch):
+def test_flow_check_keeps_the_lattice_bits(name):
     m = bank.ALIASES[name]()
     got = mc.empirical_flow_check(m, levels=6, n=100_000, seed=1234)
-    monkeypatch.setattr(mc, "binned_cf", charfn.empirical_cf)
-    want = mc.empirical_flow_check(m, levels=6, n=100_000, seed=1234)
+    want = exact_devs(m, 6, 100_000, 1234)
     assert np.array_equal(
-        np.array(got.per_level).view(np.uint64), np.array(want.per_level).view(np.uint64)
+        np.array(got.per_level).view(np.uint64), np.array(want).view(np.uint64)
     )
-    assert got == want
+    assert got.max_deviation == max(want) and got.ok
 
 
-def test_flow_check_gaussian_within_the_bound_of_the_exact_path(monkeypatch):
+def test_flow_check_gaussian_within_the_bound_of_the_exact_path():
     m = bank.gaussian()
     got = mc.empirical_flow_check(m, levels=2, n=100_000, seed=1234)
-    monkeypatch.setattr(mc, "binned_cf", charfn.empirical_cf)
-    want = mc.empirical_flow_check(m, levels=2, n=100_000, seed=1234)
-    assert max(map(abs, np.subtract(got.per_level, want.per_level))) <= TOL
-    assert got.ok and want.ok and got.envelope == want.envelope == 4.0 / math.sqrt(1e5)
+    want = exact_devs(m, 2, 100_000, 1234)
+    assert max(map(abs, np.subtract(got.per_level, want))) <= TOL
+    assert got.ok and got.envelope == 4.0 / math.sqrt(1e5)
+
+
+@pytest.mark.parametrize("name", ["rademacher", "gaussian"])
+def test_flow_check_memory_does_not_grow_with_the_sample(name):
+    # the level is streamed through the cf sums: no array of n draws
+    m = bank.ALIASES[name]()
+    peaks = []
+    for n in (100_000, 800_000):
+        tracemalloc.start()
+        try:
+            mc.empirical_flow_check(m, 2, n, 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20

@@ -266,13 +266,27 @@ def test_grid_values_must_be_finite_reals(grid, word, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--xi-max", "inf"], ["--xi-min", "nan"], ["--xi-max", "1e400"],
-     ["--points-per-decade", "10001"], ["--samples", "10000001"]],
+    [["verify-contraction", "--xi-max", "inf"], ["verify-contraction", "--xi-min", "nan"],
+     ["verify-contraction", "--xi-max", "1e400"],
+     ["verify-contraction", "--points-per-decade", "10001"],
+     ["oracle", "--samples", "10000001"], ["oracle", "--samples", "99999"],
+     ["oracle", "--levels", "13"], ["oracle", "--levels", "0"]],
 )
 def test_cli_grid_and_size_flags_exit_2(args, capsys):
-    code, _, err = run_cli(["oracle", *args], capsys)
+    code, out, err = run_cli(args, capsys)
     assert code == 2
-    assert "config error" in err
+    assert "config error" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "args", [["--xi-max", "5"], ["--xi-min", "0.01"], ["--points-per-decade", "3"]]
+)
+def test_oracle_takes_no_grid_flags(args, capsys):
+    # the oracle always runs on ORACLE_GRID; a grid flag is an error, not ignored
+    code, out, err = run_cli(["oracle", "--levels", "1", "--samples", "100000", *args],
+                             capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err and out == ""
 
 
 @pytest.mark.parametrize(
@@ -284,6 +298,8 @@ def test_cli_grid_and_size_flags_exit_2(args, capsys):
         {"command": "oracle", "levels": True},
         {"command": "oracle", "samples": True},
         {"command": "oracle", "samples": 10_000_001},
+        {"command": "oracle", "samples": 99_999},
+        {"command": "oracle", "levels": 13},
     ],
 )
 def test_bool_and_oversized_command_values_exit_2(cmd, tmp_path, capsys):
@@ -295,7 +311,13 @@ def test_bool_and_oversized_command_values_exit_2(cmd, tmp_path, capsys):
 def test_size_caps_are_in_help(capsys):
     assert main(["oracle", "--help"]) == 0
     out = capsys.readouterr().out
-    assert "at most 10000000" in out and "at most 10000" in out
+    assert "at least 100000 and at most 10000000" in out
+    assert "at least 1 and at most 12" in out and "ORACLE_GRID" in out
+    assert "--xi-max" not in out and "--points-per-decade" not in out
+    assert main(["verify-contraction", "--help"]) == 0
+    assert "at most 10000\n" in capsys.readouterr().out
+    assert main(["run", "--help"]) == 0
+    assert "ORACLE_GRID" in capsys.readouterr().out
 
 
 def test_verify_lyapunov_passes_at_40_steps(tmp_path, capsys):

@@ -360,3 +360,55 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
     counters = (words - key) * inv - np.uint64(1)
     want = (np.arange(width * n, dtype=np.uint64) + np.uint64(start % 2**64))
     assert np.array_equal(np.sort(counters), np.sort(want))
+
+
+STREAM_LAWS = {
+    "atomic": bank.skewed_two_atom,
+    "gaussian": bank.gaussian,
+    "gaussian-6": lambda: cf.CfLevel(bank.gaussian(), 6),
+    "nested": NESTED["skewed-3-in-2"],
+}
+
+
+@pytest.mark.parametrize("size", ["parts", "parts+1", "lone-in-part", "lone-next-part"])
+@pytest.mark.parametrize("name", sorted(STREAM_LAWS))
+def test_stream_parts_are_the_draws(name, size):
+    # a last lone column is drawn again with the one before, inside the
+    # part that holds it or as the start of a part of its own
+    m = STREAM_LAWS[name]()
+    cols = max(2, mc._BLOCK_CELLS // ref_width(m))
+    chunk = cols * max(1, mc._BLOCK_CELLS // cols)
+    n = {
+        "parts": 2 * chunk,
+        "parts+1": 2 * chunk + 1,
+        "lone-in-part": 3 * cols + 1,
+        "lone-next-part": (chunk // cols + 1) * cols + 1,
+    }[size]
+    parts = [p.copy() for p in mc._stream(m, 1234, 5)(0, n)]
+    assert all(0 < p.size <= chunk for p in parts)
+    got = np.concatenate(parts)
+    assert same_bits(got, mc._sampler(m, 1234, 5)(0, n))
+    assert same_bits(got, ref_draw(m, 1234, 5, 0, n))
+
+
+def test_binned_cf_keeps_lattice_bits_until_the_stream_overflows():
+    # 3500 common atoms, 2000 rare ones and one beyond 2^40 bin widths:
+    # the distinct values pass _LATTICE_MAX a few parts into the stream,
+    # and the histogram so far goes to the moments and the exact sums
+    atoms = [(j / 64.0, 1.0) for j in range(3500)]
+    atoms += [(-1.0 - j / 64.0, 0.02) for j in range(2000)] + [(1e12, 0.01)]
+    m = cf.measures.make_atomic(atoms)
+    pts = ORACLE_GRID.points()
+    acc = charfn.EmpiricalCf(pts)
+    seen, distinct = [], []
+    for part in mc._stream(m, 1234, 5)(0, 6 * mc._BLOCK_CELLS):
+        seen.append(part.copy())
+        acc.add(part)
+        x = np.concatenate(seen)
+        distinct.append(np.unique(x).size)
+        got, want = acc.value(), cf.empirical_cf(x, pts)
+        if distinct[-1] <= charfn._LATTICE_MAX:
+            assert same_bits(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+    assert distinct[1] <= charfn._LATTICE_MAX < distinct[-2]
