@@ -485,13 +485,19 @@ class EmpiricalCf:
         x = np.asarray(chunk, dtype=float).ravel()
         self._n += x.size
         if not self._dense:
+            # the chunk's distinct values are looked up in the histogram, which
+            # is merged again only when the chunk brings a new one (a lookup
+            # of every sample is slower than numpy's sort)
             v, c = np.unique(x, return_counts=True)
-            if v.size <= _LATTICE_MAX:
-                vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
-                if vals.size <= _LATTICE_MAX:
-                    self._vals = vals
-                    self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
-                    return self
+            at = np.searchsorted(self._vals, v)
+            if (at < self._vals.size).all() and (self._vals[at] == v).all():
+                self._counts[at] += c
+                return self
+            vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
+            if vals.size <= _LATTICE_MAX:
+                self._vals = vals
+                self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
+                return self
             self._dense = True
         if self._h is None:
             self._exact += _exact_dense(x, self._mag, self._pts.size)

@@ -535,7 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"pairwise-sum levels, at least 1 and at most {MAX_FLOW_LEVELS}")
     p.add_argument(
         "--samples", type=int, default=DEFAULT_ORACLE_SAMPLES,
-        help=f"draws per level, at least {MIN_FLOW_SAMPLES} and at most {MAX_ORACLE_SAMPLES}",
+        help=f"samples per level, at least {MIN_FLOW_SAMPLES} and at most "
+             f"{MAX_ORACLE_SAMPLES}; each law draws 2^levels x samples base values",
     )
     add_common(p, grid=False)
 

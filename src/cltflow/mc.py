@@ -2,9 +2,9 @@
 
 Randomness comes from the SplitMix64 finalizer (public-domain constants
 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB) used counter
-style: draw i of stream s under seed k is
+style: counter i under seed k gives the word
 
-    mix64( (mix64(k) ^ mix64(s * PHI64)) + PHI64 * (i + 1) )
+    mix64( mix64(k) + PHI64 * (i + 1) )
 
 with pure 64-bit integer arithmetic, so batches are bit-identical across
 platforms and runs (Salmon et al. 2011, "Parallel random numbers: as easy
@@ -12,46 +12,50 @@ as 1, 2, 3", for counter-based generation).  Uniforms take the top 52 bits
 offset by half an ulp, landing strictly inside (0, 1) on multiples of
 2^-53; parametric laws invert their CDFs, atomic laws draw categorically.
 Each closed-form family's inverse CDF is in its row of the _families table;
-a row's transform is made once per block shape, with the buffers it needs.
+a row's transform is made once per stream, with the buffers it needs.
 
 A draw of a law takes a fixed number of counters, its width: one for an
 atomic, empirical or closed-form law (and an affine image of one), and
-2^k times the base's width for a level-k CfLevel.  A call for n draws from
-counter start gives draw i the counters start + i + t n, t = 0..width-1:
-fold j of a CfLevel whose base has width w takes the base's counters from
-start + j w n on, so nested levels never draw a counter twice.  For the
-flat laws the CLI builds, fold j of draw i is counter start + j n + i.
+2^k times the base's width for a level-k CfLevel.  The layout is
+contiguous: draw i of a call from counter start takes counters
+start + i w .. start + (i + 1) w - 1.  So draw i of CfLevel(b, k) is made
+of draws i 2^k .. i 2^k + 2^k - 1 of b, which are added as a pairwise
+tree: a row of 2^k consecutive draws y is halved k times by the
+element-wise y[:, 0::2] + y[:, 1::2] (on the flat block of rows, [0::2] +
+[1::2]: the same pairs), and the root is scaled once, by 2^{-k/2}.  One scale and not one per step: the tree sums of a lattice law
+with dyadic atoms (rademacher, skewed) are exact, so a level takes as many
+distinct values as its sums, and the flow check's lattice levels stay on
+EmpiricalCf's exact histogram path.  A row holds at most _BLOCK_CELLS
+draws; a deeper tree adds the roots of rows of that many, which adds the
+same pairs.
 
-Draws are made in blocks of cols draws, cols chosen so that the block's
-2^k x cols fold counters (_BLOCK_CELLS of them) stay in L2.  Row j of a
-block holds fold j's words key + PHI64 (counter + 1): a base array
-PHI64 (j w n + i) is built once per block shape, and each block adds one
-scalar to it.  SplitMix and the uniform map then run in place on the block,
+Draws are made in blocks of about _BLOCK_CELLS counters, whose buffers
+stay in L2 and serve every block.  A block's words key + PHI64 (counter + 1)
+are a base array PHI64 i, built once per stream, plus one scalar; SplitMix and the uniform map then run in place, and
 the base law's transform (categorical index, inverse CDF, empirical index,
-affine map) writes the fold values into rows 1.. of a sums block, and one
-axis-0 reduction adds the folds.  The bits are those of a loop that starts
-from zeros(n) and adds the folds one at a time:
+affine map) writes the draws.  The bits do not depend on the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
-- every transform works element by element, so it does not matter how
-  the draws are cut into blocks;
-- numpy reduces axis 0 of a C-ordered array with two or more columns row
-  by row (one column would reduce pairwise, so a call for one draw makes
-  two and a last lone column is drawn with the one before), and row 0
-  holds +0.0 or, when 2^k rows exceed a block, the running sums of the
-  rows before, so each draw's folds are added in the loop's order from
-  the loop's +0.0.
+- every transform and every tree add works element by element.
 
 Atomic laws with at most _COUNT_EDGES_MAX atoms count edges (_pick).
 
-The flow check adds the parts of a stream (_stream: whole blocks in one
-reused buffer, no array of n draws) to a charfn.EmpiricalCf: empirical_cf's
-sums, bit for bit, for lattice draws (at most 4096 distinct values), one
-cos and sin per distinct value and point; for dense draws a sum over bins
-of width 1 / max|xi| through 12 moments each, whose cut series errs by at
-most (1/2)^12 / 12! < 5.1e-13 per sample, far inside the envelope
-4 / sqrt(n), plus rounding, of order 1e-14 for 1e5 gaussian draws.
+The flow check applies the map to one stream of draws per law, those of
+its base law: 2^L n of them for a top level L, a CfLevel input's own depth
+counted.  Row i of 2^L consecutive draws gives draw i of every level:
+level k is the left node of the row's tree at depth k, the sum of the
+row's first 2^k draws, times 2^{-k/2}.  Each level has its law; the levels
+share draws and are dependent, and the envelope 4 / sqrt(n) holds level by
+level.  The levels' values are gathered in one reused buffer and added to
+a charfn.EmpiricalCf each, a little over 4096 at a time, so no array of n
+draws appears: empirical_cf's sums, bit for bit, for lattice draws (at
+most 4096 distinct values), one cos and sin per distinct value and point;
+for dense draws a sum over bins of width 1 / max|xi| through 12 moments
+each, whose cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per
+sample, far inside the envelope 4 / sqrt(n), plus rounding, of order 1e-14
+for 1e5 gaussian draws.  A dense level's first add already holds more than
+4096 distinct values, so it leaves the histogram at once.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from .measures import (
     Parametric,
     require_membership,
 )
-from .charfn import EmpiricalCf, eval_cf_grid
+from .charfn import _LATTICE_MAX, EmpiricalCf, eval_cf_grid
 from .metrics import GridSpec
 
 __all__ = [
@@ -93,8 +97,8 @@ MAX_SAMPLING_LEVELS = 25
 # the flow check's levels 0..MAX_FLOW_LEVELS, and its fewest draws per level
 MAX_FLOW_LEVELS = 12
 MIN_FLOW_SAMPLES = 10**5
-# counters per block, and about as many draws per part of a stream: their
-# few buffers stay in L2 and serve every block and part
+# counters per block and draws per tree row at most: their few buffers
+# stay in L2 and serve every block
 _BLOCK_CELLS = 1 << 14
 # atomic laws with at most this many atoms draw by counting edges
 _COUNT_EDGES_MAX = 8
@@ -106,10 +110,6 @@ def _mix64_int(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
-
-
-def _stream_key(seed: int, stream: int) -> int:
-    return _mix64_int(seed) ^ _mix64_int((stream * PHI64) & _MASK)
 
 
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -133,12 +133,14 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return u
 
 
-def _uniforms(key: int, start: int, count: int) -> np.ndarray:
-    """count uniforms in (0, 1) from counter positions start.. of the stream with key."""
-    z = np.arange(count, dtype=np.uint64)
-    z *= np.uint64(PHI64)
-    z += np.uint64((key + PHI64 * (start + 1)) & _MASK)
-    return _mix(z, np.empty_like(z))
+def _sampling_depth(depth: int) -> int:
+    """depth, unless sampling it takes more than 2^MAX_SAMPLING_LEVELS base draws a sample."""
+    if depth > MAX_SAMPLING_LEVELS:
+        raise MeasureError(
+            f"sampling refuses cf iteration depth {depth} > "
+            f"{MAX_SAMPLING_LEVELS} (2^{depth} base draws per sample)"
+        )
+    return depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +181,18 @@ def _leaf(make):
     """(width 1, prepare) for a law drawn from one uniform u.
 
     make(size) returns transform(u, out), which writes the draws for the
-    uniforms u of a block of size into out; buffers it needs are allocated
-    by make, once per block shape.
+    uniforms u of a block of up to size into out; buffers it needs are
+    allocated by make, once.
     """
 
-    def prepare(delta, n):
-        words = np.empty_like(delta)
-        transform = make(delta.size)
+    def prepare(size):
+        delta = np.arange(size, dtype=np.uint64) * np.uint64(PHI64)
+        buf = np.empty_like(delta)
+        transform = make(size)
 
         def run(z0, out):
-            np.add(delta, np.uint64(z0), out=words)
+            words = buf[: out.size]
+            np.add(delta[: out.size], np.uint64(z0), out=words)
             transform(_mix(words, out.view(np.uint64)), out)
 
         return run
@@ -196,32 +200,47 @@ def _leaf(make):
     return 1, prepare
 
 
-def _fold(prepare_base, width: int, count: int):
-    """prepare for 2^count folds of a base law that takes width counters a draw.
+def _pairwise(y: np.ndarray, spare: np.ndarray, depth: int):
+    """The nodes of the pairwise trees over runs of 2^depth entries of y, depth by depth.
 
-    Fold j of the draw whose first word is z starts at z + PHI64 * j * width * n.
-    The folds are drawn rows at a time into rows 1.. of a sums block whose
-    row 0 holds the running total, +0.0 at first, and numpy's axis-0
-    reduction adds the rows in order (module notes).
+    Depth 0 is y; depth d + 1 is depth d's [0::2] + [1::2], which adds the
+    pairs of y.reshape(-1, 2^depth)[:, 0::2] + [:, 1::2] in one long loop.
+    At depth d, entry i 2^(depth - d) is the sum of the first 2^d entries
+    of run i.  The depths alternate between spare's memory (at least half
+    of y) and y's, each valid until the one after next.
     """
-    folds = 1 << count
-    scale = 2.0 ** (-count / 2.0)
+    yield y
+    a, b = y, spare
+    for _ in range(depth):
+        nodes = b[: a.size // 2]
+        np.add(a[0::2], a[1::2], out=nodes)
+        yield nodes
+        a, b = nodes, a
 
-    def prepare(delta, n):
-        step = (PHI64 * width * n) & _MASK
-        rows = min(folds, max(1, _BLOCK_CELLS // (delta.size * width)))
-        words = (np.arange(rows, dtype=np.uint64) * np.uint64(step))[:, None] + delta
-        sums = np.empty((rows + 1, delta.size))
-        runs = {r: prepare_base(words[:r].reshape(-1), n) for r in {rows, folds % rows or rows}}
+
+def _tree(prepare_base, width: int, depth: int, scale: float):
+    """prepare for scale times the tree sums of 2^depth consecutive draws of a base law.
+
+    The base law takes width counters a draw.  Rows of 2^depth base draws
+    are drawn as many at a time as fill _BLOCK_CELLS; a deeper tree sums
+    the roots of rows of the most that fit (module notes).
+    """
+    top = _BLOCK_CELLS.bit_length() - 1
+    if depth > top:
+        return _tree(_tree(prepare_base, width, top, 1.0), width << top, depth - top, scale)
+
+    def prepare(size):
+        rows = max(1, min(size, _BLOCK_CELLS >> depth))
+        y, spare = np.empty(rows << depth), np.empty(max(1, rows << depth >> 1))
+        base = prepare_base(rows << depth)
+        step = PHI64 * (width << depth)
 
         def run(z0, out):
-            sums[0] = 0.0
-            for j0 in range(0, folds, rows):
-                r = min(rows, folds - j0)
-                runs[r]((z0 + j0 * step) & _MASK, sums[1 : r + 1].reshape(-1))
-                np.add.reduce(sums[: r + 1], axis=0, out=out)
-                sums[0] = out
-            out *= scale
+            for i in range(0, out.size, rows):
+                r = min(rows, out.size - i)
+                base((z0 + step * i) & _MASK, y[: r << depth])
+                *_, roots = _pairwise(y[: r << depth], spare, depth)
+                np.multiply(roots, scale, out=out[i : i + r])
 
         return run
 
@@ -231,10 +250,10 @@ def _fold(prepare_base, width: int, count: int):
 def _drawer(m: Measure):
     """(width, prepare) for m, where each draw of m takes width counters.
 
-    prepare(delta, n) returns run(z0, out), which writes into out the draws
-    whose first words are z0 + delta (uint64, wrapping), as draws of a call
-    for n of them: n sets the stride of the folds.  All that does not depend
-    on z0 (fold words, buffers) is worked out by prepare.
+    prepare(size) returns run(z0, out), which writes into out, of at most
+    size, the draws whose first words are z0 + PHI64 width i (uint64,
+    wrapping), i < out.size.  All that does not depend on z0 (word offsets,
+    buffers) is worked out by prepare.
     """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
@@ -252,8 +271,8 @@ def _drawer(m: Measure):
     if isinstance(m, Affine):
         width, prepare_base = _drawer(m.base)
 
-        def prepare(delta, n):
-            base = prepare_base(delta, n)
+        def prepare(size):
+            base = prepare_base(size)
 
             def run(z0, out):
                 base(z0, out)
@@ -264,58 +283,44 @@ def _drawer(m: Measure):
 
         return width, prepare
     if isinstance(m, CfLevel):
-        if m.count > MAX_SAMPLING_LEVELS:
-            raise MeasureError(
-                f"sampling refuses cf iteration depth {m.count} > "
-                f"{MAX_SAMPLING_LEVELS} (2^{m.count} base draws per sample)"
-            )
         width, prepare_base = _drawer(m.base)
-        return width << m.count, _fold(prepare_base, width, m.count)
+        k = _sampling_depth(m.count)
+        return width << k, _tree(prepare_base, width, k, 2.0 ** (-k / 2.0))
     raise MeasureError(
         f"sampling supports atomic, parametric, empirical, affine and cf-level "
         f"laws, not {type(m).__name__}"
     )
 
 
-def _stream(m: Measure, seed: int, stream: int):
-    """blocks(start, n): the draws of draw(start, n), in parts.
+def _stream(drawer, seed: int, cols: int):
+    """parts(start, n): n draws from counter start on, cols at a time.
 
-    The draws are made in blocks of cols, as many as fill _BLOCK_CELLS
-    counters with all their folds, and every block of one size reuses what
-    prepare worked out for it.  A part is whole blocks in a buffer of about
-    _BLOCK_CELLS draws, valid until the next part; a lone last column is
-    drawn again with the one before (module notes) and handed out once.
+    drawer is _drawer's (width, prepare) for a law.  A part is one block of
+    cols draws (the last one may hold fewer) in one reused buffer, valid
+    until the next part.
     """
-    key = _stream_key(seed, stream)
-    width, prepare = _drawer(m)
-    cols = max(2, _BLOCK_CELLS // width)
+    width, prepare = drawer
+    key = _mix64_int(seed)
 
-    def blocks(start, n):
-        buf = np.empty(cols * max(1, _BLOCK_CELLS // cols))
-        size = max(n, 2)  # a fold sum needs two columns (module notes)
-        spans = [(b0, min(cols, size - b0)) for b0 in range(0, size, cols)]
-        if spans[-1][1] == 1:  # a last column alone is drawn with the one before
-            spans[-1] = (size - 2, 2)
-        delta = np.arange(spans[0][1], dtype=np.uint64) * np.uint64(PHI64)
-        runs = {b: prepare(delta[:b], n) for b in {b for _, b in spans}}
-        c0 = 0  # the draw in buf[0]
-        for b0, b in spans:
-            if b0 + b - c0 > buf.size:
-                yield buf[: b0 - c0]
-                c0 = b0
-            runs[b]((key + PHI64 * (start + 1 + b0)) & _MASK, buf[b0 - c0 : b0 - c0 + b])
-        yield buf[: n - c0]
+    def parts(start, n):
+        buf = np.empty(min(cols, n))
+        run = prepare(buf.size)
+        for b0 in range(0, n, cols):
+            b = min(cols, n - b0)
+            run((key + PHI64 * (start + 1 + b0 * width)) & _MASK, buf[:b])
+            yield buf[:b]
 
-    return blocks
+    return parts
 
 
-def _sampler(m: Measure, seed: int, stream: int):
-    """draw(start, n): n draws of m from counter positions start.. of a stream."""
-    blocks = _stream(m, seed, stream)
+def _sampler(m: Measure, seed: int):
+    """draw(start, n): n draws of m from counter position start on."""
+    drawer = _drawer(m)
+    parts = _stream(drawer, seed, max(1, _BLOCK_CELLS // drawer[0]))
 
     def draw(start, n):
         out, i = np.empty(n), 0
-        for part in blocks(start, n):
+        for part in parts(start, n):
             out[i : i + part.size], i = part, i + part.size
         return out
 
@@ -328,7 +333,7 @@ def sample(m: Measure, n: int, seed: int) -> SampleBatch:
         raise MeasureError("sample size must be a positive integer")
     if not isinstance(seed, int) or seed < 0:
         raise MeasureError("seed must be a nonnegative integer")
-    return SampleBatch(m, seed, _sampler(m, seed, 0)(0, n))
+    return SampleBatch(m, seed, _sampler(m, seed)(0, n))
 
 
 @dataclass(frozen=True)
@@ -351,33 +356,46 @@ def empirical_flow_check(
     """Compare empirical cfs of pairwise-summed samples with analytic iterates.
 
     For each level k = 0..levels, n samples of the k-fold pairwise-summed and
-    rescaled law are drawn (2^k base draws each, from a per-level stream) and
-    their empirical cf is compared on the grid against the analytic cf of the
-    k-th iterate.  Passing means every deviation stays within the conservative
-    envelope 4/sqrt(n).  The default grid is the coarse ORACLE_GRID; the
-    envelope does not depend on grid resolution.  Each level is streamed
-    through a charfn.EmpiricalCf (module notes): memory does not grow with n.
+    rescaled law are taken from one stream of 2^L n base draws, L the top
+    level (module notes), and their empirical cf is compared on the grid
+    against the analytic cf of the k-th iterate.  Passing means every
+    deviation stays within the conservative envelope 4/sqrt(n).  The default
+    grid is the coarse ORACLE_GRID; the envelope does not depend on grid
+    resolution.  Each level is streamed through a charfn.EmpiricalCf: memory
+    does not grow with n.
     """
     if not isinstance(levels, int) or not 0 <= levels <= MAX_FLOW_LEVELS:
         raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
     if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
         raise MeasureError("the flow check needs at least 1e5 samples per level")
     require_membership(m, 2, "the empirical flow check")
-    grid = grid or ORACLE_GRID
-    pts = grid.points()
-    envelope = 4.0 / math.sqrt(n)
+    base, count = (m.base, m.count) if isinstance(m, CfLevel) else (m, 0)
+    _sampling_depth(count + levels)
+    pts = (grid or ORACLE_GRID).points()
+    width, prepare = _drawer(base)
+    if count:  # the stream's draws are the unscaled sums of 2^count base draws
+        width, prepare = width << count, _tree(prepare, width, count, 1.0)
+    rows = max(1, _BLOCK_CELLS // (width << levels))
+    # a level's values go to its EmpiricalCf more than _LATTICE_MAX at a
+    # time, whole parts' worth, so a dense level leaves the histogram at once
+    vals = np.empty((levels + 1, -(-(_LATTICE_MAX + 1) // rows) * rows))
+    spare = np.empty(max(1, rows << levels >> 1))
+    scales = [2.0 ** (-(count + k) / 2.0) for k in range(levels + 1)]
+    ecfs = [EmpiricalCf(pts) for _ in scales]
+    filled = done = 0
+    for part in _stream((width, prepare), seed, rows << levels)(0, n << levels):
+        r = part.size >> levels
+        for k, nodes in enumerate(_pairwise(part, spare, levels)):
+            np.multiply(nodes[:: 1 << (levels - k)], scales[k], out=vals[k, filled : filled + r])
+        filled, done = filled + r, done + r
+        if filled == vals.shape[1] or done == n:
+            for ecf, v in zip(ecfs, vals):
+                ecf.add(v[:filled])
+            filled = 0
     devs = []
-    for k in range(levels + 1):
-        if k == 0:
-            level_m = m
-        elif isinstance(m, CfLevel):
-            level_m = CfLevel(m.base, m.count + k)
-        else:
-            level_m = CfLevel(m, k)
-        ecf = EmpiricalCf(pts)
-        for part in _stream(level_m, seed, k)(0, n):
-            ecf.add(part)
-        acf = eval_cf_grid(level_m, pts)
+    for k, ecf in enumerate(ecfs):
+        acf = eval_cf_grid(CfLevel(base, count + k) if k else m, pts)
         devs.append(float(np.max(np.abs(ecf.value() - acf))))
+    envelope = 4.0 / math.sqrt(n)
     worst = max(devs)
     return FlowCheck(worst <= envelope, worst, envelope, tuple(devs))

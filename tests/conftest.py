@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from cltflow import GridSpec, bank
+from cltflow import GridSpec, bank, charfn, mc
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,22 @@ def grid():
 def coarse_grid():
     # enough resolution for structural checks, fast enough for sweeps
     return GridSpec(1e-3, 50.0, 40)
+
+
+@pytest.fixture
+def level_cfs(monkeypatch):
+    """The flow checks' EmpiricalCf of each level, in order, each with the values it was fed."""
+    made = []
+
+    class Recording(charfn.EmpiricalCf):
+        def __init__(self, xi):
+            super().__init__(xi)
+            self.fed = []
+            made.append(self)
+
+        def add(self, chunk):
+            self.fed.append(np.array(chunk))
+            return super().add(chunk)
+
+    monkeypatch.setattr(mc, "EmpiricalCf", Recording)
+    return made

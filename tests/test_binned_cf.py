@@ -5,7 +5,8 @@ and sums 12 moments per bin, so it differs from empirical_cf by at most
 (1/2)^12 / 12! < 5.1e-13 of truncation plus rounding; the tests allow
 1e-12.  Lattice samples, and dense ones too wide to bin, must get
 empirical_cf's bits.  The flow check streams each level through EmpiricalCf
-and is held to the same, against empirical_cf on the whole level.
+and is held to the same, against empirical_cf on the whole level, the
+levels made from one sample by the reference tree.
 """
 
 import math
@@ -19,7 +20,7 @@ from cltflow import bank, charfn, mc
 from cltflow.metrics import GridSpec
 from cltflow.mc import ORACLE_GRID
 
-from test_oracle_bits import EXPLICIT, same_bits
+from test_oracle_bits import EXPLICIT, ref_levels, same_bits
 
 TOL = 1e-12
 
@@ -42,7 +43,7 @@ POINTS = {
 
 
 def draws(m, n=50_000):
-    return mc._sampler(m, 1234, 3)(0, n)
+    return mc._sampler(m, 1234)(0, n)
 
 
 @pytest.mark.parametrize("points", sorted(POINTS))
@@ -123,10 +124,8 @@ def exact_devs(m, levels, n, seed):
     """The flow check's deviations, from empirical_cf on each whole level."""
     pts = ORACLE_GRID.points()
     devs = []
-    for k in range(levels + 1):
-        level = cf.CfLevel(m, k) if k else m
-        x = mc._sampler(level, seed, k)(0, n)
-        dev = charfn.empirical_cf(x, pts) - charfn.eval_cf_grid(level, pts)
+    for k, x in enumerate(ref_levels(m, levels, n, seed)):
+        dev = charfn.empirical_cf(x, pts) - charfn.eval_cf_grid(cf.CfLevel(m, k) if k else m, pts)
         devs.append(float(np.max(np.abs(dev))))
     return devs
 
@@ -148,6 +147,16 @@ def test_flow_check_gaussian_within_the_bound_of_the_exact_path():
     want = exact_devs(m, 2, 100_000, 1234)
     assert max(map(abs, np.subtract(got.per_level, want))) <= TOL
     assert got.ok and got.envelope == 4.0 / math.sqrt(1e5)
+
+
+@pytest.mark.parametrize("name", ["rademacher", "skewed"])
+def test_flow_check_lattice_levels_never_go_dense(name, level_cfs):
+    # one scale per level keeps the tree sums exact: level k takes at most
+    # the 2^k + 1 values of its sums, and no level leaves the histogram
+    assert mc.empirical_flow_check(bank.ALIASES[name](), 6, 200_000, 1234).ok
+    assert len(level_cfs) == 7
+    assert not any(ecf._dense for ecf in level_cfs)
+    assert all(ecf._vals.size <= (1 << k) + 1 for k, ecf in enumerate(level_cfs))
 
 
 @pytest.mark.parametrize("name", ["rademacher", "gaussian"])

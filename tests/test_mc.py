@@ -100,6 +100,22 @@ def test_empirical_flow_check_rademacher_small(rademacher):
     assert chk.ok
 
 
+def test_empirical_flow_check_on_a_cflevel_input(skewed, monkeypatch):
+    # levels 0..3 of T^2 skewed are T^2..T^5 skewed, all from one sample
+    m = cf.CfLevel(skewed, 2)
+    iterates = []
+    eval_cf_grid = cf.mc.eval_cf_grid
+
+    def recording(law, pts):
+        iterates.append(law)
+        return eval_cf_grid(law, pts)
+
+    monkeypatch.setattr(cf.mc, "eval_cf_grid", recording)
+    chk = empirical_flow_check(m, levels=3, n=100_000, seed=42)
+    assert iterates == [m] + [cf.CfLevel(skewed, k) for k in (3, 4, 5)]
+    assert chk.ok and len(chk.per_level) == 4
+
+
 def test_empirical_flow_check_validation(gauss):
     with pytest.raises(MeasureError):
         empirical_flow_check(gauss, levels=13, n=100_000, seed=0)

@@ -1,14 +1,14 @@
 """The oracle path keeps its bits: empirical cf, uniforms and sampler draws.
 
 The references below are the straightforward versions of empirical_cf,
-_uniforms and the sampler (a loop that draws each fold in full and adds
-the folds in order) that the mirrored, blocked and in-place versions in the
-library replace.  Every comparison is bit for bit (view(np.uint64)),
-because empirical_cf keeps its bits as the exact reference for the
-oracle's binned cf, and the oracle's draws keep theirs.  The gaussian
-reference draws through the library's own inverse normal: these tests
-check blocking and fold order, and test_special checks the transform
-against mpmath.
+the uniforms, the sampler (all base draws of a level made at once and halved
+pairwise, row by row, to the root) and the flow check's levels that the
+mirrored, blocked and in-place versions in the library replace.  Every
+comparison is bit for bit (view(np.uint64)), because empirical_cf keeps
+its bits as the exact reference for the oracle's binned cf, and the
+oracle's draws keep theirs.  The gaussian reference draws through the
+library's own inverse normal: these tests check blocking and the order of
+the tree's sums, and test_special checks the transform against mpmath.
 """
 
 import math
@@ -55,9 +55,9 @@ def ref_empirical_cf(samples, xi):
     return complex(out[0]) if scalar else out
 
 
-def ref_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+def ref_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """count uniforms in the open interval (0, 1) from counter positions start.."""
-    key = np.uint64(mc._stream_key(seed, stream))
+    key = np.uint64(mc._mix64_int(seed))
     with np.errstate(over="ignore"):
         idx = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) % 2**64)
         z = key + np.uint64(mc.PHI64) * idx
@@ -67,8 +67,8 @@ def ref_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarray:
     return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def ref_draw_atomic(m, n, seed, stream, start):
-    u = ref_uniforms(seed, stream, start, n)
+def ref_draw_atomic(m, n, seed, start):
+    u = ref_uniforms(seed, start, n)
     edges = np.cumsum(m.weights)
     idx = np.minimum(np.searchsorted(edges, u, side="right"), len(m.atoms) - 1)
     return m.positions[idx]
@@ -97,24 +97,27 @@ def ref_width(m) -> int:
     return ref_width(m.base) if isinstance(m, cf.Affine) else 1
 
 
-def ref_draw(m, seed, stream, start, n):
-    """n draws of m from counter start: each fold drawn in full, added to zeros(n).
+def ref_tree(y):
+    """The roots of the pairwise trees over the rows of y: halve each row until one column is left."""
+    while y.shape[1] > 1:
+        y = y[:, 0::2] + y[:, 1::2]
+    return y[:, 0]
 
-    A fold steps by the base law's width times n; the base of a flat law
-    has width 1, and then this is the fold loop the blocked sampler
-    replaced, line for line.
+
+def ref_draw(m, seed, start, n):
+    """n draws of m from counter start: all 2^k n base draws of a level at once, halved pairwise.
+
+    Draw i of a level-k law is the tree sum of base draws i 2^k .. i 2^k +
+    2^k - 1, which take the counters after start in turn, scaled once.
     """
     if isinstance(m, cf.CfLevel):
-        total = np.zeros(n)
-        width = ref_width(m.base)
-        for j in range(1 << m.count):
-            total += ref_draw(m.base, seed, stream, start + j * width * n, n)
-        return total * 2.0 ** (-m.count / 2.0)
+        rows = ref_draw(m.base, seed, start, n << m.count).reshape(n, 1 << m.count)
+        return ref_tree(rows) * 2.0 ** (-m.count / 2.0)
     if isinstance(m, cf.Affine):
-        return m.shift + m.scale * ref_draw(m.base, seed, stream, start, n)
+        return m.shift + m.scale * ref_draw(m.base, seed, start, n)
     if isinstance(m, cf.Atomic):
-        return ref_draw_atomic(m, n, seed, stream, start)
-    u = ref_uniforms(seed, stream, start, n)
+        return ref_draw_atomic(m, n, seed, start)
+    u = ref_uniforms(seed, start, n)
     if isinstance(m, cf.Empirical):
         x = m.samples
         return x[np.minimum((u * x.size).astype(np.int64), x.size - 1)]
@@ -142,11 +145,11 @@ def small_chunk(monkeypatch):
 
 
 def lattice_sample():
-    return mc._sampler(cf.CfLevel(bank.skewed_two_atom(), 4), 1234, 4)(0, 20_000)
+    return mc._sampler(cf.CfLevel(bank.skewed_two_atom(), 4), 1234)(0, 20_000)
 
 
 def dense_sample(n=40_000):
-    return mc._sampler(cf.CfLevel(bank.gaussian(), 2), 1234, 2)(0, n)
+    return mc._sampler(cf.CfLevel(bank.gaussian(), 2), 1234)(0, n)
 
 
 @pytest.mark.parametrize("points", ["oracle-grid", "explicit"])
@@ -188,13 +191,18 @@ def test_empirical_cf_dense_bits_at_full_chunk():
     assert same_bits(cf.empirical_cf(x, pts), ref_empirical_cf(x, pts))
 
 
+def uniforms(seed, start, count):
+    """The generator's uniforms, as draws of the uniform law on (0, 1): u (1 - 0) + 0 is u."""
+    return mc._sampler(cf.make_parametric("uniform", (0.0, 1.0)), seed)(start, count)
+
+
 @pytest.mark.parametrize(
     "start", [0, 12_345, 2**63 - 3, 2**64 - 7], ids=["zero", "small", "2^63", "wrap"]
 )
 def test_uniforms_match_the_integer_formula(start):
-    seed, stream, count = 99, 5, 16
-    key = mc._stream_key(seed, stream)
-    got = mc._uniforms(key, start, count)
+    seed, count = 99, 16
+    key = mc._mix64_int(seed)
+    got = uniforms(seed, start, count)
     want = [
         ((mc._mix64_int((key + mc.PHI64 * ((start + i + 1) % 2**64)) & mc._MASK) >> 12)
          + 0.5) * 2.0**-52
@@ -205,10 +213,9 @@ def test_uniforms_match_the_integer_formula(start):
 
 
 def test_uniforms_match_reference_array():
-    key = mc._stream_key(7, 3)
     for start, count in ((0, 1), (1000, 100_000), (2**40, 3000)):
-        got = mc._uniforms(key, start, count)
-        want = ref_uniforms(7, 3, start, count)
+        got = uniforms(7, start, count)
+        want = ref_uniforms(7, start, count)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -219,23 +226,22 @@ def test_categorical_index_matches_searchsorted(atoms):
     m = cf.measures.make_atomic(zip(np.sort(rng.normal(size=atoms)), ws / ws.sum()))
     edges = np.cumsum(m.weights)
     # uniforms, the edges themselves (ties) and the values just below them
-    u = np.concatenate([mc._uniforms(mc._stream_key(1, atoms), 0, 5000),
+    u = np.concatenate([uniforms(atoms, 0, 5000),
                         edges, np.nextafter(edges, 0.0)])
     want = np.minimum(np.searchsorted(edges, u, side="right"), atoms - 1)
     assert np.array_equal(mc._pick(edges)(u), want)
     for start in (0, 777):
-        got = mc._sampler(m, 11, 4)(start, 3000)
-        assert np.array_equal(got, ref_draw_atomic(m, 3000, 11, 4, start))
+        got = mc._sampler(m, 11)(start, 3000)
+        assert np.array_equal(got, ref_draw_atomic(m, 3000, 11, start))
 
 
 def test_cflevel_folds_add_reference_draws(skewed):
-    # level-3 draws are the rescaled sum of 8 consecutive base blocks
-    n, seed, stream = 1000, 21, 6
-    total = np.zeros(n)
-    for j in range(8):
-        total += ref_draw_atomic(skewed, n, seed, stream, j * n)
-    got = mc._sampler(cf.CfLevel(skewed, 3), seed, stream)(0, n)
-    assert np.array_equal(got, total * 2.0**-1.5)
+    # level-3 draw i is the tree sum of base draws 8i .. 8i + 7, scaled once
+    n, seed = 1000, 21
+    b = ref_draw_atomic(skewed, 8 * n, seed, 0).reshape(n, 8).T
+    total = ((b[0] + b[1]) + (b[2] + b[3])) + ((b[4] + b[5]) + (b[6] + b[7]))
+    got = mc._sampler(cf.CfLevel(skewed, 3), seed)(0, n)
+    assert same_bits(got, total * 2.0**-1.5)
 
 
 def random_atomic(atoms):
@@ -246,7 +252,7 @@ def random_atomic(atoms):
 
 BASES = {
     **{f"atomic-{k}": (lambda k=k: random_atomic(k)) for k in (2, 3, 9, 13)},
-    # a fold sum of -0.0 draws is +0.0 only when it starts from +0.0
+    # a tree sum of -0.0 draws is -0.0, and the one scale keeps its sign
     "atomic-negative-zero": lambda: cf.measures.make_atomic(
         [(-1.0, 0.25), (-0.0, 0.5), (1.0, 0.25)]),
     "gaussian": bank.gaussian,
@@ -260,17 +266,17 @@ STARTS = (0, 12_345, 2**64 - 600)  # the last one wraps past 2^64 mid-draw
 
 
 def draw_sizes(width):
-    """One draw, fewer than a block's columns, exactly one block, a lone last column, a ragged tail."""
-    cols = max(2, mc._BLOCK_CELLS // width)
-    return (1, cols - 1, cols, 2 * cols + 1, 2 * cols + 5)
+    """One draw, fewer than a block's draws, exactly one block, a last block of one draw, a ragged tail."""
+    cols = max(1, mc._BLOCK_CELLS // width)
+    return (1, max(1, cols - 1), cols, 2 * cols + 1, 2 * cols + 5)
 
 
-def assert_sampler_bits(m, seed=1234, stream=5, starts=STARTS, sizes=None):
-    draw = mc._sampler(m, seed, stream)
+def assert_sampler_bits(m, seed=1234, starts=STARTS, sizes=None):
+    draw = mc._sampler(m, seed)
     for start in starts:
         for n in sizes or draw_sizes(ref_width(m)):
             got = draw(start, n)
-            want = ref_draw(m, seed, stream, start, n)
+            want = ref_draw(m, seed, start, n)
             assert got.shape == (n,)
             assert same_bits(got, want), (start, n)
 
@@ -284,26 +290,18 @@ def test_sampler_matches_fold_loop(name, k):
 
 @pytest.mark.parametrize("name", ["atomic-2", "atomic-13", "gaussian", "exponential-std"])
 def test_sampler_matches_fold_loop_beyond_one_block(name):
-    # 2^15 folds of up to three draws exceed a block's 2^14 counters, so
-    # the folds are added in row blocks that carry their sums
+    # a row of 2^15 draws exceeds a block's 2^14, so the tree adds the
+    # roots of rows of 2^14: the same pairs as one tree over the row
     base, k = BASES[name](), 15
-    assert (1 << k) * 2 > mc._BLOCK_CELLS
-    draw = mc._sampler(cf.CfLevel(base, k), 1234, 5)
-    for start in (0, 2**64 - 70_000):
-        for n in (1, 2, 3):
-            # ref_draw's loop, with the folds of this flat law (counters
-            # start + j n ..) drawn in one call instead of 2^15
-            folds = ref_draw(base, 1234, 5, start, n << k).reshape(1 << k, n)
-            total = np.zeros(n)
-            for fold in folds:
-                total += fold
-            assert same_bits(draw(start, n), total * 2.0 ** (-k / 2.0)), (start, n)
+    assert (1 << k) > mc._BLOCK_CELLS
+    assert_sampler_bits(cf.CfLevel(base, k), starts=(0, 2**64 - 70_000), sizes=(1, 2, 3))
 
 
 @pytest.fixture
 def small_block(monkeypatch):
-    # 64 counters a block: a level-7 law spans two columns and four row
-    # blocks, so every carry and ragged edge shows at a small size
+    # 64 counters a block: a level-7 law's rows of 128 draws are two rows
+    # of 64 whose roots are added, so every split and ragged edge shows at
+    # a small size
     monkeypatch.setattr(mc, "_BLOCK_CELLS", 64)
 
 
@@ -328,9 +326,9 @@ def test_nested_sampler_matches_fold_loop(name, block, monkeypatch):
 
 
 def test_nested_levels_have_the_law_variance():
-    # the law is T applied twice to the gaussian: variance 1; with the
-    # folds of the outer level stepping by n instead of 2n, fold (0, 1) and
-    # fold (1, 0) were one counter block and the variance read 1.5
+    # the law is T applied twice to the gaussian: variance 1; if the
+    # outer level's two halves shared counters, they would be one draw
+    # and the variance would read 1.5
     vals = cf.sample(NESTED["affine-cflevel"](), 200_000, seed=3).values
     assert abs(vals.var() - 1.0) < 0.02
 
@@ -339,7 +337,7 @@ def test_nested_levels_have_the_law_variance():
 @pytest.mark.parametrize("name", list(NESTED) + ["flat"])
 def test_no_counter_is_drawn_twice(name, block, monkeypatch):
     # every word the generator mixes, mapped back to its counter, covers
-    # start .. start + width * n - 1 once each
+    # start .. start + width * n - 1 once each, in order
     monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
     m = cf.CfLevel(bank.skewed_two_atom(), 5) if name == "flat" else NESTED[name]()
     seen = []
@@ -350,16 +348,14 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
         return mix(z, scratch)
 
     monkeypatch.setattr(mc, "_mix", recording_mix)
-    seed, stream, start, n = 4, 2, 2**64 - 1000, 1000
+    seed, start, n = 4, 2**64 - 1000, 1000
     width = ref_width(m)
-    assert (n % max(2, block // width)) != 1  # no lone last column drawn twice
-    mc._sampler(m, seed, stream)(start, n)
-    words = np.concatenate(seen)
+    mc._sampler(m, seed)(start, n)
     inv = np.uint64(pow(mc.PHI64, -1, 2**64))
-    key = np.uint64(mc._stream_key(seed, stream))
-    counters = (words - key) * inv - np.uint64(1)
+    key = np.uint64(mc._mix64_int(seed))
+    counters = (np.concatenate(seen) - key) * inv - np.uint64(1)
     want = (np.arange(width * n, dtype=np.uint64) + np.uint64(start % 2**64))
-    assert np.array_equal(np.sort(counters), np.sort(want))
+    assert np.array_equal(counters, want)
 
 
 STREAM_LAWS = {
@@ -373,35 +369,37 @@ STREAM_LAWS = {
 @pytest.mark.parametrize("size", ["parts", "parts+1", "lone-in-part", "lone-next-part"])
 @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
 def test_stream_parts_are_the_draws(name, size):
-    # a last lone column is drawn again with the one before, inside the
-    # part that holds it or as the start of a part of its own
+    # whole parts, then a last part of one draw, alone or after a whole one
     m = STREAM_LAWS[name]()
-    cols = max(2, mc._BLOCK_CELLS // ref_width(m))
-    chunk = cols * max(1, mc._BLOCK_CELLS // cols)
+    cols = max(1, mc._BLOCK_CELLS // ref_width(m))
     n = {
-        "parts": 2 * chunk,
-        "parts+1": 2 * chunk + 1,
-        "lone-in-part": 3 * cols + 1,
-        "lone-next-part": (chunk // cols + 1) * cols + 1,
+        "parts": 2 * cols,
+        "parts+1": 2 * cols + 1,
+        "lone-in-part": 1,
+        "lone-next-part": cols + 1,
     }[size]
-    parts = [p.copy() for p in mc._stream(m, 1234, 5)(0, n)]
-    assert all(0 < p.size <= chunk for p in parts)
+    parts = [p.copy() for p in mc._stream(mc._drawer(m), 1234, cols)(0, n)]
+    assert [p.size for p in parts] == [cols] * (n // cols) + [n % cols] * (n % cols > 0)
     got = np.concatenate(parts)
-    assert same_bits(got, mc._sampler(m, 1234, 5)(0, n))
-    assert same_bits(got, ref_draw(m, 1234, 5, 0, n))
+    assert same_bits(got, mc._sampler(m, 1234)(0, n))
+    assert same_bits(got, ref_draw(m, 1234, 0, n))
+
+
+def overflowing_law():
+    # 3500 common atoms, 2000 rare ones and one beyond 2^40 bin widths:
+    # parts of 2^14 draws pass _LATTICE_MAX distinct values a few parts in
+    atoms = [(j / 64.0, 1.0) for j in range(3500)]
+    atoms += [(-1.0 - j / 64.0, 0.02) for j in range(2000)] + [(1e12, 0.01)]
+    return cf.measures.make_atomic(atoms)
 
 
 def test_binned_cf_keeps_lattice_bits_until_the_stream_overflows():
-    # 3500 common atoms, 2000 rare ones and one beyond 2^40 bin widths:
-    # the distinct values pass _LATTICE_MAX a few parts into the stream,
-    # and the histogram so far goes to the moments and the exact sums
-    atoms = [(j / 64.0, 1.0) for j in range(3500)]
-    atoms += [(-1.0 - j / 64.0, 0.02) for j in range(2000)] + [(1e12, 0.01)]
-    m = cf.measures.make_atomic(atoms)
+    # the parts after the overflow go to the moments and the exact sums
     pts = ORACLE_GRID.points()
     acc = charfn.EmpiricalCf(pts)
     seen, distinct = [], []
-    for part in mc._stream(m, 1234, 5)(0, 6 * mc._BLOCK_CELLS):
+    for part in mc._stream(mc._drawer(overflowing_law()), 1234, mc._BLOCK_CELLS)(
+            0, 6 * mc._BLOCK_CELLS):
         seen.append(part.copy())
         acc.add(part)
         x = np.concatenate(seen)
@@ -412,3 +410,103 @@ def test_binned_cf_keeps_lattice_bits_until_the_stream_overflows():
         else:
             assert np.max(np.abs(got - want)) <= 1e-12
     assert distinct[1] <= charfn._LATTICE_MAX < distinct[-2]
+
+
+def ref_histogram_add(vals, counts, x):
+    """The merge EmpiricalCf.add made before it looked values up: np.unique of the part, then of both."""
+    v, c = np.unique(x, return_counts=True)
+    vals, inv = np.unique(np.concatenate((vals, v)), return_inverse=True)
+    return vals, np.bincount(inv, weights=np.concatenate((counts, c)))
+
+
+HISTOGRAM_CASES = {
+    # five values, all in the first part: later parts bring none
+    "no-new": (lambda: cf.CfLevel(bank.rademacher(), 2), 2000),
+    # 65 values, the rarest arriving part by part
+    "new": (lambda: cf.CfLevel(bank.skewed_two_atom(), 6), 2000),
+    "overflow": (overflowing_law, mc._BLOCK_CELLS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HISTOGRAM_CASES))
+def test_histogram_lookup_matches_the_unique_merge(case):
+    law, cols = HISTOGRAM_CASES[case]
+    pts = ORACLE_GRID.points()
+    acc = charfn.EmpiricalCf(pts)
+    vals, counts, seen, grew = np.empty(0), np.empty(0), [], []
+    for part in mc._stream(mc._drawer(law()), 1234, cols)(0, 6 * cols):
+        seen.append(part.copy())
+        acc.add(part)
+        merged = ref_histogram_add(vals, counts, part)
+        if merged[0].size > charfn._LATTICE_MAX or acc._dense:
+            assert acc._dense  # the histogram keeps what it had
+        else:
+            grew.append(merged[0].size > vals.size)
+            vals, counts = merged
+            assert same_bits(acc.value(), ref_empirical_cf(np.concatenate(seen), pts))
+        assert same_bits(acc._vals, vals) and same_bits(acc._counts, counts)
+    assert {
+        "no-new": grew == [True] + [False] * 5,
+        "new": grew[0] and any(grew[1:]) and not all(grew[1:]),
+        "overflow": acc._dense and len(grew) > 1,
+    }[case]
+
+
+FLOW_LEVELS = {
+    # law, levels, n, _BLOCK_CELLS: the benchmark's shape; a top level of
+    # 12, where a part holds four rows and n leaves a ragged last part; a
+    # CfLevel input, whose draws are unscaled sums; a base of width 2; rows
+    # of 2^8 base draws against blocks of 2^6
+    "rademacher-6": (bank.rademacher, 6, 100_000, None),
+    "gaussian-12": (bank.gaussian, 12, 37, None),
+    "skewed-12": (bank.skewed_two_atom, 12, 37, None),
+    "cflevel-3": (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), 2, 1001, None),
+    "affine-cflevel": (NESTED["affine-cflevel"], 3, 500, None),
+    "deeper-than-a-block": (lambda: cf.CfLevel(bank.gaussian(), 3), 5, 77, 64),
+}
+
+
+def ref_levels(m, levels, n, seed):
+    """The flow check's levels from sample(base, 2^L n): row i's tree sum of its first 2^k draws, scaled once."""
+    base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
+    rows = cf.sample(base, n << (count + levels), seed).values.reshape(n, -1)
+    return [ref_tree(rows[:, : 1 << (count + k)]) * 2.0 ** (-(count + k) / 2.0)
+            for k in range(levels + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_LEVELS))
+def test_flow_levels_are_scaled_tree_sums_of_one_sample(name, level_cfs, monkeypatch):
+    law, levels, n, block = FLOW_LEVELS[name]
+    monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
+    if block:
+        monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
+    m = law()
+    mc.empirical_flow_check(m, levels, n, 1234)
+    got = [np.concatenate(ecf.fed) for ecf in level_cfs]
+    want = ref_levels(m, levels, n, 1234)
+    assert len(got) == levels + 1
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["gaussian", "skewed", "cflevel-2", "affine-cflevel"])
+def test_flow_check_draws_each_base_value_once(name, monkeypatch):
+    # 2^L n base draws for a top level L, a CfLevel input's depth counted;
+    # each takes one uniform, or two for a base that is itself a level-1 law
+    m = {
+        "gaussian": bank.gaussian,
+        "skewed": bank.skewed_two_atom,
+        "cflevel-2": lambda: cf.CfLevel(bank.rademacher(), 2),
+        "affine-cflevel": NESTED["affine-cflevel"],
+    }[name]()
+    base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
+    drawn = []
+    mix = mc._mix
+
+    def counting_mix(z, scratch):
+        drawn.append(z.size)
+        return mix(z, scratch)
+
+    monkeypatch.setattr(mc, "_mix", counting_mix)
+    levels, n = 3, 100_000
+    assert mc.empirical_flow_check(m, levels, n, 5).ok
+    assert sum(drawn) == (n << (count + levels)) * ref_width(base)
