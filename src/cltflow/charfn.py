@@ -59,13 +59,12 @@ scope's table (see _scope).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _families, _scope
 from ._families import _combine, _cos_rem, _phase, _phase_dev, _sin_rem, _two_prod
-from .errors import CharFnBoundError, MeasureError, MomentUnavailableError
+from .errors import CharFnBoundError, MeasureError
 from .measures import (
     Affine,
     Atomic,
@@ -75,17 +74,12 @@ from .measures import (
     Empirical,
     Measure,
     Parametric,
-    abs_moment_bound,
-    cumulants,
-    moment,
 )
 
 __all__ = [
-    "TaylorData",
     "cf_deviation",
     "eval_cf",
     "eval_cf_grid",
-    "taylor_data",
     "empirical_cf",
     "binned_cf",
     "EmpiricalCf",
@@ -377,43 +371,6 @@ def eval_cf_grid(m: Measure, grid) -> np.ndarray:
     return _cf_values(m, pts)
 
 
-@dataclass(frozen=True)
-class TaylorData:
-    """Cubic Taylor coefficients of the cf at 0 plus a certified radius.
-
-    remainder_radius is the largest dyadic r <= 1 such that
-    |phi(xi) - (1 + i*mean*xi - m2*xi^2/2 - i*m3*xi^3/6)| <= 0.05 |xi|^3 E|X|^3
-    holds on a symmetric grid of 1e-3-spaced samples up to |xi| = r.
-    """
-
-    mean: float
-    variance: float
-    third_signed: float
-    remainder_radius: float
-
-
-def taylor_data(m: Measure) -> TaylorData:
-    """Certify the cubic Taylor model of the cf near zero."""
-    k1, k2, _, _ = cumulants(m)
-    m2 = moment(m, 2)
-    m3 = moment(m, 3)
-    abs3 = abs_moment_bound(m, 3)
-    if not math.isfinite(abs3):
-        raise MomentUnavailableError(
-            "taylor data needs a finite third absolute moment"
-        )
-    radius = 1.0
-    while radius >= 2.0**-9:
-        xi = np.arange(1e-3, radius + 1e-12, 1e-3)
-        xi = np.concatenate([-xi[::-1], xi])
-        model = 1j * k1 * xi - 0.5 * m2 * xi**2 - 1j * m3 * xi**3 / 6.0
-        err = np.abs(cf_deviation(m, xi) - model)
-        if np.all(err <= 0.05 * np.abs(xi) ** 3 * abs3):
-            return TaylorData(k1, k2, m3, radius)
-        radius *= 0.5
-    raise MeasureError("no dyadic radius >= 2^-9 certifies the cubic model")
-
-
 def _dense_sums(x: np.ndarray, cols: np.ndarray, step: int):
     """Column sums of cos and sin of outer(x, cols), added chunk by chunk.
 
@@ -460,8 +417,9 @@ class EmpiricalCf:
     """The empirical cf of samples added chunk by chunk, in memory that does not grow with them.
 
     add(chunk) takes the next samples; value() is (1/N) sum exp(i x_j xi)
-    over the N so far.  Up to _LATTICE_MAX distinct values the sums run over
-    a histogram of exact counts, which then stays, and each later chunk gets
+    over the N so far; add_histogram(values, counts) takes samples as their
+    histogram.  Up to _LATTICE_MAX distinct values the sums run over a
+    histogram of exact counts, which then stays, and each later chunk gets
     _dense_sums, or with binned=True binned moments: for x = k h + u,
     k = rint(x / h), exp(i xi x) = exp(i xi k h) sum_p (i xi u)^p / p!, and
     with h = 1 / max|xi| the series cut after _MOMENTS = 12 terms errs by at
@@ -493,10 +451,7 @@ class EmpiricalCf:
             if (at < self._vals.size).all() and (self._vals[at] == v).all():
                 self._counts[at] += c
                 return self
-            vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
-            if vals.size <= _LATTICE_MAX:
-                self._vals = vals
-                self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
+            if self._merge(v, c):
                 return self
             self._dense = True
         if self._h is None:
@@ -532,6 +487,25 @@ class EmpiricalCf:
             self._moments[row, cols] += np.bincount(bins, weights=w)
             w *= u
         return self
+
+    def add_histogram(self, values, counts) -> EmpiricalCf:
+        """add(np.repeat(values, counts)), the histogram merged as it is while the exact one holds.
+
+        values are the samples' distinct values, counts their integer counts.
+        """
+        if not self._dense and self._merge(np.asarray(values, dtype=float), counts):
+            self._n += int(np.sum(counts))
+            return self
+        return self.add(np.repeat(values, counts))
+
+    def _merge(self, v, c) -> bool:
+        """Merge the histogram (v, c) into the exact one, unless that passes _LATTICE_MAX values."""
+        vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
+        if vals.size > _LATTICE_MAX:
+            return False
+        self._vals = vals
+        self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
+        return True
 
     def value(self):
         """The cf at the points xi, a complex for a scalar xi."""

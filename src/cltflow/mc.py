@@ -14,6 +14,13 @@ offset by half an ulp, landing strictly inside (0, 1) on multiples of
 Each closed-form family's inverse CDF is in its row of the _families table;
 a row's transform is made once per stream, with the buffers it needs.
 
+An atomic law's index is found from the word itself: the uniform reaches
+an edge e of the cumulative weights exactly when the word reaches the
+integer W_e = ceil(e 2^52 - 1/2) 2^12 (_pick), so the index is the
+number of thresholds at or below the word, counted for at most
+_COUNT_EDGES_MAX atoms and binary-searched for more, the index of the
+uniform to the bit, with no uniform made.
+
 A draw of a law takes a fixed number of counters, its width: one for an
 atomic, empirical or closed-form law (and an affine image of one), and
 2^k times the base's width for a level-k CfLevel.  The layout is
@@ -22,24 +29,24 @@ start + i w .. start + (i + 1) w - 1.  So draw i of CfLevel(b, k) is made
 of draws i 2^k .. i 2^k + 2^k - 1 of b, which are added as a pairwise
 tree: a row of 2^k consecutive draws y is halved k times by the
 element-wise y[:, 0::2] + y[:, 1::2] (on the flat block of rows, [0::2] +
-[1::2]: the same pairs), and the root is scaled once, by 2^{-k/2}.  One scale and not one per step: the tree sums of a lattice law
-with dyadic atoms (rademacher, skewed) are exact, so a level takes as many
-distinct values as its sums, and the flow check's lattice levels stay on
+[1::2]: the same pairs), and the root is scaled once, by 2^{-k/2}.  One
+scale and not one per step: the tree sums of a lattice law with dyadic
+atoms (rademacher, skewed) are exact, so a level takes as many distinct
+values as its sums, and the flow check's lattice levels stay on
 EmpiricalCf's exact histogram path.  A row holds at most _BLOCK_CELLS
 draws; a deeper tree adds the roots of rows of that many, which adds the
 same pairs.
 
 Draws are made in blocks of about _BLOCK_CELLS counters, whose buffers
 stay in L2 and serve every block.  A block's words key + PHI64 (counter + 1)
-are a base array PHI64 i, built once per stream, plus one scalar; SplitMix and the uniform map then run in place, and
-the base law's transform (categorical index, inverse CDF, empirical index,
-affine map) writes the draws.  The bits do not depend on the blocks:
+are a base array PHI64 i, built once per stream, plus one scalar; SplitMix
+then runs in place (_mix), and the base law's transform (categorical
+index of the word; inverse CDF or empirical index of its uniform; affine
+map) writes the draws.  The bits do not depend on the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
 - every transform and every tree add works element by element.
-
-Atomic laws with at most _COUNT_EDGES_MAX atoms count edges (_pick).
 
 The flow check applies the map to one stream of draws per law, those of
 its base law: 2^L n of them for a top level L, a CfLevel input's own depth
@@ -47,15 +54,36 @@ counted.  Row i of 2^L consecutive draws gives draw i of every level:
 level k is the left node of the row's tree at depth k, the sum of the
 row's first 2^k draws, times 2^{-k/2}.  Each level has its law; the levels
 share draws and are dependent, and the envelope 4 / sqrt(n) holds level by
-level.  The levels' values are gathered in one reused buffer and added to
-a charfn.EmpiricalCf each, a little over 4096 at a time, so no array of n
-draws appears: empirical_cf's sums, bit for bit, for lattice draws (at
-most 4096 distinct values), one cos and sin per distinct value and point;
-for dense draws a sum over bins of width 1 / max|xi| through 12 moments
-each, whose cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per
-sample, far inside the envelope 4 / sqrt(n), plus rounding, of order 1e-14
-for 1e5 gaussian draws.  A dense level's first add already holds more than
-4096 distinct values, so it leaves the histogram at once.
+level.  Each level's cf is a charfn.EmpiricalCf, fed on one of two routes,
+so no array of n draws appears.
+
+The float route takes every base law.  The levels' values are gathered in
+one reused buffer and added to the level's EmpiricalCf, a little over 4096
+at a time: empirical_cf's sums, bit for bit, for lattice draws (at most
+4096 distinct values), one cos and sin per distinct value and point; for
+dense draws a sum over bins of width 1 / max|xi| through 12 moments each,
+whose cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, far
+inside the envelope 4 / sqrt(n), plus rounding, of order 1e-14 for 1e5
+gaussian draws.  A dense level's first add already holds more than 4096
+distinct values, so it leaves the histogram at once.
+
+The lattice route takes an atomic base whose positions are
+(a0 + g j_i) 2^-e for integers a0, g and codes j_i (_lattice), where, for
+the depth D = count + L of the top level's sums,
+
+- 2^D max|a0 + g j_i| < 2^53, so every float tree sum is exact, and
+- 2^D max j_i + 1 <= _LATTICE_MAX, so the float route's levels never
+  leave the histogram; with at least two atoms this keeps D <= 11.
+
+A draw is its atom's code, as uint8 where the sums stay below 2^8 and
+uint16 otherwise; for rademacher and skewed the code is the index itself.
+Blocks of words fill _CODE_CELLS codes at a time, which go through the
+same pairwise tree, and each level's spine nodes (depth count + k) are
+counted into an integer histogram of their sums c.
+At the end, level k's values are ((a0 2^d) + g c) 2^-e 2^{-d/2}, d =
+count + k, at the sums it holds: the float route's exact tree sums times
+the same scale, so EmpiricalCf.add_histogram gets the histogram the float
+route's adds would build, and the cfs keep their bits.
 """
 
 from __future__ import annotations
@@ -102,6 +130,10 @@ MIN_FLOW_SAMPLES = 10**5
 _BLOCK_CELLS = 1 << 14
 # atomic laws with at most this many atoms draw by counting edges
 _COUNT_EDGES_MAX = 8
+# codes per pass of the flow check's lattice route: the tree and the counts
+# run once per eight blocks of words, on arrays of 128 KB (uint8) or 256 KB
+# (uint16), about one or two of a block's word buffers
+_CODE_CELLS = 1 << 17
 ORACLE_GRID = GridSpec(1e-3, 50.0, 10)
 
 
@@ -113,12 +145,9 @@ def _mix64_int(z: int) -> int:
 
 
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1) from the words z = key + PHI64 * (counter + 1), in place.
+    """The SplitMix64 finalizer of the words z = key + PHI64 * (counter + 1), in place.
 
-    SplitMix runs on z, with scratch, a uint64 array of z's shape, for the
-    shifted copies.  The top 52 bits m become the float 1 + m 2^-52 in z's
-    memory, which returns as (1 + m 2^-52) - (1 - 2^-53) = (m + 1/2) 2^-52,
-    exact because 2m + 1 < 2^53 makes the difference a float.
+    scratch, a uint64 array of z's shape, holds the shifted copies.
     """
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=scratch)
@@ -126,6 +155,16 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         z *= np.uint64(mult)
     np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
+    return z
+
+
+def _uniform(z: np.ndarray) -> np.ndarray:
+    """The uniforms in (0, 1) of the mixed words z, in z's memory.
+
+    The top 52 bits m become the float 1 + m 2^-52, which returns as
+    (1 + m 2^-52) - (1 - 2^-53) = (m + 1/2) 2^-52, exact because 2m + 1 < 2^53
+    makes the difference a float.
+    """
     z >>= np.uint64(12)
     z |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
     u = z.view(np.float64)
@@ -157,43 +196,67 @@ class SampleBatch:
 
 
 def _pick(edges: np.ndarray):
-    """u -> categorical index: min(searchsorted(edges, u, "right"), len - 1).
+    """z -> the categorical index of mixed word z: min(searchsorted(edges, u, "right"), len - 1).
 
-    For few atoms the index is the count of inner edges at or below u, which
-    is the same number because the edges never decrease, and cheaper than a
-    binary search; it fits in a uint8, and numpy gathers by a uint8 index
-    faster than by an intp one.
+    u = (floor(z / 2^12) + 1/2) 2^-52 is z's uniform (_uniform), and u >= e
+    exactly when z >= W_e = ceil(e 2^52 - 1/2) 2^12, an integer worked out
+    from e's exact ratio, so the index is found from the words, with no
+    uniform made.  An edge above 1 - 2^-53, the largest uniform, has no W_e
+    and counts for no word.  For few atoms the index is the count of inner
+    edges at or below u, which is the same number because the edges never
+    decrease, and cheaper than a binary search; it fits in a uint8, and
+    numpy gathers by a uint8 index faster than by an intp one.
     """
+    walls = []
+    for e in edges.tolist():
+        p, q = e.as_integer_ratio()
+        m = max(0, -((q - (p << 53)) // (2 * q)))  # ceil((p 2^53 - q) / 2q)
+        if m >> 52:  # no uniform reaches e, nor the edges after it
+            break
+        walls.append(m << 12)
+    walls = np.array(walls, dtype=np.uint64)
     if edges.size > _COUNT_EDGES_MAX:
         last = edges.size - 1
-        return lambda u: np.minimum(np.searchsorted(edges, u, side="right"), last)
+        return lambda z: np.minimum(np.searchsorted(walls, z, side="right"), last)
 
-    def count(u):
-        idx = np.zeros(u.shape, dtype=np.uint8)
-        for e in edges[:-1]:
-            idx += u >= e
+    def count(z):
+        idx = np.zeros(z.shape, dtype=np.uint8)
+        for w in walls[: edges.size - 1]:
+            idx += z >= w
         return idx
 
     return count
 
 
-def _leaf(make):
-    """(width 1, prepare) for a law drawn from one uniform u.
+def _words(size: int):
+    """words(z0, scratch): the mixed words z0 + PHI64 i, i < scratch.size <= size, in one buffer.
 
-    make(size) returns transform(u, out), which writes the draws for the
-    uniforms u of a block of up to size into out; buffers it needs are
-    allocated by make, once.
+    scratch is a uint64 array that _mix may overwrite.
+    """
+    delta = np.arange(size, dtype=np.uint64) * np.uint64(PHI64)
+    buf = np.empty_like(delta)
+
+    def words(z0, scratch):
+        z = buf[: scratch.size]
+        np.add(delta[: scratch.size], np.uint64(z0), out=z)
+        return _mix(z, scratch)
+
+    return words
+
+
+def _leaf(make):
+    """(width 1, prepare) for a law drawn from one mixed word z.
+
+    make(size) returns transform(z, out), which writes the draws for the
+    words z of a block of up to size into out, and may overwrite z; buffers
+    it needs are allocated by make, once.
     """
 
     def prepare(size):
-        delta = np.arange(size, dtype=np.uint64) * np.uint64(PHI64)
-        buf = np.empty_like(delta)
-        transform = make(size)
+        words, transform = _words(size), make(size)
 
         def run(z0, out):
-            words = buf[: out.size]
-            np.add(delta[: out.size], np.uint64(z0), out=words)
-            transform(_mix(words, out.view(np.uint64)), out)
+            transform(words(z0, out.view(np.uint64)), out)
 
         return run
 
@@ -257,17 +320,23 @@ def _drawer(m: Measure):
     """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
-        return _leaf(lambda size: lambda u, out: np.take(pos, pick(u), out=out, mode="clip"))
+        return _leaf(lambda size: lambda z, out: np.take(pos, pick(z), out=out, mode="clip"))
     if isinstance(m, Empirical):
         x = m.samples
 
-        def index(u, out):
+        def index(z, out):
+            u = _uniform(z)
             u *= x.size
             np.take(x, np.minimum(u.astype(np.int64), x.size - 1), out=out, mode="clip")
 
         return _leaf(lambda size: index)
     if isinstance(m, Parametric):
-        return _leaf(lambda size: _families.row(m.family).sampler(m.params, size))
+
+        def make(size):
+            invert = _families.row(m.family).sampler(m.params, size)
+            return lambda z, out: invert(_uniform(z), out)
+
+        return _leaf(make)
     if isinstance(m, Affine):
         width, prepare_base = _drawer(m.base)
 
@@ -346,32 +415,68 @@ class FlowCheck:
     per_level: tuple[float, ...]
 
 
-def empirical_flow_check(
-    m: Measure,
-    levels: int,
-    n: int,
-    seed: int,
-    grid: GridSpec | None = None,
-) -> FlowCheck:
-    """Compare empirical cfs of pairwise-summed samples with analytic iterates.
+def _lattice(m: Measure, depth: int):
+    """(a0, g, e, codes), m's positions being (a0 + g codes) 2^-e, where the lattice route holds.
 
-    For each level k = 0..levels, n samples of the k-fold pairwise-summed and
-    rescaled law are taken from one stream of 2^L n base draws, L the top
-    level (module notes), and their empirical cf is compared on the grid
-    against the analytic cf of the k-th iterate.  Passing means every
-    deviation stays within the conservative envelope 4/sqrt(n).  The default
-    grid is the coarse ORACLE_GRID; the envelope does not depend on grid
-    resolution.  Each level is streamed through a charfn.EmpiricalCf: memory
-    does not grow with n.
+    It holds for an atomic law (of at least two atoms, as every member has)
+    whose tree sums of up to 2^depth draws are exact, 2^depth max|a| < 2^53,
+    and take at most _LATTICE_MAX values, 2^depth max(codes) + 1: no more
+    than the float route's level histograms hold.  A -0.0 atom is left to
+    the float route, whose sums of -0.0 draws keep the sign.  None where
+    the route does not hold.
     """
-    if not isinstance(levels, int) or not 0 <= levels <= MAX_FLOW_LEVELS:
-        raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
-    if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
-        raise MeasureError("the flow check needs at least 1e5 samples per level")
-    require_membership(m, 2, "the empirical flow check")
-    base, count = (m.base, m.count) if isinstance(m, CfLevel) else (m, 0)
-    _sampling_depth(count + levels)
-    pts = (grid or ORACLE_GRID).points()
+    if not isinstance(m, Atomic):
+        return None
+    pos = m.positions.tolist()
+    if any(x == 0.0 and math.copysign(1.0, x) < 0 for x in pos):
+        return None
+    ratios = [x.as_integer_ratio() for x in pos]
+    e = max(q.bit_length() for _, q in ratios) - 1
+    a = [p << (e - q.bit_length() + 1) for p, q in ratios]  # the integers x 2^e
+    g = math.gcd(*(ai - a[0] for ai in a))
+    codes = [(ai - a[0]) // g for ai in a]
+    if max(map(abs, a)) << depth >= 1 << 53 or codes[-1] << depth >= _LATTICE_MAX:
+        return None
+    return a[0], g, e, codes
+
+
+def _lattice_levels(base: Atomic, lattice, count: int, levels: int, n: int, seed: int, pts):
+    """The flow check's level cfs from the codes of base's draws (module notes)."""
+    a0, g, e, codes = lattice
+    depth = count + levels
+    dtype = np.uint8 if codes[-1] << depth <= 0xFF else np.uint16
+    codes = np.array(codes, dtype=dtype)
+    same = np.array_equal(codes, np.arange(codes.size))  # the code is the index
+    pick = _pick(np.cumsum(base.weights))
+    words, scratch = _words(_BLOCK_CELLS), np.empty(_BLOCK_CELLS, dtype=np.uint64)
+    cells = max(1, _CODE_CELLS >> depth) << depth
+    y, spare = np.empty(cells, dtype=dtype), np.empty(max(1, cells >> 1), dtype=dtype)
+    hists = [np.zeros((codes[-1] << (count + k)) + 1, dtype=np.int64) for k in range(levels + 1)]
+    key = _mix64_int(seed)
+    for t in range(0, n << depth, cells):
+        row = y[: min(cells, (n << depth) - t)]
+        for s in range(0, row.size, _BLOCK_CELLS):
+            part = row[s : s + _BLOCK_CELLS]
+            idx = pick(words((key + PHI64 * (t + s + 1)) & _MASK, scratch[: part.size]))
+            if same:
+                part[...] = idx
+            else:
+                np.take(codes, idx, out=part, mode="clip")
+        for d, nodes in enumerate(_pairwise(row, spare, depth)):
+            if d >= count:
+                hist = hists[d - count]
+                hist += np.bincount(nodes[:: 1 << (depth - d)], minlength=hist.size)
+    ecfs = []
+    for k, hist in enumerate(hists):
+        d = count + k
+        c = np.flatnonzero(hist)
+        sums = np.ldexp(((a0 << d) + g * c).astype(float), -e)  # exact: below 2^53 times 2^-e
+        ecfs.append(EmpiricalCf(pts).add_histogram(sums * 2.0 ** (-d / 2.0), hist[c]))
+    return ecfs
+
+
+def _float_levels(base: Measure, count: int, levels: int, n: int, seed: int, pts):
+    """The flow check's level cfs from the float draws of base (module notes)."""
     width, prepare = _drawer(base)
     if count:  # the stream's draws are the unscaled sums of 2^count base draws
         width, prepare = width << count, _tree(prepare, width, count, 1.0)
@@ -392,6 +497,48 @@ def empirical_flow_check(
             for ecf, v in zip(ecfs, vals):
                 ecf.add(v[:filled])
             filled = 0
+    return ecfs
+
+
+def empirical_flow_check(
+    m: Measure,
+    levels: int,
+    n: int,
+    seed: int,
+    grid: GridSpec | None = None,
+) -> FlowCheck:
+    """Compare empirical cfs of pairwise-summed samples with analytic iterates.
+
+    For each level k = 0..levels, n samples of the k-fold pairwise-summed and
+    rescaled law are taken from one stream of 2^L n base draws, L the top
+    level (module notes), and their empirical cf is compared on the grid
+    against the analytic cf of the k-th iterate.  Passing means every
+    deviation stays within the conservative envelope 4/sqrt(n).  The default
+    grid is the coarse ORACLE_GRID; the envelope does not depend on grid
+    resolution.  Each level is streamed through a charfn.EmpiricalCf: memory
+    does not grow with n.
+
+    An atomic base whose positions are (a0 + g j) 2^-e for integers a0, g
+    and codes j takes the lattice route where its tree sums are exact and
+    take at most _LATTICE_MAX values (_lattice): the codes of its draws are
+    summed as small integers and counted into each level's histogram, and
+    each level's values are made once, from the sums it holds.  The route
+    regroups exact sums only, so the cfs keep the float route's bits.  Every
+    other base takes the float route (module notes).
+    """
+    if not isinstance(levels, int) or not 0 <= levels <= MAX_FLOW_LEVELS:
+        raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
+    if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
+        raise MeasureError("the flow check needs at least 1e5 samples per level")
+    require_membership(m, 2, "the empirical flow check")
+    base, count = (m.base, m.count) if isinstance(m, CfLevel) else (m, 0)
+    _sampling_depth(count + levels)
+    pts = (grid or ORACLE_GRID).points()
+    lattice = _lattice(base, count + levels)
+    if lattice:
+        ecfs = _lattice_levels(base, lattice, count, levels, n, seed, pts)
+    else:
+        ecfs = _float_levels(base, count, levels, n, seed, pts)
     devs = []
     for k, ecf in enumerate(ecfs):
         acf = eval_cf_grid(CfLevel(base, count + k) if k else m, pts)

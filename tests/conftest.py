@@ -42,18 +42,26 @@ def coarse_grid():
 
 @pytest.fixture
 def level_cfs(monkeypatch):
-    """The flow checks' EmpiricalCf of each level, in order, each with the values it was fed."""
+    """The flow checks' EmpiricalCf of each level, in order, each with what it was fed.
+
+    fed holds the chunks of values given to add, histograms the (values,
+    counts) given to add_histogram.
+    """
     made = []
 
     class Recording(charfn.EmpiricalCf):
         def __init__(self, xi):
             super().__init__(xi)
-            self.fed = []
+            self.fed, self.histograms = [], []
             made.append(self)
 
         def add(self, chunk):
             self.fed.append(np.array(chunk))
             return super().add(chunk)
+
+        def add_histogram(self, values, counts):
+            self.histograms.append((np.array(values), np.array(counts)))
+            return super().add_histogram(values, counts)
 
     monkeypatch.setattr(mc, "EmpiricalCf", Recording)
     return made

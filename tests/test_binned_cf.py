@@ -150,13 +150,19 @@ def test_flow_check_gaussian_within_the_bound_of_the_exact_path():
 
 
 @pytest.mark.parametrize("name", ["rademacher", "skewed"])
-def test_flow_check_lattice_levels_never_go_dense(name, level_cfs):
+def test_flow_check_lattice_levels_never_go_dense(name, level_cfs, monkeypatch):
     # one scale per level keeps the tree sums exact: level k takes at most
-    # the 2^k + 1 values of its sums, and no level leaves the histogram
-    assert mc.empirical_flow_check(bank.ALIASES[name](), 6, 200_000, 1234).ok
-    assert len(level_cfs) == 7
-    assert not any(ecf._dense for ecf in level_cfs)
-    assert all(ecf._vals.size <= (1 << k) + 1 for k, ecf in enumerate(level_cfs))
+    # the 2^k + 1 values of its sums, and no level leaves the histogram, on
+    # the lattice route (fed histograms) and on the float route (fed values)
+    m = bank.ALIASES[name]()
+    lattice = mc.empirical_flow_check(m, 6, 200_000, 1234)
+    monkeypatch.setattr(mc, "_lattice", lambda base, depth: None)
+    assert mc.empirical_flow_check(m, 6, 200_000, 1234) == lattice and lattice.ok
+    assert len(level_cfs) == 14
+    for route, fed in ((level_cfs[:7], "histograms"), (level_cfs[7:], "fed")):
+        assert all(getattr(ecf, fed) for ecf in route)
+        assert not any(ecf._dense for ecf in route)
+        assert all(ecf._vals.size <= (1 << k) + 1 for k, ecf in enumerate(route))
 
 
 @pytest.mark.parametrize("name", ["rademacher", "gaussian"])

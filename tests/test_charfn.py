@@ -115,43 +115,6 @@ def test_second_order_taylor_envelope_shrinks(q2_bank):
         assert env[0] > env[1] > env[2]
 
 
-def test_taylor_data_gaussian(gauss):
-    td = cf.taylor_data(gauss)
-    assert td.mean == 0.0
-    assert td.variance == 1.0
-    assert td.third_signed == 0.0
-    assert td.remainder_radius == 0.5
-
-
-def test_taylor_data_bank_values(rademacher, skewed):
-    td = cf.taylor_data(rademacher)
-    assert td.third_signed == 0.0
-    assert td.remainder_radius == 1.0
-    td = cf.taylor_data(skewed)
-    assert td.third_signed == 1.5
-    assert td.remainder_radius == 0.5
-    # cross-check the cubic coefficient by finite differences of the cf
-    h = 1e-2
-    xs = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    vals = cf.eval_cf_grid(skewed, xs).imag
-    third_fd = (vals[0] - 2.0 * vals[1] + 2.0 * vals[2] - vals[3]) / (2.0 * h**3)
-    assert third_fd == pytest.approx(1.5, rel=5e-4)
-
-
-def test_taylor_data_certifies_its_radius(skewed):
-    td = cf.taylor_data(skewed)
-    abs3 = cf.moment(skewed, 3, absolute=True)
-    xi = np.arange(1e-3, td.remainder_radius + 1e-12, 1e-3)
-    model = 1.0 - 0.5 * xi**2 - 1j * td.third_signed * xi**3 / 6.0
-    err = np.abs(cf.eval_cf_grid(skewed, xi) - model)
-    assert np.all(err <= 0.05 * xi**3 * abs3)
-
-
-def test_taylor_data_requires_third_moment():
-    with pytest.raises(MomentUnavailableError):
-        cf.taylor_data(bank.heavy_tail_std())
-
-
 def test_empirical_cf_two_points():
     for xi in (0.3, 2.0, -4.4):
         assert cf.empirical_cf([1.0, -1.0], xi) == pytest.approx(

@@ -12,6 +12,7 @@ the tree's sums, and test_special checks the transform against mpmath.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,16 +56,25 @@ def ref_empirical_cf(samples, xi):
     return complex(out[0]) if scalar else out
 
 
-def ref_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """count uniforms in the open interval (0, 1) from counter positions start.."""
+def ref_words(seed: int, start: int, count: int) -> np.ndarray:
+    """count mixed words from counter positions start.."""
     key = np.uint64(mc._mix64_int(seed))
     with np.errstate(over="ignore"):
         idx = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) % 2**64)
         z = key + np.uint64(mc.PHI64) * idx
         z = (z ^ (z >> np.uint64(30))) * np.uint64(mc._MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(mc._MIX2)
-        z = z ^ (z >> np.uint64(31))
+        return z ^ (z >> np.uint64(31))
+
+
+def ref_uniform(z: np.ndarray) -> np.ndarray:
+    """The uniform in (0, 1) of each mixed word: its top 52 bits plus one half, times 2^-52."""
     return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+def ref_uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """count uniforms in the open interval (0, 1) from counter positions start.."""
+    return ref_uniform(ref_words(seed, start, count))
 
 
 def ref_draw_atomic(m, n, seed, start):
@@ -219,20 +229,64 @@ def test_uniforms_match_reference_array():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def ref_pick(edges, z):
+    """The categorical index of each mixed word: its uniform searched among the edges."""
+    return np.minimum(np.searchsorted(edges, ref_uniform(z), side="right"), edges.size - 1)
+
+
+def edge_words(edges):
+    """W_e - 1, W_e and W_e + 1 for each edge a uniform reaches, W_e = ceil(e 2^52 - 1/2) 2^12.
+
+    Checks on the way that W_e is the first word whose uniform reaches e.
+    """
+    out = []
+    for e in edges.tolist():
+        m = max(0, math.ceil(Fraction(e) * 2**52 - Fraction(1, 2)))
+        if m >= 2**52:
+            assert e > 1.0 - 2.0**-53  # no uniform reaches e
+            continue
+        w = np.array([max(0, (m << 12) - 1), m << 12, (m << 12) + 1], dtype=np.uint64)
+        u = ref_uniform(w)
+        assert u[1] >= e and (m == 0 or u[0] < e)
+        out.append(w)
+    return np.concatenate(out) if out else np.empty(0, dtype=np.uint64)
+
+
 @pytest.mark.parametrize("atoms", [1, 2, 3, 8, 9, 13])
 def test_categorical_index_matches_searchsorted(atoms):
     rng = np.random.default_rng(atoms)
     ws = rng.random(atoms) + 0.01
     m = cf.measures.make_atomic(zip(np.sort(rng.normal(size=atoms)), ws / ws.sum()))
     edges = np.cumsum(m.weights)
-    # uniforms, the edges themselves (ties) and the values just below them
-    u = np.concatenate([uniforms(atoms, 0, 5000),
-                        edges, np.nextafter(edges, 0.0)])
-    want = np.minimum(np.searchsorted(edges, u, side="right"), atoms - 1)
-    assert np.array_equal(mc._pick(edges)(u), want)
+    # the generator's words, and the words on both sides of each edge's threshold
+    z = np.concatenate([ref_words(atoms, 0, 5000), edge_words(edges)])
+    assert np.array_equal(mc._pick(edges)(z), ref_pick(edges, z))
     for start in (0, 777):
         got = mc._sampler(m, 11)(start, 3000)
         assert np.array_equal(got, ref_draw_atomic(m, 3000, 11, start))
+
+
+AWKWARD_EDGES = {
+    # odd multiples of 2^-53 in [1/2, 1), each a uniform itself (a tie); the
+    # largest, 1 - 2^-53, is the largest uniform
+    "odd-multiples": [0.25, 0.5 + 2.0**-53, 0.75 - 2.0**-53, 1.0 - 2.0**-53, 1.0],
+    # a cumsum that rounds past 1: no uniform reaches the last edge
+    "unreachable-last": [0.3, 0.7, 1.0000000000000002],
+    # inner edges that no uniform reaches either
+    "unreachable-inner": [0.5, 1.0, 1.0, 1.0000000000000002],
+    # more than _COUNT_EDGES_MAX atoms: a binary search on the thresholds
+    "many-atoms": [2.0**-60, *np.linspace(0.05, 0.95, 10).tolist(), 0.5 + 2.0**-53,
+                   1.0 - 2.0**-53, 1.0, 1.0000000000000002],
+}
+
+
+@pytest.mark.parametrize("case", sorted(AWKWARD_EDGES))
+def test_word_threshold_index_matches_the_uniforms(case):
+    edges = np.sort(np.array(AWKWARD_EDGES[case]))
+    top = np.array([0, 2**64 - 1], dtype=np.uint64)  # the smallest and largest uniforms
+    z = np.concatenate([ref_words(3, 0, 2000), edge_words(edges), top])
+    assert (case == "many-atoms") == (edges.size > mc._COUNT_EDGES_MAX)
+    assert np.array_equal(mc._pick(edges)(z), ref_pick(edges, z))
 
 
 def test_cflevel_folds_add_reference_draws(skewed):
@@ -474,18 +528,103 @@ def ref_levels(m, levels, n, seed):
             for k in range(levels + 1)]
 
 
+def takes_lattice_route(m, levels) -> bool:
+    base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
+    return mc._lattice(base, count + levels) is not None
+
+
+def assert_fed_histogram(ecf, level):
+    """ecf was fed the histogram of level's values once, bit for bit, and nothing else."""
+    assert not ecf.fed and len(ecf.histograms) == 1
+    [(vals, counts)] = ecf.histograms
+    want_vals, want_counts = np.unique(level, return_counts=True)
+    assert same_bits(vals, want_vals) and np.array_equal(counts, want_counts)
+
+
 @pytest.mark.parametrize("name", sorted(FLOW_LEVELS))
 def test_flow_levels_are_scaled_tree_sums_of_one_sample(name, level_cfs, monkeypatch):
+    # the lattice route feeds each level its histogram, the float route its
+    # values in order; skewed-12's top level may take 2^12 + 1 values, one
+    # past the histogram, so it takes the float route
     law, levels, n, block = FLOW_LEVELS[name]
     monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
     if block:
         monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
     m = law()
+    lattice = takes_lattice_route(m, levels)
+    assert lattice == (name in ("rademacher-6", "cflevel-3"))
     mc.empirical_flow_check(m, levels, n, 1234)
-    got = [np.concatenate(ecf.fed) for ecf in level_cfs]
     want = ref_levels(m, levels, n, 1234)
-    assert len(got) == levels + 1
-    assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert len(level_cfs) == levels + 1
+    for ecf, w in zip(level_cfs, want):
+        if lattice:
+            assert_fed_histogram(ecf, w)
+        else:
+            assert not ecf.histograms and same_bits(np.concatenate(ecf.fed), w)
+
+
+LATTICE_LAWS = {
+    # law, levels, whether the lattice route holds
+    "rademacher-6": (bank.rademacher, 6, True),
+    "skewed-6": (bank.skewed_two_atom, 6, True),
+    # sums up to 2^10 are uint16 codes, copied from the uint8 index
+    "skewed-10": (bank.skewed_two_atom, 10, True),
+    # positions (-2 + 3 j) 2^-1 for the codes j = 0, 1, 2
+    "three-atom-6": (lambda: cf.measures.make_atomic(
+        [(-1.0, 4 / 9), (0.5, 4 / 9), (2.0, 1 / 9)]), 6, True),
+    # positions -1 + j for the codes 0, 1, 3, gathered by index; sums up
+    # to 3 2^8 are uint16 codes
+    "gapped-8": (lambda: cf.measures.make_atomic(
+        [(-1.0, 1 / 3), (0.0, 1 / 2), (2.0, 1 / 6)]), 8, True),
+    "cflevel-3": (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), 2, True),
+    # 1/3 is no dyadic: its lattice with -3 needs integers near 2^54
+    "one-third-6": (lambda: cf.measures.make_atomic([(-3.0, 0.1), (1 / 3, 0.9)]), 6, False),
+    # the top level may take 2^12 + 1 values, one past the histogram
+    "rademacher-12": (bank.rademacher, 12, False),
+    # the float route's sums of -0.0 draws are -0.0, a value of their own
+    "negative-zero-6": (lambda: cf.measures.make_atomic(
+        [(-2.0, 1 / 8), (-0.0, 3 / 4), (2.0, 1 / 8)]), 6, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_LAWS))
+def test_lattice_route_keeps_the_float_route_bits(name, level_cfs, monkeypatch):
+    law, levels, lattice = LATTICE_LAWS[name]
+    monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
+    m, n, pts = law(), 1001, ORACLE_GRID.points()
+    assert takes_lattice_route(m, levels) == lattice
+    got = mc.empirical_flow_check(m, levels, n, 1234)
+    want_levels = ref_levels(m, levels, n, 1234)
+    assert len(level_cfs) == levels + 1
+    for ecf, w in zip(level_cfs, want_levels):
+        vals, counts = np.unique(w, return_counts=True)
+        assert same_bits(ecf._vals, vals) and np.array_equal(ecf._counts, counts)
+        assert same_bits(ecf.value(), ref_empirical_cf(w, pts))
+        if lattice:
+            assert_fed_histogram(ecf, w)
+    monkeypatch.setattr(mc, "_lattice", lambda base, depth: None)
+    want = mc.empirical_flow_check(m, levels, n, 1234)
+    assert got == want and same_bits(got.per_level, want.per_level)
+
+
+@pytest.mark.parametrize("case", ["lattice", "first-add", "overflow", "dense"])
+def test_add_histogram_is_add_of_the_repeated_values(case):
+    # merged into a histogram left by add, made past _LATTICE_MAX values, or
+    # given to a cf that already left the histogram
+    pts = ORACLE_GRID.points()
+    x = mc._sampler(cf.CfLevel(bank.skewed_two_atom(), 6), 1234)(0, 3000)
+    before = {
+        "lattice": x[:1000],
+        "first-add": np.empty(0),
+        "overflow": np.arange(4095.0) + 0.1,  # shares no value with x
+        "dense": dense_sample(5000),
+    }[case]
+    vals, counts = np.unique(x[1000:], return_counts=True)
+    got = charfn.EmpiricalCf(pts).add(before).add_histogram(vals, counts)
+    want = charfn.EmpiricalCf(pts).add(before).add(np.repeat(vals, counts))
+    assert got._dense == want._dense == (case in ("overflow", "dense"))
+    assert same_bits(got._vals, want._vals) and same_bits(got._counts, want._counts)
+    assert same_bits(got.value(), want.value())
 
 
 @pytest.mark.parametrize("name", ["gaussian", "skewed", "cflevel-2", "affine-cflevel"])
@@ -499,8 +638,9 @@ def test_flow_check_draws_each_base_value_once(name, monkeypatch):
         "affine-cflevel": NESTED["affine-cflevel"],
     }[name]()
     base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
+    assert takes_lattice_route(m, 3) == (name in ("skewed", "cflevel-2"))
     drawn = []
-    mix = mc._mix
+    mix = mc._mix  # SplitMix, on the words of both routes
 
     def counting_mix(z, scratch):
         drawn.append(z.size)
