@@ -451,7 +451,10 @@ class EmpiricalCf:
             if (at < self._vals.size).all() and (self._vals[at] == v).all():
                 self._counts[at] += c
                 return self
-            if self._merge(v, c):
+            vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
+            if vals.size <= _LATTICE_MAX:
+                self._vals = vals
+                self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
                 return self
             self._dense = True
         if self._h is None:
@@ -493,19 +496,14 @@ class EmpiricalCf:
 
         values are the samples' distinct values, counts their integer counts.
         """
-        if not self._dense and self._merge(np.asarray(values, dtype=float), counts):
-            self._n += int(np.sum(counts))
-            return self
+        if not self._dense:
+            vals, inv = np.unique(np.concatenate((self._vals, values)), return_inverse=True)
+            if vals.size <= _LATTICE_MAX:
+                self._vals = vals
+                self._counts = np.bincount(inv, weights=np.concatenate((self._counts, counts)))
+                self._n += int(np.sum(counts))
+                return self
         return self.add(np.repeat(values, counts))
-
-    def _merge(self, v, c) -> bool:
-        """Merge the histogram (v, c) into the exact one, unless that passes _LATTICE_MAX values."""
-        vals, inv = np.unique(np.concatenate((self._vals, v)), return_inverse=True)
-        if vals.size > _LATTICE_MAX:
-            return False
-        self._vals = vals
-        self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
-        return True
 
     def value(self):
         """The cf at the points xi, a complex for a scalar xi."""

@@ -132,7 +132,7 @@ _BLOCK_CELLS = 1 << 14
 _COUNT_EDGES_MAX = 8
 # codes per pass of the flow check's lattice route: the tree and the counts
 # run once per eight blocks of words, on arrays of 128 KB (uint8) or 256 KB
-# (uint16), about one or two of a block's word buffers
+# (uint16), so their calls cost per pass, not per block
 _CODE_CELLS = 1 << 17
 ORACLE_GRID = GridSpec(1e-3, 50.0, 10)
 
@@ -226,6 +226,12 @@ def _pick(edges: np.ndarray):
         return idx
 
     return count
+
+
+def _counter_words(seed: int):
+    """counter -> its word key + PHI64 (counter + 1) under seed, the first word of a block."""
+    key = _mix64_int(seed)
+    return lambda counter: (key + PHI64 * (counter + 1)) & _MASK
 
 
 def _words(size: int):
@@ -369,14 +375,14 @@ def _stream(drawer, seed: int, cols: int):
     until the next part.
     """
     width, prepare = drawer
-    key = _mix64_int(seed)
+    word = _counter_words(seed)
 
     def parts(start, n):
         buf = np.empty(min(cols, n))
         run = prepare(buf.size)
         for b0 in range(0, n, cols):
             b = min(cols, n - b0)
-            run((key + PHI64 * (start + 1 + b0 * width)) & _MASK, buf[:b])
+            run(word(start + b0 * width), buf[:b])
             yield buf[:b]
 
     return parts
@@ -418,14 +424,14 @@ class FlowCheck:
 def _lattice(m: Measure, depth: int):
     """(a0, g, e, codes), m's positions being (a0 + g codes) 2^-e, where the lattice route holds.
 
-    It holds for an atomic law (of at least two atoms, as every member has)
-    whose tree sums of up to 2^depth draws are exact, 2^depth max|a| < 2^53,
-    and take at most _LATTICE_MAX values, 2^depth max(codes) + 1: no more
-    than the float route's level histograms hold.  A -0.0 atom is left to
-    the float route, whose sums of -0.0 draws keep the sign.  None where
-    the route does not hold.
+    It holds for an atomic law of at least two atoms whose tree sums of up
+    to 2^depth draws are exact, 2^depth max|a| < 2^53, and take at most
+    _LATTICE_MAX values, 2^depth max(codes) + 1: no more than the float
+    route's level histograms hold.  A one-atom law has no step g, and a
+    -0.0 atom is left to the float route, whose sums of -0.0 draws keep the
+    sign.  None where the route does not hold.
     """
-    if not isinstance(m, Atomic):
+    if not isinstance(m, Atomic) or m.positions.size < 2:
         return None
     pos = m.positions.tolist()
     if any(x == 0.0 and math.copysign(1.0, x) < 0 for x in pos):
@@ -447,17 +453,16 @@ def _lattice_levels(base: Atomic, lattice, count: int, levels: int, n: int, seed
     dtype = np.uint8 if codes[-1] << depth <= 0xFF else np.uint16
     codes = np.array(codes, dtype=dtype)
     same = np.array_equal(codes, np.arange(codes.size))  # the code is the index
-    pick = _pick(np.cumsum(base.weights))
+    pick, word = _pick(np.cumsum(base.weights)), _counter_words(seed)
     words, scratch = _words(_BLOCK_CELLS), np.empty(_BLOCK_CELLS, dtype=np.uint64)
-    cells = max(1, _CODE_CELLS >> depth) << depth
+    cells = max(1, _CODE_CELLS >> depth) << depth  # whole rows of 2^depth draws
     y, spare = np.empty(cells, dtype=dtype), np.empty(max(1, cells >> 1), dtype=dtype)
     hists = [np.zeros((codes[-1] << (count + k)) + 1, dtype=np.int64) for k in range(levels + 1)]
-    key = _mix64_int(seed)
     for t in range(0, n << depth, cells):
         row = y[: min(cells, (n << depth) - t)]
         for s in range(0, row.size, _BLOCK_CELLS):
             part = row[s : s + _BLOCK_CELLS]
-            idx = pick(words((key + PHI64 * (t + s + 1)) & _MASK, scratch[: part.size]))
+            idx = pick(words(word(t + s), scratch[: part.size]))
             if same:
                 part[...] = idx
             else:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cltflow as cf
 from cltflow import bank, charfn, metrics
-from cltflow.errors import CharFnBoundError, MeasureError, MomentUnavailableError
+from cltflow.errors import CharFnBoundError, MeasureError
 
 XIS = np.array([-7.3, -2.0, -0.4, -1e-3, 1e-3, 0.17, 1.0, 3.5, 24.0])
 

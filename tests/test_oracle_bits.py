@@ -20,7 +20,7 @@ import pytest
 import cltflow as cf
 from cltflow import bank, charfn, mc
 from cltflow._special import ndtri
-from cltflow.errors import MeasureError
+from cltflow.errors import MeasureError, MembershipError
 from cltflow.mc import ORACLE_GRID
 
 _CHUNK = charfn._CHUNK
@@ -564,33 +564,37 @@ def test_flow_levels_are_scaled_tree_sums_of_one_sample(name, level_cfs, monkeyp
 
 
 LATTICE_LAWS = {
-    # law, levels, whether the lattice route holds
-    "rademacher-6": (bank.rademacher, 6, True),
-    "skewed-6": (bank.skewed_two_atom, 6, True),
+    # law, levels, whether the lattice route holds, _BLOCK_CELLS
+    "rademacher-6": (bank.rademacher, 6, True, None),
+    "skewed-6": (bank.skewed_two_atom, 6, True, None),
     # sums up to 2^10 are uint16 codes, copied from the uint8 index
-    "skewed-10": (bank.skewed_two_atom, 10, True),
+    "skewed-10": (bank.skewed_two_atom, 10, True, None),
     # positions (-2 + 3 j) 2^-1 for the codes j = 0, 1, 2
     "three-atom-6": (lambda: cf.measures.make_atomic(
-        [(-1.0, 4 / 9), (0.5, 4 / 9), (2.0, 1 / 9)]), 6, True),
+        [(-1.0, 4 / 9), (0.5, 4 / 9), (2.0, 1 / 9)]), 6, True, None),
     # positions -1 + j for the codes 0, 1, 3, gathered by index; sums up
     # to 3 2^8 are uint16 codes
     "gapped-8": (lambda: cf.measures.make_atomic(
-        [(-1.0, 1 / 3), (0.0, 1 / 2), (2.0, 1 / 6)]), 8, True),
-    "cflevel-3": (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), 2, True),
+        [(-1.0, 1 / 3), (0.0, 1 / 2), (2.0, 1 / 6)]), 8, True, None),
+    "cflevel-3": (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), 2, True, None),
+    # rows of 2^9 codes against blocks of 2^6: one row a block
+    "skewed-9-small-block": (bank.skewed_two_atom, 9, True, 64),
     # 1/3 is no dyadic: its lattice with -3 needs integers near 2^54
-    "one-third-6": (lambda: cf.measures.make_atomic([(-3.0, 0.1), (1 / 3, 0.9)]), 6, False),
+    "one-third-6": (lambda: cf.measures.make_atomic([(-3.0, 0.1), (1 / 3, 0.9)]), 6, False, None),
     # the top level may take 2^12 + 1 values, one past the histogram
-    "rademacher-12": (bank.rademacher, 12, False),
+    "rademacher-12": (bank.rademacher, 12, False, None),
     # the float route's sums of -0.0 draws are -0.0, a value of their own
     "negative-zero-6": (lambda: cf.measures.make_atomic(
-        [(-2.0, 1 / 8), (-0.0, 3 / 4), (2.0, 1 / 8)]), 6, False),
+        [(-2.0, 1 / 8), (-0.0, 3 / 4), (2.0, 1 / 8)]), 6, False, None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_LAWS))
 def test_lattice_route_keeps_the_float_route_bits(name, level_cfs, monkeypatch):
-    law, levels, lattice = LATTICE_LAWS[name]
+    law, levels, lattice, block = LATTICE_LAWS[name]
     monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
+    if block:
+        monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
     m, n, pts = law(), 1001, ORACLE_GRID.points()
     assert takes_lattice_route(m, levels) == lattice
     got = mc.empirical_flow_check(m, levels, n, 1234)
@@ -605,6 +609,18 @@ def test_lattice_route_keeps_the_float_route_bits(name, level_cfs, monkeypatch):
     monkeypatch.setattr(mc, "_lattice", lambda base, depth: None)
     want = mc.empirical_flow_check(m, levels, n, 1234)
     assert got == want and same_bits(got.per_level, want.per_level)
+
+
+@pytest.mark.parametrize("pos", [1.0, 0.0])
+def test_one_atom_law_takes_no_lattice_route(pos):
+    # one atom has no lattice step; the flow check refuses the law (variance
+    # 0) before it picks a route
+    m = cf.measures.make_atomic([(pos, 1.0)])
+    assert mc._lattice(m, 6) is None
+    with pytest.raises(MembershipError):
+        mc.empirical_flow_check(m, 6, 100_000, 1234)
+    with pytest.raises(MembershipError):
+        mc.empirical_flow_check(cf.CfLevel(m, 2), 4, 100_000, 1234)
 
 
 @pytest.mark.parametrize("case", ["lattice", "first-add", "overflow", "dense"])
