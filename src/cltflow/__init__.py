@@ -4,7 +4,8 @@ The library represents probability laws on the reals through exact moment
 algebra and characteristic functions, computes the Fourier distances d2/d3,
 iterates the renormalization map T nu = law of (X+Y)/sqrt(2), and certifies
 the contraction, ideality, rate, and Lyapunov properties of that flow at desk
-scale.  See the README for the CLI and the acceptance suite.
+scale.  ``cltflow --help`` describes the CLI, and tests/test_acceptance.py
+holds the acceptance suite.
 """
 
 # each module's __all__ is its public API, and the package exports all of it

@@ -2,17 +2,17 @@
 
 A scope keeps, until it ends:
 
-* the cf deviation of each leaf law (Atomic, Parametric, Empirical) at the
-  positive points of a grid, for the _LEAVES pairs most recently used;
+* the cf deviation of each leaf law (Atomic, Parametric) at the positive
+  points of a grid, for the _LEAVES pairs most recently used;
 * the deviations of the last _COMPOSITES composite laws on a grid, enough
   for a flow iterate's d2 and d3;
 * every moment summary (cumulants, moment, abs_moment_bound, q_membership)
   asked for, by law and arguments.
 
-Laws compare by value, Empirical by identity; deviations are keyed by
-(law, GridSpec) and stored read-only.  The scope records which grid's points
-are being evaluated, so that cf deviations of composites look their leaves
-up by grid (charfn._dev).
+Laws compare by value; deviations are keyed by (law, GridSpec) and stored
+read-only.  The scope records which grid's points are being evaluated, so
+that cf deviations of composites look their leaves up by grid
+(charfn._dev).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Where phi is small, 1 + D cancels: its error is relative to 1, not to phi.
 So cf values (``eval_cf``, ``eval_cf_grid``) are 1 + D wherever
 |1 + D| >= 1/2 and come from the value form elsewhere:
 
-* atomic and empirical laws sum  w exp(i xi x)  over the atoms;
+* atomic laws sum  w exp(i xi x)  over the atoms;
 * closed-form families take the value of their row, times the phase of its
   location;
 * squaring chains carry D while |1 + D| >= 1/2 and square the value from
@@ -50,9 +50,9 @@ terms of size |t| = |x xi|, so at the points where some atom has
 XI_ABS_MAX = 1e100, the largest grid point, and NaN are refused, and so is
 a deviation with |1 + D| above 1 + MODULUS_SLACK or not finite.
 
-Inside a metrics.shared_deviations() scope, a leaf law (atomic, parametric,
-empirical) evaluated at a grid's own positive points, alone or as a part of
-a convolution product or power, is computed once and then read from the
+Inside a metrics.shared_deviations() scope, a leaf law (atomic or
+parametric) evaluated at a grid's own positive points, alone or as a part
+of a convolution product or power, is computed once and then read from the
 scope's table (see _scope).
 """
 
@@ -71,7 +71,6 @@ from .measures import (
     CfLevel,
     ConvPower,
     ConvProduct,
-    Empirical,
     Measure,
     Parametric,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "eval_cf",
     "eval_cf_grid",
     "empirical_cf",
-    "binned_cf",
     "EmpiricalCf",
 ]
 
@@ -91,7 +89,7 @@ _CHUNK = 1 << 22
 # time on a grid of more points, so the transient stays the size of the grid
 _ROW_CELLS = 1 << 13
 # laws whose deviation a shared_deviations() scope keeps per grid
-_LEAF_TYPES = (Atomic, Parametric, Empirical)
+_LEAF_TYPES = (Atomic, Parametric)
 # samples per cache-sized block of a dense empirical cf chunk
 _ROW_BLOCK = 512
 # samples with at most this many distinct values are summed value by value
@@ -164,11 +162,7 @@ def _dev_leaf(m: Measure, xi: np.ndarray) -> np.ndarray:
         # the positions ascend, so the largest |x| is at an end
         span = max(-pos[0], pos[-1])
         return _dev_atomic(pos, ws, float(np.dot(ws, pos)), span, xi)
-    if isinstance(m, Parametric):
-        return _dev_parametric(m.family, m.params, xi)
-    x = m.samples
-    ws = np.full(x.size, 1.0 / x.size)
-    return _dev_atomic(x, ws, float(np.mean(x)), float(np.max(np.abs(x))), xi)
+    return _dev_parametric(m.family, m.params, xi)
 
 
 def _square(d: np.ndarray, sq: np.ndarray | None):
@@ -289,9 +283,6 @@ def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         return _phi_atomic(m.positions, m.weights, xi)
     if isinstance(m, Parametric):
         return _phi_parametric(m.family, m.params, xi, lo)
-    if isinstance(m, Empirical):
-        x = m.samples
-        return _phi_atomic(x, np.full(x.size, 1.0 / x.size), xi)
     if isinstance(m, CfLevel):
         arg, arg_lo = _scaled(*_level_scale(m.count), xi, lo)
         return _pair_power(_pair(m.base, arg, arg_lo), 2**m.count)[1]
@@ -548,13 +539,3 @@ def empirical_cf(samples, xi):
     points asked for.
     """
     return EmpiricalCf(xi, binned=False).add(samples).value()
-
-
-def binned_cf(samples, xi):
-    """empirical_cf with the dense sums taken from binned moments: EmpiricalCf(xi) fed one chunk.
-
-    Lattice samples, and dense ones too wide to bin, get empirical_cf's
-    bits; dense ones differ by at most 5.1e-13 of truncation plus rounding,
-    at a cost that grows with the bins, not the samples, times the |xi|.
-    """
-    return EmpiricalCf(xi).add(samples).value()

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bank import Q2_BANK_NAMES, Q3_BANK_NAMES, resolve_alias
@@ -54,15 +55,6 @@ IDEAL_LAMBDAS = (0.5, 2.0**-0.5, 1.0, 2.0)
 # a command that raises one of these fails with an error row; any other
 # exception propagates
 _RUN_ERRORS = (MeasureError, CharFnBoundError, FloatingPointError)
-_COMMANDS = (
-    "distance",
-    "flow",
-    "verify-contraction",
-    "verify-ideal",
-    "verify-lyapunov",
-    "verify-clt-rate",
-    "oracle",
-)
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +67,8 @@ def _flag(ok: bool) -> str:
 
 @dataclass
 class CommandResult:
-    name: str
+    """A command's CSV report (header and rows), verdict and summary line."""
+
     header: str
     rows: list[str]
     ok: bool
@@ -116,12 +109,12 @@ def _run_distance(cmd: dict, env: _Env) -> CommandResult:
     header = type(res).CSV_HEADER
     row = res.to_csv_row()
     summary = f"distance s={cmd['s']} {cmd['a']} vs {cmd['b']}: {header}\n{row}"
-    return CommandResult("distance", header, [row], True, summary)
+    return CommandResult(header, [row], True, summary)
 
 
 def _run_flow(cmd: dict, env: _Env) -> CommandResult:
     m = env.resolve(cmd["measure"])
-    steps = cmd.get("steps", 10)
+    steps = cmd["steps"]
     report = renorm_trajectory(m, steps, env.grid)
     ok = report.lyapunov_monotone
     detail = []
@@ -143,7 +136,7 @@ def _run_flow(cmd: dict, env: _Env) -> CommandResult:
         f"flow {cmd['measure']} steps={steps}: slope_log2={slope} "
         f"{'ok' if ok else 'FAIL (' + '; '.join(detail) + ')'}"
     )
-    return CommandResult("flow", report.CSV_HEADER, report.to_csv_rows(), ok, summary)
+    return CommandResult(report.CSV_HEADER, report.to_csv_rows(), ok, summary)
 
 
 def _run_verify_contraction(cmd: dict, env: _Env) -> CommandResult:
@@ -161,9 +154,7 @@ def _run_verify_contraction(cmd: dict, env: _Env) -> CommandResult:
         f"verify-contraction: 10 pairs, worst ratio {_fmt(worst)} "
         f"(bound {_fmt(bound)}) {'ok' if ok else 'FAIL'}"
     )
-    return CommandResult(
-        "verify-contraction", "a,b,ratio,bound,ok", rows, ok, summary
-    )
+    return CommandResult("a,b,ratio,bound,ok", rows, ok, summary)
 
 
 def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
@@ -219,17 +210,11 @@ def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
             emit("doubling", s, (na, nb), None, lhs, 2.0 * rhs,
                  2.0 * rhs - lhs, lhs <= 2.0 * rhs + 1e-8)
     summary = f"verify-ideal: {len(rows)} checks {'ok' if ok else 'FAIL'}"
-    return CommandResult(
-        "verify-ideal",
-        "check,s,measures,lambda,lhs,rhs,stat,ok",
-        rows,
-        ok,
-        summary,
-    )
+    return CommandResult("check,s,measures,lambda,lhs,rhs,stat,ok", rows, ok, summary)
 
 
 def _run_verify_lyapunov(cmd: dict, env: _Env) -> CommandResult:
-    steps = cmd.get("steps", 10)
+    steps = cmd["steps"]
     rows, ok = [], True
     for name, m in env.bank(Q2_BANK_NAMES).items():
         report = renorm_trajectory(m, steps, env.grid)
@@ -246,13 +231,11 @@ def _run_verify_lyapunov(cmd: dict, env: _Env) -> CommandResult:
         f"verify-lyapunov: strict d2 decrease over {steps} steps "
         f"{'ok' if ok else 'FAIL'}"
     )
-    return CommandResult(
-        "verify-lyapunov", "measure,n,v_before,v_after,decrease,ok", rows, ok, summary
-    )
+    return CommandResult("measure,n,v_before,v_after,decrease,ok", rows, ok, summary)
 
 
 def _run_verify_clt_rate(cmd: dict, env: _Env) -> CommandResult:
-    n_max = cmd.get("n_max", 64)
+    n_max = cmd["n_max"]
     rows, ok = [], True
     for name in ("rademacher", "skewed"):
         m = env.resolve(name)
@@ -264,16 +247,13 @@ def _run_verify_clt_rate(cmd: dict, env: _Env) -> CommandResult:
                 f"{_flag(chk.ok)}"
             )
     summary = f"verify-clt-rate: n=2..{n_max} {'ok' if ok else 'FAIL'}"
-    return CommandResult(
-        "verify-clt-rate", "measure,n,lhs,rhs,margin,ok", rows, ok, summary
-    )
+    return CommandResult("measure,n,lhs,rhs,margin,ok", rows, ok, summary)
 
 
 def _run_oracle(cmd: dict, env: _Env) -> CommandResult:
-    levels = cmd.get("levels", 6)
-    samples = cmd.get("samples", DEFAULT_ORACLE_SAMPLES)
+    levels, samples = cmd["levels"], cmd["samples"]
     rows, ok = [], True
-    for name in cmd.get("measures", ("gaussian", "rademacher", "skewed")):
+    for name in cmd["measures"]:
         m = env.resolve(name)
         chk = empirical_flow_check(m, levels, samples, env.seed, ORACLE_GRID)
         ok &= chk.ok
@@ -286,65 +266,112 @@ def _run_oracle(cmd: dict, env: _Env) -> CommandResult:
         f"oracle: levels 0..{levels} at n={samples}, seed={env.seed} "
         f"{'ok' if ok else 'FAIL'}"
     )
-    return CommandResult(
-        "oracle", "measure,level,max_dev,envelope,ok", rows, ok, summary
-    )
-
-
-_RUNNERS = {
-    "distance": _run_distance,
-    "flow": _run_flow,
-    "verify-contraction": _run_verify_contraction,
-    "verify-ideal": _run_verify_ideal,
-    "verify-lyapunov": _run_verify_lyapunov,
-    "verify-clt-rate": _run_verify_clt_rate,
-    "oracle": _run_oracle,
-}
-
-_COMMAND_KEYS = {
-    "distance": ({"command", "a", "b", "s"}, {"a", "b", "s"}),
-    "flow": ({"command", "measure", "steps"}, {"measure"}),
-    "verify-contraction": ({"command"}, set()),
-    "verify-ideal": ({"command"}, set()),
-    "verify-lyapunov": ({"command", "steps"}, set()),
-    "verify-clt-rate": ({"command", "n_max"}, set()),
-    "oracle": ({"command", "levels", "samples", "measures"}, set()),
-}
+    return CommandResult("measure,level,max_dev,envelope,ok", rows, ok, summary)
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# the command table and config handling
 # ---------------------------------------------------------------------------
+
+# the config's grid keys, and the flags of every command that takes them
+_GRID_FLAGS = {
+    "xi_min": (float, f"smallest grid point, at least {GRID_XI_MIN:g}"),
+    "xi_max": (float, f"largest grid point, at most {GRID_XI_MAX:g}"),
+    "points_per_decade": (int, f"grid resolution, at most {MAX_POINTS_PER_DECADE}"),
+}
+
+REQUIRED = object()  # the default of a key that a command must give
+
+
+@dataclass(frozen=True)
+class Key:
+    """One key of a command: a config key and, but for a list, the flag --name.
+
+    An int key is bounded by lo..hi (hi None: no upper bound), and choices
+    makes its flag list lo..hi; a str key names a measure, a list key lists
+    measure names and is set in a config only.
+    """
+
+    name: str
+    type: type
+    default: object = REQUIRED
+    lo: int | None = None
+    hi: int | None = None
+    help: str | None = None
+    choices: bool = False
+
+    def check(self, value):
+        """value, if it is of this key's type and within its bounds."""
+        if self.type is int:
+            ok = _is_int(value) and self.lo <= value and (self.hi is None or value <= self.hi)
+            what = (f"an integer of at least {self.lo}" if self.hi is None
+                    else f"an integer in {self.lo}..{self.hi}")
+        else:
+            ok = isinstance(value, self.type) and len(value) > 0
+            what = "a measure name" if self.type is str else "a nonempty list of measure names"
+        if not ok:
+            raise ConfigError(f"command key {self.name!r} must be {what}")
+        return list(value) if self.type is list else value
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its runner, --help text, keys, and whether it takes the grid flags.
+
+    One without the grid flags names the grid it uses in its --help description.
+    """
+
+    run: Callable[[dict, _Env], CommandResult]
+    help: str
+    keys: tuple[Key, ...] = ()
+    grid: bool = True
+
+
+_STEPS = Key("steps", int, 10, lo=1)
+
+COMMANDS = {
+    "distance": Command(_run_distance, "one Fourier distance, printed as CSV", (
+        Key("a", str), Key("b", str), Key("s", int, lo=2, hi=3, choices=True))),
+    "flow": Command(_run_flow, "trajectory distances under the renormalization map",
+                    (Key("measure", str), _STEPS)),
+    "verify-contraction": Command(_run_verify_contraction, "contraction bound over the bank"),
+    "verify-ideal": Command(_run_verify_ideal, "ideal-metric structure checks"),
+    "verify-lyapunov": Command(_run_verify_lyapunov, "strict d2 decrease along trajectories",
+                               (_STEPS,)),
+    "verify-clt-rate": Command(_run_verify_clt_rate, "sqrt(n) rate for arbitrary n",
+                               (Key("n_max", int, 64, lo=1),)),
+    "oracle": Command(
+        _run_oracle, "Monte Carlo agreement with the analytic flow", (
+            Key("levels", int, 6, lo=1, hi=MAX_FLOW_LEVELS,
+                help=f"pairwise-sum levels, at least 1 and at most {MAX_FLOW_LEVELS}"),
+            Key("samples", int, DEFAULT_ORACLE_SAMPLES, lo=MIN_FLOW_SAMPLES,
+                hi=MAX_ORACLE_SAMPLES,
+                help=f"samples per level, at least {MIN_FLOW_SAMPLES} and at most "
+                     f"{MAX_ORACLE_SAMPLES}; each law draws 2^levels x samples base values"),
+            Key("measures", list, ["gaussian", "rademacher", "skewed"]),
+        ),
+        grid=False,
+    ),
+}
 
 
 def _validate_command(cmd) -> dict:
+    """cmd checked against its row of COMMANDS, with every default filled in."""
     if not isinstance(cmd, dict) or "command" not in cmd:
         raise ConfigError("each command must be an object with a 'command' key")
     name = cmd["command"]
-    if not isinstance(name, str) or name not in _COMMAND_KEYS:
-        raise ConfigError(f"unknown command {name!r}; known: {sorted(_COMMAND_KEYS)}")
-    allowed, required = _COMMAND_KEYS[name]
-    extra = set(cmd) - allowed
+    if not isinstance(name, str) or name not in COMMANDS:
+        raise ConfigError(f"unknown command {name!r}; known: {sorted(COMMANDS)}")
+    keys = COMMANDS[name].keys
+    extra = set(cmd) - {"command", *(key.name for key in keys)}
     if extra:
         raise ConfigError(f"unknown keys for command {name!r}: {sorted(extra)}")
-    missing = required - set(cmd)
-    if missing:
-        raise ConfigError(f"command {name!r} is missing keys: {sorted(missing)}")
-    if name == "distance" and cmd["s"] not in (2, 3):
-        raise ConfigError("distance command needs s in {2, 3}")
-    for key in ("steps", "n_max", "levels", "samples"):
-        if key in cmd and (not _is_int(cmd[key]) or cmd[key] < 1):
-            raise ConfigError(f"command key {key!r} must be a positive integer")
-    if not MIN_FLOW_SAMPLES <= cmd.get("samples", MIN_FLOW_SAMPLES) <= MAX_ORACLE_SAMPLES:
-        raise ConfigError(
-            f"command key 'samples' must be in {MIN_FLOW_SAMPLES}..{MAX_ORACLE_SAMPLES}")
-    if cmd.get("levels", 1) > MAX_FLOW_LEVELS:
-        raise ConfigError(f"command key 'levels' must be at most {MAX_FLOW_LEVELS}")
-    if not isinstance(cmd.get("measures", []), list):
-        raise ConfigError("command key 'measures' must be a list of measure names")
-    if cmd.get("measures") == []:
-        raise ConfigError("command key 'measures' must name at least one measure")
-    return cmd
+    out = {"command": name}
+    for key in keys:
+        if key.default is REQUIRED and key.name not in cmd:
+            raise ConfigError(f"command {name!r} is missing key {key.name!r}")
+        out[key.name] = key.check(cmd.get(key.name, key.default))
+    return out
 
 
 def _is_int(value) -> bool:
@@ -385,7 +412,7 @@ def parse_config(doc) -> dict:
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError("'grid' must be an object")
-    grid_extra = set(grid_doc) - {"xi_min", "xi_max", "points_per_decade"}
+    grid_extra = set(grid_doc) - set(_GRID_FLAGS)
     if grid_extra:
         raise ConfigError(f"unknown grid keys: {sorted(grid_extra)}")
     ppd = grid_doc.get("points_per_decade", 200)
@@ -410,11 +437,9 @@ def parse_config(doc) -> dict:
     validated = [_validate_command(c) for c in commands]
     env = _Env(measures, grid, seed)
     for cmd in validated:
-        for key in ("a", "b", "measure"):
-            if key in cmd:
-                env.resolve(cmd[key])
-        for name in cmd.get("measures", ()):
-            env.resolve(name)
+        for key in COMMANDS[cmd["command"]].keys:
+            if key.type is not int:  # a measure name, or a list of them
+                env.bank(cmd[key.name] if key.type is list else [cmd[key.name]])
     return {
         "commands": validated,
         "env": env,
@@ -429,25 +454,18 @@ def run(config: dict, out_dir: str | None = None, stream=None) -> int:
     out_dir = out_dir or config.get("output_path")
     results: list[CommandResult] = []
     for cmd in config["commands"]:
-        runner = _RUNNERS[cmd["command"]]
         try:
             with shared_deviations():
-                results.append(runner(cmd, env))
+                results.append(COMMANDS[cmd["command"]].run(cmd, env))
         except _RUN_ERRORS as exc:
             results.append(
-                CommandResult(
-                    cmd["command"],
-                    "error",
-                    [f"error,{exc}"],
-                    False,
-                    f"{cmd['command']}: FAIL ({exc})",
-                )
+                CommandResult("error", [f"error,{exc}"], False, f"{cmd['command']}: FAIL ({exc})")
             )
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
-            for idx, res in enumerate(results, start=1):
-                path = os.path.join(out_dir, f"{idx:02d}_{res.name}.csv")
+            for idx, (cmd, res) in enumerate(zip(config["commands"], results), start=1):
+                path = os.path.join(out_dir, f"{idx:02d}_{cmd['command']}.csv")
                 with open(path, "w", encoding="ascii", newline="\n") as fh:
                     fh.write(res.header + "\n")
                     for row in res.rows:
@@ -485,60 +503,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fourier-metric verification of the renormalization CLT flow",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, grid=True):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=None if command.grid else
+                           f"It takes no grid flags: ORACLE_GRID = {ORACLE_GRID}.")
+        for key in command.keys:
+            if key.type is list:  # set in a config only
+                continue
+            p.add_argument(
+                "--" + key.name.replace("_", "-"), type=key.type, default=key.default,
+                required=key.default is REQUIRED, help=key.help,
+                choices=range(key.lo, key.hi + 1) if key.choices else None,
+            )
         p.add_argument("--out", default=None, help="directory for CSV reports")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if not grid:
-            return
-        p.add_argument(
-            "--xi-min", type=float, default=1e-3,
-            help=f"smallest grid point, at least {GRID_XI_MIN:g}",
-        )
-        p.add_argument(
-            "--xi-max", type=float, default=50.0,
-            help=f"largest grid point, at most {GRID_XI_MAX:g}",
-        )
-        p.add_argument(
-            "--points-per-decade", type=int, default=200,
-            help=f"grid resolution, at most {MAX_POINTS_PER_DECADE}",
-        )
-
-    p = sub.add_parser("distance", help="one Fourier distance, printed as CSV")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--s", type=int, required=True, choices=(2, 3))
-    add_common(p)
-
-    p = sub.add_parser("flow", help="trajectory distances under the renormalization map")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--steps", type=int, default=10)
-    add_common(p)
-
-    p = sub.add_parser("verify-contraction", help="contraction bound over the bank")
-    add_common(p)
-
-    p = sub.add_parser("verify-ideal", help="ideal-metric structure checks")
-    add_common(p)
-
-    p = sub.add_parser("verify-lyapunov", help="strict d2 decrease along trajectories")
-    p.add_argument("--steps", type=int, default=10)
-    add_common(p)
-
-    p = sub.add_parser("verify-clt-rate", help="sqrt(n) rate for arbitrary n")
-    p.add_argument("--n-max", type=int, default=64)
-    add_common(p)
-
-    p = sub.add_parser("oracle", help="Monte Carlo agreement with the analytic flow",
-                       description=f"It takes no grid flags: ORACLE_GRID = {ORACLE_GRID}.")
-    p.add_argument("--levels", type=int, default=6,
-                   help=f"pairwise-sum levels, at least 1 and at most {MAX_FLOW_LEVELS}")
-    p.add_argument(
-        "--samples", type=int, default=DEFAULT_ORACLE_SAMPLES,
-        help=f"samples per level, at least {MIN_FLOW_SAMPLES} and at most "
-             f"{MAX_ORACLE_SAMPLES}; each law draws 2^levels x samples base values",
-    )
-    add_common(p, grid=False)
+        for key, (kind, text) in _GRID_FLAGS.items() if command.grid else ():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
 
     p = sub.add_parser("run", help="execute a JSON experiment config",
                        description="Its grid serves every command but oracle (ORACLE_GRID).")
@@ -548,24 +527,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _args_to_config(args) -> dict:
-    cmd: dict = {"command": args.subcommand}
-    if args.subcommand == "distance":
-        cmd.update(a=args.a, b=args.b, s=args.s)
-    elif args.subcommand == "flow":
-        cmd.update(measure=args.measure, steps=args.steps)
-    elif args.subcommand == "verify-lyapunov":
-        cmd.update(steps=args.steps)
-    elif args.subcommand == "verify-clt-rate":
-        cmd.update(n_max=args.n_max)
-    elif args.subcommand == "oracle":
-        cmd.update(levels=args.levels, samples=args.samples)
+    command = COMMANDS[args.subcommand]
+    cmd = {"command": args.subcommand}
+    cmd.update((key.name, getattr(args, key.name)) for key in command.keys
+               if key.type is not list)
     doc = {"commands": [cmd], "seed": args.seed}
-    if args.subcommand != "oracle":
-        doc["grid"] = {
-            "xi_min": args.xi_min,
-            "xi_max": args.xi_max,
-            "points_per_decade": args.points_per_decade,
-        }
+    if command.grid:  # a flag left out takes the config's default
+        doc["grid"] = {key: getattr(args, key) for key in _GRID_FLAGS
+                       if getattr(args, key) is not None}
     return doc
 
 

@@ -22,7 +22,7 @@ _COUNT_EDGES_MAX atoms and binary-searched for more, the index of the
 uniform to the bit, with no uniform made.
 
 A draw of a law takes a fixed number of counters, its width: one for an
-atomic, empirical or closed-form law (and an affine image of one), and
+atomic or closed-form law (and an affine image of one), and
 2^k times the base's width for a level-k CfLevel.  The layout is
 contiguous: draw i of a call from counter start takes counters
 start + i w .. start + (i + 1) w - 1.  So draw i of CfLevel(b, k) is made
@@ -41,8 +41,8 @@ Draws are made in blocks of about _BLOCK_CELLS counters, whose buffers
 stay in L2 and serve every block.  A block's words key + PHI64 (counter + 1)
 are a base array PHI64 i, built once per stream, plus one scalar; SplitMix
 then runs in place (_mix), and the base law's transform (categorical
-index of the word; inverse CDF or empirical index of its uniform; affine
-map) writes the draws.  The bits do not depend on the blocks:
+index of the word; inverse CDF of its uniform; affine map) writes the
+draws.  The bits do not depend on the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
@@ -99,7 +99,6 @@ from .measures import (
     Affine,
     Atomic,
     CfLevel,
-    Empirical,
     Measure,
     Parametric,
     require_membership,
@@ -219,9 +218,13 @@ def _pick(edges: np.ndarray):
         last = edges.size - 1
         return lambda z: np.minimum(np.searchsorted(walls, z, side="right"), last)
 
+    inner = walls[: edges.size - 1]
+    if not inner.size:  # one atom, or no uniform reaches an inner edge
+        return lambda z: np.zeros(z.shape, dtype=np.uint8)
+
     def count(z):
-        idx = np.zeros(z.shape, dtype=np.uint8)
-        for w in walls[: edges.size - 1]:
+        idx = (z >= inner[0]).view(np.uint8)
+        for w in inner[1:]:
             idx += z >= w
         return idx
 
@@ -327,15 +330,6 @@ def _drawer(m: Measure):
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
         return _leaf(lambda size: lambda z, out: np.take(pos, pick(z), out=out, mode="clip"))
-    if isinstance(m, Empirical):
-        x = m.samples
-
-        def index(z, out):
-            u = _uniform(z)
-            u *= x.size
-            np.take(x, np.minimum(u.astype(np.int64), x.size - 1), out=out, mode="clip")
-
-        return _leaf(lambda size: index)
     if isinstance(m, Parametric):
 
         def make(size):
@@ -362,8 +356,8 @@ def _drawer(m: Measure):
         k = _sampling_depth(m.count)
         return width << k, _tree(prepare_base, width, k, 2.0 ** (-k / 2.0))
     raise MeasureError(
-        f"sampling supports atomic, parametric, empirical, affine and cf-level "
-        f"laws, not {type(m).__name__}"
+        f"sampling supports atomic, parametric, affine and cf-level laws, "
+        f"not {type(m).__name__}"
     )
 
 
@@ -413,7 +407,7 @@ def sample(m: Measure, n: int, seed: int) -> SampleBatch:
 
 @dataclass(frozen=True)
 class FlowCheck:
-    """Empirical-vs-analytic cf agreement along the pairwise-sum flow."""
+    """Agreement of empirical and analytic cfs along the pairwise-sum flow."""
 
     ok: bool
     max_deviation: float

@@ -6,7 +6,6 @@ A measure is represented by one of a small set of immutable value types:
 * ``Parametric``    closed-form family (gaussian, uniform, exponential, laplace,
                     plus the internal heavy-tail family used by the test bank),
                     each with its rules in one row of the _families table
-* ``Empirical``     a finite sample treated as its empirical law
 * ``CfLevel``       n applications of the renormalization map to a base law
 * ``ConvProduct``   convolution of independent component laws
 * ``ConvPower``     n-fold convolution of one law with itself
@@ -15,7 +14,9 @@ A measure is represented by one of a small set of immutable value types:
 All representations carry exact first-through-fourth cumulants (with ``inf``
 and ``nan`` markers where a moment is infinite or not absolutely convergent),
 which is what the metric layer needs for its zero-frequency limits.  Every
-value is frozen; operations return new measures.  Inside a
+value is frozen and compares by value; operations return new measures.  A
+finite sample's empirical law is the equal-weight atomic law
+make_atomic((x, 1.0) for x in sample).  Inside a
 metrics.shared_deviations() scope, cumulants, moment, abs_moment_bound and
 q_membership are computed once per law and arguments.
 """
@@ -41,7 +42,6 @@ __all__ = [
     "Measure",
     "Atomic",
     "Parametric",
-    "Empirical",
     "CfLevel",
     "ConvProduct",
     "ConvPower",
@@ -102,21 +102,6 @@ class Parametric(Measure):
 
     def __post_init__(self):
         _families.check(self.family, self.params)
-
-
-@dataclass(frozen=True, eq=False)
-class Empirical(Measure):
-    """The empirical law of a fixed finite sample."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise MeasureError("empirical measure needs a nonempty 1-d sample")
-        if not np.all(np.isfinite(arr)):
-            raise MeasureError("empirical samples must be finite")
-        object.__setattr__(self, "samples", arr)
 
 
 @dataclass(frozen=True)
@@ -320,9 +305,6 @@ def cumulants(m: Measure) -> tuple[float, float, float, float]:
         return _raw_to_cumulants(*_atomic_raw(m.atoms))
     if isinstance(m, Parametric):
         return _families.row(m.family).cumulants(m.params)
-    if isinstance(m, Empirical):
-        x = m.samples
-        return _raw_to_cumulants(*(float(np.mean(x**k)) for k in (1, 2, 3, 4)))
     if isinstance(m, CfLevel):
         k1, k2, k3, k4 = cumulants(m.base)
         n = m.count
@@ -364,8 +346,6 @@ def moment(m: Measure, k: int, absolute: bool = False) -> float:
     if not absolute or k % 2 == 0:
         if isinstance(m, Atomic):
             return _atomic_raw(m.atoms)[k - 1]
-        if isinstance(m, Empirical):
-            return float(np.mean(m.samples**k))
         return _cumulants_to_raw(*cumulants(m))[k - 1]
     return _abs_moment_odd(m, k)
 
@@ -374,8 +354,6 @@ def _abs_moment_odd(m: Measure, k: int) -> float:
     if isinstance(m, Atomic):
         xs, ws = m.positions, m.weights
         return float(np.dot(ws, np.abs(xs) ** k))
-    if isinstance(m, Empirical):
-        return float(np.mean(np.abs(m.samples) ** k))
     if isinstance(m, Parametric):
         return _families.row(m.family).abs_odd(m.params, k)
     if isinstance(m, Affine) and m.shift == 0.0:
@@ -433,9 +411,6 @@ def standardize(m: Measure) -> Measure:
         return make_atomic(zip(xs, ws))
     if isinstance(m, Parametric):
         return Parametric(m.family, _families.row(m.family).standardize(m.params, mean, sd))
-    if isinstance(m, Empirical):
-        xs = (m.samples - mean) / sd
-        return Empirical(xs - float(np.mean(xs)))
     if abs(mean) <= 1e-12 and abs(k2 - 1.0) <= 1e-14:
         return m
     return scale_law(_shift(m, -mean), 1.0 / sd)
@@ -450,8 +425,6 @@ def _shift(m: Measure, c: float) -> Measure:
         p = _families.row(m.family).shifted(m.params, c)
         if p is not None:
             return Parametric(m.family, p)
-    if isinstance(m, Empirical):
-        return Empirical(m.samples + c)
     if isinstance(m, Affine):
         return Affine(m.base, m.scale, m.shift + c)
     return Affine(m, 1.0, c)
@@ -470,8 +443,6 @@ def scale_law(m: Measure, lam: float) -> Measure:
         p = _families.row(m.family).scaled(m.params, lam)
         if p is not None:
             return Parametric(m.family, p)
-    if isinstance(m, Empirical):
-        return Empirical(m.samples * lam)
     if isinstance(m, Affine):
         return Affine(m.base, lam * m.scale, lam * m.shift)
     return Affine(m, lam, 0.0)

@@ -21,15 +21,15 @@ to the bit.  grid_argmax is the smallest positive point that attains the
 supremum, the point a mirrored grid reports when its ties go to the
 smallest |xi|, then to the positive sign.
 
-Inside a ``shared_deviations()`` scope each leaf law (atomic, parametric,
-empirical) has its deviation on a grid computed once, whether ds_distance
-takes it alone or as a part of a convolution, while it stays among the 12
-(law, grid) pairs most recently used; the last two composite deviations are
+Inside a ``shared_deviations()`` scope each leaf law (atomic or parametric)
+has its deviation on a grid computed once, whether ds_distance takes it
+alone or as a part of a convolution, while it stays among the 12 (law,
+grid) pairs most recently used; the last two composite deviations are
 kept too, and the moment summaries of every law.  The checks compare many
 laws and their convolutions against the same gaussian, and each flow
 iterate against it twice.  Outside a scope every deviation is computed
-afresh, so a library caller never sees a value from before a change to a
-mutable sample or to the cf code.  The CLI opens one scope per command.
+afresh, so a library caller never sees a value from before a change to the
+cf code.  The CLI opens one scope per command.
 """
 
 from __future__ import annotations
@@ -199,15 +199,14 @@ def _zero_limit_relaxed(a: Measure, b: Measure, s: int) -> float:
 def shared_deviations():
     """Compute each grid deviation and moment summary once until the scope ends.
 
-    Keyed by (law, grid), laws by value and Empirical by identity, the
-    scope keeps the deviations of the 12 leaf laws (atomic, parametric,
-    empirical) most recently used, whether ds_distance took them alone or
-    as parts of a convolution product or power, and of the last two
-    composite laws; and the cumulants, moments, absolute moment bounds and
-    memberships of every law asked about.  Everything is freed when the
-    scope ends.  A scope opened inside another shares the outer one.  Keep
-    a scope short: a law mutated or a cf routine replaced inside it is not
-    seen by what was computed before.
+    Keyed by (law, grid), laws by value, the scope keeps the deviations of
+    the 12 leaf laws (atomic or parametric) most recently used, whether
+    ds_distance took them alone or as parts of a convolution product or
+    power, and of the last two composite laws; and the cumulants, moments,
+    absolute moment bounds and memberships of every law asked about.
+    Everything is freed when the scope ends.  A scope opened inside another
+    shares the outer one.  Keep a scope short: a cf routine replaced inside
+    it is not seen by what was computed before.
     """
     if _scope.active is not None:
         yield

@@ -1,12 +1,12 @@
 """The oracle's binned-moment empirical cf against the exact empirical_cf.
 
-binned_cf (EmpiricalCf fed one chunk) bins dense samples at width 1 / max|xi|
-and sums 12 moments per bin, so it differs from empirical_cf by at most
-(1/2)^12 / 12! < 5.1e-13 of truncation plus rounding; the tests allow
-1e-12.  Lattice samples, and dense ones too wide to bin, must get
-empirical_cf's bits.  The flow check streams each level through EmpiricalCf
-and is held to the same, against empirical_cf on the whole level, the
-levels made from one sample by the reference tree.
+EmpiricalCf(xi).add(x).value(), the cf of x fed as one chunk, bins dense
+samples at width 1 / max|xi| and sums 12 moments per bin, so it differs
+from empirical_cf by at most (1/2)^12 / 12! < 5.1e-13 of truncation plus
+rounding; the tests allow 1e-12.  Lattice samples, and dense ones too
+wide to bin, must get empirical_cf's bits.  The flow check streams each
+level through EmpiricalCf and is held to the same, against empirical_cf on
+the whole level, the levels made from one sample by the reference tree.
 """
 
 import math
@@ -31,7 +31,7 @@ LAWS = {
     "uniform": lambda: bank.ALIASES["uniform-std"](),
     "heavy-cubic": lambda: bank.heavy_tail_std(),
     "empirical-2": lambda: cf.CfLevel(
-        cf.Empirical(np.random.default_rng(8).standard_t(3, 777)), 2
+        cf.make_atomic((x, 1.0) for x in np.random.default_rng(8).standard_t(3, 777)), 2
     ),
 }
 POINTS = {
@@ -55,10 +55,10 @@ def test_binned_cf_within_the_truncation_bound(law, points, monkeypatch):
     exact = charfn.empirical_cf(x, xi)
 
     def no_exact(*args):
-        raise AssertionError("binned_cf fell back to the exact sums")
+        raise AssertionError("the binned cf fell back to the exact sums")
 
     monkeypatch.setattr(charfn, "_exact_dense", no_exact)
-    got = charfn.binned_cf(x, xi)
+    got = charfn.EmpiricalCf(xi).add(x).value()
     assert isinstance(got, complex) == isinstance(exact, complex)
     assert np.max(np.abs(np.asarray(got) - exact)) <= TOL
 
@@ -78,7 +78,7 @@ def test_binned_cf_keeps_the_bits_of_lattice_samples():
     x = draws(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000)
     assert np.unique(x).size <= charfn._LATTICE_MAX
     for xi in (ORACLE_GRID.points(), EXPLICIT, 0.7):
-        assert same_bits(charfn.binned_cf(x, xi), charfn.empirical_cf(x, xi))
+        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), charfn.empirical_cf(x, xi))
 
 
 def atoms_near(scale):
@@ -106,7 +106,7 @@ def test_binned_cf_falls_back_for_a_wide_span(law):
     pts = ORACLE_GRID.points()
     tracemalloc.start()
     try:
-        got = charfn.binned_cf(x, pts)
+        got = charfn.EmpiricalCf(pts).add(x).value()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -117,7 +117,7 @@ def test_binned_cf_falls_back_for_a_wide_span(law):
 def test_binned_cf_at_zero_alone_is_exact():
     x = draws(bank.gaussian())
     for xi in (0.0, np.array([0.0, -0.0])):
-        assert same_bits(charfn.binned_cf(x, xi), charfn.empirical_cf(x, xi))
+        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), charfn.empirical_cf(x, xi))
 
 
 def exact_devs(m, levels, n, seed):

@@ -132,12 +132,6 @@ def test_empirical_cf_dense_path_matches_compressed():
     assert np.max(np.abs(cf.empirical_cf(rng_vals, xi) - direct)) <= 1e-12
 
 
-def test_empirical_measure_cf(rademacher):
-    emp = cf.Empirical(np.array([-1.0, -1.0, 1.0, 1.0]))
-    for xi in (0.5, 2.0):
-        assert cf.eval_cf(emp, xi) == pytest.approx(math.cos(xi), abs=1e-14)
-
-
 EPS = np.finfo(float).eps
 
 
@@ -235,7 +229,7 @@ def test_grid_values_equal_pointwise_bit_for_bit(which):
     m = {
         "atomic-12": _nine_plus_atoms,
         # 5000 samples over the grid exceed one chunk of point-sample pairs
-        "empirical": lambda: cf.Empirical(rng.normal(size=5000)),
+        "empirical": lambda: cf.make_atomic((x, 1.0) for x in rng.normal(size=5000)),
         "cflevel-skewed": lambda: cf.CfLevel(bank.skewed_two_atom(), 6),
     }[which]()
     pts = cf.GridSpec(1e-3, 50.0, 200).points()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -384,7 +385,9 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
         seen.append(len(_scope.active.leaves))
         raise MeasureError("injected")
 
-    monkeypatch.setitem(cli._RUNNERS, "distance", failing)
+    monkeypatch.setitem(
+        cli.COMMANDS, "distance", dataclasses.replace(cli.COMMANDS["distance"], run=failing)
+    )
     code, out, _ = run_cli(
         ["distance", "--a", "skewed", "--b", "gaussian", "--s", "3"], capsys
     )
@@ -448,8 +451,9 @@ def test_verify_ideal_evaluates_each_leaf_about_once(capsys, monkeypatch):
 ], ids=lambda cmd: "-".join(map(str, cmd.values())))
 def test_shared_rows_equal_fresh_rows(cmd):
     # outside a scope every deviation and moment is computed afresh
-    env = cli.parse_config({"commands": [cmd]})["env"]
-    runner = cli._RUNNERS[cmd["command"]]
+    config = cli.parse_config({"commands": [cmd]})
+    env, (cmd,) = config["env"], config["commands"]
+    runner = cli.COMMANDS[cmd["command"]].run
     fresh = runner(cmd, env).rows
     with metrics.shared_deviations():
         shared = runner(cmd, env).rows

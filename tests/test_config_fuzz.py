@@ -7,6 +7,11 @@ a distance, a flow of at most three steps and a one-level oracle, at most
 numbers, bools and null, and output paths lists, objects, numbers and bools.
 Atomic literals take huge, tiny and non-finite atoms, integers beyond the
 float range, bools and strings, and zero, negative and unnormalised weights.
+
+Every command of the table cli.COMMANDS is fuzzed from its row, so a key
+added there is fuzzed too: each key at the edges of its bounds and at a
+value of each JSON type, a required key left out, an unknown key, an
+unknown command name.
 """
 
 import contextlib
@@ -18,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cltflow.bank import ALIASES
-from cltflow.cli import main
+from cltflow.cli import COMMANDS, REQUIRED, main, parse_config
+from cltflow.errors import ConfigError
 
 NAMES = sorted(ALIASES) + ["no-such-law"]
 # anything JSON can hold where a measure name belongs
@@ -91,6 +97,101 @@ def test_config_never_ends_in_a_traceback(grid, commands, extra, tmp_path_factor
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("config error:")
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# a value of each JSON type (bool, float, string, list, null), valid for no key
+OTHER_TYPES = [True, 2.5, "x", ["x"], None]
+
+
+def key_values(key):
+    """(valid, invalid) values of one key of a table row; the edges of its bounds among them."""
+    if key.type is int:
+        valid = [key.lo] if key.hi is None else [key.lo, key.hi]
+        invalid = [key.lo - 1] + ([] if key.hi is None else [key.hi + 1]) + [float(key.lo)]
+    elif key.type is str:
+        valid, invalid = ["gaussian", "skewed"], ["no-such-law", ""]
+    else:
+        valid, invalid = [["gaussian"], ["rademacher", "skewed"]], [["no-such-law"], []]
+    return valid, invalid + OTHER_TYPES
+
+
+@st.composite
+def fuzzed_command(draw, name):
+    """(cmd, faulty): valid values for name's row of the table, then at most one fault.
+
+    A fault is a key at an invalid value, a missing required key, an unknown
+    key or an unknown command name.
+    """
+    keys = COMMANDS[name].keys
+    cmd = {"command": name}
+    for key in keys:
+        if key.default is REQUIRED or draw(st.booleans()):
+            cmd[key.name] = draw(st.sampled_from(key_values(key)[0]))
+    required = [key.name for key in keys if key.default is REQUIRED]
+    fault = draw(st.sampled_from(["none", "value", "missing", "unknown-key", "unknown-command"]))
+    if fault == "value" and keys:
+        key = draw(st.sampled_from(keys))
+        cmd[key.name] = draw(st.sampled_from(key_values(key)[1]))
+    elif fault == "missing" and required:
+        del cmd[draw(st.sampled_from(required))]
+    elif fault == "unknown-key":
+        cmd["no-such-key"] = 1
+    elif fault == "unknown-command":
+        cmd["command"] = name.title()
+    else:
+        return cmd, False
+    return cmd, True
+
+
+def has_the_row_types(cmd) -> bool:
+    keys = COMMANDS[cmd["command"]].keys
+    if set(cmd) != {"command", *(key.name for key in keys)}:
+        return False
+    for key in keys:
+        value = cmd[key.name]
+        if key.type is int:
+            if not (is_int(value) and key.lo <= value and (key.hi is None or value <= key.hi)):
+                return False
+        elif not (isinstance(value, key.type) and value):
+            return False
+    return True
+
+
+def cheap(cmd) -> bool:
+    name = cmd["command"]
+    return (name == "distance" or (name == "flow" and cmd["steps"] <= 3)
+            or (name == "oracle" and cmd["levels"] == 1 and cmd["samples"] == 100_000))
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_command_is_fuzzed_from_its_row_of_the_table(name, data, tmp_path_factory):
+    cmd, faulty = data.draw(fuzzed_command(name))
+    doc = {"grid": {"points_per_decade": 10}, "commands": [cmd]}
+    try:
+        (got,) = parse_config(doc)["commands"]
+    except ConfigError:
+        got = None
+    assert (got is None) == faulty, (cmd, got)
+    if got is not None:
+        assert has_the_row_types(got), got
+        assert all(got[k] == v for k, v in cmd.items()), (cmd, got)
+        if not cheap(got):
+            return
+    path = tmp_path_factory.getbasetemp() / "fuzz-command.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    if got is None:
+        assert code == 2 and err.getvalue().startswith("config error:"), err.getvalue()
+    else:
+        assert code in (0, 1), (out.getvalue(), err.getvalue())
 
 
 atom_number = st.one_of(
@@ -263,3 +364,13 @@ def test_parametric_literal_out_of_range_exits_2(family, params, code, tmp_path)
     got, out, err = run_config(doc, tmp_path)
     assert got == code, (out, err)
     assert err.startswith("config error:") == (code == 2)
+
+
+def test_distance_refuses_an_integral_float_s(tmp_path):
+    # accepted once, when its summary printed s=2.0; every other integer
+    # key refused floats already
+    code, out, err = run_config(
+        {"commands": [{"command": "distance", "a": "skewed", "b": "gaussian", "s": 2.0}]},
+        tmp_path)
+    assert code == 2, (out, err)
+    assert err.startswith("config error:")

@@ -359,17 +359,3 @@ def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coa
         assert all(not dev.flags.writeable for dev in tables)
         assert scope.summaries
     assert _scope.active is None
-
-
-def test_mutated_empirical_sample_is_seen_outside_a_scope(gauss, coarse_grid):
-    y = np.random.default_rng(5).normal(size=400)
-    emp = cf.Empirical(np.concatenate([y, -y]))  # mean 0 to rounding
-    before = cf.ds_distance(emp, gauss, 2, coarse_grid, require_class_membership=False)
-    emp.samples[:] = 1.5 * emp.samples
-    after = cf.ds_distance(emp, gauss, 2, coarse_grid, require_class_membership=False)
-    fresh = cf.ds_distance(
-        cf.Empirical(emp.samples.copy()), gauss, 2, coarse_grid,
-        require_class_membership=False,
-    )
-    assert after.grid_sup != before.grid_sup
-    assert after == fresh

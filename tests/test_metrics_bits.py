@@ -80,7 +80,7 @@ def _laws():
         "affine-shift": cf.Affine(skewed, 0.7, 0.3),
         "convproduct": cf.ConvProduct((skewed, bank.laplace_std(), bank.uniform_std())),
         "atoms-12": twelve,
-        "empirical-3000": cf.Empirical(rng.gamma(2.0, size=3000)),
+        "empirical-3000": make_atomic((x, 1.0) for x in rng.gamma(2.0, size=3000)),
     }
     laws = {name: (m, gauss, True) for name, m in bank.q2_bank().items()}
     laws.update({name: (m, matched_gaussian(m), False) for name, m in built.items()})

@@ -127,11 +127,7 @@ def ref_draw(m, seed, start, n):
         return m.shift + m.scale * ref_draw(m.base, seed, start, n)
     if isinstance(m, cf.Atomic):
         return ref_draw_atomic(m, n, seed, start)
-    u = ref_uniforms(seed, start, n)
-    if isinstance(m, cf.Empirical):
-        x = m.samples
-        return x[np.minimum((u * x.size).astype(np.int64), x.size - 1)]
-    return ref_invert(m.family, m.params, u)
+    return ref_invert(m.family, m.params, ref_uniforms(seed, start, n))
 
 
 def same_bits(a, b) -> bool:
@@ -314,7 +310,8 @@ BASES = {
     "laplace": bank.laplace_std,
     "exponential-std": bank.exponential_std,  # an Affine of the exponential
     "heavy-cubic": bank.heavy_tail_std,
-    "empirical": lambda: cf.Empirical(np.random.default_rng(8).standard_t(3, 777)),
+    "empirical": lambda: cf.make_atomic(
+        (x, 1.0) for x in np.random.default_rng(8).standard_t(3, 777)),
 }
 STARTS = (0, 12_345, 2**64 - 600)  # the last one wraps past 2^64 mid-draw
 
