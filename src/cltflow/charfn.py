@@ -410,14 +410,17 @@ class EmpiricalCf:
     add(chunk) takes the next samples; value() is (1/N) sum exp(i x_j xi)
     over the N so far; add_histogram(values, counts) takes samples as their
     histogram.  Up to _LATTICE_MAX distinct values the sums run over a
-    histogram of exact counts, which then stays, and each later chunk gets
-    _dense_sums, or with binned=True binned moments: for x = k h + u,
+    histogram of exact counts.  Past that, each later chunk gets
+    _dense_sums, and the histogram stays; or with binned=True, the histogram
+    and each later chunk get binned moments, so value() pays no sum over the
+    histogram's values: for x = k h + u,
     k = rint(x / h), exp(i xi x) = exp(i xi k h) sum_p (i xi u)^p / p!, and
     with h = 1 / max|xi| the series cut after _MOMENTS = 12 terms errs by at
     most (1/2)^12 / 12! < 5.1e-13 per sample (|x| / h below _BIN_SPAN_MAX
     moves that by under 1%).  The table of moments grows with the bins seen
     while no wider than the samples so far; samples it cannot take get
-    _dense_sums.  Dense values depend, within rounding, on the chunks.
+    _dense_sums, and histogram values it cannot take stay in the histogram.
+    Dense values depend, within rounding, on the chunks.
     """
 
     def __init__(self, xi, binned=True):
@@ -448,9 +451,25 @@ class EmpiricalCf:
                 self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
                 return self
             self._dense = True
+            if self._h is not None and self._vals.size:
+                # the histogram joins the moments, its counts as weights, and
+                # keeps only the values no bin takes
+                rest = self._bin(self._vals, self._counts.copy())
+                self._vals, self._counts = self._vals[rest], self._counts[rest]
         if self._h is None:
             self._exact += _exact_dense(x, self._mag, self._pts.size)
             return self
+        rest = self._bin(x, np.ones(x.size))
+        if rest.any():
+            self._exact += _exact_dense(x[rest], self._mag, self._pts.size)
+        return self
+
+    def _bin(self, x, w):
+        """Add the samples x, of weights w (overwritten), to the binned moments.
+
+        Returns the mask of the samples no bin takes: those beyond
+        _BIN_SPAN_MAX bins, and those outside the table when it may not grow.
+        """
         k = x / self._h
         fit = np.abs(k) < _BIN_SPAN_MAX
         np.rint(k, out=k)
@@ -463,13 +482,12 @@ class EmpiricalCf:
             if self._moments.size:
                 grown[:, int(self._k_lo - lo) : int(self._k_hi - lo) + 1] = self._moments
             self._moments, self._k_lo, self._k_hi = grown, lo, hi
-        if not fit.all():
-            self._exact += _exact_dense(x[~fit], self._mag, self._pts.size)
-            x, k = x[fit], k[fit]
+        rest = ~fit
+        if rest.any():
+            x, k, w = x[fit], k[fit], w[fit]
         if not x.size:
-            return self
+            return rest
         u = x - k * self._h
-        w = np.ones(x.size)
         k0, k1 = k.min(), k.max()
         if k1 - k0 <= x.size:  # count over the bins the samples span
             bins = (k - k0).astype(np.intp)
@@ -480,7 +498,7 @@ class EmpiricalCf:
         for row in range(_MOMENTS):
             self._moments[row, cols] += np.bincount(bins, weights=w)
             w *= u
-        return self
+        return rest
 
     def add_histogram(self, values, counts) -> EmpiricalCf:
         """add(np.repeat(values, counts)), the histogram merged as it is while the exact one holds.

@@ -25,6 +25,7 @@ from .bank import Q2_BANK_NAMES, Q3_BANK_NAMES, resolve_alias
 from .errors import CharFnBoundError, ConfigError, MeasureError
 from .flow import (
     CONTRACTION_BOUND,
+    MAX_TRAJECTORY_STEPS,
     clt_rate_check,
     contraction_ratio,
     renorm_trajectory,
@@ -252,10 +253,11 @@ def _run_verify_clt_rate(cmd: dict, env: _Env) -> CommandResult:
 
 def _run_oracle(cmd: dict, env: _Env) -> CommandResult:
     levels, samples = cmd["levels"], cmd["samples"]
+    names = cmd["measures"]
+    checks = empirical_flow_check([env.resolve(name) for name in names], levels, samples,
+                                  env.seed, ORACLE_GRID)
     rows, ok = [], True
-    for name in cmd["measures"]:
-        m = env.resolve(name)
-        chk = empirical_flow_check(m, levels, samples, env.seed, ORACLE_GRID)
+    for name, chk in zip(names, checks):
         ok &= chk.ok
         for level, dev in enumerate(chk.per_level):
             rows.append(
@@ -327,7 +329,8 @@ class Command:
     grid: bool = True
 
 
-_STEPS = Key("steps", int, 10, lo=1)
+_STEPS = Key("steps", int, 10, lo=1, hi=MAX_TRAJECTORY_STEPS,
+             help=f"renormalization steps, at least 1 and at most {MAX_TRAJECTORY_STEPS}")
 
 COMMANDS = {
     "distance": Command(_run_distance, "one Fourier distance, printed as CSV", (

@@ -37,25 +37,41 @@ EmpiricalCf's exact histogram path.  A row holds at most _BLOCK_CELLS
 draws; a deeper tree adds the roots of rows of that many, which adds the
 same pairs.
 
-Draws are made in blocks of about _BLOCK_CELLS counters, whose buffers
-stay in L2 and serve every block.  A block's words key + PHI64 (counter + 1)
-are a base array PHI64 i, built once per stream, plus one scalar; SplitMix
-then runs in place (_mix), and the base law's transform (categorical
-index of the word; inverse CDF of its uniform; affine map) writes the
-draws.  The bits do not depend on the blocks:
+Words are mixed in blocks of _BLOCK_CELLS counters (_blocks), whose
+buffers stay in L2 and serve every block.  A block's words key + PHI64
+(counter + 1) are a base array PHI64 i, built once per stream, plus one
+scalar; SplitMix then runs in place (_mix).  A law's draws are a
+generator (_drawer) that reads words through a _Reader, its place in the
+stream, and asks for the next block when it has read the one it holds;
+the base law's transform (categorical index of the word; inverse CDF of
+its uniform; affine map) writes the draws into the law's own buffers.
+The bits do not depend on the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
 - every transform and every tree add works element by element.
 
+One stream serves many readers.  Under one seed, counter i gives every
+law the same word, so readers that start at one counter and read their
+counters in order all need the same block at the same time: _read hands
+each block to every reader still reading, and the words are mixed once
+for all of them, as many as the longest reader reads.  So no transform
+may write into the words it is given: the next reader reads the same
+block.  The uniforms go to the law's own buffer (_uniform), the
+categorical index only compares, and a block is handed out read-only, so
+a transform that writes into it raises.
+
 The flow check applies the map to one stream of draws per law, those of
 its base law: 2^L n of them for a top level L, a CfLevel input's own depth
-counted.  Row i of 2^L consecutive draws gives draw i of every level:
-level k is the left node of the row's tree at depth k, the sum of the
-row's first 2^k draws, times 2^{-k/2}.  Each level has its law; the levels
-share draws and are dependent, and the envelope 4 / sqrt(n) holds level by
-level.  Each level's cf is a charfn.EmpiricalCf, fed on one of two routes,
-so no array of n draws appears.
+counted.  The laws of one check read the one stream of the seed side by
+side, each law's levels a reader; a law alone reads the same words, so
+its levels are those of a check of its own.  Row i of 2^L consecutive
+draws gives draw i of every level: level k is the left node of the row's
+tree at depth k, the sum of the row's first 2^k draws, times 2^{-k/2}.
+Each level has its law; the levels share draws and are dependent, and the
+envelope 4 / sqrt(n) holds level by level.  Each level's cf is a
+charfn.EmpiricalCf, fed on one of two routes, so no array of n draws
+appears.
 
 The float route takes every base law.  The levels' values are gathered in
 one reused buffer and added to the level's EmpiricalCf, a little over 4096
@@ -89,6 +105,7 @@ route's adds would build, and the cfs keep their bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,18 +174,18 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform(z: np.ndarray) -> np.ndarray:
-    """The uniforms in (0, 1) of the mixed words z, in z's memory.
+def _uniform(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The uniforms in (0, 1) of the mixed words z, written into out; z is only read.
 
     The top 52 bits m become the float 1 + m 2^-52, which returns as
     (1 + m 2^-52) - (1 - 2^-53) = (m + 1/2) 2^-52, exact because 2m + 1 < 2^53
     makes the difference a float.
     """
-    z >>= np.uint64(12)
-    z |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
-    u = z.view(np.float64)
-    u -= 1.0 - 2.0**-53
-    return u
+    bits = out.view(np.uint64)
+    np.right_shift(z, np.uint64(12), out=bits)
+    bits |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
+    out -= 1.0 - 2.0**-53
+    return out
 
 
 def _sampling_depth(depth: int) -> int:
@@ -231,43 +248,83 @@ def _pick(edges: np.ndarray):
     return count
 
 
-def _counter_words(seed: int):
-    """counter -> its word key + PHI64 (counter + 1) under seed, the first word of a block."""
-    key = _mix64_int(seed)
-    return lambda counter: (key + PHI64 * (counter + 1)) & _MASK
+def _blocks(seed: int, start: int, count: int):
+    """The mixed words of counters start .. start + count - 1 under seed, a block at a time.
 
-
-def _words(size: int):
-    """words(z0, scratch): the mixed words z0 + PHI64 i, i < scratch.size <= size, in one buffer.
-
-    scratch is a uint64 array that _mix may overwrite.
+    A block is up to _BLOCK_CELLS words key + PHI64 (counter + 1), key =
+    mix64(seed), put through _mix, in one reused buffer that is valid until
+    the next block and read-only to its readers.
     """
+    key, size = _mix64_int(seed), max(1, min(_BLOCK_CELLS, count))
     delta = np.arange(size, dtype=np.uint64) * np.uint64(PHI64)
-    buf = np.empty_like(delta)
+    buf, scratch = np.empty_like(delta), np.empty_like(delta)
+    for t in range(0, count, size):
+        b = min(size, count - t)
+        z = buf[:b]
+        np.add(delta[:b], np.uint64((key + PHI64 * (start + t + 1)) & _MASK), out=z)
+        z = _mix(z, scratch[:b])
+        z.flags.writeable = False
+        yield z
 
-    def words(z0, scratch):
-        z = buf[: scratch.size]
-        np.add(delta[: scratch.size], np.uint64(z0), out=z)
-        return _mix(z, scratch)
 
-    return words
+class _Reader:
+    """One reader's place in a stream of word blocks."""
+
+    def __init__(self):
+        self._block, self._at = np.empty(0, dtype=np.uint64), 0
+
+    def fill(self, out: np.ndarray, transform):
+        """(generator) Write transform(z, part) into out part by part, z the part's next words.
+
+        A part's words lie in one block; fill yields for the next block when
+        it has read the one it holds.
+        """
+        i = 0
+        while i < out.size:
+            if self._at == self._block.size:
+                self._block, self._at = (yield), 0
+            z = self._block[self._at : self._at + out.size - i]
+            self._at += z.size
+            transform(z, out[i : i + z.size])
+            i += z.size
+
+
+def _read(readers, blocks):
+    """Run the generators readers side by side, each block going to every reader still reading.
+
+    A reader yields when it has read the block it holds and needs the next,
+    and returns when it needs no more.  Readers that start together at one
+    counter and each read counters in order are thus at the same block:
+    every block is made once, for all of them.  Returns what each reader
+    returned, in order.
+    """
+    done, live, z = [None] * len(readers), list(enumerate(readers)), None
+    while live:
+        still = []
+        for i, reader in live:
+            try:
+                reader.send(z)
+            except StopIteration as stop:
+                done[i] = stop.value
+            else:
+                still.append((i, reader))
+        live = still
+        if live:
+            z = next(blocks)
+    return done
 
 
 def _leaf(make):
     """(width 1, prepare) for a law drawn from one mixed word z.
 
     make(size) returns transform(z, out), which writes the draws for the
-    words z of a block of up to size into out, and may overwrite z; buffers
-    it needs are allocated by make, once.
+    words z of up to size counters into out, and only reads z; buffers it
+    needs are allocated by make, once.
     """
 
-    def prepare(size):
-        words, transform = _words(size), make(size)
-
-        def run(z0, out):
-            transform(words(z0, out.view(np.uint64)), out)
-
-        return run
+    def prepare(size, words):
+        transform = make(size)
+        return lambda out: words.fill(out, transform)
 
     return 1, prepare
 
@@ -301,20 +358,19 @@ def _tree(prepare_base, width: int, depth: int, scale: float):
     if depth > top:
         return _tree(_tree(prepare_base, width, top, 1.0), width << top, depth - top, scale)
 
-    def prepare(size):
+    def prepare(size, words):
         rows = max(1, min(size, _BLOCK_CELLS >> depth))
         y, spare = np.empty(rows << depth), np.empty(max(1, rows << depth >> 1))
-        base = prepare_base(rows << depth)
-        step = PHI64 * (width << depth)
+        base = prepare_base(rows << depth, words)
 
-        def run(z0, out):
+        def draw(out):
             for i in range(0, out.size, rows):
                 r = min(rows, out.size - i)
-                base((z0 + step * i) & _MASK, y[: r << depth])
+                yield from base(y[: r << depth])
                 *_, roots = _pairwise(y[: r << depth], spare, depth)
                 np.multiply(roots, scale, out=out[i : i + r])
 
-        return run
+        return draw
 
     return prepare
 
@@ -322,10 +378,10 @@ def _tree(prepare_base, width: int, depth: int, scale: float):
 def _drawer(m: Measure):
     """(width, prepare) for m, where each draw of m takes width counters.
 
-    prepare(size) returns run(z0, out), which writes into out, of at most
-    size, the draws whose first words are z0 + PHI64 width i (uint64,
-    wrapping), i < out.size.  All that does not depend on z0 (word offsets,
-    buffers) is worked out by prepare.
+    prepare(size, words) returns draw(out), a generator that writes into
+    out, of at most size, the next out.size draws, reading their words from
+    the _Reader words.  All that does not depend on the words (buffers,
+    thresholds) is worked out by prepare.
     """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
@@ -333,22 +389,22 @@ def _drawer(m: Measure):
     if isinstance(m, Parametric):
 
         def make(size):
-            invert = _families.row(m.family).sampler(m.params, size)
-            return lambda z, out: invert(_uniform(z), out)
+            invert, u = _families.row(m.family).sampler(m.params, size), np.empty(size)
+            return lambda z, out: invert(_uniform(z, u[: z.size]), out)
 
         return _leaf(make)
     if isinstance(m, Affine):
         width, prepare_base = _drawer(m.base)
 
-        def prepare(size):
-            base = prepare_base(size)
+        def prepare(size, words):
+            base = prepare_base(size, words)
 
-            def run(z0, out):
-                base(z0, out)
+            def draw(out):
+                yield from base(out)
                 out *= m.scale
                 out += m.shift
 
-            return run
+            return draw
 
         return width, prepare
     if isinstance(m, CfLevel):
@@ -369,15 +425,14 @@ def _stream(drawer, seed: int, cols: int):
     until the next part.
     """
     width, prepare = drawer
-    word = _counter_words(seed)
 
     def parts(start, n):
-        buf = np.empty(min(cols, n))
-        run = prepare(buf.size)
+        words, buf = _Reader(), np.empty(min(cols, n))
+        draw, blocks = prepare(buf.size, words), _blocks(seed, start, n * width)
         for b0 in range(0, n, cols):
-            b = min(cols, n - b0)
-            run(word(start + b0 * width), buf[:b])
-            yield buf[:b]
+            part = buf[: min(cols, n - b0)]
+            _read([draw(part)], blocks)
+            yield part
 
     return parts
 
@@ -440,72 +495,95 @@ def _lattice(m: Measure, depth: int):
     return a[0], g, e, codes
 
 
-def _lattice_levels(base: Atomic, lattice, count: int, levels: int, n: int, seed: int, pts):
-    """The flow check's level cfs from the codes of base's draws (module notes)."""
+def _lattice_levels(base: Atomic, lattice, count: int, levels: int, n: int, pts):
+    """A reader of the flow check's level cfs from the codes of base's draws (module notes).
+
+    Returns (the number of words it reads, the reader), a generator for
+    _read that returns the cfs.
+    """
     a0, g, e, codes = lattice
-    depth = count + levels
+    depth, words = count + levels, _Reader()
     dtype = np.uint8 if codes[-1] << depth <= 0xFF else np.uint16
     codes = np.array(codes, dtype=dtype)
-    same = np.array_equal(codes, np.arange(codes.size))  # the code is the index
-    pick, word = _pick(np.cumsum(base.weights)), _counter_words(seed)
-    words, scratch = _words(_BLOCK_CELLS), np.empty(_BLOCK_CELLS, dtype=np.uint64)
+    pick = _pick(np.cumsum(base.weights))
+    if np.array_equal(codes, np.arange(codes.size)):  # the code is the index
+
+        def code(z, part):
+            part[...] = pick(z)
+
+    else:
+
+        def code(z, part):
+            np.take(codes, pick(z), out=part, mode="clip")
+
     cells = max(1, _CODE_CELLS >> depth) << depth  # whole rows of 2^depth draws
     y, spare = np.empty(cells, dtype=dtype), np.empty(max(1, cells >> 1), dtype=dtype)
     hists = [np.zeros((codes[-1] << (count + k)) + 1, dtype=np.int64) for k in range(levels + 1)]
-    for t in range(0, n << depth, cells):
-        row = y[: min(cells, (n << depth) - t)]
-        for s in range(0, row.size, _BLOCK_CELLS):
-            part = row[s : s + _BLOCK_CELLS]
-            idx = pick(words(word(t + s), scratch[: part.size]))
-            if same:
-                part[...] = idx
-            else:
-                np.take(codes, idx, out=part, mode="clip")
-        for d, nodes in enumerate(_pairwise(row, spare, depth)):
-            if d >= count:
-                hist = hists[d - count]
-                hist += np.bincount(nodes[:: 1 << (depth - d)], minlength=hist.size)
-    ecfs = []
-    for k, hist in enumerate(hists):
-        d = count + k
-        c = np.flatnonzero(hist)
-        sums = np.ldexp(((a0 << d) + g * c).astype(float), -e)  # exact: below 2^53 times 2^-e
-        ecfs.append(EmpiricalCf(pts).add_histogram(sums * 2.0 ** (-d / 2.0), hist[c]))
-    return ecfs
+    ecfs = [EmpiricalCf(pts) for _ in hists]
+
+    def read():
+        for t in range(0, n << depth, cells):
+            row = y[: min(cells, (n << depth) - t)]
+            yield from words.fill(row, code)
+            for d, nodes in enumerate(_pairwise(row, spare, depth)):
+                if d >= count:
+                    hist = hists[d - count]
+                    hist += np.bincount(nodes[:: 1 << (depth - d)], minlength=hist.size)
+        for k, (ecf, hist) in enumerate(zip(ecfs, hists)):
+            d = count + k
+            c = np.flatnonzero(hist)
+            sums = np.ldexp(((a0 << d) + g * c).astype(float), -e)  # exact: below 2^53 times 2^-e
+            ecf.add_histogram(sums * 2.0 ** (-d / 2.0), hist[c])
+        return ecfs
+
+    return n << depth, read()
 
 
-def _float_levels(base: Measure, count: int, levels: int, n: int, seed: int, pts):
-    """The flow check's level cfs from the float draws of base (module notes)."""
+def _float_levels(base: Measure, count: int, levels: int, n: int, pts):
+    """A reader of the flow check's level cfs from the float draws of base (module notes).
+
+    Returns (the number of words it reads, the reader), a generator for
+    _read that returns the cfs.
+    """
     width, prepare = _drawer(base)
     if count:  # the stream's draws are the unscaled sums of 2^count base draws
         width, prepare = width << count, _tree(prepare, width, count, 1.0)
     rows = max(1, _BLOCK_CELLS // (width << levels))
+    buf = np.empty(min(rows, n) << levels)
+    draw = prepare(buf.size, _Reader())
     # a level's values go to its EmpiricalCf more than _LATTICE_MAX at a
     # time, whole parts' worth, so a dense level leaves the histogram at once
     vals = np.empty((levels + 1, -(-(_LATTICE_MAX + 1) // rows) * rows))
     spare = np.empty(max(1, rows << levels >> 1))
     scales = [2.0 ** (-(count + k) / 2.0) for k in range(levels + 1)]
     ecfs = [EmpiricalCf(pts) for _ in scales]
-    filled = done = 0
-    for part in _stream((width, prepare), seed, rows << levels)(0, n << levels):
-        r = part.size >> levels
-        for k, nodes in enumerate(_pairwise(part, spare, levels)):
-            np.multiply(nodes[:: 1 << (levels - k)], scales[k], out=vals[k, filled : filled + r])
-        filled, done = filled + r, done + r
-        if filled == vals.shape[1] or done == n:
-            for ecf, v in zip(ecfs, vals):
-                ecf.add(v[:filled])
-            filled = 0
-    return ecfs
+
+    def read():
+        filled = 0
+        for done in range(0, n, rows):
+            r = min(rows, n - done)
+            part = buf[: r << levels]
+            yield from draw(part)
+            for k, nodes in enumerate(_pairwise(part, spare, levels)):
+                np.multiply(nodes[:: 1 << (levels - k)], scales[k],
+                            out=vals[k, filled : filled + r])
+            filled += r
+            if filled == vals.shape[1] or done + r == n:
+                for ecf, v in zip(ecfs, vals):
+                    ecf.add(v[:filled])
+                filled = 0
+        return ecfs
+
+    return (n << levels) * width, read()
 
 
 def empirical_flow_check(
-    m: Measure,
+    m: Measure | Sequence[Measure],
     levels: int,
     n: int,
     seed: int,
     grid: GridSpec | None = None,
-) -> FlowCheck:
+) -> FlowCheck | tuple[FlowCheck, ...]:
     """Compare empirical cfs of pairwise-summed samples with analytic iterates.
 
     For each level k = 0..levels, n samples of the k-fold pairwise-summed and
@@ -516,6 +594,19 @@ def empirical_flow_check(
     grid is the coarse ORACLE_GRID; the envelope does not depend on grid
     resolution.  Each level is streamed through a charfn.EmpiricalCf: memory
     does not grow with n.
+
+    m is one law, which gives one FlowCheck, or a sequence of laws, which
+    gives a tuple of FlowChecks, one per law in order.  Every law reads the
+    counter stream of seed from counter 0 on, so the laws are checked side
+    by side: each block of words is mixed once and read by every law still
+    drawing, and each law's check is the one it gets alone, bit for bit.
+    Laws are validated law by law before any draw, so the first invalid law
+    in order raises.  The default
+    `cltflow oracle` (gaussian, rademacher and skewed, levels 0..6, 1e6
+    samples) mixed 64 M words per law, 192 M in all, and mixes 64 M once:
+    on a 2-core x86 VM, medians of 6 alternating runs pinned to one CPU,
+    its CPU time fell from 3.45 s to 3.05 s, and that of the same three
+    checks in acceptance criterion 10 from 2.94 s to 2.55 s.
 
     An atomic base whose positions are (a0 + g j) 2^-e for integers a0, g
     and codes j takes the lattice route where its tree sums are exact and
@@ -529,19 +620,30 @@ def empirical_flow_check(
         raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
     if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
         raise MeasureError("the flow check needs at least 1e5 samples per level")
-    require_membership(m, 2, "the empirical flow check")
-    base, count = (m.base, m.count) if isinstance(m, CfLevel) else (m, 0)
-    _sampling_depth(count + levels)
+    laws = (m,) if isinstance(m, Measure) else tuple(m)
+    if not laws:
+        raise MeasureError("the flow check needs at least one law")
     pts = (grid or ORACLE_GRID).points()
-    lattice = _lattice(base, count + levels)
-    if lattice:
-        ecfs = _lattice_levels(base, lattice, count, levels, n, seed, pts)
-    else:
-        ecfs = _float_levels(base, count, levels, n, seed, pts)
-    devs = []
-    for k, ecf in enumerate(ecfs):
-        acf = eval_cf_grid(CfLevel(base, count + k) if k else m, pts)
-        devs.append(float(np.max(np.abs(ecf.value() - acf))))
+    bases, readers, longest = [], [], 0
+    for law in laws:
+        require_membership(law, 2, "the empirical flow check")
+        base, count = (law.base, law.count) if isinstance(law, CfLevel) else (law, 0)
+        _sampling_depth(count + levels)
+        lattice = _lattice(base, count + levels)
+        if lattice:
+            size, reader = _lattice_levels(base, lattice, count, levels, n, pts)
+        else:
+            size, reader = _float_levels(base, count, levels, n, pts)
+        bases.append((base, count))
+        readers.append(reader)
+        longest = max(longest, size)
     envelope = 4.0 / math.sqrt(n)
-    worst = max(devs)
-    return FlowCheck(worst <= envelope, worst, envelope, tuple(devs))
+    checks = []
+    for law, (base, count), ecfs in zip(laws, bases, _read(readers, _blocks(seed, 0, longest))):
+        devs = []
+        for k, ecf in enumerate(ecfs):
+            acf = eval_cf_grid(CfLevel(base, count + k) if k else law, pts)
+            devs.append(float(np.max(np.abs(ecf.value() - acf))))
+        worst = max(devs)
+        checks.append(FlowCheck(worst <= envelope, worst, envelope, tuple(devs)))
+    return checks[0] if isinstance(m, Measure) else tuple(checks)

@@ -214,10 +214,11 @@ def test_criterion_9_doubling_bound():
 def test_criterion_10_oracle_agreement():
     t0 = time.perf_counter()
     devs = {}
-    for name in ("gaussian", "rademacher", "skewed"):
-        chk = cf.empirical_flow_check(
-            bank.ALIASES[name](), levels=6, n=1_000_000, seed=1234
-        )
+    names = ("gaussian", "rademacher", "skewed")
+    checks = cf.empirical_flow_check(
+        [bank.ALIASES[name]() for name in names], levels=6, n=1_000_000, seed=1234
+    )
+    for name, chk in zip(names, checks):
         assert chk.ok, name
         devs[name] = chk.max_deviation
     # derived pinned constants bracketed by their oracles:

@@ -114,6 +114,25 @@ def test_binned_cf_falls_back_for_a_wide_span(law):
     assert same_bits(got, charfn.empirical_cf(x, pts))
 
 
+def test_binned_cf_moves_an_overflowing_histogram_into_the_moments():
+    # adds of 2304 gaussian values: the first stays in the histogram, the
+    # second takes it past _LATTICE_MAX values, and the histogram joins the
+    # binned moments, so value() pays no cos and sin per value and point
+    pts, chunk = ORACLE_GRID.points(), 2304
+    x = draws(bank.gaussian(), 5 * chunk)
+    binned, exact = charfn.EmpiricalCf(pts), charfn.EmpiricalCf(pts, binned=False)
+    for i in range(0, x.size, chunk):
+        for acc in (binned, exact):
+            acc.add(x[i : i + chunk])
+        if not i:
+            assert binned._vals.size == chunk and not binned._dense
+    assert binned._dense and binned._vals.size == binned._counts.size == 0
+    assert np.max(np.abs(binned.value() - charfn.empirical_cf(x, pts))) <= TOL
+    # the exact path keeps its histogram, and _dense_sums for the rest
+    assert exact._dense and exact._vals.size == chunk
+    assert np.max(np.abs(exact.value() - charfn.empirical_cf(x, pts))) <= TOL
+
+
 def test_binned_cf_at_zero_alone_is_exact():
     x = draws(bank.gaussian())
     for xi in (0.0, np.array([0.0, -0.0])):

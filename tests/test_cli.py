@@ -271,7 +271,9 @@ def test_grid_values_must_be_finite_reals(grid, word, tmp_path, capsys):
      ["verify-contraction", "--xi-max", "1e400"],
      ["verify-contraction", "--points-per-decade", "10001"],
      ["oracle", "--samples", "10000001"], ["oracle", "--samples", "99999"],
-     ["oracle", "--levels", "13"], ["oracle", "--levels", "0"]],
+     ["oracle", "--levels", "13"], ["oracle", "--levels", "0"],
+     # the trajectory refuses a 41st step, so the config does
+     ["flow", "--measure", "skewed", "--steps", "41"], ["verify-lyapunov", "--steps", "41"]],
 )
 def test_cli_grid_and_size_flags_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
@@ -301,6 +303,8 @@ def test_oracle_takes_no_grid_flags(args, capsys):
         {"command": "oracle", "samples": 10_000_001},
         {"command": "oracle", "samples": 99_999},
         {"command": "oracle", "levels": 13},
+        {"command": "flow", "measure": "skewed", "steps": 41},
+        {"command": "verify-lyapunov", "steps": 41},
     ],
 )
 def test_bool_and_oversized_command_values_exit_2(cmd, tmp_path, capsys):
@@ -317,6 +321,9 @@ def test_size_caps_are_in_help(capsys):
     assert "--xi-max" not in out and "--points-per-decade" not in out
     assert main(["verify-contraction", "--help"]) == 0
     assert "at most 10000\n" in capsys.readouterr().out
+    for command in ("flow", "verify-lyapunov"):
+        assert main([command, "--help"]) == 0
+        assert "at least 1 and at most 40" in capsys.readouterr().out
     assert main(["run", "--help"]) == 0
     assert "ORACLE_GRID" in capsys.readouterr().out
 

@@ -490,12 +490,15 @@ def test_histogram_lookup_matches_the_unique_merge(case):
         acc.add(part)
         merged = ref_histogram_add(vals, counts, part)
         if merged[0].size > charfn._LATTICE_MAX or acc._dense:
-            assert acc._dense  # the histogram keeps what it had
+            # the histogram joined the binned moments, but for the values no bin takes
+            assert acc._dense
+            kept = ~(np.abs(vals / acc._h) < charfn._BIN_SPAN_MAX)
+            assert same_bits(acc._vals, vals[kept]) and same_bits(acc._counts, counts[kept])
         else:
             grew.append(merged[0].size > vals.size)
             vals, counts = merged
             assert same_bits(acc.value(), ref_empirical_cf(np.concatenate(seen), pts))
-        assert same_bits(acc._vals, vals) and same_bits(acc._counts, counts)
+            assert same_bits(acc._vals, vals) and same_bits(acc._counts, counts)
     assert {
         "no-new": grew == [True] + [False] * 5,
         "new": grew[0] and any(grew[1:]) and not all(grew[1:]),
@@ -640,18 +643,25 @@ def test_add_histogram_is_add_of_the_repeated_values(case):
     assert same_bits(got.value(), want.value())
 
 
-@pytest.mark.parametrize("name", ["gaussian", "skewed", "cflevel-2", "affine-cflevel"])
+FLOW_DRAW_LAWS = {
+    "gaussian": bank.gaussian,
+    "skewed": bank.skewed_two_atom,
+    "cflevel-2": lambda: cf.CfLevel(bank.rademacher(), 2),
+    "affine-cflevel": NESTED["affine-cflevel"],
+}
+
+
+@pytest.mark.parametrize("name", [*FLOW_DRAW_LAWS, "all-four"])
 def test_flow_check_draws_each_base_value_once(name, monkeypatch):
     # 2^L n base draws for a top level L, a CfLevel input's depth counted;
-    # each takes one uniform, or two for a base that is itself a level-1 law
-    m = {
-        "gaussian": bank.gaussian,
-        "skewed": bank.skewed_two_atom,
-        "cflevel-2": lambda: cf.CfLevel(bank.rademacher(), 2),
-        "affine-cflevel": NESTED["affine-cflevel"],
-    }[name]()
-    base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
-    assert takes_lattice_route(m, 3) == (name in ("skewed", "cflevel-2"))
+    # each takes one uniform, or two for a base that is itself a level-1 law.
+    # Laws checked in one call read one stream: its words are mixed once, as
+    # many as the longest law reads, not once per law
+    if name == "all-four":
+        m = [law() for law in FLOW_DRAW_LAWS.values()]
+    else:
+        m = FLOW_DRAW_LAWS[name]()
+        assert takes_lattice_route(m, 3) == (name in ("skewed", "cflevel-2"))
     drawn = []
     mix = mc._mix  # SplitMix, on the words of both routes
 
@@ -661,5 +671,86 @@ def test_flow_check_draws_each_base_value_once(name, monkeypatch):
 
     monkeypatch.setattr(mc, "_mix", counting_mix)
     levels, n = 3, 100_000
-    assert mc.empirical_flow_check(m, levels, n, 5).ok
-    assert sum(drawn) == (n << (count + levels)) * ref_width(base)
+    checks = mc.empirical_flow_check(m, levels, n, 5)
+    assert all(chk.ok for chk in (checks if name == "all-four" else [checks]))
+    words = []
+    for law in (m if name == "all-four" else [m]):
+        base, count = (law.base, law.count) if isinstance(law, cf.CfLevel) else (law, 0)
+        words.append((n << (count + levels)) * ref_width(base))
+    assert sum(drawn) == max(words)
+    assert name != "all-four" or sorted(set(words)) == [800_000, 3_200_000]
+
+
+def test_word_blocks_are_read_only():
+    # every reader of a block reads the same words: none may write them
+    blocks = list(z.copy() for z in mc._blocks(9, 2**64 - 5, 3 * mc._BLOCK_CELLS + 7))
+    assert [z.size for z in blocks] == [mc._BLOCK_CELLS] * 3 + [7]
+    assert np.array_equal(np.concatenate(blocks), ref_words(9, 2**64 - 5, 3 * mc._BLOCK_CELLS + 7))
+    for z in mc._blocks(9, 0, 10):
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 0
+
+
+def assert_same_cf(a, b):
+    """EmpiricalCf a holds the numbers b holds, bit for bit, and was fed what b was fed."""
+    assert (a._n, a._dense, a._k_lo, a._k_hi) == (b._n, b._dense, b._k_lo, b._k_hi)
+    for x, y in ((a._vals, b._vals), (a._counts, b._counts), (a._moments, b._moments),
+                 (a._exact, b._exact), (a.value(), b.value())):
+        assert same_bits(x, y)
+    assert len(a.fed) == len(b.fed) and all(same_bits(x, y) for x, y in zip(a.fed, b.fed))
+    assert len(a.histograms) == len(b.histograms)
+    for (va, ca), (vb, cb) in zip(a.histograms, b.histograms):
+        assert same_bits(va, vb) and np.array_equal(ca, cb)
+
+
+MANY_LAWS = {
+    # laws, levels, n, _BLOCK_CELLS: two lattice laws, the benchmark's shape
+    "rademacher-skewed": ((bank.rademacher, bank.skewed_two_atom), 6, 100_000, None),
+    # the float route beside the lattice route
+    "gaussian-rademacher-skewed": (
+        (bank.gaussian, bank.rademacher, bank.skewed_two_atom), 4, 100_000, None),
+    # CfLevel inputs beside a plain law: streams of 2^6 n, 2^3 n and 2^5 n words
+    "cflevel-beside-a-law": (
+        (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), bank.gaussian,
+         lambda: cf.CfLevel(bank.laplace_std(), 2)), 3, 100_000, None),
+    # n 2^L words end mid-block: 400,012 against blocks of 2^14
+    "ragged-n": ((bank.skewed_two_atom, bank.uniform_std), 2, 100_003, None),
+    # 1001 2^5 words against blocks of 64; a base of width 2
+    "small-block": ((bank.gaussian, bank.skewed_two_atom, NESTED["affine-cflevel"]),
+                    5, 1001, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_LAWS))
+def test_laws_checked_together_get_their_checks_alone(name, level_cfs, monkeypatch):
+    # one call reads the counter stream once for all its laws: each law gets
+    # the FlowCheck, and level cfs fed the same values, of a call of its own
+    laws, levels, n, block = MANY_LAWS[name]
+    monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
+    if block:
+        monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
+    laws = [law() for law in laws]
+    routes = [takes_lattice_route(m, levels) for m in laws]
+    assert (name != "gaussian-rademacher-skewed") or routes == [False, True, True]
+    together = mc.empirical_flow_check(laws, levels, n, 1234)
+    made = list(level_cfs)
+    assert isinstance(together, tuple) and len(together) == len(laws)
+    assert len(made) == len(laws) * (levels + 1)
+    for i, m in enumerate(laws):
+        level_cfs.clear()
+        alone = mc.empirical_flow_check(m, levels, n, 1234)
+        assert together[i] == alone and same_bits(together[i].per_level, alone.per_level)
+        assert len(level_cfs) == levels + 1
+        for a, b in zip(made[i * (levels + 1) :], level_cfs):
+            assert_same_cf(a, b)
+
+
+def test_flow_check_of_no_laws_or_a_bad_one_raises():
+    with pytest.raises(MeasureError):
+        mc.empirical_flow_check([], 2, 100_000, 1)
+    # the first bad law in order raises, before any draw
+    composite = cf.Affine(cf.convolve(bank.gaussian(), bank.rademacher()), 2.0**-0.5)
+    with pytest.raises(MeasureError, match="sampling supports"):
+        mc.empirical_flow_check([bank.gaussian(), composite, cf.CfLevel(bank.gaussian(), 30)],
+                                2, 100_000, 1)
