@@ -10,9 +10,9 @@ A scope keeps, until it ends:
   asked for, by law and arguments.
 
 Laws compare by value; deviations are keyed by (law, GridSpec) and stored
-read-only.  The scope records which grid's points are being evaluated, so
-that cf deviations of composites look their leaves up by grid
-(charfn._dev).
+read-only.  metrics._grid_deviation hands the cf the grid whose points it
+evaluates, so that the deviation of a composite looks its leaves up by
+that grid (charfn._dev).
 """
 
 from __future__ import annotations
@@ -36,34 +36,21 @@ class Scope:
         self.leaves: OrderedDict = OrderedDict()
         self.composites: OrderedDict = OrderedDict()
         self.summaries: dict = {}
-        self._evaluating = None  # (grid, its positive points) being evaluated
 
-    def deviation(self, m, grid, points, leaf: bool, compute):
-        """The deviation of m at points, the positive points of grid.
-
-        compute() gives it on a miss; while it runs, grid_of(points) is grid.
-        """
+    def deviation(self, m, grid, leaf: bool, compute):
+        """The deviation of m at the positive points of grid; compute() gives it on a miss."""
         table, size = (self.leaves, _LEAVES) if leaf else (self.composites, _COMPOSITES)
         key = (m, grid)
         dev = table.get(key)
         if dev is not None:
             table.move_to_end(key)
             return dev
-        outer, self._evaluating = self._evaluating, (grid, points)
-        try:
-            dev = compute()
-        finally:
-            self._evaluating = outer
+        dev = compute()
         dev.setflags(write=False)
         table[key] = dev
         if len(table) > size:
             table.popitem(last=False)
         return dev
-
-    def grid_of(self, xi):
-        """The grid whose own positive points xi is, while they are evaluated."""
-        ev = self._evaluating
-        return ev[0] if ev is not None and xi is ev[1] else None
 
 
 def summary(fn):

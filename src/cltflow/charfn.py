@@ -50,10 +50,16 @@ terms of size |t| = |x xi|, so at the points where some atom has
 XI_ABS_MAX = 1e100, the largest grid point, and NaN are refused, and so is
 a deviation with |1 + D| above 1 + MODULUS_SLACK or not finite.
 
-Inside a metrics.shared_deviations() scope, a leaf law (atomic or
-parametric) evaluated at a grid's own positive points, alone or as a part
-of a convolution product or power, is computed once and then read from the
-scope's table (see _scope).
+Inside a metrics.shared_deviations() scope, metrics._grid_deviation
+evaluates a law at a grid's own positive points through _dev with that
+grid, and a leaf law (atomic or parametric) there, alone or as a part of a
+convolution product or power, is computed once and then read from the
+scope's table (see _scope).  cf_deviation takes no grid: it computes every
+deviation afresh.
+
+EmpiricalCf is the empirical cf of samples fed to it chunk by chunk, the
+Monte Carlo oracle's (mc): exact over a histogram of lattice samples,
+through binned moments for dense ones.
 """
 
 from __future__ import annotations
@@ -79,7 +85,6 @@ __all__ = [
     "cf_deviation",
     "eval_cf",
     "eval_cf_grid",
-    "empirical_cf",
     "EmpiricalCf",
 ]
 
@@ -184,17 +189,16 @@ def _square(d: np.ndarray, sq: np.ndarray | None):
 def _dev(m: Measure, xi: np.ndarray, grid=None) -> np.ndarray:
     """phi_m(xi) - 1.
 
-    grid is set inside a shared_deviations() scope when xi are that grid's
-    own positive points: a leaf there comes from the scope's table, checked
-    against |phi| <= 1 when first computed.  Arrays from the table are
-    read-only, and a squaring chain starts with new arrays.
+    grid is given inside a shared_deviations() scope, by
+    metrics._grid_deviation, when xi are that grid's own positive points: a
+    leaf there comes from the scope's table, checked against |phi| <= 1 when
+    first computed.  Arrays from the table are read-only, and a squaring
+    chain starts with new arrays.
     """
     if isinstance(m, _LEAF_TYPES):
         if grid is None:
             return _dev_leaf(m, xi)
-        return _scope.active.deviation(
-            m, grid, xi, True, lambda: _checked(m, _dev_leaf(m, xi))
-        )
+        return _scope.active.deviation(m, grid, True, lambda: _checked(m, _dev_leaf(m, xi)))
     if isinstance(m, CfLevel):
         d, sq = _dev(m.base, xi * 2.0 ** (-m.count / 2.0)), None
         for _ in range(m.count):
@@ -243,8 +247,7 @@ def cf_deviation(m: Measure, xi) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if arr.size and not (-XI_ABS_MAX <= arr.min() and arr.max() <= XI_ABS_MAX):
         raise MeasureError(f"cf arguments must lie within ±{XI_ABS_MAX:g}")
-    scope = _scope.active
-    out = _dev(m, arr, None if scope is None else scope.grid_of(arr))
+    out = _dev(m, arr)
     if not arr.all():  # some xi is zero
         out = np.where(arr == 0.0, 0.0 + 0.0j, out)
     return _checked(m, out)
@@ -396,7 +399,11 @@ def _dense_sums(x: np.ndarray, cols: np.ndarray, step: int):
 
 
 def _exact_dense(x, mag, npts):
-    """Cos and sin sums over every sample, in the chunks empirical_cf sums in."""
+    """Cos and sin sums over every sample at the distinct |xi| mag, of npts points in all.
+
+    The chunks hold _CHUNK // npts samples, so the sums have the bits of a
+    direct sum over every point.
+    """
     # several points share one |xi|: keep two columns, so the chunk still
     # reduces row by row as it does over the points asked for
     cols = mag if mag.size > 1 or npts == 1 else np.repeat(mag, 2)
@@ -407,27 +414,34 @@ def _exact_dense(x, mag, npts):
 class EmpiricalCf:
     """The empirical cf of samples added chunk by chunk, in memory that does not grow with them.
 
-    add(chunk) takes the next samples; value() is (1/N) sum exp(i x_j xi)
-    over the N so far; add_histogram(values, counts) takes samples as their
-    histogram.  Up to _LATTICE_MAX distinct values the sums run over a
-    histogram of exact counts.  Past that, each later chunk gets
-    _dense_sums, and the histogram stays; or with binned=True, the histogram
-    and each later chunk get binned moments, so value() pays no sum over the
-    histogram's values: for x = k h + u,
-    k = rint(x / h), exp(i xi x) = exp(i xi k h) sum_p (i xi u)^p / p!, and
-    with h = 1 / max|xi| the series cut after _MOMENTS = 12 terms errs by at
-    most (1/2)^12 / 12! < 5.1e-13 per sample (|x| / h below _BIN_SPAN_MAX
-    moves that by under 1%).  The table of moments grows with the bins seen
-    while no wider than the samples so far; samples it cannot take get
-    _dense_sums, and histogram values it cannot take stay in the histogram.
-    Dense values depend, within rounding, on the chunks.
+    EmpiricalCf(xi) takes an array of points xi.  add(chunk) takes the next
+    samples; value() is (1/N) sum exp(i x_j xi) over the N so far;
+    add_histogram(values, counts) takes samples as their histogram.  The
+    sums run only at the distinct |xi|, and phi(-xi) = conj phi(xi) fills in
+    the rest, exactly: x * (-xi) is -(x * xi), and numpy's cos and sin are
+    even and odd bit for bit.
+
+    Up to _LATTICE_MAX distinct values the sums run over a histogram of
+    exact counts, an exact regrouping.  Past that, the histogram and each
+    later chunk get binned moments, so value() pays no sum over the
+    histogram's values: for x = k h + u, k = rint(x / h),
+    exp(i xi x) = exp(i xi k h) sum_p (i xi u)^p / p!, and with
+    h = 1 / max|xi| the series cut after _MOMENTS = 12 terms errs by at most
+    (1/2)^12 / 12! < 5.1e-13 per sample (|x| / h below _BIN_SPAN_MAX moves
+    that by under 1%).  The table of moments grows with the bins seen while
+    no wider than the samples so far; histogram values it cannot take stay
+    in the histogram.  Samples it cannot take, and every sample when all
+    points are zero, get _exact_dense: chunks of _CHUNK // xi.size samples,
+    xi.size counting every point, in cache-sized row blocks that add them
+    in the order of one pass over the chunk (_dense_sums), so their part of
+    a value has the bits of a direct sum over the points.  Dense values
+    depend, within rounding, on the chunks.
     """
 
-    def __init__(self, xi, binned=True):
-        self._scalar = np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
-        self._pts = np.atleast_1d(np.asarray(xi, dtype=float))
+    def __init__(self, xi):
+        self._pts = np.asarray(xi, dtype=float)
         self._mag, self._inv = np.unique(np.abs(self._pts), return_inverse=True)
-        self._h = 1.0 / self._mag[-1] if binned and self._mag[-1] > 0.0 else None
+        self._h = 1.0 / self._mag[-1] if self._mag[-1] > 0.0 else None
         self._n, self._dense = 0, False
         self._vals, self._counts = np.empty(0), np.empty(0)
         self._moments, self._k_lo, self._k_hi = np.zeros((_MOMENTS, 0)), math.inf, -math.inf
@@ -514,8 +528,8 @@ class EmpiricalCf:
                 return self
         return self.add(np.repeat(values, counts))
 
-    def value(self):
-        """The cf at the points xi, a complex for a scalar xi."""
+    def value(self) -> np.ndarray:
+        """The cf at the points xi."""
         if not self._n:
             raise MeasureError("empirical cf needs a nonempty sample")
         ph = np.multiply.outer(self._mag, self._vals)
@@ -539,21 +553,4 @@ class EmpiricalCf:
             im += (s * even + c * odd).sum(axis=1)
         re, im = re[self._inv], im[self._inv]
         np.negative(im, out=im, where=self._pts < 0)
-        out = (re + 1j * im) / self._n
-        return complex(out[0]) if self._scalar else out
-
-
-def empirical_cf(samples, xi):
-    """Sample-average cf (1/N) sum exp(i x_j xi): EmpiricalCf(xi, binned=False) fed one chunk.
-
-    The sums run only at the distinct |xi|, and phi(-xi) = conj phi(xi)
-    fills in the rest, exactly: x * (-xi) is -(x * xi), and numpy's cos and
-    sin are even and odd bit for bit.  Lattice-valued samples (at most
-    _LATTICE_MAX distinct values) are compressed to distinct values first,
-    an exact regrouping.  Dense samples are summed in chunks of
-    _CHUNK // xi.size samples, xi.size counting every point asked for, in
-    cache-sized row blocks that add them in the order of one pass over the
-    chunk (_dense_sums): a value has the bits of a direct sum over the
-    points asked for.
-    """
-    return EmpiricalCf(xi, binned=False).add(samples).value()
+        return (re + 1j * im) / self._n

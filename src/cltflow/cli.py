@@ -49,6 +49,10 @@ DEFAULT_ORACLE_SAMPLES = 1_000_000
 # the benchmark and the accuracy studies use (2e5 samples, 3200 per decade)
 MAX_ORACLE_SAMPLES = 10_000_000
 MAX_POINTS_PER_DECADE = 10_000
+# verify-clt-rate checks n = 2..n_max, about 0.9 ms per n at the default grid
+MAX_CLT_RATE_N = 1024
+# the generator's key is a 64-bit word: a larger seed would alias seed mod 2^64
+MAX_SEED = 2**64 - 1
 # a Lyapunov step passes when d2 falls by more than this fraction of itself;
 # d2 is accurate to about 1e-14 relative, its true decrease is above 0.1
 LYAPUNOV_MIN_RELATIVE_DECREASE = 1e-9
@@ -146,7 +150,7 @@ def _run_verify_contraction(cmd: dict, env: _Env) -> CommandResult:
     rows, ok = [], True
     worst = 0.0
     for (na, ma), (nb, mb) in itertools.combinations(bank.items(), 2):
-        ratio = contraction_ratio(ma, mb, env.grid, enforce=False)
+        ratio = contraction_ratio(ma, mb, env.grid)
         good = ratio <= bound
         ok &= good
         worst = max(worst, ratio)
@@ -342,7 +346,9 @@ COMMANDS = {
     "verify-lyapunov": Command(_run_verify_lyapunov, "strict d2 decrease along trajectories",
                                (_STEPS,)),
     "verify-clt-rate": Command(_run_verify_clt_rate, "sqrt(n) rate for arbitrary n",
-                               (Key("n_max", int, 64, lo=1),)),
+                               (Key("n_max", int, 64, lo=2, hi=MAX_CLT_RATE_N,
+                                    help=f"largest sum length n, at least 2 and at most "
+                                         f"{MAX_CLT_RATE_N}"),)),
     "oracle": Command(
         _run_oracle, "Monte Carlo agreement with the analytic flow", (
             Key("levels", int, 6, lo=1, hi=MAX_FLOW_LEVELS,
@@ -435,8 +441,8 @@ def parse_config(doc) -> dict:
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("'output_path' must be a string")
     seed = doc.get("seed", DEFAULT_SEED)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("'seed' must be a nonnegative integer")
+    if not _is_int(seed) or not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"'seed' must be an integer in 0..{MAX_SEED}")
     validated = [_validate_command(c) for c in commands]
     env = _Env(measures, grid, seed)
     for cmd in validated:

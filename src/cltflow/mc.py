@@ -24,7 +24,7 @@ uniform to the bit, with no uniform made.
 A draw of a law takes a fixed number of counters, its width: one for an
 atomic or closed-form law (and an affine image of one), and
 2^k times the base's width for a level-k CfLevel.  The layout is
-contiguous: draw i of a call from counter start takes counters
+contiguous: draw i of a law's draws from counter start takes counters
 start + i w .. start + (i + 1) w - 1.  So draw i of CfLevel(b, k) is made
 of draws i 2^k .. i 2^k + 2^k - 1 of b, which are added as a pairwise
 tree: a row of 2^k consecutive draws y is halved k times by the
@@ -75,8 +75,8 @@ appears.
 
 The float route takes every base law.  The levels' values are gathered in
 one reused buffer and added to the level's EmpiricalCf, a little over 4096
-at a time: empirical_cf's sums, bit for bit, for lattice draws (at most
-4096 distinct values), one cos and sin per distinct value and point; for
+at a time: exact sums over the level's histogram for lattice draws (at
+most 4096 distinct values), one cos and sin per distinct value and point; for
 dense draws a sum over bins of width 1 / max|xi| through 12 moments each,
 whose cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, far
 inside the envelope 4 / sqrt(n), plus rounding, of order 1e-14 for 1e5
@@ -124,8 +124,6 @@ from .charfn import _LATTICE_MAX, EmpiricalCf, eval_cf_grid
 from .metrics import GridSpec
 
 __all__ = [
-    "SampleBatch",
-    "sample",
     "empirical_flow_check",
     "FlowCheck",
     "MAX_SAMPLING_LEVELS",
@@ -196,19 +194,6 @@ def _sampling_depth(depth: int) -> int:
             f"{MAX_SAMPLING_LEVELS} (2^{depth} base draws per sample)"
         )
     return depth
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """A reproducible draw: regenerating with the same source/seed/size is bit-identical."""
-
-    source: Measure
-    seed: int
-    values: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.values.size
 
 
 def _pick(edges: np.ndarray):
@@ -417,49 +402,6 @@ def _drawer(m: Measure):
     )
 
 
-def _stream(drawer, seed: int, cols: int):
-    """parts(start, n): n draws from counter start on, cols at a time.
-
-    drawer is _drawer's (width, prepare) for a law.  A part is one block of
-    cols draws (the last one may hold fewer) in one reused buffer, valid
-    until the next part.
-    """
-    width, prepare = drawer
-
-    def parts(start, n):
-        words, buf = _Reader(), np.empty(min(cols, n))
-        draw, blocks = prepare(buf.size, words), _blocks(seed, start, n * width)
-        for b0 in range(0, n, cols):
-            part = buf[: min(cols, n - b0)]
-            _read([draw(part)], blocks)
-            yield part
-
-    return parts
-
-
-def _sampler(m: Measure, seed: int):
-    """draw(start, n): n draws of m from counter position start on."""
-    drawer = _drawer(m)
-    parts = _stream(drawer, seed, max(1, _BLOCK_CELLS // drawer[0]))
-
-    def draw(start, n):
-        out, i = np.empty(n), 0
-        for part in parts(start, n):
-            out[i : i + part.size], i = part, i + part.size
-        return out
-
-    return draw
-
-
-def sample(m: Measure, n: int, seed: int) -> SampleBatch:
-    """Draw n values of m, deterministically in (m, n, seed)."""
-    if not isinstance(n, int) or n < 1:
-        raise MeasureError("sample size must be a positive integer")
-    if not isinstance(seed, int) or seed < 0:
-        raise MeasureError("seed must be a nonnegative integer")
-    return SampleBatch(m, seed, _sampler(m, seed)(0, n))
-
-
 @dataclass(frozen=True)
 class FlowCheck:
     """Agreement of empirical and analytic cfs along the pairwise-sum flow."""
@@ -601,12 +543,7 @@ def empirical_flow_check(
     by side: each block of words is mixed once and read by every law still
     drawing, and each law's check is the one it gets alone, bit for bit.
     Laws are validated law by law before any draw, so the first invalid law
-    in order raises.  The default
-    `cltflow oracle` (gaussian, rademacher and skewed, levels 0..6, 1e6
-    samples) mixed 64 M words per law, 192 M in all, and mixes 64 M once:
-    on a 2-core x86 VM, medians of 6 alternating runs pinned to one CPU,
-    its CPU time fell from 3.45 s to 3.05 s, and that of the same three
-    checks in acceptance criterion 10 from 2.94 s to 2.55 s.
+    in order raises.
 
     An atomic base whose positions are (a0 + g j) 2^-e for integers a0, g
     and codes j takes the lattice route where its tree sums are exact and

@@ -3,7 +3,8 @@
 d_s(a, b) = sup over xi != 0 of |phi_a(xi) - phi_b(xi)| / |xi|^s is computed
 from three mechanisms, one per regime of the ratio:
 
-* a symmetric log-spaced grid covers the bulk (the ratio is smooth there);
+* a symmetric log-spaced grid covers the bulk (the ratio is smooth there),
+  from GRID_XI_MIN on, where rounding divided by |xi|^s stays small;
 * the exact xi -> 0 limit comes from moment differences (|dm3|/6 for s = 3,
   |dvariance|/2 for s = 2), so no floating-point division by tiny xi^s ever
   enters the reported value;
@@ -25,7 +26,9 @@ Inside a ``shared_deviations()`` scope each leaf law (atomic or parametric)
 has its deviation on a grid computed once, whether ds_distance takes it
 alone or as a part of a convolution, while it stays among the 12 (law,
 grid) pairs most recently used; the last two composite deviations are
-kept too, and the moment summaries of every law.  The checks compare many
+kept too, and the moment summaries of every law.  _grid_deviation hands
+the cf the grid, so a composite finds its leaves in the scope's table by
+that grid.  The checks compare many
 laws and their convolutions against the same gaussian, and each flow
 iterate against it twice.  Outside a scope every deviation is computed
 afresh, so a library caller never sees a value from before a change to the
@@ -57,11 +60,9 @@ __all__ = [
     "DistanceResult",
     "ds_distance",
     "shared_deviations",
-    "zero_limit",
     "check_convolution_subadditivity",
     "check_scaling_ideality",
     "check_convolution_invariance",
-    "check_triangle",
     "SubadditivityCheck",
     "ScalingCheck",
     "InvarianceCheck",
@@ -69,9 +70,10 @@ __all__ = [
 
 SUP_SLACK = 1e-8
 _MOMENT_MATCH_TOL = 1e-9
-# grid endpoints stay where xi^3 and 2 / xi^3 are normal floats, and the
-# cf takes every point (charfn.XI_ABS_MAX)
-GRID_XI_MIN = 1e-100
+# near 0 both deviations are about -xi^2 / 2, and their one-ulp roundings
+# divided by xi^3 are about 2^-53 / xi: 1.2e-10 of d3 at 1e-6, 9e-5 at
+# 1e-12; the largest point is the largest the cf takes (charfn.XI_ABS_MAX)
+GRID_XI_MIN = 1e-6
 GRID_XI_MAX = charfn.XI_ABS_MAX
 
 
@@ -219,25 +221,15 @@ def shared_deviations():
 
 
 def _grid_deviation(m: Measure, grid: GridSpec) -> np.ndarray:
-    """cf deviation of m at the positive grid points, shared inside a scope."""
+    """cf deviation of m at the positive grid points, shared inside a scope (module notes)."""
     pts = grid.positive_points()
     scope = _scope.active
     if scope is None:
         return charfn.cf_deviation(m, pts)
     return scope.deviation(
-        m, grid, pts, isinstance(m, charfn._LEAF_TYPES),
-        lambda: charfn.cf_deviation(m, pts),
+        m, grid, isinstance(m, charfn._LEAF_TYPES),
+        lambda: charfn._checked(m, charfn._dev(m, pts, grid)),
     )
-
-
-def zero_limit(a: Measure, b: Measure, s) -> float:
-    """The xi -> 0 limit of |phi_a - phi_b| / |xi|^s for laws in the s-class."""
-    s = _validate_s(s)
-    require_membership(a, s, "zero_limit")
-    require_membership(b, s, "zero_limit")
-    if s == 2:
-        return 0.0
-    return _zero_limit_relaxed(a, b, 3)
 
 
 def ds_distance(
@@ -385,15 +377,3 @@ def check_convolution_invariance(
     ).value
     rhs = ds_distance(nu, mu, s, grid).value
     return InvarianceCheck(lhs <= rhs + SUP_SLACK, rhs - lhs, lhs, rhs)
-
-
-def check_triangle(
-    a: Measure, b: Measure, c: Measure, s, grid: GridSpec | None = None
-) -> bool:
-    """d_s(a, c) <= d_s(a, b) + d_s(b, c) within slack."""
-    s = _validate_s(s)
-    grid = grid or GridSpec()
-    d_ac = ds_distance(a, c, s, grid).value
-    d_ab = ds_distance(a, b, s, grid).value
-    d_bc = ds_distance(b, c, s, grid).value
-    return d_ac <= d_ab + d_bc + SUP_SLACK

@@ -40,6 +40,18 @@ def coarse_grid():
     return GridSpec(1e-3, 50.0, 40)
 
 
+def draws(m, n, seed, start=0):
+    """n draws of m from counter start on under seed, through the oracle's draw pipeline.
+
+    One reader takes the words of the blocks it reads (mc._drawer, mc._Reader,
+    mc._read and mc._blocks), as each law of a flow check does.
+    """
+    width, prepare = mc._drawer(m)
+    out = np.empty(n)
+    mc._read([prepare(n, mc._Reader())(out)], mc._blocks(seed, start, n * width))
+    return out
+
+
 @pytest.fixture
 def level_cfs(monkeypatch):
     """The flow checks' EmpiricalCf of each level, in order, each with what it was fed.

@@ -17,6 +17,7 @@ import pytest
 import cltflow as cf
 from cltflow import bank
 from cltflow.cli import main as cli_main
+from conftest import draws
 
 SQRT2 = math.sqrt(2.0)
 GAUSS = bank.gaussian()
@@ -53,7 +54,7 @@ def test_criterion_2_contraction_constant():
     bound = 2.0**-0.5 + 1e-6
     worst = 0.0
     for (na, ma), (nb, mb) in itertools.combinations(Q3.items(), 2):
-        ratio = cf.contraction_ratio(ma, mb, GRID, enforce=False)
+        ratio = cf.contraction_ratio(ma, mb, GRID)
         worst = max(worst, ratio)
         assert ratio <= bound, (na, nb, ratio)
     elapsed = time.perf_counter() - t0
@@ -223,7 +224,7 @@ def test_criterion_10_oracle_agreement():
         devs[name] = chk.max_deviation
     # derived pinned constants bracketed by their oracles:
     # exact moment arithmetic for the skewed law against monte carlo
-    vals = cf.sample(Q3["skewed"], 400_000, seed=77).values
+    vals = draws(Q3["skewed"], 400_000, 77)
     for k, pinned in ((2, 1.0), (3, 1.5)):
         est = float(np.mean(vals**k))
         sd = float(np.std(vals**k))

@@ -1,12 +1,13 @@
-"""The oracle's binned-moment empirical cf against the exact empirical_cf.
+"""The oracle's binned-moment empirical cf against the exact reference.
 
 EmpiricalCf(xi).add(x).value(), the cf of x fed as one chunk, bins dense
 samples at width 1 / max|xi| and sums 12 moments per bin, so it differs
-from empirical_cf by at most (1/2)^12 / 12! < 5.1e-13 of truncation plus
-rounding; the tests allow 1e-12.  Lattice samples, and dense ones too
-wide to bin, must get empirical_cf's bits.  The flow check streams each
-level through EmpiricalCf and is held to the same, against empirical_cf on
-the whole level, the levels made from one sample by the reference tree.
+from the exact sum (test_oracle_bits.ref_empirical_cf) by at most
+(1/2)^12 / 12! < 5.1e-13 of truncation plus rounding; the tests allow
+1e-12.  Lattice samples, and dense ones too wide to bin, must get the
+reference's bits.  The flow check streams each level through EmpiricalCf
+and is held to the same, against the reference on the whole level, the
+levels made from one reference sample by the reference tree.
 """
 
 import math
@@ -20,7 +21,8 @@ from cltflow import bank, charfn, mc
 from cltflow.metrics import GridSpec
 from cltflow.mc import ORACLE_GRID
 
-from test_oracle_bits import EXPLICIT, ref_levels, same_bits
+from conftest import draws
+from test_oracle_bits import EXPLICIT, ref_empirical_cf, ref_levels, same_bits
 
 TOL = 1e-12
 
@@ -38,47 +40,46 @@ POINTS = {
     "oracle-grid": lambda: ORACLE_GRID.points(),
     "explicit": lambda: EXPLICIT,  # asymmetric, holds 0 and repeated |xi|
     "xi-max-500": lambda: GridSpec(1e-3, 500.0, 10).points(),
-    "scalar": lambda: -3.25,
+    "scalar": lambda: np.array([-3.25]),  # one point
 }
 
 
-def draws(m, n=50_000):
-    return mc._sampler(m, 1234)(0, n)
+def sample_of(m, n=50_000):
+    return draws(m, n, 1234)
 
 
 @pytest.mark.parametrize("points", sorted(POINTS))
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_binned_cf_within_the_truncation_bound(law, points, monkeypatch):
-    x = draws(LAWS[law]())
+    x = sample_of(LAWS[law]())
     xi = POINTS[points]()
     assert np.unique(x).size > charfn._LATTICE_MAX  # dense samples
-    exact = charfn.empirical_cf(x, xi)
+    exact = ref_empirical_cf(x, xi)
 
     def no_exact(*args):
         raise AssertionError("the binned cf fell back to the exact sums")
 
     monkeypatch.setattr(charfn, "_exact_dense", no_exact)
     got = charfn.EmpiricalCf(xi).add(x).value()
-    assert isinstance(got, complex) == isinstance(exact, complex)
-    assert np.max(np.abs(np.asarray(got) - exact)) <= TOL
+    assert np.max(np.abs(got - exact)) <= TOL
 
 
 def test_binned_cf_adds_chunks_of_any_size():
     # the 10-sample chunk spans more bins than it has samples, and is
     # counted over the bins it hits
-    x = draws(bank.gaussian())
+    x = sample_of(bank.gaussian())
     pts = ORACLE_GRID.points()
     acc = charfn.EmpiricalCf(pts)
     for a, b in ((0, 40_000), (40_000, 40_010), (40_010, x.size)):
         acc.add(x[a:b])
-    assert np.max(np.abs(acc.value() - charfn.empirical_cf(x, pts))) <= TOL
+    assert np.max(np.abs(acc.value() - ref_empirical_cf(x, pts))) <= TOL
 
 
 def test_binned_cf_keeps_the_bits_of_lattice_samples():
-    x = draws(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000)
+    x = sample_of(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000)
     assert np.unique(x).size <= charfn._LATTICE_MAX
-    for xi in (ORACLE_GRID.points(), EXPLICIT, 0.7):
-        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), charfn.empirical_cf(x, xi))
+    for xi in (ORACLE_GRID.points(), EXPLICIT, np.array([0.7])):
+        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), ref_empirical_cf(x, xi))
 
 
 def atoms_near(scale):
@@ -101,7 +102,7 @@ WIDE = {
 
 @pytest.mark.parametrize("law", sorted(WIDE))
 def test_binned_cf_falls_back_for_a_wide_span(law):
-    x = draws(WIDE[law](), 20_000)
+    x = sample_of(WIDE[law](), 20_000)
     assert np.unique(x).size > charfn._LATTICE_MAX
     pts = ORACLE_GRID.points()
     tracemalloc.start()
@@ -111,7 +112,7 @@ def test_binned_cf_falls_back_for_a_wide_span(law):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # a few sample-sized arrays, no bin table
-    assert same_bits(got, charfn.empirical_cf(x, pts))
+    assert same_bits(got, ref_empirical_cf(x, pts))
 
 
 def test_binned_cf_moves_an_overflowing_histogram_into_the_moments():
@@ -119,32 +120,28 @@ def test_binned_cf_moves_an_overflowing_histogram_into_the_moments():
     # second takes it past _LATTICE_MAX values, and the histogram joins the
     # binned moments, so value() pays no cos and sin per value and point
     pts, chunk = ORACLE_GRID.points(), 2304
-    x = draws(bank.gaussian(), 5 * chunk)
-    binned, exact = charfn.EmpiricalCf(pts), charfn.EmpiricalCf(pts, binned=False)
+    x = sample_of(bank.gaussian(), 5 * chunk)
+    acc = charfn.EmpiricalCf(pts)
     for i in range(0, x.size, chunk):
-        for acc in (binned, exact):
-            acc.add(x[i : i + chunk])
+        acc.add(x[i : i + chunk])
         if not i:
-            assert binned._vals.size == chunk and not binned._dense
-    assert binned._dense and binned._vals.size == binned._counts.size == 0
-    assert np.max(np.abs(binned.value() - charfn.empirical_cf(x, pts))) <= TOL
-    # the exact path keeps its histogram, and _dense_sums for the rest
-    assert exact._dense and exact._vals.size == chunk
-    assert np.max(np.abs(exact.value() - charfn.empirical_cf(x, pts))) <= TOL
+            assert acc._vals.size == chunk and not acc._dense
+    assert acc._dense and acc._vals.size == acc._counts.size == 0
+    assert np.max(np.abs(acc.value() - ref_empirical_cf(x, pts))) <= TOL
 
 
 def test_binned_cf_at_zero_alone_is_exact():
-    x = draws(bank.gaussian())
-    for xi in (0.0, np.array([0.0, -0.0])):
-        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), charfn.empirical_cf(x, xi))
+    x = sample_of(bank.gaussian())
+    for xi in (np.array([0.0]), np.array([0.0, -0.0])):
+        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), ref_empirical_cf(x, xi))
 
 
 def exact_devs(m, levels, n, seed):
-    """The flow check's deviations, from empirical_cf on each whole level."""
+    """The flow check's deviations, from the reference cf of each whole level."""
     pts = ORACLE_GRID.points()
     devs = []
     for k, x in enumerate(ref_levels(m, levels, n, seed)):
-        dev = charfn.empirical_cf(x, pts) - charfn.eval_cf_grid(cf.CfLevel(m, k) if k else m, pts)
+        dev = ref_empirical_cf(x, pts) - charfn.eval_cf_grid(cf.CfLevel(m, k) if k else m, pts)
         devs.append(float(np.max(np.abs(dev))))
     return devs
 

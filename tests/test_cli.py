@@ -273,12 +273,24 @@ def test_grid_values_must_be_finite_reals(grid, word, tmp_path, capsys):
      ["oracle", "--samples", "10000001"], ["oracle", "--samples", "99999"],
      ["oracle", "--levels", "13"], ["oracle", "--levels", "0"],
      # the trajectory refuses a 41st step, so the config does
-     ["flow", "--measure", "skewed", "--steps", "41"], ["verify-lyapunov", "--steps", "41"]],
+     ["flow", "--measure", "skewed", "--steps", "41"], ["verify-lyapunov", "--steps", "41"],
+     # n = 2..1 checks nothing; 1024 sums take about a second
+     ["verify-clt-rate", "--n-max", "1"], ["verify-clt-rate", "--n-max", "1025"],
+     # the generator's key is a 64-bit word: 2^64 would run as seed 0
+     ["oracle", "--levels", "1", "--samples", "100000", "--seed", str(2**64)],
+     ["oracle", "--levels", "1", "--samples", "100000", "--seed", "-1"]],
 )
 def test_cli_grid_and_size_flags_exit_2(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert "config error" in err and out == ""
+
+
+def test_largest_seed_runs(tmp_path, capsys):
+    code, out, _ = run_cli(["oracle", "--levels", "1", "--samples", "100000",
+                            "--seed", str(2**64 - 1), "--out", str(tmp_path)], capsys)
+    assert code == 0 and f"seed={2**64 - 1}" in out
+    assert (tmp_path / "01_oracle.csv").read_text().count(",true\n") == 6
 
 
 @pytest.mark.parametrize(
@@ -324,6 +336,8 @@ def test_size_caps_are_in_help(capsys):
     for command in ("flow", "verify-lyapunov"):
         assert main([command, "--help"]) == 0
         assert "at least 1 and at most 40" in capsys.readouterr().out
+    assert main(["verify-clt-rate", "--help"]) == 0
+    assert "at least 2 and at most 1024" in capsys.readouterr().out
     assert main(["run", "--help"]) == 0
     assert "ORACLE_GRID" in capsys.readouterr().out
 
@@ -346,22 +360,34 @@ def test_verify_lyapunov_passes_at_40_steps(tmp_path, capsys):
     "grid",
     [["--xi-max", "1e305"],
      ["--xi-min", "1e-300", "--xi-max", "1e300", "--points-per-decade", "10000"],
-     ["--xi-min", "1e-120", "--xi-max", "1e20"]],
-    ids=["xi-max-1e305", "1e-300..1e300", "1e-120..1e20"],
+     ["--xi-min", "1e-120", "--xi-max", "1e20"],
+     # below the floor, rounding over xi^3 reads d3(skewed, gaussian) = 0.25 as 7.25e83
+     ["--xi-min", "1e-100", "--xi-max", "1e100", "--points-per-decade", "1"]],
+    ids=["xi-max-1e305", "1e-300..1e300", "1e-120..1e20", "1e-100..1e100"],
 )
 def test_extreme_grids_exit_2(grid, capsys):
     code, out, err = run_cli(
         ["distance", "--a", "uniform-std", "--b", "gaussian", "--s", "2", *grid], capsys
     )
     assert code == 2
-    assert "config error" in err and "1e-100 <= xi_min and xi_max <= 1e+100" in err
+    assert "config error" in err and "1e-06 <= xi_min and xi_max <= 1e+100" in err
     assert out == ""
+
+
+def test_verify_ideal_below_twice_the_grid_floor_writes_its_error_row(tmp_path, capsys):
+    # lambda = 2 rescales the grid by 1/2, below the floor: the scaling
+    # check raises, and the command fails with an error row
+    code, out, _ = run_cli(["verify-ideal", "--xi-min", "1.5e-6", "--xi-max", "1e-3",
+                            "--points-per-decade", "1", "--out", str(tmp_path)], capsys)
+    assert code == 1 and "verify-ideal: FAIL (grid needs 1e-06 <= xi_min" in out
+    text = (tmp_path / "01_verify-ideal.csv").read_text()
+    assert text.startswith("error\nerror,grid needs 1e-06 <= xi_min")
 
 
 def test_grid_range_is_in_help(capsys):
     assert main(["distance", "--help"]) == 0
     out = capsys.readouterr().out
-    assert "at least 1e-100" in out and "at most 1e+100" in out
+    assert "at least 1e-06" in out and "at most 1e+100" in out
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +430,17 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
 
 
 def count_deviations(monkeypatch):
+    """Count the cf deviations computed at a grid's own points (charfn._dev given the grid)."""
     calls = {"calls": 0, "points": 0}
-    orig = charfn.cf_deviation
+    orig = charfn._dev
 
-    def counted(m, xi):
-        calls["calls"] += 1
-        calls["points"] += np.size(xi)
-        return orig(m, xi)
+    def counted(m, xi, grid=None):
+        if grid is not None:
+            calls["calls"] += 1
+            calls["points"] += np.size(xi)
+        return orig(m, xi, grid)
 
-    monkeypatch.setattr(charfn, "cf_deviation", counted)
+    monkeypatch.setattr(charfn, "_dev", counted)
     return calls
 
 

@@ -42,7 +42,7 @@ grid_value = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.floats(min_value=5e-324, max_value=1e-80),
     st.floats(min_value=1e80, max_value=1.7e308),
-    st.sampled_from([1e-100, 1e100, 1e-3, 50.0, 0.0, -1.0]),
+    st.sampled_from([1e-100, 1e-6, 1e100, 1e-3, 50.0, 0.0, -1.0]),
     st.integers(min_value=-10, max_value=10**400),
     st.booleans(),
     st.text(max_size=4),

@@ -4,41 +4,42 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import bank
+from cltflow import bank, charfn
 from cltflow.errors import MeasureError
-from cltflow.mc import ORACLE_GRID, empirical_flow_check, sample
+from cltflow.mc import ORACLE_GRID, empirical_flow_check
+from conftest import draws
 
 
 def test_sample_deterministic(rademacher):
-    a = sample(rademacher, 64, seed=7)
-    b = sample(rademacher, 64, seed=7)
-    assert np.array_equal(a.values, b.values)
-    c = sample(rademacher, 64, seed=8)
-    assert not np.array_equal(a.values, c.values)
+    a = draws(rademacher, 64, 7)
+    b = draws(rademacher, 64, 7)
+    assert np.array_equal(a, b)
+    c = draws(rademacher, 64, 8)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_prefix_stability(skewed):
     # growing a batch preserves the earlier draws (counter-based stream)
-    small = sample(skewed, 100, seed=3)
-    big = sample(skewed, 1000, seed=3)
-    assert np.array_equal(big.values[:100], small.values)
+    small = draws(skewed, 100, 3)
+    big = draws(skewed, 1000, 3)
+    assert np.array_equal(big[:100], small)
 
 
 def test_sample_rademacher_support(rademacher):
-    vals = sample(rademacher, 10_000, seed=11).values
+    vals = draws(rademacher, 10_000, 11)
     assert set(np.unique(vals)) == {-1.0, 1.0}
     assert abs(vals.mean()) < 5.0 / math.sqrt(vals.size)
 
 
 def test_sample_gaussian_variance(gauss):
-    vals = sample(gauss, 1_000_000, seed=5).values
+    vals = draws(gauss, 1_000_000, 5)
     assert abs(vals.var() - 1.0) < 0.005
     assert abs(vals.mean()) < 5.0 / math.sqrt(vals.size)
 
 
 def test_sample_moments_within_envelope(q2_bank):
     for name, m in q2_bank.items():
-        vals = sample(m, 200_000, seed=momseed(name)).values
+        vals = draws(m, 200_000, momseed(name))
         assert abs(vals.mean()) < 5.0 / math.sqrt(vals.size), name
         if name != "heavy-tail-std":
             assert abs(vals.var() - 1.0) < 5.0 * 3.0 / math.sqrt(vals.size), name
@@ -49,7 +50,7 @@ def momseed(name: str) -> int:
 
 
 def test_sample_heavy_tail_matches_cdf():
-    vals = sample(bank.heavy_tail_std(), 400_000, seed=9).values
+    vals = draws(bank.heavy_tail_std(), 400_000, 9)
     x0 = 1.0 / math.sqrt(3.0)
     assert np.all(np.abs(vals) >= x0 - 1e-12)
     # P(|X| > 1) = 1/(3 sqrt(3))
@@ -60,7 +61,7 @@ def test_sample_heavy_tail_matches_cdf():
 
 def test_sample_cflevel_pairwise_sums(rademacher):
     lvl = cf.CfLevel(rademacher, 2)
-    vals = sample(lvl, 50_000, seed=21).values
+    vals = draws(lvl, 50_000, 21)
     # sums of four signs over 2: lattice {-2,-1,0,1,2}
     assert set(np.round(np.unique(vals), 12)).issubset({-2.0, -1.0, 0.0, 1.0, 2.0})
     assert abs(vals.var() - 1.0) < 0.02
@@ -68,22 +69,18 @@ def test_sample_cflevel_pairwise_sums(rademacher):
 
 def test_sample_cflevel_depth_refused(rademacher):
     with pytest.raises(MeasureError):
-        sample(cf.CfLevel(rademacher, 26), 1, seed=0)
+        draws(cf.CfLevel(rademacher, 26), 1, 0)
 
 
 def test_sample_rejects_composites(gauss):
     with pytest.raises(MeasureError):
-        sample(cf.convolve(bank.uniform_std(), gauss), 10, seed=0)
-    with pytest.raises(MeasureError):
-        sample(gauss, 0, seed=0)
-    with pytest.raises(MeasureError):
-        sample(gauss, 10, seed=-1)
+        draws(cf.convolve(bank.uniform_std(), gauss), 10, 0)
 
 
 def test_empirical_cf_mc_oracle_gaussian(gauss):
     # 1e6 gaussian draws: empirical cf at xi=1 within the 3/sqrt(N) envelope
-    vals = sample(gauss, 1_000_000, seed=123).values
-    est = cf.empirical_cf(vals, 1.0)
+    vals = draws(gauss, 1_000_000, 123)
+    (est,) = charfn.EmpiricalCf([1.0]).add(vals).value()
     assert abs(est - math.exp(-0.5)) < 3e-3
 
 

@@ -14,7 +14,7 @@ from cltflow.errors import (
     MembershipError,
     MomentUnavailableError,
 )
-from cltflow.mc import sample
+from conftest import draws
 
 SQRT3 = math.sqrt(3.0)
 
@@ -60,11 +60,11 @@ def test_skewed_two_atom_closed_form_and_mc_oracle(skewed):
     assert cf.moment(skewed, 1) == 0.0
     assert cf.moment(skewed, 2) == 1.0
     assert cf.moment(skewed, 3) == 1.5
-    batch = sample(skewed, 400_000, seed=2024)
-    est = float(np.mean(batch.values**3))
+    x = draws(skewed, 400_000, 2024)
+    est = float(np.mean(x**3))
     # CLT error bar: sd(X^3) / sqrt(N), generously widened
-    sd = float(np.std(batch.values**3))
-    assert abs(est - 1.5) < 5.0 * sd / math.sqrt(batch.size)
+    sd = float(np.std(x**3))
+    assert abs(est - 1.5) < 5.0 * sd / math.sqrt(x.size)
 
 
 def test_make_parametric_gaussian_moments(gauss):

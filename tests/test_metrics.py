@@ -77,18 +77,22 @@ def test_gridspec_validation():
         cf.GridSpec(xi_min=10.0, xi_max=1.0)
     with pytest.raises(MeasureError):
         cf.GridSpec(points_per_decade=0)
-    # endpoints stay where xi^3 and 2 / xi^3 are normal floats
+    # the smallest point keeps the deviations' rounding over xi^3 far below
+    # d3; the largest is the largest the cf takes
     for xi_min, xi_max in ((1e-3, 1e305), (1e-300, 1e300), (1e-120, 1e20),
-                           (1e-101, 1.0), (1.0, 1.1e100)):
-        with pytest.raises(MeasureError, match="1e-100 <= xi_min and xi_max <= 1e\\+100"):
+                           (1e-100, 1.0), (9.9e-7, 1.0), (1.0, 1.1e100)):
+        with pytest.raises(MeasureError, match="1e-06 <= xi_min and xi_max <= 1e\\+100"):
             cf.GridSpec(xi_min, xi_max, 10)
 
 
-def test_gridspec_extreme_endpoints_give_a_finite_distance(gauss):
-    grid = cf.GridSpec(1e-100, 1e100, 2)
+def test_gridspec_extreme_endpoints_give_a_finite_distance(gauss, skewed):
+    grid = cf.GridSpec(metrics.GRID_XI_MIN, 1e100, 2)
     res = cf.ds_distance(bank.uniform_std(), gauss, 3, grid)
     assert math.isfinite(res.grid_sup) and res.grid_argmax > 0
     assert res.tail_bound == 2e-300
+    # the floor keeps the deviations' rounding over xi^3 out of d3 (from
+    # 1e-100 it reads 7.25e83)
+    assert abs(cf.ds_distance(skewed, gauss, 3, grid).value - 0.25) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +160,25 @@ def test_skewed_distance_equals_zero_limit(skewed, gauss):
     assert res.grid_sup < 0.25
 
 
-def test_zero_limit_values(skewed, rademacher, gauss):
-    assert cf.zero_limit(skewed, gauss, 3) == pytest.approx(0.25, rel=1e-14)
-    assert cf.zero_limit(rademacher, gauss, 3) == 0.0
-    assert cf.zero_limit(skewed, rademacher, 2) == 0.0
+def test_zero_limit_values(skewed, rademacher, gauss, coarse_grid):
+    assert cf.ds_distance(skewed, gauss, 3, coarse_grid).zero_limit == pytest.approx(
+        0.25, rel=1e-14)
+    assert cf.ds_distance(rademacher, gauss, 3, coarse_grid).zero_limit == 0.0
+    assert cf.ds_distance(skewed, rademacher, 2, coarse_grid).zero_limit == 0.0
 
 
 def test_zero_limit_requires_membership(gauss):
     raw = cf.make_parametric("uniform", (0.0, 1.0))
     with pytest.raises(MembershipError):
-        cf.zero_limit(raw, gauss, 3)
-    with pytest.raises(MembershipError):
         cf.ds_distance(raw, gauss, 3)
+    with pytest.raises(MembershipError):
+        cf.ds_distance(raw, gauss, 2)
 
 
 def test_zero_limit_needs_third_moment_for_s3(gauss):
     heavy = bank.heavy_tail_std()
     with pytest.raises(MembershipError):
-        cf.zero_limit(heavy, gauss, 3)
+        cf.ds_distance(heavy, gauss, 3)
 
 
 def test_unsupported_exponent(gauss, rademacher):
@@ -279,12 +284,14 @@ def test_convolution_invariance(rademacher, skewed, gauss, coarse_grid):
 
 
 def test_triangle(q3_bank, gauss, rademacher, skewed, coarse_grid):
-    assert cf.check_triangle(gauss, gauss, gauss, 3, coarse_grid)
-    assert cf.check_triangle(rademacher, skewed, gauss, 3, coarse_grid)
-    assert cf.check_triangle(rademacher, skewed, rademacher, 3, coarse_grid)
-    names = list(q3_bank.values())
-    for a, b, c in itertools.permutations(names[:4], 3):
-        assert cf.check_triangle(a, b, c, 3, coarse_grid)
+    def d3(a, b):
+        return cf.ds_distance(a, b, 3, coarse_grid).value
+
+    laws = list(q3_bank.values())
+    triples = [(gauss, gauss, gauss), (rademacher, skewed, gauss),
+               (rademacher, skewed, rademacher), *itertools.permutations(laws[:4], 3)]
+    for a, b, c in triples:
+        assert d3(a, c) <= d3(a, b) + d3(b, c) + metrics.SUP_SLACK
 
 
 def test_generic_doubling_bound(q3_bank, q2_bank, gauss, coarse_grid):

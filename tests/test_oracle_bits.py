@@ -1,14 +1,16 @@
-"""The oracle path keeps its bits: empirical cf, uniforms and sampler draws.
+"""The oracle path keeps its bits: empirical cf, uniforms and draws.
 
-The references below are the straightforward versions of empirical_cf,
-the uniforms, the sampler (all base draws of a level made at once and halved
+The references below are the straightforward versions of the empirical cf,
+the uniforms, the draws (all base draws of a level made at once and halved
 pairwise, row by row, to the root) and the flow check's levels that the
 mirrored, blocked and in-place versions in the library replace.  Every
-comparison is bit for bit (view(np.uint64)), because empirical_cf keeps
-its bits as the exact reference for the oracle's binned cf, and the
-oracle's draws keep theirs.  The gaussian reference draws through the
-library's own inverse normal: these tests check blocking and the order of
-the tree's sums, and test_special checks the transform against mpmath.
+comparison is bit for bit (view(np.uint64)): EmpiricalCf keeps the
+reference's bits on its exact paths (lattice samples, and the dense
+fall-back for samples no bin takes), and the oracle's draws keep theirs.
+The library's draws come from conftest.draws, the oracle's draw pipeline
+read by one reader.  The gaussian reference draws through the library's
+own inverse normal: these tests check blocking and the order of the tree's
+sums, and test_special checks the transform against mpmath.
 """
 
 import math
@@ -22,12 +24,13 @@ from cltflow import bank, charfn, mc
 from cltflow._special import ndtri
 from cltflow.errors import MeasureError, MembershipError
 from cltflow.mc import ORACLE_GRID
+from conftest import draws
 
 _CHUNK = charfn._CHUNK
 
 
 def ref_empirical_cf(samples, xi):
-    """Sample-average cf (1/N) sum exp(i x_j xi).
+    """Sample-average cf (1/N) sum exp(i x_j xi) at the array of points xi.
 
     Lattice-valued samples are compressed to distinct values first, which is
     an exact regrouping; dense samples fall back to chunked summation.
@@ -35,15 +38,13 @@ def ref_empirical_cf(samples, xi):
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise MeasureError("empirical cf needs a nonempty sample")
-    scalar = np.isscalar(xi) or getattr(xi, "ndim", 1) == 0
-    pts = np.atleast_1d(np.asarray(xi, dtype=float))
+    pts = np.asarray(xi, dtype=float)
     vals, counts = np.unique(x, return_counts=True)
     if vals.size <= 4096:
         ph = np.multiply.outer(pts, vals)
         wts = counts.astype(float)
         re = (np.cos(ph) * wts).sum(axis=1)
         im = (np.sin(ph) * wts).sum(axis=1)
-        out = (re + 1j * im) / x.size
     else:
         re = np.zeros(pts.shape)
         im = np.zeros(pts.shape)
@@ -52,8 +53,7 @@ def ref_empirical_cf(samples, xi):
             ph = np.multiply.outer(x[k : k + step], pts)
             re += np.cos(ph).sum(axis=0)
             im += np.sin(ph).sum(axis=0)
-        out = (re + 1j * im) / x.size
-    return complex(out[0]) if scalar else out
+    return (re + 1j * im) / x.size
 
 
 def ref_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -151,11 +151,23 @@ def small_chunk(monkeypatch):
 
 
 def lattice_sample():
-    return mc._sampler(cf.CfLevel(bank.skewed_two_atom(), 4), 1234)(0, 20_000)
+    return draws(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000, 1234)
 
 
 def dense_sample(n=40_000):
-    return mc._sampler(cf.CfLevel(bank.gaussian(), 2), 1234)(0, n)
+    return draws(cf.CfLevel(bank.gaussian(), 2), n, 1234)
+
+
+def wide_sample(n=40_000):
+    """Dense samples near 1e13: no bin of width 1 / max|xi| takes one where max|xi| >= 0.11."""
+    return 1e13 + 1e3 * dense_sample(n)
+
+
+def fallback_cf(x, pts):
+    """The cf of x fed at once, on EmpiricalCf's exact fall-back (_exact_dense) alone."""
+    acc = charfn.EmpiricalCf(pts).add(x)
+    assert acc._dense and not acc._moments.size  # no bin took a sample
+    return acc.value()
 
 
 @pytest.mark.parametrize("points", ["oracle-grid", "explicit"])
@@ -163,7 +175,7 @@ def test_empirical_cf_lattice_bits(points):
     x = lattice_sample()
     assert np.unique(x).size <= 4096  # the compressed path
     pts = ORACLE_GRID.points() if points == "oracle-grid" else EXPLICIT
-    assert same_bits(cf.empirical_cf(x, pts), ref_empirical_cf(x, pts))
+    assert same_bits(charfn.EmpiricalCf(pts).add(x).value(), ref_empirical_cf(x, pts))
 
 
 @pytest.mark.parametrize("points", ["oracle-grid", "explicit", "pair", "one"])
@@ -174,32 +186,35 @@ def test_empirical_cf_dense_bits(points, small_chunk):
         "pair": np.array([-1.5, 1.5]),  # two points, one distinct |xi|
         "one": np.array([-2.0]),
     }[points]
-    x = dense_sample()
+    x = wide_sample()
     step = charfn._CHUNK // pts.size
     assert x.size > step  # more than one chunk
     assert (x.size % step) % charfn._ROW_BLOCK  # the last row block is partial
-    assert same_bits(cf.empirical_cf(x, pts), ref_empirical_cf(x, pts))
+    assert same_bits(fallback_cf(x, pts), ref_empirical_cf(x, pts))
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.7, -3.25])
 def test_empirical_cf_scalar_bits(xi, small_chunk):
-    for x in (lattice_sample(), dense_sample()):
-        got, want = cf.empirical_cf(x, xi), ref_empirical_cf(x, xi)
-        assert isinstance(got, complex)
-        assert same_bits(got, want)
+    # one point: the dense sums reduce one column pairwise, a chunk at a
+    # time; at 0 alone every dense sample takes the fall-back
+    pts = np.array([xi])
+    x = lattice_sample()
+    assert same_bits(charfn.EmpiricalCf(pts).add(x).value(), ref_empirical_cf(x, pts))
+    x = wide_sample()
+    assert same_bits(fallback_cf(x, pts), ref_empirical_cf(x, pts))
 
 
 def test_empirical_cf_dense_bits_at_full_chunk():
     # the chunk size the oracle runs with: 100 points give 41,943-sample
     # chunks, so 50,000 samples span two, the second ending mid-block
     pts = np.linspace(-40.0, 35.0, 100)
-    x = dense_sample(50_000)
-    assert same_bits(cf.empirical_cf(x, pts), ref_empirical_cf(x, pts))
+    x = wide_sample(50_000)
+    assert same_bits(fallback_cf(x, pts), ref_empirical_cf(x, pts))
 
 
 def uniforms(seed, start, count):
     """The generator's uniforms, as draws of the uniform law on (0, 1): u (1 - 0) + 0 is u."""
-    return mc._sampler(cf.make_parametric("uniform", (0.0, 1.0)), seed)(start, count)
+    return draws(cf.make_parametric("uniform", (0.0, 1.0)), count, seed, start)
 
 
 @pytest.mark.parametrize(
@@ -258,7 +273,7 @@ def test_categorical_index_matches_searchsorted(atoms):
     z = np.concatenate([ref_words(atoms, 0, 5000), edge_words(edges)])
     assert np.array_equal(mc._pick(edges)(z), ref_pick(edges, z))
     for start in (0, 777):
-        got = mc._sampler(m, 11)(start, 3000)
+        got = draws(m, 3000, 11, start)
         assert np.array_equal(got, ref_draw_atomic(m, 3000, 11, start))
 
 
@@ -290,7 +305,7 @@ def test_cflevel_folds_add_reference_draws(skewed):
     n, seed = 1000, 21
     b = ref_draw_atomic(skewed, 8 * n, seed, 0).reshape(n, 8).T
     total = ((b[0] + b[1]) + (b[2] + b[3])) + ((b[4] + b[5]) + (b[6] + b[7]))
-    got = mc._sampler(cf.CfLevel(skewed, 3), seed)(0, n)
+    got = draws(cf.CfLevel(skewed, 3), n, seed)
     assert same_bits(got, total * 2.0**-1.5)
 
 
@@ -323,10 +338,9 @@ def draw_sizes(width):
 
 
 def assert_sampler_bits(m, seed=1234, starts=STARTS, sizes=None):
-    draw = mc._sampler(m, seed)
     for start in starts:
         for n in sizes or draw_sizes(ref_width(m)):
-            got = draw(start, n)
+            got = draws(m, n, seed, start)
             want = ref_draw(m, seed, start, n)
             assert got.shape == (n,)
             assert same_bits(got, want), (start, n)
@@ -380,7 +394,7 @@ def test_nested_levels_have_the_law_variance():
     # the law is T applied twice to the gaussian: variance 1; if the
     # outer level's two halves shared counters, they would be one draw
     # and the variance would read 1.5
-    vals = cf.sample(NESTED["affine-cflevel"](), 200_000, seed=3).values
+    vals = draws(NESTED["affine-cflevel"](), 200_000, 3)
     assert abs(vals.var() - 1.0) < 0.02
 
 
@@ -401,7 +415,7 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
     monkeypatch.setattr(mc, "_mix", recording_mix)
     seed, start, n = 4, 2**64 - 1000, 1000
     width = ref_width(m)
-    mc._sampler(m, seed)(start, n)
+    draws(m, n, seed, start)
     inv = np.uint64(pow(mc.PHI64, -1, 2**64))
     key = np.uint64(mc._mix64_int(seed))
     counters = (np.concatenate(seen) - key) * inv - np.uint64(1)
@@ -417,10 +431,32 @@ STREAM_LAWS = {
 }
 
 
+def part_draws(m, seed, cols, n):
+    """n draws of m from counter 0 on, made part by part as the flow check's float route makes them.
+
+    One draw generator, prepared for parts of cols draws, fills each part of
+    one buffer in turn, the last holding the rest, from one reader of one
+    block stream.
+    """
+    width, prepare = mc._drawer(m)
+    buf, parts = np.empty(min(cols, n)), []
+    draw = prepare(buf.size, mc._Reader())
+
+    def read():
+        for b0 in range(0, n, cols):
+            part = buf[: min(cols, n - b0)]
+            yield from draw(part)
+            parts.append(part.copy())
+
+    mc._read([read()], mc._blocks(seed, 0, n * width))
+    return parts
+
+
 @pytest.mark.parametrize("size", ["parts", "parts+1", "lone-in-part", "lone-next-part"])
 @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
 def test_stream_parts_are_the_draws(name, size):
-    # whole parts, then a last part of one draw, alone or after a whole one
+    # whole parts, then a last part of one draw, alone or after a whole one,
+    # each made by the one generator into the one reused buffer
     m = STREAM_LAWS[name]()
     cols = max(1, mc._BLOCK_CELLS // ref_width(m))
     n = {
@@ -429,10 +465,10 @@ def test_stream_parts_are_the_draws(name, size):
         "lone-in-part": 1,
         "lone-next-part": cols + 1,
     }[size]
-    parts = [p.copy() for p in mc._stream(mc._drawer(m), 1234, cols)(0, n)]
+    parts = part_draws(m, 1234, cols, n)
     assert [p.size for p in parts] == [cols] * (n // cols) + [n % cols] * (n % cols > 0)
     got = np.concatenate(parts)
-    assert same_bits(got, mc._sampler(m, 1234)(0, n))
+    assert same_bits(got, draws(m, n, 1234))
     assert same_bits(got, ref_draw(m, 1234, 0, n))
 
 
@@ -449,13 +485,12 @@ def test_binned_cf_keeps_lattice_bits_until_the_stream_overflows():
     pts = ORACLE_GRID.points()
     acc = charfn.EmpiricalCf(pts)
     seen, distinct = [], []
-    for part in mc._stream(mc._drawer(overflowing_law()), 1234, mc._BLOCK_CELLS)(
-            0, 6 * mc._BLOCK_CELLS):
-        seen.append(part.copy())
+    for part in np.split(draws(overflowing_law(), 6 * mc._BLOCK_CELLS, 1234), 6):
+        seen.append(part)
         acc.add(part)
         x = np.concatenate(seen)
         distinct.append(np.unique(x).size)
-        got, want = acc.value(), cf.empirical_cf(x, pts)
+        got, want = acc.value(), ref_empirical_cf(x, pts)
         if distinct[-1] <= charfn._LATTICE_MAX:
             assert same_bits(got, want)
         else:
@@ -485,8 +520,8 @@ def test_histogram_lookup_matches_the_unique_merge(case):
     pts = ORACLE_GRID.points()
     acc = charfn.EmpiricalCf(pts)
     vals, counts, seen, grew = np.empty(0), np.empty(0), [], []
-    for part in mc._stream(mc._drawer(law()), 1234, cols)(0, 6 * cols):
-        seen.append(part.copy())
+    for part in np.split(draws(law(), 6 * cols, 1234), 6):
+        seen.append(part)
         acc.add(part)
         merged = ref_histogram_add(vals, counts, part)
         if merged[0].size > charfn._LATTICE_MAX or acc._dense:
@@ -521,9 +556,12 @@ FLOW_LEVELS = {
 
 
 def ref_levels(m, levels, n, seed):
-    """The flow check's levels from sample(base, 2^L n): row i's tree sum of its first 2^k draws, scaled once."""
+    """The flow check's levels from 2^L n reference draws of base (ref_draw).
+
+    Level k of row i is the tree sum of the row's first 2^k draws, scaled once.
+    """
     base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
-    rows = cf.sample(base, n << (count + levels), seed).values.reshape(n, -1)
+    rows = ref_draw(base, seed, 0, n << (count + levels)).reshape(n, -1)
     return [ref_tree(rows[:, : 1 << (count + k)]) * 2.0 ** (-(count + k) / 2.0)
             for k in range(levels + 1)]
 
@@ -628,7 +666,7 @@ def test_add_histogram_is_add_of_the_repeated_values(case):
     # merged into a histogram left by add, made past _LATTICE_MAX values, or
     # given to a cf that already left the histogram
     pts = ORACLE_GRID.points()
-    x = mc._sampler(cf.CfLevel(bank.skewed_two_atom(), 6), 1234)(0, 3000)
+    x = draws(cf.CfLevel(bank.skewed_two_atom(), 6), 3000, 1234)
     before = {
         "lattice": x[:1000],
         "first-add": np.empty(0),
