@@ -11,8 +11,9 @@ A scope keeps, until it ends:
 
 Laws compare by value; deviations are keyed by (law, GridSpec) and stored
 read-only.  metrics._grid_deviation hands the cf the grid whose points it
-evaluates, so that the deviation of a composite looks its leaves up by
-that grid (charfn._dev).
+evaluates, so that a convolution product looks its leaf parts up by that
+grid (charfn._dev).  The base of a normalized sum or an affine image is
+evaluated at scaled points and never looked up.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-__all__ = ["InverseNormal", "ndtri", "heavy_cubic_cf", "gammainc_int"]
+__all__ = ["InverseNormal", "heavy_cubic_cf", "gammainc_int"]
 
 # AS241 PPND16, highest power first; each denominator ends in 1
 _A = (
@@ -287,14 +287,6 @@ class InverseNormal:
             np.copysign(v, np.take(q, idx, out=w), out=v)
             out[idx] = v
         return out
-
-
-def ndtri(u) -> np.ndarray:
-    """Phi^-1(u) for an array of u in (0, 1), as a new array."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape)
-    InverseNormal(u.size)(u.ravel(), out.reshape(-1))
-    return out
 
 
 def _series_coef(k: int) -> float:

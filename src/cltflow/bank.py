@@ -16,8 +16,6 @@ __all__ = [
     "heavy_tail_std",
     "ALIASES",
     "resolve_alias",
-    "q3_bank",
-    "q2_bank",
 ]
 
 
@@ -73,13 +71,3 @@ def resolve_alias(name: str) -> Measure:
         raise KeyError(
             f"unknown measure alias {name!r}; known: {sorted(ALIASES)}"
         ) from None
-
-
-def q3_bank() -> dict[str, Measure]:
-    """The five centred, reduced, third-moment test laws."""
-    return {name: ALIASES[name]() for name in Q3_BANK_NAMES}
-
-
-def q2_bank() -> dict[str, Measure]:
-    """The q3 bank plus the heavy-tail law with no third absolute moment."""
-    return {name: ALIASES[name]() for name in Q2_BANK_NAMES}

@@ -12,31 +12,36 @@ on the default grid.  Deviations avoid that:
 * closed-form families use their rows of the _families table, where each
   family's deviation and value are stated;
 * convolution products combine deviations via  (1+a)(1+b) - 1 = a + b + ab;
-* the renormalization squaring chain iterates  d -> 2 d + d^2.
+* a normalized sum of n copies takes its base's deviation d at
+  xi n^{-1/2} to the n-th power by binary powering: squarings
+  d -> 2 d + d^2 and products as above, so n = 2^k, the k-th
+  renormalization step, is k squarings.
 
 Each rule keeps errors relative to the deviation itself, so cf differences
-stay accurate to ~1e-14 relative after 40 renormalization steps.  For an
-atomic base that holds only where its float mean np.dot(ws, pos) is exact,
-as for the bank's laws: otherwise the rounding of the split-off linear term
-is carried 2^(n/2) times through n squarings, and standardized random
-2-12-atom laws reach about 1.6e-7 relative at depth 40.
+stay accurate to ~1e-14 relative after 40 renormalization steps (n = 2^40).
+For an atomic base that holds only where its float mean np.dot(ws, pos) is
+exact, as for the bank's laws: otherwise the rounding of the split-off
+linear term is carried 2^(k/2) times through k squarings, and standardized
+random 2-12-atom laws reach about 1.6e-7 relative at depth 40.
 
 Where phi is small, 1 + D cancels: its error is relative to 1, not to phi.
-So cf values (``eval_cf``, ``eval_cf_grid``) are 1 + D wherever
-|1 + D| >= 1/2 and come from the value form elsewhere:
+So cf values (``eval_cf_grid``) are 1 + D wherever |1 + D| >= 1/2 and come
+from the value form elsewhere:
 
 * atomic laws sum  w exp(i xi x)  over the atoms;
 * closed-form families take the value of their row, times the phase of its
   location;
-* squaring chains carry D while |1 + D| >= 1/2 and square the value from
-  the first step where it drops below 1/2;
+* normalized sums carry D through the binary power while |1 + D| >= 1/2
+  and multiply values from the first factor where it drops below 1/2;
 * convolution products multiply the values of their parts, and affine
   images take the base value at the scaled argument times the shift phase.
 
-Affine images and squaring chains scale the argument; the value form gets
+Affine images and normalized sums scale the argument; the value form gets
 the scaled argument as hi + lo, the rounded product and its error, because
 near a zero of sin the uniform's sin(t)/t loses every digit to a rounded t.
-The other forms take hi alone.
+A normalized sum's scale n^{-1/2} is itself carried as hi + lo
+(_sum_scale); an affine image's scale is the float it holds.  The other
+forms take hi alone.
 
 The value form keeps the relative error of phi within a few (1 + |ln phi|)
 machine epsilons where phi -> 0; the heavy-cubic law's value stays within
@@ -53,9 +58,10 @@ a deviation with |1 + D| above 1 + MODULUS_SLACK or not finite.
 Inside a metrics.shared_deviations() scope, metrics._grid_deviation
 evaluates a law at a grid's own positive points through _dev with that
 grid, and a leaf law (atomic or parametric) there, alone or as a part of a
-convolution product or power, is computed once and then read from the
-scope's table (see _scope).  cf_deviation takes no grid: it computes every
-deviation afresh.
+convolution product, is computed once and then read from the scope's table
+(see _scope).  The base of a normalized sum or an affine image is
+evaluated at scaled points, never read from the table.  cf_deviation takes
+no grid: it computes every deviation afresh.
 
 EmpiricalCf is the empirical cf of samples fed to it chunk by chunk, the
 Monte Carlo oracle's (mc): exact over a histogram of lattice samples,
@@ -74,16 +80,14 @@ from .errors import CharFnBoundError, MeasureError
 from .measures import (
     Affine,
     Atomic,
-    CfLevel,
-    ConvPower,
     ConvProduct,
     Measure,
+    NormalizedSum,
     Parametric,
 )
 
 __all__ = [
     "cf_deviation",
-    "eval_cf",
     "eval_cf_grid",
     "EmpiricalCf",
 ]
@@ -192,25 +196,21 @@ def _dev(m: Measure, xi: np.ndarray, grid=None) -> np.ndarray:
     grid is given inside a shared_deviations() scope, by
     metrics._grid_deviation, when xi are that grid's own positive points: a
     leaf there comes from the scope's table, checked against |phi| <= 1 when
-    first computed.  Arrays from the table are read-only, and a squaring
-    chain starts with new arrays.
+    first computed.  Arrays from the table are read-only; a normalized sum's
+    base is evaluated afresh at the scaled points, and its squarings start
+    with new arrays.
     """
     if isinstance(m, _LEAF_TYPES):
         if grid is None:
             return _dev_leaf(m, xi)
         return _scope.active.deviation(m, grid, True, lambda: _checked(m, _dev_leaf(m, xi)))
-    if isinstance(m, CfLevel):
-        d, sq = _dev(m.base, xi * 2.0 ** (-m.count / 2.0)), None
-        for _ in range(m.count):
-            d, sq = _square(d, sq)
-        return d
     if isinstance(m, ConvProduct):
         out = _dev(m.parts[0], xi, grid)
         for part in m.parts[1:]:
             out = _combine(out, _dev(part, xi, grid))
         return out
-    if isinstance(m, ConvPower):
-        base, sq = _dev(m.base, xi, grid), None
+    if isinstance(m, NormalizedSum):
+        base, sq = _dev(m.base, xi * m.n**-0.5), None
         acc = None
         k = m.n
         while k:
@@ -258,15 +258,18 @@ def _phi_parametric(family: str, p: tuple, xi: np.ndarray, lo: np.ndarray) -> np
     return body if loc == 0.0 else body * _phase(loc * xi)
 
 
-def _level_scale(count: int) -> tuple[float, float]:
-    """2^(-count/2) as hi + lo: hi is the rounded value, lo its error.
+def _sum_scale(n: int) -> tuple[float, float]:
+    """n^(-1/2) as hi + lo: hi is the rounded value, lo its error.
 
-    hi^2 = p + e exactly, and 2^-count - p is exact because p is that close
-    to it, so lo = (2^-count - hi^2) / (2 hi) to about eps^2 relative.
+    hi^2 = p + e and n p = q + f exactly, and 1 - q is exact because q is
+    that close to 1, so lo = (1 - n hi^2) / (2 n hi) to about eps^2
+    relative.  At n = 2^k every step is exact or scaled by a power of two,
+    so the pair is that of (2^-k - p - e) / (2 hi).
     """
-    hi = 2.0 ** (-count / 2.0)
+    hi = n**-0.5
     p, e = _two_prod(hi, hi)
-    return hi, ((2.0**-count - p) - e) / (2.0 * hi)
+    q, f = _two_prod(float(n), p)
+    return hi, (((1.0 - q) - f) - n * e) / (2.0 * n * hi)
 
 
 def _scaled(c: float, clo: float, xi: np.ndarray, lo: np.ndarray):
@@ -279,23 +282,21 @@ def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """phi_m(xi + lo) in value form, accurate relative to |phi| where it is small.
 
     xi + lo is the argument carried to double length through affine and
-    level scalings; only the uniform's sin(t)/t needs lo, every other form
-    takes the argument xi.
+    normalized-sum scalings; only the uniform's sin(t)/t needs lo, every
+    other form takes the argument xi.
     """
     if isinstance(m, Atomic):
         return _phi_atomic(m.positions, m.weights, xi)
     if isinstance(m, Parametric):
         return _phi_parametric(m.family, m.params, xi, lo)
-    if isinstance(m, CfLevel):
-        arg, arg_lo = _scaled(*_level_scale(m.count), xi, lo)
-        return _pair_power(_pair(m.base, arg, arg_lo), 2**m.count)[1]
     if isinstance(m, ConvProduct):
         out = _phi(m.parts[0], xi, lo)
         for part in m.parts[1:]:
             out = out * _phi(part, xi, lo)
         return out
-    if isinstance(m, ConvPower):
-        return _pair_power(_pair(m.base, xi, lo), m.n)[1]
+    if isinstance(m, NormalizedSum):
+        arg, arg_lo = _scaled(*_sum_scale(m.n), xi, lo)
+        return _pair_power(_pair(m.base, arg, arg_lo), m.n)[1]
     if isinstance(m, Affine):
         out = _phi(m.base, *_scaled(m.scale, 0.0, xi, lo))
         return out if m.shift == 0.0 else out * _phase(m.shift * xi)
@@ -338,31 +339,19 @@ def _pair_power(pair, n: int):
     return acc
 
 
-def _cf_values(m: Measure, xi) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _value(m, arr, cf_deviation(m, arr), np.zeros_like(arr))
-
-
-def eval_cf(m: Measure, xi):
-    """phi_m(xi) = E exp(i X xi); complex scalar for scalar xi.
-
-    Accurate relative to |phi| where phi is small (see the module notes), and
-    identical bit for bit to the value eval_cf_grid gives at the same point.
-    """
-    if np.isscalar(xi) or getattr(xi, "ndim", 1) == 0:
-        return complex(_cf_values(m, [float(xi)])[0])
-    return _cf_values(m, xi)
-
-
 def eval_cf_grid(m: Measure, grid) -> np.ndarray:
-    """Pointwise cf values over a GridSpec or an explicit array of points.
+    """phi_m(xi) = E exp(i X xi) at the points of a GridSpec or an explicit array.
 
-    Each value is identical bit for bit to eval_cf at that point alone.
+    Accurate relative to |phi| where phi is small (see the module notes).
+    Each value is identical bit for bit to the value at that point alone.
     """
-    pts = grid.points() if hasattr(grid, "points") else np.asarray(grid, dtype=float)
+    if hasattr(grid, "points"):
+        pts = grid.points()
+    else:
+        pts = np.atleast_1d(np.asarray(grid, dtype=float))
     if pts.size == 0:
         raise MeasureError("cf grid must be nonempty")
-    return _cf_values(m, pts)
+    return _value(m, pts, cf_deviation(m, pts), np.zeros_like(pts))
 
 
 def _dense_sums(x: np.ndarray, cols: np.ndarray, step: int):
@@ -430,18 +419,20 @@ class EmpiricalCf:
     (1/2)^12 / 12! < 5.1e-13 per sample (|x| / h below _BIN_SPAN_MAX moves
     that by under 1%).  The table of moments grows with the bins seen while
     no wider than the samples so far; histogram values it cannot take stay
-    in the histogram.  Samples it cannot take, and every sample when all
-    points are zero, get _exact_dense: chunks of _CHUNK // xi.size samples,
-    xi.size counting every point, in cache-sized row blocks that add them
-    in the order of one pass over the chunk (_dense_sums), so their part of
-    a value has the bits of a direct sum over the points.  Dense values
-    depend, within rounding, on the chunks.
+    in the histogram.  Samples it cannot take get _exact_dense: chunks of
+    _CHUNK // xi.size samples, xi.size counting every point, in cache-sized
+    row blocks that add them in the order of one pass over the chunk
+    (_dense_sums), so their part of a value has the bits of a direct sum
+    over the points.  Dense values depend, within rounding, on the chunks.
+    The points must hold one other than 0, which sets h.
     """
 
     def __init__(self, xi):
         self._pts = np.asarray(xi, dtype=float)
         self._mag, self._inv = np.unique(np.abs(self._pts), return_inverse=True)
-        self._h = 1.0 / self._mag[-1] if self._mag[-1] > 0.0 else None
+        if not (self._mag.size and self._mag[-1] > 0.0):  # NaN sorts last and fails too
+            raise MeasureError("empirical cf needs a point other than 0")
+        self._h = 1.0 / self._mag[-1]
         self._n, self._dense = 0, False
         self._vals, self._counts = np.empty(0), np.empty(0)
         self._moments, self._k_lo, self._k_hi = np.zeros((_MOMENTS, 0)), math.inf, -math.inf
@@ -465,14 +456,11 @@ class EmpiricalCf:
                 self._counts = np.bincount(inv, weights=np.concatenate((self._counts, c)))
                 return self
             self._dense = True
-            if self._h is not None and self._vals.size:
+            if self._vals.size:
                 # the histogram joins the moments, its counts as weights, and
                 # keeps only the values no bin takes
                 rest = self._bin(self._vals, self._counts.copy())
                 self._vals, self._counts = self._vals[rest], self._counts[rest]
-        if self._h is None:
-            self._exact += _exact_dense(x, self._mag, self._pts.size)
-            return self
         rest = self._bin(x, np.ones(x.size))
         if rest.any():
             self._exact += _exact_dense(x[rest], self._mag, self._pts.size)

@@ -444,6 +444,12 @@ def parse_config(doc) -> dict:
     if not _is_int(seed) or not 0 <= seed <= MAX_SEED:
         raise ConfigError(f"'seed' must be an integer in 0..{MAX_SEED}")
     validated = [_validate_command(c) for c in commands]
+    if any(cmd["command"] == "verify-ideal" for cmd in validated):
+        for lam in IDEAL_LAMBDAS:  # its scaling checks run on the grid scaled by 1/lambda
+            try:
+                grid.scaled(1.0 / lam)
+            except MeasureError as exc:
+                raise ConfigError(f"verify-ideal grid scaled by 1/{lam:g}: {exc}") from exc
     env = _Env(measures, grid, seed)
     for cmd in validated:
         for key in COMMANDS[cmd["command"]].keys:

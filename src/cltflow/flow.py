@@ -1,11 +1,14 @@
 """The renormalization map T and measurements along its trajectories.
 
 T sends a centred, reduced law nu to the law of (X + Y)/sqrt(2) for
-independent X, Y ~ nu.  Laws that convolve in closed form (atomic laws, the
-gaussian) step exactly (convolve, rescale, merge); everything else steps at
-cf level, where n applications cost n complex squarings per evaluation
-point.  Trajectory distances are always computed on the cf-level iterates;
-exact atomic iteration is kept as a low-depth cross-check in the test suite.
+independent X, Y ~ nu, so T^n nu is the law of S_{2^n} / 2^{n/2}, the
+normalized sum of 2^n copies, and the sqrt(n) rate compares S_n / sqrt(n)
+at any n: both are NormalizedSum laws.  Laws that convolve in closed form
+(atomic laws, the gaussian) step exactly (convolve, rescale, merge);
+everything else steps at cf level, where n applications cost n complex
+squarings per evaluation point.  Trajectory distances are always computed
+on the cf-level iterates NormalizedSum(nu, 2^n); exact atomic iteration is
+kept as a low-depth cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ import numpy as np
 
 from .errors import MeasureError, MembershipError
 from .measures import (
-    Affine,
-    CfLevel,
     ConvProduct,
     Measure,
+    NormalizedSum,
     Parametric,
-    convolution_power,
     convolve,
     q_membership,
     require_membership,
@@ -49,7 +50,8 @@ def renorm_step(m: Measure) -> Measure:
     """One application of T: the law of (X + Y)/sqrt(2), X, Y independent ~ m.
 
     Laws whose convolution stays in closed form (atomic laws, the gaussian)
-    step in closed form; every other input gains one cf-iteration level.
+    step in closed form.  Every other law m becomes NormalizedSum(m, 2), and
+    NormalizedSum(b, n) becomes NormalizedSum(b, 2 n).
     """
     require_membership(m, 2, "the renormalization step")
     both = convolve(m, m)
@@ -59,11 +61,12 @@ def renorm_step(m: Measure) -> Measure:
 
 
 def _iterate(m: Measure, n: int) -> Measure:
+    """T^n m at cf level: the normalized sum of 2^n copies, nested sums merged."""
     if n == 0:
         return m
-    if isinstance(m, CfLevel):
-        return CfLevel(m.base, m.count + n)
-    return CfLevel(m, n)
+    if isinstance(m, NormalizedSum):
+        return NormalizedSum(m.base, m.n << n)
+    return NormalizedSum(m, 1 << n)
 
 
 @dataclass(frozen=True)
@@ -169,18 +172,16 @@ class CltRateCheck:
 def clt_rate_check(
     m: Measure, n: int, grid: GridSpec | None = None
 ) -> CltRateCheck:
-    """d3 of the standardized n-fold sum to the gaussian against d3(m, gauss)/sqrt(n).
+    """d3(S_n / sqrt(n), gauss) against d3(m, gauss)/sqrt(n), S_n the sum of n copies of m.
 
-    Valid for every integer n >= 1, not only powers of two; the n-fold cf
-    power is evaluated by exponentiation by squaring.
+    Valid for every integer n >= 1, not only powers of two: S_n / sqrt(n) is
+    NormalizedSum(m, n), whose cf power is evaluated by binary powering.
     """
     if not isinstance(n, int) or n < 1:
         raise MeasureError("the sum length n must be a positive integer")
     grid = grid or GridSpec()
     require_membership(m, 3, "the clt rate check")
-    summed = (
-        m if n == 1 else Affine(convolution_power(m, n), n**-0.5, 0.0)
-    )
+    summed = m if n == 1 else NormalizedSum(m, n)
     lhs = ds_distance(summed, _GAUSSIAN_STD, 3, grid, require_class_membership=False).value
     rhs = ds_distance(m, _GAUSSIAN_STD, 3, grid).value / math.sqrt(n)
     return CltRateCheck(lhs <= rhs + 1e-8, rhs - lhs, lhs, rhs)

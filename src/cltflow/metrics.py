@@ -27,12 +27,13 @@ has its deviation on a grid computed once, whether ds_distance takes it
 alone or as a part of a convolution, while it stays among the 12 (law,
 grid) pairs most recently used; the last two composite deviations are
 kept too, and the moment summaries of every law.  _grid_deviation hands
-the cf the grid, so a composite finds its leaves in the scope's table by
-that grid.  The checks compare many
-laws and their convolutions against the same gaussian, and each flow
-iterate against it twice.  Outside a scope every deviation is computed
-afresh, so a library caller never sees a value from before a change to the
-cf code.  The CLI opens one scope per command.
+the cf the grid, so a convolution product finds its parts in the scope's
+table by that grid; a normalized sum evaluates its base at scaled points,
+outside the table.  The checks compare many laws and their convolutions
+against the same gaussian, and each flow iterate against it twice.
+Outside a scope every deviation is computed afresh, so a library caller
+never sees a value from before a change to the cf code.  The CLI opens
+one scope per command.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ def shared_deviations():
 
     Keyed by (law, grid), laws by value, the scope keeps the deviations of
     the 12 leaf laws (atomic or parametric) most recently used, whether
-    ds_distance took them alone or as parts of a convolution product or
-    power, and of the last two composite laws; and the cumulants, moments,
+    ds_distance took them alone or as parts of a convolution product, and
+    of the last two composite laws; and the cumulants, moments,
     absolute moment bounds and memberships of every law asked about.
     Everything is freed when the scope ends.  A scope opened inside another
     shares the outer one.  Keep a scope short: a cf routine replaced inside

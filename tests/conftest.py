@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cltflow import GridSpec, bank, charfn, mc
+from cltflow.bank import Q2_BANK_NAMES, Q3_BANK_NAMES, resolve_alias
 
 
 @pytest.fixture(scope="session")
@@ -21,12 +22,12 @@ def skewed():
 
 @pytest.fixture(scope="session")
 def q3_bank():
-    return bank.q3_bank()
+    return {name: resolve_alias(name) for name in Q3_BANK_NAMES}
 
 
 @pytest.fixture(scope="session")
 def q2_bank():
-    return bank.q2_bank()
+    return {name: resolve_alias(name) for name in Q2_BANK_NAMES}
 
 
 @pytest.fixture(scope="session")
@@ -41,15 +42,38 @@ def coarse_grid():
 
 
 def draws(m, n, seed, start=0):
-    """n draws of m from counter start on under seed, through the oracle's draw pipeline.
+    """n draws of the atomic or parametric law m from counter start on under seed.
 
-    One reader takes the words of the blocks it reads (mc._drawer, mc._Reader,
-    mc._read and mc._blocks), as each law of a flow check does.
+    They come through the oracle's draw pipeline: one reader takes the words
+    of the blocks it reads (mc._drawer, mc._Reader, mc._read and mc._blocks),
+    as each law of a flow check does.
     """
-    width, prepare = mc._drawer(m)
     out = np.empty(n)
-    mc._read([prepare(n, mc._Reader())(out)], mc._blocks(seed, start, n * width))
+    mc._read([mc._drawer(m)(n, mc._Reader())(out)], mc._blocks(seed, start, n))
     return out
+
+
+def level_draws(m, k, n, seed, start=0):
+    """n draws of T^k m from counter start on: the top level of a flow check's float route.
+
+    Draw i is the root of the pairwise tree over the row of 2^k draws of m
+    from counter start + i 2^k on, scaled once by 2^{-k/2}; mc._float_levels
+    makes it, and its level cfs are replaced by recorders of what they are fed.
+    """
+    made = []
+
+    class Recording:
+        def __init__(self, xi):
+            self.fed = []
+            made.append(self)
+
+        def add(self, chunk):
+            self.fed.append(np.array(chunk))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "EmpiricalCf", Recording)
+        mc._read([mc._float_levels(m, k, n, None)], mc._blocks(seed, start, n << k))
+    return np.concatenate(made[-1].fed)
 
 
 @pytest.fixture

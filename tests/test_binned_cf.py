@@ -21,20 +21,21 @@ from cltflow import bank, charfn, mc
 from cltflow.metrics import GridSpec
 from cltflow.mc import ORACLE_GRID
 
-from conftest import draws
+from cltflow.errors import MeasureError
+from conftest import draws, level_draws
 from test_oracle_bits import EXPLICIT, ref_empirical_cf, ref_levels, same_bits
 
 TOL = 1e-12
 
+# law, level: samples of T^k law
 LAWS = {
-    "gaussian-0": lambda: bank.gaussian(),
-    "gaussian-3": lambda: cf.CfLevel(bank.gaussian(), 3),
-    "gaussian-6": lambda: cf.CfLevel(bank.gaussian(), 6),
-    "uniform": lambda: bank.ALIASES["uniform-std"](),
-    "heavy-cubic": lambda: bank.heavy_tail_std(),
-    "empirical-2": lambda: cf.CfLevel(
-        cf.make_atomic((x, 1.0) for x in np.random.default_rng(8).standard_t(3, 777)), 2
-    ),
+    "gaussian-0": (bank.gaussian, 0),
+    "gaussian-3": (bank.gaussian, 3),
+    "gaussian-6": (bank.gaussian, 6),
+    "uniform": (bank.uniform_std, 0),
+    "heavy-cubic": (bank.heavy_tail_std, 0),
+    "empirical-2": (lambda: cf.make_atomic(
+        (x, 1.0) for x in np.random.default_rng(8).standard_t(3, 777)), 2),
 }
 POINTS = {
     "oracle-grid": lambda: ORACLE_GRID.points(),
@@ -44,14 +45,16 @@ POINTS = {
 }
 
 
-def sample_of(m, n=50_000):
-    return draws(m, n, 1234)
+def sample_of(m, k=0, n=50_000):
+    """n samples of T^k m."""
+    return draws(m, n, 1234) if k == 0 else level_draws(m, k, n, 1234)
 
 
 @pytest.mark.parametrize("points", sorted(POINTS))
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_binned_cf_within_the_truncation_bound(law, points, monkeypatch):
-    x = sample_of(LAWS[law]())
+    m, k = LAWS[law]
+    x = sample_of(m(), k)
     xi = POINTS[points]()
     assert np.unique(x).size > charfn._LATTICE_MAX  # dense samples
     exact = ref_empirical_cf(x, xi)
@@ -76,7 +79,7 @@ def test_binned_cf_adds_chunks_of_any_size():
 
 
 def test_binned_cf_keeps_the_bits_of_lattice_samples():
-    x = sample_of(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000)
+    x = sample_of(bank.skewed_two_atom(), 4, 20_000)
     assert np.unique(x).size <= charfn._LATTICE_MAX
     for xi in (ORACLE_GRID.points(), EXPLICIT, np.array([0.7])):
         assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), ref_empirical_cf(x, xi))
@@ -92,17 +95,17 @@ def atoms_near(scale):
 WIDE = {
     # 13 atoms near +-1e75 at level 6: more bins than samples, and far
     # beyond 2^40 bin widths from 0
-    "atoms-1e75": lambda: cf.CfLevel(atoms_near(1e75), 6),
+    "atoms-1e75": lambda: sample_of(atoms_near(1e75), 6, 20_000),
     # more bins than samples alone
-    "atoms-1e3": lambda: cf.CfLevel(atoms_near(1e3), 6),
+    "atoms-1e3": lambda: sample_of(atoms_near(1e3), 6, 20_000),
     # a narrow sample beyond 2^40 bin widths from 0
-    "shift-1e12": lambda: cf.Affine(cf.CfLevel(bank.gaussian(), 3), 1.0, 1e12),
+    "shift-1e12": lambda: sample_of(bank.gaussian(), 3, 20_000) + 1e12,
 }
 
 
 @pytest.mark.parametrize("law", sorted(WIDE))
 def test_binned_cf_falls_back_for_a_wide_span(law):
-    x = sample_of(WIDE[law](), 20_000)
+    x = WIDE[law]()
     assert np.unique(x).size > charfn._LATTICE_MAX
     pts = ORACLE_GRID.points()
     tracemalloc.start()
@@ -120,7 +123,7 @@ def test_binned_cf_moves_an_overflowing_histogram_into_the_moments():
     # second takes it past _LATTICE_MAX values, and the histogram joins the
     # binned moments, so value() pays no cos and sin per value and point
     pts, chunk = ORACLE_GRID.points(), 2304
-    x = sample_of(bank.gaussian(), 5 * chunk)
+    x = sample_of(bank.gaussian(), n=5 * chunk)
     acc = charfn.EmpiricalCf(pts)
     for i in range(0, x.size, chunk):
         acc.add(x[i : i + chunk])
@@ -130,10 +133,12 @@ def test_binned_cf_moves_an_overflowing_histogram_into_the_moments():
     assert np.max(np.abs(acc.value() - ref_empirical_cf(x, pts))) <= TOL
 
 
-def test_binned_cf_at_zero_alone_is_exact():
-    x = sample_of(bank.gaussian())
-    for xi in (np.array([0.0]), np.array([0.0, -0.0])):
-        assert same_bits(charfn.EmpiricalCf(xi).add(x).value(), ref_empirical_cf(x, xi))
+@pytest.mark.parametrize("xi", [[0.0], [0.0, -0.0], [], [math.nan, 1.0]])
+def test_binned_cf_refuses_points_without_a_bin_width(xi):
+    # the bin width is 1 / max|xi|: points that are all 0 (or none, or NaN)
+    # set none, and are refused before any sample is taken
+    with pytest.raises(MeasureError, match="a point other than 0"):
+        charfn.EmpiricalCf(np.array(xi))
 
 
 def exact_devs(m, levels, n, seed):
@@ -141,7 +146,8 @@ def exact_devs(m, levels, n, seed):
     pts = ORACLE_GRID.points()
     devs = []
     for k, x in enumerate(ref_levels(m, levels, n, seed)):
-        dev = ref_empirical_cf(x, pts) - charfn.eval_cf_grid(cf.CfLevel(m, k) if k else m, pts)
+        dev = ref_empirical_cf(x, pts) - charfn.eval_cf_grid(
+            cf.NormalizedSum(m, 1 << k) if k else m, pts)
         devs.append(float(np.max(np.abs(dev))))
     return devs
 

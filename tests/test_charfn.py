@@ -13,28 +13,33 @@ from cltflow.errors import CharFnBoundError, MeasureError
 XIS = np.array([-7.3, -2.0, -0.4, -1e-3, 1e-3, 0.17, 1.0, 3.5, 24.0])
 
 
+def cf_at(m, xi) -> complex:
+    """phi_m at the point xi alone."""
+    return complex(cf.eval_cf_grid(m, [xi])[0])
+
+
 def test_rademacher_cf_is_cosine(rademacher):
     for xi in XIS:
-        assert cf.eval_cf(rademacher, xi) == pytest.approx(math.cos(xi), abs=1e-15)
+        assert cf_at(rademacher, xi) == pytest.approx(math.cos(xi), abs=1e-15)
 
 
 def test_gaussian_cf_closed_form(gauss):
     for xi in XIS:
-        assert cf.eval_cf(gauss, xi) == pytest.approx(
+        assert cf_at(gauss, xi) == pytest.approx(
             math.exp(-0.5 * xi * xi), rel=1e-15, abs=1e-300
         )
 
 
 def test_cf_at_zero_is_exactly_one(q2_bank):
     for m in q2_bank.values():
-        assert cf.eval_cf(m, 0.0) == 1.0 + 0.0j
+        assert cf_at(m, 0.0) == 1.0 + 0.0j
 
 
 def test_cflevel_single_step_closed_form(rademacher):
-    stepped = cf.CfLevel(rademacher, 1)
+    stepped = cf.NormalizedSum(rademacher, 2)
     for xi in XIS:
         expected = math.cos(xi / math.sqrt(2.0)) ** 2
-        assert cf.eval_cf(stepped, xi) == pytest.approx(expected, abs=1e-14)
+        assert cf_at(stepped, xi) == pytest.approx(expected, abs=1e-14)
 
 
 def test_uniform_and_laplace_and_exponential_closed_forms():
@@ -43,12 +48,12 @@ def test_uniform_and_laplace_and_exponential_closed_forms():
     lap = bank.laplace_std()
     exp = bank.exponential_std()
     for xi in XIS:
-        assert cf.eval_cf(unif, xi) == pytest.approx(
+        assert cf_at(unif, xi) == pytest.approx(
             math.sin(s3 * xi) / (s3 * xi), abs=1e-15
         )
-        assert cf.eval_cf(lap, xi) == pytest.approx(1.0 / (1.0 + 0.5 * xi * xi), rel=1e-14)
+        assert cf_at(lap, xi) == pytest.approx(1.0 / (1.0 + 0.5 * xi * xi), rel=1e-14)
         expected = cmath.exp(-1j * xi) / (1.0 - 1j * xi)
-        assert cf.eval_cf(exp, xi) == pytest.approx(expected, rel=1e-14)
+        assert cf_at(exp, xi) == pytest.approx(expected, rel=1e-14)
 
 
 def test_eval_cf_grid_matches_pointwise(gauss, skewed):
@@ -58,7 +63,7 @@ def test_eval_cf_grid_matches_pointwise(gauss, skewed):
         grid_vals = cf.eval_cf_grid(m, spec)
         assert grid_vals.shape == pts.shape
         for i in (0, len(pts) // 2, len(pts) - 1):
-            assert grid_vals[i] == cf.eval_cf(m, pts[i])
+            assert grid_vals[i] == cf_at(m, pts[i])
 
 
 def test_eval_cf_grid_explicit_points(gauss, rademacher):
@@ -109,7 +114,7 @@ def test_second_order_taylor_envelope_shrinks(q2_bank):
     # |phi(xi) - 1 + xi^2/2| / xi^2 must decrease towards zero
     for m in q2_bank.values():
         env = [
-            abs(cf.eval_cf(m, xi) - 1.0 + 0.5 * xi * xi) / (xi * xi)
+            abs(cf_at(m, xi) - 1.0 + 0.5 * xi * xi) / (xi * xi)
             for xi in (1e-1, 1e-2, 1e-3)
         ]
         assert env[0] > env[1] > env[2]
@@ -147,9 +152,10 @@ def _relative_accuracy_cases():
                            [-1e6 + 0.3, 1e5 + 0.1, 1e8 + 0.2]])
     mid = np.linspace(-37.0, 37.0, 149)
     return {
-        "cflevel-1": (cf.CfLevel(g, 1), lambda x, mp: mp.exp(-x * x / 2), mid),
-        "cflevel-7": (cf.CfLevel(g, 7), lambda x, mp: mp.exp(-x * x / 2), mid),
-        "cflevel-40": (cf.CfLevel(g, 40), lambda x, mp: mp.exp(-x * x / 2), mid),
+        # the cf-level iterates T^k g, normalized sums of 2^k copies
+        "cflevel-1": (cf.NormalizedSum(g, 2), lambda x, mp: mp.exp(-x * x / 2), mid),
+        "cflevel-7": (cf.NormalizedSum(g, 1 << 7), lambda x, mp: mp.exp(-x * x / 2), mid),
+        "cflevel-40": (cf.NormalizedSum(g, 1 << 40), lambda x, mp: mp.exp(-x * x / 2), mid),
         "affine": (
             cf.Affine(g, 0.7, 0.3),
             lambda x, mp: mp.exp(-(0.7**2) * x * x / 2 + 1j * mp.mpf(0.3) * x),
@@ -175,7 +181,7 @@ def _relative_accuracy_cases():
             _near_sinc_zeros(half * 0.7),
         ),
         "cflevel-uniform-3": (
-            cf.CfLevel(bank.uniform_std(), 3),
+            cf.NormalizedSum(bank.uniform_std(), 8),
             lambda x, mp: _sinc(mp.mpf(half) * x / mp.mpf(2) ** 1.5, mp) ** 8,
             _near_sinc_zeros(half * 2.0**-1.5),
         ),
@@ -233,13 +239,13 @@ def test_grid_values_equal_pointwise_bit_for_bit(which):
         "atomic-12": _nine_plus_atoms,
         # 5000 samples over the grid exceed one chunk of point-sample pairs
         "empirical": lambda: cf.make_atomic((x, 1.0) for x in rng.normal(size=5000)),
-        "cflevel-skewed": lambda: cf.CfLevel(bank.skewed_two_atom(), 6),
+        "cflevel-skewed": lambda: cf.NormalizedSum(bank.skewed_two_atom(), 1 << 6),
     }[which]()
     pts = cf.GridSpec(1e-3, 50.0, 200).points()
     vals = cf.eval_cf_grid(m, pts)
     idx = np.linspace(0, pts.size - 1, 25).astype(int)
     for i in idx:
-        assert vals[i] == cf.eval_cf(m, pts[i])
+        assert vals[i] == cf_at(m, pts[i])
     assert np.array_equal(cf.eval_cf_grid(m, pts[idx]), vals[idx])
     assert np.array_equal(cf.cf_deviation(m, pts[idx]), cf.cf_deviation(m, pts)[idx])
 
@@ -260,7 +266,7 @@ def test_cf_arguments_beyond_the_largest_grid_point_are_refused(name, xi):
     # gaussian: xi^2) and warned before any result; NaN gave NaN
     m = bank.ALIASES[name]()
     with pytest.raises(MeasureError, match="within"):
-        cf.eval_cf(m, xi)
+        cf_at(m, xi)
     with pytest.raises(MeasureError, match="within"):
         cf.eval_cf_grid(m, [0.5, xi])
     with pytest.raises(MeasureError, match="within"):
@@ -271,7 +277,7 @@ def test_cf_at_the_largest_grid_point(q2_bank):
     # runs under error::RuntimeWarning: nothing overflows at |xi| = 1e100
     xi = np.array([-1e100, -3e99, 1e99, 1e100])
     for m in [bank.gaussian(), *q2_bank.values()]:
-        assert np.all(np.abs(cf.eval_cf(m, xi)) <= 1.0 + 1e-12)
+        assert np.all(np.abs(cf.eval_cf_grid(m, xi)) <= 1.0 + 1e-12)
         assert np.all(np.abs(1.0 + cf.cf_deviation(m, xi)) <= 1.0 + 1e-12)
 
 
@@ -322,7 +328,7 @@ def test_atomic_level_deviation_against_mpmath(law, depth, exponents):
     # both carried 2^n times by the squarings
     mp = pytest.importorskip("mpmath")
     xi = np.array([math.copysign(10.0 ** abs(e), e) for e in exponents])
-    m = law if depth == 0 else cf.CfLevel(law, depth)
+    m = law if depth == 0 else cf.NormalizedSum(law, 1 << depth)
     got = cf.cf_deviation(m, xi)
     with mp.workdps(80):
         scale = mp.mpf(2) ** (-mp.mpf(depth) / 2)
@@ -335,6 +341,50 @@ def test_atomic_level_deviation_against_mpmath(law, depth, exponents):
                 want = 2 * want + want * want
             err = abs(mp.mpc(dev.real, dev.imag) - want)
             assert err <= 4 * EPS * (abs(want) + 2**depth * phases), (x, dev, want)
+
+
+@given(
+    centred_dyadic_laws(),
+    st.integers(2, 1024),
+    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_atomic_normalized_sum_deviation_against_mpmath(law, n, exponents):
+    # D = phi(xi n^{-1/2})^n - 1 to 80 digits for any n, not only powers of
+    # two: the binary power's squarings and products keep it to a few
+    # epsilons of |D|, plus the rounding of the phases carried n times
+    mp = pytest.importorskip("mpmath")
+    xi = np.array([math.copysign(10.0 ** abs(e), e) for e in exponents])
+    got = cf.cf_deviation(cf.NormalizedSum(law, n), xi)
+    with mp.workdps(80):
+        scale = 1 / mp.sqrt(n)
+        for x, dev in zip(xi, got):
+            ts = [mp.mpf(float(p)) * mp.mpf(float(x)) * scale for p in law.positions]
+            ws = [mp.mpf(float(w)) for w in law.weights]
+            want = (1 + mp.fsum(w * (mp.expj(t) - 1) for t, w in zip(ts, ws))) ** n - 1
+            phases = mp.fsum(w * abs(t) * min(abs(t), 2) for t, w in zip(ts, ws))
+            err = abs(mp.mpc(dev.real, dev.imag) - want)
+            assert err <= 4 * EPS * (abs(want) + n * phases), (x, dev, want)
+
+
+def _level_scale(count):
+    """2^(-count/2) as hi + lo, as the renormalization levels scaled their argument."""
+    hi = 2.0 ** (-count / 2.0)
+    p, e = charfn._two_prod(hi, hi)
+    return hi, ((2.0**-count - p) - e) / (2.0 * hi)
+
+
+def test_sum_scale_is_n_to_the_minus_half_to_double_length():
+    # n (hi + lo)^2 = 1 to about eps^2, and hi is n^{-1/2} rounded; at
+    # n = 2^k the pair is the one the levels used, bit for bit
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for n in [*range(2, 1025), *(1 << k for k in range(11, 41)), 10**6 + 7, 2**40 - 1]:
+            hi, lo = charfn._sum_scale(n)
+            assert hi == float(1 / mp.sqrt(n)) and abs(lo) <= 0.5 * math.ulp(hi), n
+            assert abs(n * (mp.mpf(hi) + mp.mpf(lo)) ** 2 - 1) <= 2 * EPS**2, n
+    for k in range(1, 41):
+        assert charfn._sum_scale(1 << k) == _level_scale(k)
 
 
 def _outer_dev_atomic(positions, weights, mean, span, xi):
@@ -388,7 +438,7 @@ def test_non_finite_deviations_are_refused(monkeypatch, gauss, grid):
         with pytest.raises(CharFnBoundError, match="nan"):
             cf.cf_deviation(m, [1.0, 1e10])
         with pytest.raises(CharFnBoundError, match="nan"):
-            cf.eval_cf(m, 1e10)
+            cf_at(m, 1e10)
     # inside a scope a leaf first evaluated as a part is checked on its own,
     # before the product it enters is
     monkeypatch.setattr(

@@ -374,14 +374,19 @@ def test_extreme_grids_exit_2(grid, capsys):
     assert out == ""
 
 
-def test_verify_ideal_below_twice_the_grid_floor_writes_its_error_row(tmp_path, capsys):
-    # lambda = 2 rescales the grid by 1/2, below the floor: the scaling
-    # check raises, and the command fails with an error row
-    code, out, _ = run_cli(["verify-ideal", "--xi-min", "1.5e-6", "--xi-max", "1e-3",
-                            "--points-per-decade", "1", "--out", str(tmp_path)], capsys)
-    assert code == 1 and "verify-ideal: FAIL (grid needs 1e-06 <= xi_min" in out
-    text = (tmp_path / "01_verify-ideal.csv").read_text()
-    assert text.startswith("error\nerror,grid needs 1e-06 <= xi_min")
+def test_verify_ideal_grid_rescaled_out_of_range_exits_2(tmp_path, capsys):
+    # lambda = 2 rescales the grid by 1/2, below the floor, and lambda = 1/2
+    # by 2, above the largest point: the config is refused before any check
+    # runs, and no CSV is written; the same grid serves every other command
+    for xi_min, xi_max, lam in ((1.5e-6, 1e-3, "2"), (1e-3, 6e99, "0.5")):
+        grid = ["--xi-min", str(xi_min), "--xi-max", str(xi_max), "--points-per-decade", "1"]
+        out_dir = tmp_path / lam
+        code, out, err = run_cli(["verify-ideal", *grid, "--out", str(out_dir)], capsys)
+        assert code == 2 and not out and not out_dir.exists()
+        assert err.startswith(f"config error: verify-ideal grid scaled by 1/{lam}: grid needs")
+        code, _, _ = run_cli(["distance", "--a", "skewed", "--b", "gaussian", "--s", "3", *grid],
+                             capsys)
+        assert code == 0
 
 
 def test_grid_range_is_in_help(capsys):

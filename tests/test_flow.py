@@ -58,8 +58,8 @@ def test_step_skewed_third_moment_scaling(skewed):
 def test_step_parametric_becomes_cflevel():
     m = bank.uniform_std()
     stepped = cf.renorm_step(m)
-    assert stepped == cf.CfLevel(m, 1)
-    assert cf.renorm_step(stepped) == cf.CfLevel(m, 2)
+    assert stepped == cf.NormalizedSum(m, 2)
+    assert cf.renorm_step(stepped) == cf.NormalizedSum(m, 4)
 
 
 def test_step_rejects_non_standardized():
@@ -75,7 +75,7 @@ def test_step_preserves_membership(q3_bank):
 def test_variance_invariance_along_iterates(q2_bank):
     for m in q2_bank.values():
         for n in (1, 7, 25):
-            assert cf.moment(cf.CfLevel(m, n), 2) == pytest.approx(1.0, abs=1e-12)
+            assert cf.moment(cf.NormalizedSum(m, 1 << n), 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_atomic_and_cflevel_iterates_agree(rademacher, skewed, grid):
@@ -85,7 +85,7 @@ def test_atomic_and_cflevel_iterates_agree(rademacher, skewed, grid):
         atomic = base
         for n in range(1, 7):
             atomic = cf.renorm_step(atomic)
-            chain = cf.CfLevel(base, n)
+            chain = cf.NormalizedSum(base, 1 << n)
             diff = np.abs(cf.eval_cf_grid(atomic, xi) - cf.eval_cf_grid(chain, xi))
             assert float(diff.max()) <= 1e-10, n
 
@@ -192,6 +192,19 @@ def test_clt_rate_small_n(skewed, rademacher):
     for n in (2, 3, 5, 7):
         assert cf.clt_rate_check(skewed, n).ok
         assert cf.clt_rate_check(rademacher, n).ok
+
+
+def test_clt_rate_skewed_lhs_is_the_exact_rate(skewed):
+    # d3(S_n / sqrt(n), gauss) of the skewed law is its zero limit
+    # |k3| / (6 sqrt(n)) = 1 / (4 sqrt(n)); k3 n^{-1/2} rounds once, where
+    # (n^{-1/2})^3 (n k3) rounded four times and reached 2.5 ulp
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for n in range(2, 65):
+            chk = cf.clt_rate_check(skewed, n)
+            want = 1 / (4 * mp.sqrt(n))
+            assert abs(chk.lhs - want) <= 1.5 * math.ulp(float(want)), (n, chk.lhs)
+            assert chk.ok
 
 
 def test_clt_rate_requires_q3():

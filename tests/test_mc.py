@@ -7,7 +7,7 @@ import cltflow as cf
 from cltflow import bank, charfn
 from cltflow.errors import MeasureError
 from cltflow.mc import ORACLE_GRID, empirical_flow_check
-from conftest import draws
+from conftest import draws, level_draws
 
 
 def test_sample_deterministic(rademacher):
@@ -60,21 +60,23 @@ def test_sample_heavy_tail_matches_cdf():
 
 
 def test_sample_cflevel_pairwise_sums(rademacher):
-    lvl = cf.CfLevel(rademacher, 2)
-    vals = draws(lvl, 50_000, 21)
+    vals = level_draws(rademacher, 2, 50_000, 21)
     # sums of four signs over 2: lattice {-2,-1,0,1,2}
     assert set(np.round(np.unique(vals), 12)).issubset({-2.0, -1.0, 0.0, 1.0, 2.0})
     assert abs(vals.var() - 1.0) < 0.02
 
 
 def test_sample_cflevel_depth_refused(rademacher):
-    with pytest.raises(MeasureError):
-        draws(cf.CfLevel(rademacher, 26), 1, 0)
+    # the oracle samples leaf laws only, and makes its levels from their
+    # draws: a cf-level law of any depth is refused as an input
+    for n in (2, 1 << 26):
+        with pytest.raises(MeasureError, match="not NormalizedSum"):
+            empirical_flow_check(cf.NormalizedSum(rademacher, n), 1, 100_000, 0)
 
 
 def test_sample_rejects_composites(gauss):
-    with pytest.raises(MeasureError):
-        draws(cf.convolve(bank.uniform_std(), gauss), 10, 0)
+    with pytest.raises(MeasureError, match="not ConvProduct"):
+        empirical_flow_check(cf.convolve(bank.uniform_std(), gauss), 1, 100_000, 0)
 
 
 def test_empirical_cf_mc_oracle_gaussian(gauss):
@@ -97,9 +99,8 @@ def test_empirical_flow_check_rademacher_small(rademacher):
     assert chk.ok
 
 
-def test_empirical_flow_check_on_a_cflevel_input(skewed, monkeypatch):
-    # levels 0..3 of T^2 skewed are T^2..T^5 skewed, all from one sample
-    m = cf.CfLevel(skewed, 2)
+def test_empirical_flow_check_compares_the_normalized_sums(skewed, monkeypatch):
+    # level k is compared with T^k skewed, the normalized sum of 2^k copies
     iterates = []
     eval_cf_grid = cf.mc.eval_cf_grid
 
@@ -108,8 +109,8 @@ def test_empirical_flow_check_on_a_cflevel_input(skewed, monkeypatch):
         return eval_cf_grid(law, pts)
 
     monkeypatch.setattr(cf.mc, "eval_cf_grid", recording)
-    chk = empirical_flow_check(m, levels=3, n=100_000, seed=42)
-    assert iterates == [m] + [cf.CfLevel(skewed, k) for k in (3, 4, 5)]
+    chk = empirical_flow_check(skewed, levels=3, n=100_000, seed=42)
+    assert iterates == [skewed] + [cf.NormalizedSum(skewed, n) for n in (2, 4, 8)]
     assert chk.ok and len(chk.per_level) == 4
 
 

@@ -123,7 +123,7 @@ def test_moment_rejects_bad_order(gauss):
 
 
 def test_cf_composite_abs_odd_moment_unavailable(rademacher, gauss):
-    m = cf.CfLevel(rademacher, 3)
+    m = cf.NormalizedSum(rademacher, 8)
     with pytest.raises(MomentUnavailableError):
         cf.moment(m, 3, absolute=True)
     assert math.isfinite(cf.abs_moment_bound(m, 3))
@@ -336,7 +336,7 @@ def test_affine_at_the_bound_has_finite_moments():
 
 
 def test_moment_summaries_are_shared_inside_a_scope(skewed):
-    law = cf.CfLevel(skewed, 3)
+    law = cf.NormalizedSum(skewed, 8)
     assert cf.cumulants(law) is not cf.cumulants(law)
     with cf.metrics.shared_deviations():
         assert cf.cumulants(law) is cf.cumulants(law)
@@ -360,3 +360,54 @@ def test_third_absolute_moment_growth_under_step(q3_bank):
         assert cf.moment(stepped, 3, absolute=True) <= bound * cf.moment(
             m, 3, absolute=True
         ) * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# normalized sums
+# ---------------------------------------------------------------------------
+
+SUM_LENGTHS = [*range(2, 1025), *(1 << k for k in range(11, 41))]
+
+
+@pytest.mark.parametrize("base", ["off-centre", "exponential-std"])
+def test_normalized_sum_cumulants_against_mpmath(base):
+    # S_n / sqrt(n) has cumulants n k_j n^{-j/2}: each one rounding of a
+    # power of n and one of a product or quotient, within 1.5 ulp
+    mp = pytest.importorskip("mpmath")
+    m = {
+        "off-centre": lambda: cf.make_atomic([(0.0, 0.5), (1.0, 0.25), (3.0, 0.25)]),
+        "exponential-std": bank.exponential_std,
+    }[base]()
+    ks = cf.cumulants(m)
+    b3 = cf.abs_moment_bound(m, 3)
+    eps = np.finfo(float).eps
+    with mp.workdps(50):
+        for n in SUM_LENGTHS:
+            summed = cf.NormalizedSum(m, n)
+            root = mp.sqrt(n)
+            want = (ks[0] * root, mp.mpf(ks[1]), ks[2] / root, mp.mpf(ks[3]) / n, root**3 * b3)
+            got = (*cf.cumulants(summed), cf.abs_moment_bound(summed, 3))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1.5 * eps * abs(w), (n, got, want)
+
+
+def test_normalized_sum_cumulants_keep_the_flow_levels_bits(skewed):
+    # at n = 2^k, those of k renormalization steps, written as such
+    ks = cf.cumulants(skewed)
+    for k in range(1, 41):
+        want = (ks[0] * 2.0 ** (k / 2.0), ks[1], ks[2] * 2.0 ** (-k / 2.0),
+                ks[3] * 2.0 ** (-float(k)))
+        assert cf.cumulants(cf.NormalizedSum(skewed, 1 << k)) == want
+
+
+@pytest.mark.parametrize("n", [1, 0, -2, 2.0, "2"])
+def test_normalized_sum_needs_an_integer_n_of_at_least_2(skewed, n):
+    with pytest.raises(MeasureError, match="n >= 2"):
+        cf.NormalizedSum(skewed, n)
+
+
+def test_normalized_sums_do_not_nest(skewed):
+    with pytest.raises(MeasureError, match="must not itself be a NormalizedSum"):
+        cf.NormalizedSum(cf.NormalizedSum(skewed, 2), 2)
+    # T applied to T^2 skewed is T^3 skewed, one sum of 2^3 copies
+    assert cf.renorm_step(cf.NormalizedSum(skewed, 4)) == cf.NormalizedSum(skewed, 8)

@@ -342,7 +342,7 @@ def test_memo_exists_only_inside_a_scope(skewed, gauss, grid):
 def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coarse_grid):
     # symmetric two-atom laws of growing variance: leaves, with finite d2
     leaves = [cf.make_atomic([(-x, 0.5), (x, 0.5)]) for x in np.linspace(0.5, 1.5, 20)]
-    levels = [cf.CfLevel(bank.skewed_two_atom(), n) for n in range(1, 6)]
+    levels = [cf.NormalizedSum(bank.skewed_two_atom(), 1 << n) for n in range(1, 6)]
     with metrics.shared_deviations():
         scope = _scope.active
         for m in leaves:

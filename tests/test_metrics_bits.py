@@ -15,6 +15,7 @@ import pytest
 
 import cltflow as cf
 from cltflow import bank, charfn, metrics
+from cltflow.bank import Q2_BANK_NAMES, resolve_alias
 from cltflow.measures import cumulants, make_atomic, make_parametric
 from cltflow.metrics import DistanceResult, GridSpec, ds_distance, shared_deviations
 
@@ -72,17 +73,19 @@ def _laws():
     ws = rng.random(12) + 0.05
     twelve = make_atomic(zip(rng.normal(size=12), ws / ws.sum()))
     built = {
-        "cflevel-1": cf.CfLevel(skewed, 1),
-        "cflevel-7": cf.CfLevel(skewed, 7),
-        "cflevel-40": cf.CfLevel(bank.exponential_std(), 40),
-        "convpower-3": cf.ConvPower(skewed, 3),
-        "convpower-64": cf.ConvPower(bank.uniform_std(), 64),
+        # the cf-level iterates T^k, normalized sums of 2^k copies
+        "cflevel-1": cf.NormalizedSum(skewed, 2),
+        "cflevel-7": cf.NormalizedSum(skewed, 1 << 7),
+        "cflevel-40": cf.NormalizedSum(bank.exponential_std(), 1 << 40),
+        # convolution powers, normalized: sums of n copies over sqrt(n)
+        "convpower-3": cf.NormalizedSum(skewed, 3),
+        "convpower-64": cf.NormalizedSum(bank.uniform_std(), 64),
         "affine-shift": cf.Affine(skewed, 0.7, 0.3),
         "convproduct": cf.ConvProduct((skewed, bank.laplace_std(), bank.uniform_std())),
         "atoms-12": twelve,
         "empirical-3000": make_atomic((x, 1.0) for x in rng.gamma(2.0, size=3000)),
     }
-    laws = {name: (m, gauss, True) for name, m in bank.q2_bank().items()}
+    laws = {name: (resolve_alias(name), gauss, True) for name in Q2_BANK_NAMES}
     laws.update({name: (m, matched_gaussian(m), False) for name, m in built.items()})
     return laws
 

@@ -1,16 +1,17 @@
 """The oracle path keeps its bits: empirical cf, uniforms and draws.
 
 The references below are the straightforward versions of the empirical cf,
-the uniforms, the draws (all base draws of a level made at once and halved
-pairwise, row by row, to the root) and the flow check's levels that the
-mirrored, blocked and in-place versions in the library replace.  Every
+the uniforms, the draws (all draws of a level's base law made at once and
+halved pairwise, row by row, to the root) and the flow check's levels that
+the mirrored, blocked and in-place versions in the library replace.  Every
 comparison is bit for bit (view(np.uint64)): EmpiricalCf keeps the
 reference's bits on its exact paths (lattice samples, and the dense
 fall-back for samples no bin takes), and the oracle's draws keep theirs.
 The library's draws come from conftest.draws, the oracle's draw pipeline
-read by one reader.  The gaussian reference draws through the library's
-own inverse normal: these tests check blocking and the order of the tree's
-sums, and test_special checks the transform against mpmath.
+read by one reader, and a level's from conftest.level_draws, the top level
+of the flow check's float route.  The gaussian reference draws through the
+library's own inverse normal: these tests check blocking and the order of
+the tree's sums, and test_special checks the transform against mpmath.
 """
 
 import math
@@ -21,10 +22,10 @@ import pytest
 
 import cltflow as cf
 from cltflow import bank, charfn, mc
-from cltflow._special import ndtri
+from cltflow._special import InverseNormal
 from cltflow.errors import MeasureError, MembershipError
 from cltflow.mc import ORACLE_GRID
-from conftest import draws
+from conftest import draws, level_draws
 
 _CHUNK = charfn._CHUNK
 
@@ -86,7 +87,9 @@ def ref_draw_atomic(m, n, seed, start):
 
 def ref_invert(fam, p, u):
     if fam == "gaussian":
-        return p[0] + math.sqrt(p[1]) * ndtri(u)
+        z = np.empty(u.size)
+        InverseNormal(u.size)(u, z)
+        return p[0] + math.sqrt(p[1]) * z
     if fam == "uniform":
         return p[0] + (p[1] - p[0]) * u
     if fam == "laplace":
@@ -101,12 +104,6 @@ def ref_invert(fam, p, u):
     raise AssertionError(fam)
 
 
-def ref_width(m) -> int:
-    if isinstance(m, cf.CfLevel):
-        return ref_width(m.base) << m.count
-    return ref_width(m.base) if isinstance(m, cf.Affine) else 1
-
-
 def ref_tree(y):
     """The roots of the pairwise trees over the rows of y: halve each row until one column is left."""
     while y.shape[1] > 1:
@@ -115,19 +112,20 @@ def ref_tree(y):
 
 
 def ref_draw(m, seed, start, n):
-    """n draws of m from counter start: all 2^k n base draws of a level at once, halved pairwise.
-
-    Draw i of a level-k law is the tree sum of base draws i 2^k .. i 2^k +
-    2^k - 1, which take the counters after start in turn, scaled once.
-    """
-    if isinstance(m, cf.CfLevel):
-        rows = ref_draw(m.base, seed, start, n << m.count).reshape(n, 1 << m.count)
-        return ref_tree(rows) * 2.0 ** (-m.count / 2.0)
-    if isinstance(m, cf.Affine):
-        return m.shift + m.scale * ref_draw(m.base, seed, start, n)
+    """n draws of the atomic or parametric law m from counter start, one counter each."""
     if isinstance(m, cf.Atomic):
         return ref_draw_atomic(m, n, seed, start)
     return ref_invert(m.family, m.params, ref_uniforms(seed, start, n))
+
+
+def ref_level(m, k, seed, start, n):
+    """n draws of T^k m from counter start: all 2^k n draws of m at once, halved pairwise.
+
+    Draw i is the tree sum of draws i 2^k .. i 2^k + 2^k - 1 of m, which
+    take the counters after start in turn, scaled once.
+    """
+    rows = ref_draw(m, seed, start, n << k).reshape(n, 1 << k)
+    return ref_tree(rows) * 2.0 ** (-k / 2.0)
 
 
 def same_bits(a, b) -> bool:
@@ -151,11 +149,11 @@ def small_chunk(monkeypatch):
 
 
 def lattice_sample():
-    return draws(cf.CfLevel(bank.skewed_two_atom(), 4), 20_000, 1234)
+    return level_draws(bank.skewed_two_atom(), 4, 20_000, 1234)
 
 
 def dense_sample(n=40_000):
-    return draws(cf.CfLevel(bank.gaussian(), 2), n, 1234)
+    return level_draws(bank.gaussian(), 2, n, 1234)
 
 
 def wide_sample(n=40_000):
@@ -193,10 +191,9 @@ def test_empirical_cf_dense_bits(points, small_chunk):
     assert same_bits(fallback_cf(x, pts), ref_empirical_cf(x, pts))
 
 
-@pytest.mark.parametrize("xi", [0.0, 0.7, -3.25])
+@pytest.mark.parametrize("xi", [0.7, -3.25])
 def test_empirical_cf_scalar_bits(xi, small_chunk):
-    # one point: the dense sums reduce one column pairwise, a chunk at a
-    # time; at 0 alone every dense sample takes the fall-back
+    # one point: the dense sums reduce one column pairwise, a chunk at a time
     pts = np.array([xi])
     x = lattice_sample()
     assert same_bits(charfn.EmpiricalCf(pts).add(x).value(), ref_empirical_cf(x, pts))
@@ -305,7 +302,7 @@ def test_cflevel_folds_add_reference_draws(skewed):
     n, seed = 1000, 21
     b = ref_draw_atomic(skewed, 8 * n, seed, 0).reshape(n, 8).T
     total = ((b[0] + b[1]) + (b[2] + b[3])) + ((b[4] + b[5]) + (b[6] + b[7]))
-    got = draws(cf.CfLevel(skewed, 3), n, seed)
+    got = level_draws(skewed, 3, n, seed)
     assert same_bits(got, total * 2.0**-1.5)
 
 
@@ -323,7 +320,7 @@ BASES = {
     "gaussian": bank.gaussian,
     "uniform": bank.uniform_std,
     "laplace": bank.laplace_std,
-    "exponential-std": bank.exponential_std,  # an Affine of the exponential
+    "exponential-std": bank.exponential_std,  # the exponential, shifted
     "heavy-cubic": bank.heavy_tail_std,
     "empirical": lambda: cf.make_atomic(
         (x, 1.0) for x in np.random.default_rng(8).standard_t(3, 777)),
@@ -331,17 +328,21 @@ BASES = {
 STARTS = (0, 12_345, 2**64 - 600)  # the last one wraps past 2^64 mid-draw
 
 
-def draw_sizes(width):
-    """One draw, fewer than a block's draws, exactly one block, a last block of one draw, a ragged tail."""
-    cols = max(1, mc._BLOCK_CELLS // width)
+def draw_sizes(k):
+    """One draw, under a part's draws, one part, a last part of one draw, a ragged tail.
+
+    A part of the float route holds the rows of 2^k draws that fill a block.
+    """
+    cols = max(1, mc._BLOCK_CELLS >> k)
     return (1, max(1, cols - 1), cols, 2 * cols + 1, 2 * cols + 5)
 
 
-def assert_sampler_bits(m, seed=1234, starts=STARTS, sizes=None):
+def assert_sampler_bits(m, k, seed=1234, starts=STARTS, sizes=None):
+    """Draws of m (k = 0) or of its level k keep the reference's bits."""
     for start in starts:
-        for n in sizes or draw_sizes(ref_width(m)):
-            got = draws(m, n, seed, start)
-            want = ref_draw(m, seed, start, n)
+        for n in sizes or draw_sizes(k):
+            got = draws(m, n, seed, start) if k == 0 else level_draws(m, k, n, seed, start)
+            want = ref_level(m, k, seed, start, n)
             assert got.shape == (n,)
             assert same_bits(got, want), (start, n)
 
@@ -349,62 +350,37 @@ def assert_sampler_bits(m, seed=1234, starts=STARTS, sizes=None):
 @pytest.mark.parametrize("k", [0, 1, 6])
 @pytest.mark.parametrize("name", list(BASES))
 def test_sampler_matches_fold_loop(name, k):
-    base = BASES[name]()
-    assert_sampler_bits(base if k == 0 else cf.CfLevel(base, k))
+    assert_sampler_bits(BASES[name](), k)
 
 
 @pytest.mark.parametrize("name", ["atomic-2", "atomic-13", "gaussian", "exponential-std"])
 def test_sampler_matches_fold_loop_beyond_one_block(name):
-    # a row of 2^15 draws exceeds a block's 2^14, so the tree adds the
-    # roots of rows of 2^14: the same pairs as one tree over the row
-    base, k = BASES[name](), 15
+    # a row of 2^15 draws exceeds a block's 2^14, so one row reads the
+    # words of two blocks: the same pairs as one tree over the row
+    k = 15
     assert (1 << k) > mc._BLOCK_CELLS
-    assert_sampler_bits(cf.CfLevel(base, k), starts=(0, 2**64 - 70_000), sizes=(1, 2, 3))
+    assert_sampler_bits(BASES[name](), k, starts=(0, 2**64 - 70_000), sizes=(1, 2, 3))
 
 
 @pytest.fixture
 def small_block(monkeypatch):
-    # 64 counters a block: a level-7 law's rows of 128 draws are two rows
-    # of 64 whose roots are added, so every split and ragged edge shows at
-    # a small size
+    # 64 counters a block: a level-7 law's rows of 128 draws each read the
+    # words of two blocks, so every split and ragged edge shows at a small
+    # size
     monkeypatch.setattr(mc, "_BLOCK_CELLS", 64)
-
-
-NESTED = {
-    "affine-cflevel": lambda: cf.CfLevel(cf.Affine(cf.CfLevel(bank.gaussian(), 1), 1.0), 1),
-    "skewed-3-in-2": lambda: cf.CfLevel(
-        cf.Affine(cf.CfLevel(bank.skewed_two_atom(), 3), 0.5, 0.25), 2),
-    "shifted-level": lambda: cf.Affine(cf.CfLevel(bank.rademacher(), 4), 2.0, -1.0),
-}
 
 
 @pytest.mark.parametrize("name", ["atomic-2", "atomic-9", "gaussian", "empirical"])
 def test_sampler_matches_fold_loop_small_block(name, small_block):
-    assert_sampler_bits(cf.CfLevel(BASES[name](), 7))
+    assert_sampler_bits(BASES[name](), 7)
 
 
 @pytest.mark.parametrize("block", [8, 64, 1 << 14])
-@pytest.mark.parametrize("name", list(NESTED))
-def test_nested_sampler_matches_fold_loop(name, block, monkeypatch):
-    monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
-    assert_sampler_bits(NESTED[name]())
-
-
-def test_nested_levels_have_the_law_variance():
-    # the law is T applied twice to the gaussian: variance 1; if the
-    # outer level's two halves shared counters, they would be one draw
-    # and the variance would read 1.5
-    vals = draws(NESTED["affine-cflevel"](), 200_000, 3)
-    assert abs(vals.var() - 1.0) < 0.02
-
-
-@pytest.mark.parametrize("block", [8, 64, 1 << 14])
-@pytest.mark.parametrize("name", list(NESTED) + ["flat"])
+@pytest.mark.parametrize("name", ["flat"])
 def test_no_counter_is_drawn_twice(name, block, monkeypatch):
-    # every word the generator mixes, mapped back to its counter, covers
-    # start .. start + width * n - 1 once each, in order
+    # every word the generator mixes for a level-5 law, mapped back to its
+    # counter, covers start .. start + 2^5 n - 1 once each, in order
     monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
-    m = cf.CfLevel(bank.skewed_two_atom(), 5) if name == "flat" else NESTED[name]()
     seen = []
     mix = mc._mix
 
@@ -413,43 +389,49 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
         return mix(z, scratch)
 
     monkeypatch.setattr(mc, "_mix", recording_mix)
-    seed, start, n = 4, 2**64 - 1000, 1000
-    width = ref_width(m)
-    draws(m, n, seed, start)
+    seed, start, n, k = 4, 2**64 - 1000, 1000, 5
+    level_draws(bank.skewed_two_atom(), k, n, seed, start)
     inv = np.uint64(pow(mc.PHI64, -1, 2**64))
     key = np.uint64(mc._mix64_int(seed))
     counters = (np.concatenate(seen) - key) * inv - np.uint64(1)
-    want = (np.arange(width * n, dtype=np.uint64) + np.uint64(start % 2**64))
+    want = (np.arange(n << k, dtype=np.uint64) + np.uint64(start % 2**64))
     assert np.array_equal(counters, want)
 
 
 STREAM_LAWS = {
-    "atomic": bank.skewed_two_atom,
-    "gaussian": bank.gaussian,
-    "gaussian-6": lambda: cf.CfLevel(bank.gaussian(), 6),
-    "nested": NESTED["skewed-3-in-2"],
+    # law, level
+    "atomic": (bank.skewed_two_atom, 0),
+    "gaussian": (bank.gaussian, 0),
+    "gaussian-6": (bank.gaussian, 6),
 }
 
 
-def part_draws(m, seed, cols, n):
-    """n draws of m from counter 0 on, made part by part as the flow check's float route makes them.
+def part_draws(m, k, seed, n):
+    """n draws of level k of m from counter 0 on, and the draws of each part they were made in.
 
-    One draw generator, prepared for parts of cols draws, fills each part of
-    one buffer in turn, the last holding the rest, from one reader of one
-    block stream.
+    The flow check's float route makes them (conftest.level_draws): one
+    draw generator fills each part of one buffer in turn, the last holding
+    the rest, from one reader of one block stream.
     """
-    width, prepare = mc._drawer(m)
-    buf, parts = np.empty(min(cols, n)), []
-    draw = prepare(buf.size, mc._Reader())
+    sizes, drawer = [], mc._drawer
 
-    def read():
-        for b0 in range(0, n, cols):
-            part = buf[: min(cols, n - b0)]
-            yield from draw(part)
-            parts.append(part.copy())
+    def recording(law):
+        prepare = drawer(law)
 
-    mc._read([read()], mc._blocks(seed, 0, n * width))
-    return parts
+        def prepare_parts(size, words):
+            draw = prepare(size, words)
+
+            def draw_part(out):
+                yield from draw(out)
+                sizes.append(out.size >> k)
+
+            return draw_part
+
+        return prepare_parts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_drawer", recording)
+        return level_draws(m, k, n, seed), sizes
 
 
 @pytest.mark.parametrize("size", ["parts", "parts+1", "lone-in-part", "lone-next-part"])
@@ -457,19 +439,20 @@ def part_draws(m, seed, cols, n):
 def test_stream_parts_are_the_draws(name, size):
     # whole parts, then a last part of one draw, alone or after a whole one,
     # each made by the one generator into the one reused buffer
-    m = STREAM_LAWS[name]()
-    cols = max(1, mc._BLOCK_CELLS // ref_width(m))
+    law, k = STREAM_LAWS[name]
+    m = law()
+    cols = mc._BLOCK_CELLS >> k
     n = {
         "parts": 2 * cols,
         "parts+1": 2 * cols + 1,
         "lone-in-part": 1,
         "lone-next-part": cols + 1,
     }[size]
-    parts = part_draws(m, 1234, cols, n)
-    assert [p.size for p in parts] == [cols] * (n // cols) + [n % cols] * (n % cols > 0)
-    got = np.concatenate(parts)
-    assert same_bits(got, draws(m, n, 1234))
-    assert same_bits(got, ref_draw(m, 1234, 0, n))
+    got, sizes = part_draws(m, k, 1234, n)
+    assert sizes == [cols] * (n // cols) + [n % cols] * (n % cols > 0)
+    if k == 0:
+        assert same_bits(got, draws(m, n, 1234))
+    assert same_bits(got, ref_level(m, k, 1234, 0, n))
 
 
 def overflowing_law():
@@ -507,20 +490,20 @@ def ref_histogram_add(vals, counts, x):
 
 HISTOGRAM_CASES = {
     # five values, all in the first part: later parts bring none
-    "no-new": (lambda: cf.CfLevel(bank.rademacher(), 2), 2000),
+    "no-new": (lambda n: level_draws(bank.rademacher(), 2, n, 1234), 2000),
     # 65 values, the rarest arriving part by part
-    "new": (lambda: cf.CfLevel(bank.skewed_two_atom(), 6), 2000),
-    "overflow": (overflowing_law, mc._BLOCK_CELLS),
+    "new": (lambda n: level_draws(bank.skewed_two_atom(), 6, n, 1234), 2000),
+    "overflow": (lambda n: draws(overflowing_law(), n, 1234), mc._BLOCK_CELLS),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HISTOGRAM_CASES))
 def test_histogram_lookup_matches_the_unique_merge(case):
-    law, cols = HISTOGRAM_CASES[case]
+    sample, cols = HISTOGRAM_CASES[case]
     pts = ORACLE_GRID.points()
     acc = charfn.EmpiricalCf(pts)
     vals, counts, seen, grew = np.empty(0), np.empty(0), [], []
-    for part in np.split(draws(law(), 6 * cols, 1234), 6):
+    for part in np.split(sample(6 * cols), 6):
         seen.append(part)
         acc.add(part)
         merged = ref_histogram_add(vals, counts, part)
@@ -543,32 +526,26 @@ def test_histogram_lookup_matches_the_unique_merge(case):
 
 FLOW_LEVELS = {
     # law, levels, n, _BLOCK_CELLS: the benchmark's shape; a top level of
-    # 12, where a part holds four rows and n leaves a ragged last part; a
-    # CfLevel input, whose draws are unscaled sums; a base of width 2; rows
-    # of 2^8 base draws against blocks of 2^6
+    # 12, where a part holds four rows and n leaves a ragged last part; rows
+    # of 2^8 draws against blocks of 2^6
     "rademacher-6": (bank.rademacher, 6, 100_000, None),
     "gaussian-12": (bank.gaussian, 12, 37, None),
     "skewed-12": (bank.skewed_two_atom, 12, 37, None),
-    "cflevel-3": (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), 2, 1001, None),
-    "affine-cflevel": (NESTED["affine-cflevel"], 3, 500, None),
-    "deeper-than-a-block": (lambda: cf.CfLevel(bank.gaussian(), 3), 5, 77, 64),
+    "deeper-than-a-block": (bank.gaussian, 8, 77, 64),
 }
 
 
 def ref_levels(m, levels, n, seed):
-    """The flow check's levels from 2^L n reference draws of base (ref_draw).
+    """The flow check's levels from 2^L n reference draws of m (ref_draw).
 
     Level k of row i is the tree sum of the row's first 2^k draws, scaled once.
     """
-    base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
-    rows = ref_draw(base, seed, 0, n << (count + levels)).reshape(n, -1)
-    return [ref_tree(rows[:, : 1 << (count + k)]) * 2.0 ** (-(count + k) / 2.0)
-            for k in range(levels + 1)]
+    rows = ref_draw(m, seed, 0, n << levels).reshape(n, -1)
+    return [ref_tree(rows[:, : 1 << k]) * 2.0 ** (-k / 2.0) for k in range(levels + 1)]
 
 
 def takes_lattice_route(m, levels) -> bool:
-    base, count = (m.base, m.count) if isinstance(m, cf.CfLevel) else (m, 0)
-    return mc._lattice(base, count + levels) is not None
+    return mc._lattice(m, levels) is not None
 
 
 def assert_fed_histogram(ecf, level):
@@ -590,7 +567,7 @@ def test_flow_levels_are_scaled_tree_sums_of_one_sample(name, level_cfs, monkeyp
         monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
     m = law()
     lattice = takes_lattice_route(m, levels)
-    assert lattice == (name in ("rademacher-6", "cflevel-3"))
+    assert lattice == (name == "rademacher-6")
     mc.empirical_flow_check(m, levels, n, 1234)
     want = ref_levels(m, levels, n, 1234)
     assert len(level_cfs) == levels + 1
@@ -614,7 +591,6 @@ LATTICE_LAWS = {
     # to 3 2^8 are uint16 codes
     "gapped-8": (lambda: cf.measures.make_atomic(
         [(-1.0, 1 / 3), (0.0, 1 / 2), (2.0, 1 / 6)]), 8, True, None),
-    "cflevel-3": (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), 2, True, None),
     # rows of 2^9 codes against blocks of 2^6: one row a block
     "skewed-9-small-block": (bank.skewed_two_atom, 9, True, 64),
     # 1/3 is no dyadic: its lattice with -3 needs integers near 2^54
@@ -657,8 +633,6 @@ def test_one_atom_law_takes_no_lattice_route(pos):
     assert mc._lattice(m, 6) is None
     with pytest.raises(MembershipError):
         mc.empirical_flow_check(m, 6, 100_000, 1234)
-    with pytest.raises(MembershipError):
-        mc.empirical_flow_check(cf.CfLevel(m, 2), 4, 100_000, 1234)
 
 
 @pytest.mark.parametrize("case", ["lattice", "first-add", "overflow", "dense"])
@@ -666,7 +640,7 @@ def test_add_histogram_is_add_of_the_repeated_values(case):
     # merged into a histogram left by add, made past _LATTICE_MAX values, or
     # given to a cf that already left the histogram
     pts = ORACLE_GRID.points()
-    x = draws(cf.CfLevel(bank.skewed_two_atom(), 6), 3000, 1234)
+    x = level_draws(bank.skewed_two_atom(), 6, 3000, 1234)
     before = {
         "lattice": x[:1000],
         "first-add": np.empty(0),
@@ -684,22 +658,20 @@ def test_add_histogram_is_add_of_the_repeated_values(case):
 FLOW_DRAW_LAWS = {
     "gaussian": bank.gaussian,
     "skewed": bank.skewed_two_atom,
-    "cflevel-2": lambda: cf.CfLevel(bank.rademacher(), 2),
-    "affine-cflevel": NESTED["affine-cflevel"],
+    "rademacher": bank.rademacher,
+    "uniform": bank.uniform_std,
 }
 
 
 @pytest.mark.parametrize("name", [*FLOW_DRAW_LAWS, "all-four"])
 def test_flow_check_draws_each_base_value_once(name, monkeypatch):
-    # 2^L n base draws for a top level L, a CfLevel input's depth counted;
-    # each takes one uniform, or two for a base that is itself a level-1 law.
-    # Laws checked in one call read one stream: its words are mixed once, as
-    # many as the longest law reads, not once per law
+    # 2^L n draws for a top level L, each from one word.  Laws checked in
+    # one call read one stream: its words are mixed once, not once per law
     if name == "all-four":
         m = [law() for law in FLOW_DRAW_LAWS.values()]
     else:
         m = FLOW_DRAW_LAWS[name]()
-        assert takes_lattice_route(m, 3) == (name in ("skewed", "cflevel-2"))
+        assert takes_lattice_route(m, 3) == (name in ("skewed", "rademacher"))
     drawn = []
     mix = mc._mix  # SplitMix, on the words of both routes
 
@@ -711,12 +683,7 @@ def test_flow_check_draws_each_base_value_once(name, monkeypatch):
     levels, n = 3, 100_000
     checks = mc.empirical_flow_check(m, levels, n, 5)
     assert all(chk.ok for chk in (checks if name == "all-four" else [checks]))
-    words = []
-    for law in (m if name == "all-four" else [m]):
-        base, count = (law.base, law.count) if isinstance(law, cf.CfLevel) else (law, 0)
-        words.append((n << (count + levels)) * ref_width(base))
-    assert sum(drawn) == max(words)
-    assert name != "all-four" or sorted(set(words)) == [800_000, 3_200_000]
+    assert sum(drawn) == n << levels == 800_000
 
 
 def test_word_blocks_are_read_only():
@@ -748,15 +715,10 @@ MANY_LAWS = {
     # the float route beside the lattice route
     "gaussian-rademacher-skewed": (
         (bank.gaussian, bank.rademacher, bank.skewed_two_atom), 4, 100_000, None),
-    # CfLevel inputs beside a plain law: streams of 2^6 n, 2^3 n and 2^5 n words
-    "cflevel-beside-a-law": (
-        (lambda: cf.CfLevel(bank.skewed_two_atom(), 3), bank.gaussian,
-         lambda: cf.CfLevel(bank.laplace_std(), 2)), 3, 100_000, None),
     # n 2^L words end mid-block: 400,012 against blocks of 2^14
     "ragged-n": ((bank.skewed_two_atom, bank.uniform_std), 2, 100_003, None),
-    # 1001 2^5 words against blocks of 64; a base of width 2
-    "small-block": ((bank.gaussian, bank.skewed_two_atom, NESTED["affine-cflevel"]),
-                    5, 1001, 64),
+    # 1001 2^5 words against blocks of 64
+    "small-block": ((bank.gaussian, bank.skewed_two_atom, bank.laplace_std), 5, 1001, 64),
 }
 
 
@@ -789,6 +751,31 @@ def test_flow_check_of_no_laws_or_a_bad_one_raises():
         mc.empirical_flow_check([], 2, 100_000, 1)
     # the first bad law in order raises, before any draw
     composite = cf.Affine(cf.convolve(bank.gaussian(), bank.rademacher()), 2.0**-0.5)
-    with pytest.raises(MeasureError, match="sampling supports"):
-        mc.empirical_flow_check([bank.gaussian(), composite, cf.CfLevel(bank.gaussian(), 30)],
-                                2, 100_000, 1)
+    with pytest.raises(MeasureError, match="not Affine"):
+        mc.empirical_flow_check(
+            [bank.gaussian(), composite, cf.NormalizedSum(bank.gaussian(), 2**30)], 2, 100_000, 1)
+
+
+COMPOSITES = {
+    "normalized-sum": lambda: cf.NormalizedSum(bank.skewed_two_atom(), 4),
+    "affine": lambda: cf.Affine(bank.rademacher(), 1.0),
+    "conv-product": lambda: cf.convolve(cf.scale_law(bank.uniform_std(), 0.6),
+                                        cf.scale_law(bank.gaussian(), 0.8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITES))
+def test_flow_check_refuses_a_composite_law(name, monkeypatch):
+    # the oracle draws atomic and parametric laws only; any other is
+    # refused before a word is mixed, even when it is a member of q2
+    m = COMPOSITES[name]()
+    assert cf.q_membership(m, 2).is_member
+
+    def no_words(z, scratch):
+        raise AssertionError("a word was mixed")
+
+    monkeypatch.setattr(mc, "_mix", no_words)
+    with pytest.raises(MeasureError, match=f"not {type(m).__name__}"):
+        mc.empirical_flow_check(m, 2, 100_000, 1)
+    with pytest.raises(MeasureError, match=f"not {type(m).__name__}"):
+        mc.empirical_flow_check([bank.gaussian(), m], 2, 100_000, 1)
