@@ -16,10 +16,10 @@ a row's transform is made once per stream, with the buffers it needs.
 
 An atomic law's index is found from the word itself: the uniform reaches
 an edge e of the cumulative weights exactly when the word reaches the
-integer W_e = ceil(e 2^52 - 1/2) 2^12 (_pick), so the index is the
-number of thresholds at or below the word, counted for at most
-_COUNT_EDGES_MAX atoms and binary-searched for more, the index of the
-uniform to the bit, with no uniform made.
+integer wall W_e = ceil(e 2^52 - 1/2) 2^12 (_walls), so the index is the
+number of walls at or below the word, counted for at most
+_COUNT_EDGES_MAX atoms and binary-searched for more (_pick), the index of
+the uniform to the bit, with no uniform made.
 
 Words are mixed in blocks of _BLOCK_CELLS counters (_blocks), whose
 buffers stay in L2 and serve every block.  A block's words key + PHI64
@@ -72,23 +72,25 @@ inside the envelope 4 / sqrt(n), plus rounding, of order 1e-14 for 1e5
 gaussian draws.  A dense level's first add already holds more than 4096
 distinct values, so it leaves the histogram at once.
 
-The lattice route takes an atomic law whose positions are
-(a0 + g j_i) 2^-e for integers a0, g and codes j_i (_lattice), where, for
-the top level L,
+The lattice route takes an atomic law of 2 to _WALLS_MAX + 1 atoms at
+(a0 + g j_i) 2^-e for integers a0, g and codes 0 = j_0 < j_1 < ...
+(_lattice), where, for the top level L,
 
 - 2^L max|a0 + g j_i| < 2^53, so every float tree sum is exact, and
 - 2^L max j_i + 1 <= _LATTICE_MAX, so the float route's levels never
   leave the histogram; with at least two atoms this keeps L <= 11.
 
-A draw is its atom's code, as uint8 where the sums stay below 2^8 and
-uint16 otherwise; for rademacher and skewed the code is the index itself.
-Blocks of words fill _CODE_CELLS codes at a time, which go through the
-same pairwise tree, and each level's spine nodes (depth k) are counted
-into an integer histogram of their sums c.  At the end, level k's values
-are ((a0 2^k) + g c) 2^-e 2^{-k/2} at the sums it holds: the float
-route's exact tree sums times the same scale, so EmpiricalCf.add_histogram
-gets the histogram the float route's adds would build, and the cfs keep
-their bits.
+A draw's code is sum_i s_i [z >= W_i] over the inner walls, s_i =
+j_{i+1} - j_i, so a row's level-k sum is sum_i s_i times the popcount of
+the first 2^k of its bits [z >= W_i].  Blocks are packed (np.packbits,
+little bit order) into passes of _PASS_CELLS bits per wall, read as
+'<u1' .. '<u8' words on any platform, and counted masked to 2^k <= 64
+bits or over 2^(k-6) words; rows under 8 draws share a byte.  The sums
+add up in uint16 and go into integer histograms.  At the end, level k's
+values are ((a0 2^k) + g c) 2^-e 2^{-k/2} at the sums c it holds: the
+float route's exact tree sums times the same scale, so
+EmpiricalCf.add_histogram gets the histogram the float route's adds
+would build, and the cfs keep their bits.
 """
 
 from __future__ import annotations
@@ -121,14 +123,20 @@ _MASK = (1 << 64) - 1
 MAX_FLOW_LEVELS = 12
 MIN_FLOW_SAMPLES = 10**5
 # counters per block and draws per tree row at most: their few buffers
-# stay in L2 and serve every block
+# stay in L2 and serve every block; a multiple of 8, so every part the
+# lattice route packs, but a stream's last, starts and ends on a byte
 _BLOCK_CELLS = 1 << 14
 # atomic laws with at most this many atoms draw by counting edges
 _COUNT_EDGES_MAX = 8
-# codes per pass of the flow check's lattice route: the tree and the counts
-# run once per eight blocks of words, on arrays of 128 KB (uint8) or 256 KB
-# (uint16), so their calls cost per pass, not per block
-_CODE_CELLS = 1 << 17
+# the flow check's lattice route takes atomic laws of at most this many
+# inner edges: each costs it a compare and a pack of every word, where the
+# float route's binary search grows with the log of the edges; the two
+# routes cost about the same near 32 edges, at 3 levels and at 6
+_WALLS_MAX = 32
+# draws per pass of the flow check's lattice route, rows of fewer than 64
+# draws counted as 64: a wall's bits for a pass take 128 KB (16 KB for rows
+# of at most 8 draws), and the counts run once per pass, not per block
+_PASS_CELLS = 1 << 20
 ORACLE_GRID = GridSpec(1e-3, 50.0, 10)
 
 
@@ -167,17 +175,12 @@ def _uniform(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pick(edges: np.ndarray):
-    """z -> the categorical index of mixed word z: min(searchsorted(edges, u, "right"), len - 1).
+def _walls(edges: np.ndarray) -> np.ndarray:
+    """The walls W_e = ceil(e 2^52 - 1/2) 2^12 of the edges e, up to the first no uniform reaches.
 
-    u = (floor(z / 2^12) + 1/2) 2^-52 is z's uniform (_uniform), and u >= e
-    exactly when z >= W_e = ceil(e 2^52 - 1/2) 2^12, an integer worked out
-    from e's exact ratio, so the index is found from the words, with no
-    uniform made.  An edge above 1 - 2^-53, the largest uniform, has no W_e
-    and counts for no word.  For few atoms the index is the count of inner
-    edges at or below u, which is the same number because the edges never
-    decrease, and cheaper than a binary search; it fits in a uint8, and
-    numpy gathers by a uint8 index faster than by an intp one.
+    A mixed word z reaches W_e exactly when its uniform (_uniform) reaches
+    e; W_e is worked out from e's exact ratio.  No uniform is above
+    1 - 2^-53.
     """
     walls = []
     for e in edges.tolist():
@@ -186,7 +189,18 @@ def _pick(edges: np.ndarray):
         if m >> 52:  # no uniform reaches e, nor the edges after it
             break
         walls.append(m << 12)
-    walls = np.array(walls, dtype=np.uint64)
+    return np.array(walls, dtype=np.uint64)
+
+
+def _pick(edges: np.ndarray):
+    """z -> the categorical index of mixed word z: min(searchsorted(edges, u, "right"), len - 1).
+
+    u is z's uniform, and u >= e exactly when z reaches e's wall (_walls).
+    For few atoms the index is the count of inner walls at or below z,
+    cheaper than a binary search; it fits in a uint8, and numpy gathers by
+    a uint8 index faster than by an intp one.
+    """
+    walls = _walls(edges)
     if edges.size > _COUNT_EDGES_MAX:
         last = edges.size - 1
         return lambda z: np.minimum(np.searchsorted(walls, z, side="right"), last)
@@ -229,19 +243,20 @@ class _Reader:
     def __init__(self):
         self._block, self._at = np.empty(0, dtype=np.uint64), 0
 
-    def fill(self, out: np.ndarray, transform):
-        """(generator) Write transform(z, part) into out part by part, z the part's next words.
+    def fill(self, size: int, put):
+        """(generator) Hand the next size words to put part by part, as put(z, i).
 
-        A part's words lie in one block; fill yields for the next block when
-        it has read the one it holds.
+        z is a part's words and i the place of its first word among the
+        size.  A part's words lie in one block; fill yields for the next
+        block when it has read the one it holds.
         """
         i = 0
-        while i < out.size:
+        while i < size:
             if self._at == self._block.size:
                 self._block, self._at = (yield), 0
-            z = self._block[self._at : self._at + out.size - i]
+            z = self._block[self._at : self._at + size - i]
             self._at += z.size
-            transform(z, out[i : i + z.size])
+            put(z, i)
             i += z.size
 
 
@@ -311,7 +326,8 @@ def _drawer(m: Atomic | Parametric):
 
     def prepare(size, words):
         transform = make(size)
-        return lambda out: words.fill(out, transform)
+        return lambda out: words.fill(
+            out.size, lambda z, i: transform(z, out[i : i + z.size]))
 
     return prepare
 
@@ -329,14 +345,15 @@ class FlowCheck:
 def _lattice(m: Measure, depth: int):
     """(a0, g, e, codes), m's positions being (a0 + g codes) 2^-e, where the lattice route holds.
 
-    It holds for an atomic law of at least two atoms whose tree sums of up
-    to 2^depth draws are exact, 2^depth max|a| < 2^53, and take at most
-    _LATTICE_MAX values, 2^depth max(codes) + 1: no more than the float
-    route's level histograms hold.  A one-atom law has no step g, and a
+    It holds for an atomic law of 2 to _WALLS_MAX + 1 atoms whose tree
+    sums of up to 2^depth draws are exact, 2^depth max|a| < 2^53, and take
+    at most _LATTICE_MAX values, 2^depth max(codes) + 1: no more than the
+    float route's level histograms hold.  A one-atom law has no step g, a
+    law of more atoms costs the route more than the float route, and a
     -0.0 atom is left to the float route, whose sums of -0.0 draws keep the
     sign.  None where the route does not hold.
     """
-    if not isinstance(m, Atomic) or m.positions.size < 2:
+    if not isinstance(m, Atomic) or not 2 <= m.positions.size <= _WALLS_MAX + 1:
         return None
     pos = m.positions.tolist()
     if any(x == 0.0 and math.copysign(1.0, x) < 0 for x in pos):
@@ -352,37 +369,58 @@ def _lattice(m: Measure, depth: int):
 
 
 def _lattice_levels(base: Atomic, lattice, levels: int, n: int, pts):
-    """A reader of the flow check's level cfs from the codes of base's draws (module notes).
+    """A reader of the flow check's level cfs from the wall bits of base's draws (module notes).
 
     The reader is a generator for _read that reads n 2^levels words and
     returns the cfs.
     """
     a0, g, e, codes = lattice
-    words = _Reader()
-    dtype = np.uint8 if codes[-1] << levels <= 0xFF else np.uint16
-    codes = np.array(codes, dtype=dtype)
-    pick = _pick(np.cumsum(base.weights))
-    if np.array_equal(codes, np.arange(codes.size)):  # the code is the index
-
-        def code(z, part):
-            part[...] = pick(z)
-
-    else:
-
-        def code(z, part):
-            np.take(codes, pick(z), out=part, mode="clip")
-
-    cells = max(1, _CODE_CELLS >> levels) << levels  # whole rows of 2^levels draws
-    y, spare = np.empty(cells, dtype=dtype), np.empty(max(1, cells >> 1), dtype=dtype)
+    walls = _walls(np.cumsum(base.weights))[: len(codes) - 1]
+    steps = np.diff(codes).astype(np.uint16)[: walls.size]
+    # a pass's bits are read as words of 2^word bits: a row of 2^levels
+    # draws is one word (levels 3..6), the first 2^(levels - 6) words (above
+    # 6), or one of the per = 2^(3 - levels) rows of a byte (below 3)
+    word = min(max(levels, 3), 6)
+    dtype, per = np.dtype(f"<u{1 << (word - 3)}"), max(1, 8 >> levels)
+    # (k, s) -> the first 2^k bits of a word's row s, for 2^k <= 64
+    masks = [[dtype.type(((1 << (1 << k)) - 1) << (s << levels)) for s in range(per)]
+             for k in range(min(levels, 6) + 1)]
+    rows = max(1, min(n, _PASS_CELLS >> max(levels, 6)))
+    hit = np.empty(min(_BLOCK_CELLS, rows << levels), dtype=bool)
+    packed = np.empty((walls.size, -(-(rows << levels) // 8)), dtype=np.uint8)
     hists = [np.zeros((codes[-1] << k) + 1, dtype=np.int64) for k in range(levels + 1)]
     ecfs = [EmpiricalCf(pts) for _ in hists]
+    words = _Reader()
+
+    def put(z, i):
+        # a part starts on a byte: blocks and passes hold multiples of 8 words
+        bits, at = hit[: z.size], i >> 3
+        for wall, row in zip(walls, packed):
+            np.greater_equal(z, wall, out=bits)
+            row[at : at + -(-z.size // 8)] = np.packbits(bits, bitorder="little")
+
+    def counts(row, r):
+        """The popcounts of the first 2^k bits of each of the pass's r rows, level by level."""
+        w = row.view(dtype).reshape(-1, 1 << max(0, levels - 6))
+        out = []
+        for parts in masks:
+            c = [np.bitwise_count(w[:, 0] & mask) for mask in parts]
+            out.append(np.stack(c, axis=1).ravel()[:r] if per > 1 else c[0])
+        if levels > 6:
+            full = np.cumsum(np.bitwise_count(w), axis=1, dtype=np.uint16)
+            out += [full[:, (1 << (k - 6)) - 1] for k in range(7, levels + 1)]
+        return out
 
     def read():
-        for t in range(0, n << levels, cells):
-            row = y[: min(cells, (n << levels) - t)]
-            yield from words.fill(row, code)
-            for k, (hist, nodes) in enumerate(zip(hists, _pairwise(row, spare, levels))):
-                hist += np.bincount(nodes[:: 1 << (levels - k)], minlength=hist.size)
+        for t in range(0, n, rows):
+            r = min(rows, n - t)
+            yield from words.fill(r << levels, put)
+            # each add makes a new uint16 array, so the zeros are shared
+            sums = [np.zeros(r, dtype=np.uint16)] * (levels + 1)
+            for step, row in zip(steps, packed[:, : -(-(r << levels) // 8)]):
+                sums = [s + (c if step == 1 else c * step) for s, c in zip(sums, counts(row, r))]
+            for hist, s in zip(hists, sums):
+                hist += np.bincount(s, minlength=hist.size)
         for k, (ecf, hist) in enumerate(zip(ecfs, hists)):
             c = np.flatnonzero(hist)
             sums = np.ldexp(((a0 << k) + g * c).astype(float), -e)  # exact: below 2^53 times 2^-e
@@ -455,13 +493,14 @@ def empirical_flow_check(
     other raises MeasureError.  Laws are validated law by law before any
     draw, so the first invalid law in order raises.
 
-    An atomic law whose positions are (a0 + g j) 2^-e for integers a0, g
-    and codes j takes the lattice route where its tree sums are exact and
-    take at most _LATTICE_MAX values (_lattice): the codes of its draws are
-    summed as small integers and counted into each level's histogram, and
-    each level's values are made once, from the sums it holds.  The route
-    regroups exact sums only, so the cfs keep the float route's bits.  Every
-    other law takes the float route (module notes).
+    An atomic law of few atoms whose positions are (a0 + g j) 2^-e for
+    integers a0, g and codes j takes the lattice route where its tree sums
+    are exact and take at most _LATTICE_MAX values (_lattice): a draw is a
+    bit per inner edge of the weights, a level's sums of codes are
+    popcounts of these bits times the steps of the codes, and each level's
+    values are made once, from its histogram of sums.  The route regroups
+    exact sums only, so the cfs keep the float route's bits.  Every other
+    law takes the float route (module notes).
     """
     if not isinstance(levels, int) or not 0 <= levels <= MAX_FLOW_LEVELS:
         raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")

@@ -578,37 +578,67 @@ def test_flow_levels_are_scaled_tree_sums_of_one_sample(name, level_cfs, monkeyp
             assert not ecf.histograms and same_bits(np.concatenate(ecf.fed), w)
 
 
+def centred_lattice(m):
+    """The law of variance 1 on 0 and +-i h, i = 1..m, h a power of 2, the outer atoms weighted alike."""
+    mean_sq = (m + 1) * (2 * m + 1) / 6  # of i^2 over i = 1..m
+    h = 2.0 ** -math.floor(math.log2(math.sqrt(mean_sq)))  # mean_sq h^2 in [1, 4)
+    w0 = 1.0 - 1.0 / (mean_sq * h * h)
+    outer = [(s * i * h, (1.0 - w0) / (2 * m)) for i in range(1, m + 1) for s in (-1, 1)]
+    return cf.measures.make_atomic([(0.0, w0), *outer])
+
+
+def three_atom():
+    # positions (-2 + 3 j) 2^-1 for the codes j = 0, 1, 2: two walls, steps 1
+    return cf.measures.make_atomic([(-1.0, 4 / 9), (0.5, 4 / 9), (2.0, 1 / 9)])
+
+
 LATTICE_LAWS = {
-    # law, levels, whether the lattice route holds, _BLOCK_CELLS
-    "rademacher-6": (bank.rademacher, 6, True, None),
-    "skewed-6": (bank.skewed_two_atom, 6, True, None),
-    # sums up to 2^10 are uint16 codes, copied from the uint8 index
-    "skewed-10": (bank.skewed_two_atom, 10, True, None),
-    # positions (-2 + 3 j) 2^-1 for the codes j = 0, 1, 2
-    "three-atom-6": (lambda: cf.measures.make_atomic(
-        [(-1.0, 4 / 9), (0.5, 4 / 9), (2.0, 1 / 9)]), 6, True, None),
-    # positions -1 + j for the codes 0, 1, 3, gathered by index; sums up
-    # to 3 2^8 are uint16 codes
+    # law, levels, whether the lattice route holds, mc constants to set
+    "rademacher-6": (bank.rademacher, 6, True, {}),
+    "skewed-6": (bank.skewed_two_atom, 6, True, {}),
+    # rows of 2^10 bits, 16 words: the top levels add their words' popcounts
+    "skewed-10": (bank.skewed_two_atom, 10, True, {}),
+    # the top lattice level for two atoms: rows of 32 words
+    "rademacher-11": (bank.rademacher, 11, True, {}),
+    # rows shorter than a byte, 8, 4 and 2 to a byte
+    "skewed-0": (bank.skewed_two_atom, 0, True, {}),
+    "rademacher-1": (bank.rademacher, 1, True, {}),
+    "three-atom-2": (three_atom, 2, True, {}),
+    "three-atom-6": (three_atom, 6, True, {}),
+    # positions -1 + j for the codes 0, 1, 3: walls of steps 1 and 2
     "gapped-8": (lambda: cf.measures.make_atomic(
-        [(-1.0, 1 / 3), (0.0, 1 / 2), (2.0, 1 / 6)]), 8, True, None),
-    # rows of 2^9 codes against blocks of 2^6: one row a block
-    "skewed-9-small-block": (bank.skewed_two_atom, 9, True, 64),
+        [(-1.0, 1 / 3), (0.0, 1 / 2), (2.0, 1 / 6)]), 8, True, {}),
+    # +-i/4, i = 1..6: 11 walls, more than _COUNT_EDGES_MAX, so the float
+    # route binary-searches the index; the codes 0..5 and 7..12 step by 2
+    # once
+    "twelve-atom-6": (lambda: cf.measures.make_atomic(
+        [(s * i / 4, 0.1 if i == 6 else 0.08) for i in range(1, 7) for s in (-1, 1)]),
+        6, True, {}),
+    # _WALLS_MAX walls, and two more, which the lattice route leaves
+    "walls-max-2": (lambda: centred_lattice(16), 2, True, {}),
+    "walls-max-plus-two-2": (lambda: centred_lattice(17), 2, False, {}),
+    # rows of 2^9 draws against blocks of 2^6: one row a block
+    "skewed-9-small-block": (bank.skewed_two_atom, 9, True, {"_BLOCK_CELLS": 64}),
+    # passes of 4 rows of 2^7 draws, and of 8 rows of 4 draws: 1001 rows end
+    # in a pass of one row, half a byte in the second
+    "skewed-7-small-pass": (bank.skewed_two_atom, 7, True, {"_PASS_CELLS": 1 << 9}),
+    "three-atom-2-small-pass": (three_atom, 2, True, {"_PASS_CELLS": 1 << 9}),
     # 1/3 is no dyadic: its lattice with -3 needs integers near 2^54
-    "one-third-6": (lambda: cf.measures.make_atomic([(-3.0, 0.1), (1 / 3, 0.9)]), 6, False, None),
+    "one-third-6": (lambda: cf.measures.make_atomic([(-3.0, 0.1), (1 / 3, 0.9)]), 6, False, {}),
     # the top level may take 2^12 + 1 values, one past the histogram
-    "rademacher-12": (bank.rademacher, 12, False, None),
+    "rademacher-12": (bank.rademacher, 12, False, {}),
     # the float route's sums of -0.0 draws are -0.0, a value of their own
     "negative-zero-6": (lambda: cf.measures.make_atomic(
-        [(-2.0, 1 / 8), (-0.0, 3 / 4), (2.0, 1 / 8)]), 6, False, None),
+        [(-2.0, 1 / 8), (-0.0, 3 / 4), (2.0, 1 / 8)]), 6, False, {}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_LAWS))
 def test_lattice_route_keeps_the_float_route_bits(name, level_cfs, monkeypatch):
-    law, levels, lattice, block = LATTICE_LAWS[name]
+    law, levels, lattice, constants = LATTICE_LAWS[name]
     monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
-    if block:
-        monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
+    for constant, value in constants.items():
+        monkeypatch.setattr(mc, constant, value)
     m, n, pts = law(), 1001, ORACLE_GRID.points()
     assert takes_lattice_route(m, levels) == lattice
     got = mc.empirical_flow_check(m, levels, n, 1234)
