@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._special import InverseNormal, gammainc_int, heavy_cubic_cf
+from ._special import InverseNormal, heavy_cubic_cf
 from .errors import MeasureError
 
 # atom positions, the locations, scales and rates of the closed-form
@@ -60,7 +60,6 @@ from .errors import MeasureError
 # range
 ATOM_ABS_MAX = 1e75
 _SERIES_CUT = 0.1
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _sin_rem(t: np.ndarray) -> np.ndarray:
@@ -121,37 +120,6 @@ def _phase(t: np.ndarray) -> np.ndarray:
     return np.cos(t) + 1j * np.sin(t)
 
 
-def _abs_moment_shifted_exp(rate, shift, k):
-    """E|Z + shift|^k for Z ~ exponential(rate), exact via incomplete gammas."""
-    if shift >= 0.0:
-        return math.fsum(
-            math.comb(k, j) * shift ** (k - j) * math.factorial(j) / rate**j
-            for j in range(k + 1)
-        )
-    t = -shift
-    u = rate * t
-    below = math.fsum(
-        math.comb(k, j)
-        * (-1.0) ** j
-        * t ** (k - j)
-        * (math.factorial(j) / rate**j)
-        * gammainc_int(j, u)
-        for j in range(k + 1)
-    )
-    above = math.exp(-u) * math.factorial(k) / rate**k
-    return below + above
-
-
-def _gaussian_abs_odd(p, k):
-    mu, sd = p[0], math.sqrt(p[1])
-    t = mu / sd
-    e = math.exp(-0.5 * t * t)
-    g = math.erf(t / math.sqrt(2.0))
-    if k == 1:
-        return sd * _SQRT_2_OVER_PI * e + mu * g
-    return sd**3 * (_SQRT_2_OVER_PI * (t * t + 2.0) * e + t * (t * t + 3.0) * g)
-
-
 def _gaussian_sampler(p, size):
     ndtri = InverseNormal(size)
     if p[0] == 0.0 and p[1] == 1.0:
@@ -169,13 +137,6 @@ def _gaussian_sampler(p, size):
 def _uniform_cumulants(p):
     half = 0.5 * (p[1] - p[0])
     return (0.5 * (p[0] + p[1]), half * half / 3.0, 0.0, -2.0 * half**4 / 15.0)
-
-
-def _uniform_abs_odd(p, k):
-    # for odd k, |x|^k integrates to F(x) = sign(x) |x|^(k + 1) / (k + 1)
-    a, b = p
-    rise = math.copysign(abs(b) ** (k + 1), b) - math.copysign(abs(a) ** (k + 1), a)
-    return rise / ((k + 1) * (b - a))
 
 
 def _uniform_deviation(p, xi):
@@ -206,16 +167,6 @@ def _rate_alone(p):
     return (p[0], 0.0)
 
 
-def _laplace_abs_odd(p, k):
-    loc, b = p
-    if loc == 0.0:
-        return math.factorial(k) * b**k
-    return 0.5 * (
-        _abs_moment_shifted_exp(1.0 / b, loc, k)
-        + _abs_moment_shifted_exp(1.0 / b, -loc, k)
-    )
-
-
 def _laplace_deviation(p, xi):
     t2 = (p[1] * xi) ** 2
     return -t2 / (1.0 + t2) + 0j, p[0]
@@ -238,8 +189,9 @@ class Family:
     """One row of the table: a family's rules, each taking the parameters p.
 
     sizes(p) gives the locations, scales and rates, or None where p is no
-    law; cumulants(p) gives k1..k4 and abs_odd(p, k) E|X|^k for odd k;
-    deviation(p, xi) and value(p, xi, lo) give (body, loc), the cf times
+    law; cumulants(p) gives k1..k4, inf or nan where a moment is infinite
+    or not absolutely convergent, which is also how membership in P_r is
+    read; deviation(p, xi) and value(p, xi, lo) give (body, loc), the cf times
     exp(-i loc xi) as a deviation and as a value at xi + lo; sampler(p, size)
     gives transform(u, out), the draws for a block of up to size uniforms.
     shifted, scaled and added give the parameters of X + c, lam X and the sum
@@ -251,7 +203,6 @@ class Family:
     needs: str  # the parameters and their condition, for the error message
     sizes: Callable
     cumulants: Callable
-    abs_odd: Callable
     deviation: Callable
     value: Callable
     sampler: Callable
@@ -274,7 +225,6 @@ FAMILIES: dict[str, Family] = {
         standard=(0.0, 1.0),
         sizes=lambda p: (p[0], math.sqrt(p[1])) if p[1] > 0 else None,
         cumulants=lambda p: (p[0], p[1], 0.0, 0.0),
-        abs_odd=_gaussian_abs_odd,
         deviation=lambda p, xi: (np.expm1(-0.5 * p[1] * xi * xi) + 0j, p[0]),
         value=lambda p, xi, lo: (np.exp(-0.5 * p[1] * xi * xi) + 0j, p[0]),
         sampler=_gaussian_sampler,
@@ -287,7 +237,6 @@ FAMILIES: dict[str, Family] = {
         standard=(-math.sqrt(3.0), math.sqrt(3.0)),
         sizes=lambda p: p if p[0] < p[1] else None,
         cumulants=_uniform_cumulants,
-        abs_odd=_uniform_abs_odd,
         deviation=_uniform_deviation,
         value=_uniform_value,
         sampler=_inverse(lambda p, u: u * (p[1] - p[0]) + p[0]),
@@ -301,7 +250,6 @@ FAMILIES: dict[str, Family] = {
         sizes=lambda p: (p[1], p[0], 1.0 / p[0]) if p[0] > 0 else None,
         from_public=_rate_alone,
         cumulants=lambda p: (1.0 / p[0] + p[1], p[0] ** -2, 2.0 * p[0] ** -3, 6.0 * p[0] ** -4),
-        abs_odd=lambda p, k: _abs_moment_shifted_exp(p[0], p[1], k),
         deviation=_exponential_deviation,
         value=lambda p, xi, lo: (1.0 / (1.0 - 1j * (xi / p[0])), p[1]),
         sampler=_inverse(lambda p, u: p[1] - np.log1p(-u) / p[0]),
@@ -313,7 +261,6 @@ FAMILIES: dict[str, Family] = {
         standard=(0.0, math.sqrt(0.5)),
         sizes=lambda p: p if p[1] > 0 else None,
         cumulants=lambda p: (p[0], 2.0 * p[1] * p[1], 0.0, 12.0 * p[1] ** 4),
-        abs_odd=_laplace_abs_odd,
         deviation=_laplace_deviation,
         value=lambda p, xi, lo: (1.0 / (1.0 + (p[1] * xi) ** 2) + 0j, p[0]),
         sampler=_inverse(
@@ -329,7 +276,6 @@ FAMILIES: dict[str, Family] = {
         sizes=lambda p: (),
         # third moment not absolutely convergent, fourth infinite
         cumulants=lambda p: (0.0, 1.0, math.nan, math.inf),
-        abs_odd=lambda p, k: math.sqrt(3.0) / 2.0 if k == 1 else math.inf,
         deviation=lambda p, xi: (heavy_cubic_cf(np.abs(xi) / math.sqrt(3.0), 1.0) + 0j, 0.0),
         value=lambda p, xi, lo: (heavy_cubic_cf(np.abs(xi) / math.sqrt(3.0), 0.0) + 0j, 0.0),
         sampler=_inverse(

@@ -6,8 +6,8 @@ A scope keeps, until it ends:
   points of a grid, for the _LEAVES pairs most recently used;
 * the deviations of the last _COMPOSITES composite laws on a grid, enough
   for a flow iterate's d2 and d3;
-* every moment summary (cumulants, moment, abs_moment_bound, q_membership)
-  asked for, by law and arguments.
+* every moment summary (cumulants, moment, q_membership) asked for, by
+  law and arguments.
 
 Laws compare by value; deviations are keyed by (law, GridSpec) and stored
 read-only.  metrics._grid_deviation hands the cf the grid whose points it

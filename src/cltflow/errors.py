@@ -4,7 +4,6 @@ __all__ = [
     "MeasureError",
     "DegenerateMeasureError",
     "MembershipError",
-    "MomentUnavailableError",
     "CharFnBoundError",
     "ConfigError",
 ]
@@ -20,10 +19,6 @@ class DegenerateMeasureError(MeasureError):
 
 class MembershipError(MeasureError):
     """A measure fails the centred/reduced/moment requirements of an operation."""
-
-
-class MomentUnavailableError(MeasureError):
-    """The requested moment is finite but has no exact evaluation rule."""
 
 
 class CharFnBoundError(ArithmeticError):

@@ -29,7 +29,7 @@ from .measures import (
     require_membership,
     scale_law,
 )
-from .metrics import GridSpec, ds_distance
+from .metrics import BoundCheck, GridSpec, ds_distance
 
 __all__ = [
     "FlowReport",
@@ -37,7 +37,6 @@ __all__ = [
     "renorm_trajectory",
     "contraction_ratio",
     "clt_rate_check",
-    "CltRateCheck",
     "CONTRACTION_BOUND",
 ]
 
@@ -161,17 +160,9 @@ def contraction_ratio(nu: Measure, mu: Measure, grid: GridSpec | None = None) ->
     return stepped / base
 
 
-@dataclass(frozen=True)
-class CltRateCheck:
-    ok: bool
-    margin: float
-    lhs: float
-    rhs: float
-
-
 def clt_rate_check(
     m: Measure, n: int, grid: GridSpec | None = None
-) -> CltRateCheck:
+) -> BoundCheck:
     """d3(S_n / sqrt(n), gauss) against d3(m, gauss)/sqrt(n), S_n the sum of n copies of m.
 
     Valid for every integer n >= 1, not only powers of two: S_n / sqrt(n) is
@@ -184,5 +175,5 @@ def clt_rate_check(
     summed = m if n == 1 else NormalizedSum(m, n)
     lhs = ds_distance(summed, _GAUSSIAN_STD, 3, grid, require_class_membership=False).value
     rhs = ds_distance(m, _GAUSSIAN_STD, 3, grid).value / math.sqrt(n)
-    return CltRateCheck(lhs <= rhs + 1e-8, rhs - lhs, lhs, rhs)
+    return BoundCheck.of(lhs, rhs)
 

@@ -17,9 +17,10 @@ and ``nan`` markers where a moment is infinite or not absolutely convergent),
 which is what the metric layer needs for its zero-frequency limits.  Every
 value is frozen and compares by value; operations return new measures.  A
 finite sample's empirical law is the equal-weight atomic law
-make_atomic((x, 1.0) for x in sample).  Inside a
-metrics.shared_deviations() scope, cumulants, moment, abs_moment_bound and
-q_membership are computed once per law and arguments.
+make_atomic((x, 1.0) for x in sample).  Membership in P_r reads the same
+markers: a law is in it when k1 = 0, k2 = 1 and k_r is finite.  Inside a
+metrics.shared_deviations() scope, cumulants, moment and q_membership are
+computed once per law and arguments.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ import numpy as np
 from . import _families
 from ._families import ATOM_ABS_MAX, PUBLIC_FAMILIES
 from ._scope import summary
-from .errors import (
-    DegenerateMeasureError,
-    MeasureError,
-    MembershipError,
-    MomentUnavailableError,
-)
+from .errors import DegenerateMeasureError, MeasureError, MembershipError
 
 __all__ = [
     "Measure",
@@ -50,7 +46,6 @@ __all__ = [
     "make_atomic",
     "make_parametric",
     "moment",
-    "abs_moment_bound",
     "standardize",
     "scale_law",
     "convolve",
@@ -145,19 +140,12 @@ class Affine(Measure):
 
 @dataclass(frozen=True)
 class QMembership:
-    """Verdict on membership in the centred, reduced, finite-r-th-moment class.
-
-    ``abs_moment_r`` is the exact r-th absolute moment when one is exactly
-    computable; for cf-composed representations it is a finite certified upper
-    bound instead (finite iff the moment itself is finite, which is all the
-    verdict needs).
-    """
+    """Verdict on membership in the centred, reduced, finite-r-th-moment class."""
 
     r: float
     is_member: bool
     mean: float
     variance: float
-    abs_moment_r: float
 
 
 # ---------------------------------------------------------------------------
@@ -307,65 +295,14 @@ def cumulants(m: Measure) -> tuple[float, float, float, float]:
     raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 
-def _validate_order(k):
+@summary
+def moment(m: Measure, k: int) -> float:
+    """E(X^k) for k <= 4: inf when infinite, nan when not absolutely convergent."""
     if not isinstance(k, int) or not 1 <= k <= 4:
         raise MeasureError("moment order must be an integer in 1..4")
-
-
-@summary
-def moment(m: Measure, k: int, absolute: bool = False) -> float:
-    """E(X^k) or E(|X|^k) for k <= 4.
-
-    Returns inf when the moment is infinite and nan when a signed moment is
-    not absolutely convergent.  Raises MomentUnavailableError for absolute
-    odd moments of cf-composed representations, which have no exact rule
-    (use abs_moment_bound for a finiteness certificate instead).
-    """
-    _validate_order(k)
-    if not absolute or k % 2 == 0:
-        if isinstance(m, Atomic):
-            return _atomic_raw(m.atoms)[k - 1]
-        return _cumulants_to_raw(*cumulants(m))[k - 1]
-    return _abs_moment_odd(m, k)
-
-
-def _abs_moment_odd(m: Measure, k: int) -> float:
     if isinstance(m, Atomic):
-        xs, ws = m.positions, m.weights
-        return float(np.dot(ws, np.abs(xs) ** k))
-    if isinstance(m, Parametric):
-        return _families.row(m.family).abs_odd(m.params, k)
-    if isinstance(m, Affine) and m.shift == 0.0:
-        return m.scale**k * _abs_moment_odd(m.base, k)
-    raise MomentUnavailableError(
-        f"absolute moment of order {k} has no exact rule for "
-        f"{type(m).__name__}; use abs_moment_bound for a certificate"
-    )
-
-
-@summary
-def abs_moment_bound(m: Measure, k: int) -> float:
-    """A finite upper bound on E|X|^k whenever the moment is finite.
-
-    Exact values are returned where available; cf-composed representations
-    fall back to Minkowski-inequality propagation, so the bound is finite if
-    and only if the underlying moment is.
-    """
-    _validate_order(k)
-    if k % 2 == 0:
-        return moment(m, k, absolute=True)
-    try:
-        return _abs_moment_odd(m, k)
-    except MomentUnavailableError:
-        pass
-    if isinstance(m, NormalizedSum):
-        return m.n ** (k / 2) * abs_moment_bound(m.base, k)
-    if isinstance(m, ConvProduct):
-        norms = [abs_moment_bound(p, k) ** (1.0 / k) for p in m.parts]
-        return math.fsum(norms) ** k
-    if isinstance(m, Affine):
-        return (m.scale * abs_moment_bound(m.base, k) ** (1.0 / k) + abs(m.shift)) ** k
-    raise MeasureError(f"unsupported representation {type(m).__name__}")
+        return _atomic_raw(m.atoms)[k - 1]
+    return _cumulants_to_raw(*cumulants(m))[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -456,31 +393,33 @@ def convolve(a: Measure, b: Measure) -> Measure:
 
 @summary
 def q_membership(m: Measure, r) -> QMembership:
-    """Check mean 0, variance 1, and finiteness of the r-th absolute moment."""
+    """Check mean 0, variance 1, and finiteness of the r-th absolute moment.
+
+    E|X|^r is finite exactly when the cumulant k_r is: the representations
+    mark an infinite moment inf and one that is not absolutely convergent
+    nan (module notes).
+    """
     if r not in (2, 3, 2.0, 3.0):
         raise MembershipError(f"membership is defined for r in {{2, 3}}, got {r}")
     r = int(r)
-    k1, k2, _, _ = cumulants(m)
-    if r == 2:
-        abs_r = moment(m, 2, absolute=True)
-    else:
-        abs_r = abs_moment_bound(m, 3)
+    ks = cumulants(m)
     ok = (
-        abs(k1) <= _MEMBER_TOL
-        and abs(k2 - 1.0) <= _MEMBER_TOL
-        and math.isfinite(abs_r)
+        abs(ks[0]) <= _MEMBER_TOL
+        and abs(ks[1] - 1.0) <= _MEMBER_TOL
+        and math.isfinite(ks[r - 1])
     )
-    return QMembership(float(r), ok, k1, k2, abs_r)
+    return QMembership(float(r), ok, ks[0], ks[1])
 
 
 def require_membership(m: Measure, r, what: str = "operation") -> QMembership:
     """Raise MembershipError unless m is centred, reduced, with finite r-th moment."""
     qm = q_membership(m, r)
     if not qm.is_member:
+        finite = math.isfinite(cumulants(m)[int(r) - 1])
         raise MembershipError(
             f"{what} requires a centred, reduced law with finite absolute moment "
             f"of order {r}: got mean {qm.mean:.3g}, variance {qm.variance:.6g}, "
-            f"abs moment {qm.abs_moment_r:.3g}"
+            f"E|X|^{r} {'finite' if finite else 'infinite'}"
         )
     return qm
 

@@ -64,9 +64,8 @@ __all__ = [
     "check_convolution_subadditivity",
     "check_scaling_ideality",
     "check_convolution_invariance",
-    "SubadditivityCheck",
+    "BoundCheck",
     "ScalingCheck",
-    "InvarianceCheck",
 ]
 
 SUP_SLACK = 1e-8
@@ -205,8 +204,8 @@ def shared_deviations():
     Keyed by (law, grid), laws by value, the scope keeps the deviations of
     the 12 leaf laws (atomic or parametric) most recently used, whether
     ds_distance took them alone or as parts of a convolution product, and
-    of the last two composite laws; and the cumulants, moments,
-    absolute moment bounds and memberships of every law asked about.
+    of the last two composite laws; and the cumulants, moments and
+    memberships of every law asked about.
     Everything is freed when the scope ends.  A scope opened inside another
     shares the outer one.  Keep a scope short: a cf routine replaced inside
     it is not seen by what was computed before.
@@ -285,11 +284,17 @@ def ds_distance(
 
 
 @dataclass(frozen=True)
-class SubadditivityCheck:
+class BoundCheck:
+    """lhs <= rhs within SUP_SLACK: the verdict, the margin rhs - lhs and both sides."""
+
     ok: bool
     margin: float
     lhs: float
     rhs: float
+
+    @classmethod
+    def of(cls, lhs: float, rhs: float) -> BoundCheck:
+        return cls(lhs <= rhs + SUP_SLACK, rhs - lhs, lhs, rhs)
 
 
 def check_convolution_subadditivity(
@@ -299,7 +304,7 @@ def check_convolution_subadditivity(
     mu2: Measure,
     s,
     grid: GridSpec | None = None,
-) -> SubadditivityCheck:
+) -> BoundCheck:
     """d_s(nu1*nu2, mu1*mu2) <= d_s(nu1, mu1) + d_s(nu2, mu2) within slack.
 
     The convolutions are compared through their cf products; they need not be
@@ -313,7 +318,7 @@ def check_convolution_subadditivity(
         convolve(nu1, nu2), convolve(mu1, mu2), s, grid, require_class_membership=False
     ).value
     rhs = ds_distance(nu1, mu1, s, grid).value + ds_distance(nu2, mu2, s, grid).value
-    return SubadditivityCheck(lhs <= rhs + SUP_SLACK, rhs - lhs, lhs, rhs)
+    return BoundCheck.of(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -357,17 +362,9 @@ def check_scaling_ideality(
     return ScalingCheck(ok, ratio, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
-    ok: bool
-    margin: float
-    lhs: float
-    rhs: float
-
-
 def check_convolution_invariance(
     nu: Measure, mu: Measure, eta: Measure, s, grid: GridSpec | None = None
-) -> InvarianceCheck:
+) -> BoundCheck:
     """d_s(nu*eta, mu*eta) <= d_s(nu, mu) within slack."""
     s = _validate_s(s)
     grid = grid or GridSpec()
@@ -377,4 +374,4 @@ def check_convolution_invariance(
         convolve(nu, eta), convolve(mu, eta), s, grid, require_class_membership=False
     ).value
     rhs = ds_distance(nu, mu, s, grid).value
-    return InvarianceCheck(lhs <= rhs + SUP_SLACK, rhs - lhs, lhs, rhs)
+    return BoundCheck.of(lhs, rhs)

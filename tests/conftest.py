@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,11 @@ def grid():
 def coarse_grid():
     # enough resolution for structural checks, fast enough for sweeps
     return GridSpec(1e-3, 50.0, 40)
+
+
+def abs_third_moment(m):
+    """E|X|^3 of the atomic law m, summed with one rounding."""
+    return math.fsum(w * abs(x) ** 3 for x, w in m.atoms)
 
 
 def draws(m, n, seed, start=0):

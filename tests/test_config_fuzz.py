@@ -7,6 +7,8 @@ a distance, a flow of at most three steps and a one-level oracle, at most
 numbers, bools and null, and output paths lists, objects, numbers and bools.
 Atomic literals take huge, tiny and non-finite atoms, integers beyond the
 float range, bools and strings, and zero, negative and unnormalised weights.
+Parametric literals take every public family with parameters at the edges
+of the range: 0, +-1e-11, +-1, +-1e75 and +-1e76.
 
 Every command of the table cli.COMMANDS is fuzzed from its row, so a key
 added there is fuzzed too: each key at the edges of its bounds and at a
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cltflow._families import PUBLIC_FAMILIES
 from cltflow.bank import ALIASES
 from cltflow.cli import COMMANDS, REQUIRED, main, parse_config
 from cltflow.errors import ConfigError
@@ -238,12 +241,8 @@ literal_command = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(literal=atomic_literal, commands=st.lists(literal_command, min_size=1, max_size=2),
-       xi_max=st.sampled_from([50.0, 1e100]))
-def test_atomic_literal_never_ends_in_a_traceback(literal, commands, xi_max,
-                                                  tmp_path_factory):
-    path = tmp_path_factory.getbasetemp() / "fuzz-literal.json"
+def run_literal(literal, commands, xi_max, path):
+    """main on one config of the literal lit; the exit code and what went to stderr."""
     path.write_text(json.dumps({
         "measures": {"lit": literal},
         "grid": {"xi_max": xi_max, "points_per_decade": 10},
@@ -252,9 +251,40 @@ def test_atomic_literal_never_ends_in_a_traceback(literal, commands, xi_max,
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", "--config", str(path)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(literal=atomic_literal, commands=st.lists(literal_command, min_size=1, max_size=2),
+       xi_max=st.sampled_from([50.0, 1e100]))
+def test_atomic_literal_never_ends_in_a_traceback(literal, commands, xi_max,
+                                                  tmp_path_factory):
+    code, err = run_literal(literal, commands, xi_max,
+                            tmp_path_factory.getbasetemp() / "fuzz-literal.json")
     assert code in (0, 1, 2)
     if code == 2:
-        assert err.getvalue().startswith("config error:")
+        assert err.startswith("config error:")
+
+
+edge_param = st.sampled_from([0.0, 1e-11, -1e-11, 1.0, -1.0, 1e75, -1e75, 1e76, -1e76])
+parametric_literal = st.fixed_dictionaries({
+    "type": st.just("parametric"),
+    "family": st.sampled_from(PUBLIC_FAMILIES),
+    "params": st.lists(edge_param, min_size=1, max_size=2),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(literal=parametric_literal, commands=st.lists(literal_command, min_size=1, max_size=2),
+       xi_max=st.sampled_from([50.0, 1e100]))
+def test_parametric_literal_never_ends_in_a_traceback(literal, commands, xi_max,
+                                                      tmp_path_factory):
+    code, err = run_literal(literal, commands, xi_max,
+                            tmp_path_factory.getbasetemp() / "fuzz-parametric.json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error:")
 
 
 @pytest.mark.parametrize("atoms, code", [
@@ -347,7 +377,7 @@ def test_config_value_of_the_wrong_type_exits_2(doc, tmp_path):
     ("gaussian", [0, 1e300], 2),
     ("uniform", [-1e300, 1e300], 2),
     ("exponential", [1e-100], 2),
-    ("exponential", [1e300], 2),  # the third absolute moment takes rate^3
+    ("exponential", [1e300], 2),  # a rate beyond 1e75
     ("gaussian", [1e76, 1.0], 2),
     ("gaussian", [1e75, 1e150], 1),  # at the bound: a law, but not reduced
     ("uniform", [-1e75, 1e75], 1),

@@ -117,10 +117,10 @@ def test_draws_match_the_cumulants(m):
     assert abs(np.mean(x) - k1) <= 5.0 * math.sqrt(k2 / n)
     if math.isfinite(k4):
         assert abs(np.var(x) - k2) <= 5.0 * math.sqrt((k4 + 2.0 * k2 * k2) / n)
-    if isinstance(m, cf.Parametric):  # E|X| has an exact rule
-        assert abs(np.mean(np.abs(x)) - cf.moment(m, 1, absolute=True)) <= 5.0 * math.sqrt(
-            cf.moment(m, 2) / n
-        )
+    # the shape: each empirical cf value has a variance of (1 - |phi|^2) / n
+    xi = np.array([0.5, 1.0, 2.0])
+    empirical = np.exp(1j * np.outer(xi, x)).mean(axis=1)
+    assert np.all(np.abs(empirical - charfn.eval_cf_grid(m, xi)) <= 5.0 / math.sqrt(n))
 
 
 def _family_comparisons(source):
