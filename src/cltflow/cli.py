@@ -35,6 +35,7 @@ from .metrics import (
     GRID_XI_MAX,
     GRID_XI_MIN,
     GridSpec,
+    _fmt,
     check_convolution_invariance,
     check_convolution_subadditivity,
     check_scaling_ideality,
@@ -60,10 +61,6 @@ IDEAL_LAMBDAS = (0.5, 2.0**-0.5, 1.0, 2.0)
 # a command that raises one of these fails with an error row; any other
 # exception propagates
 _RUN_ERRORS = (MeasureError, CharFnBoundError, FloatingPointError)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _flag(ok: bool) -> str:
@@ -259,7 +256,7 @@ def _run_oracle(cmd: dict, env: _Env) -> CommandResult:
     levels, samples = cmd["levels"], cmd["samples"]
     names = cmd["measures"]
     checks = empirical_flow_check([env.resolve(name) for name in names], levels, samples,
-                                  env.seed, ORACLE_GRID)
+                                  env.seed)
     rows, ok = [], True
     for name, chk in zip(names, checks):
         ok &= chk.ok

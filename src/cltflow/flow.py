@@ -29,7 +29,7 @@ from .measures import (
     require_membership,
     scale_law,
 )
-from .metrics import BoundCheck, GridSpec, ds_distance
+from .metrics import BoundCheck, GridSpec, _fmt, ds_distance
 
 __all__ = [
     "FlowReport",
@@ -92,15 +92,15 @@ class FlowReport:
     def to_csv_rows(self) -> list[str]:
         rows = []
         for n in range(self.steps + 1):
-            d3 = "" if self.distances_d3 is None else "%.17g" % self.distances_d3[n]
-            d2 = "%.17g" % self.distances_d2[n]
+            d3 = "" if self.distances_d3 is None else _fmt(self.distances_d3[n])
+            d2 = _fmt(self.distances_d2[n])
             if self.contraction_ratios is None or n >= self.steps:
                 ratio = ""
             else:
                 r = self.contraction_ratios[n]
-                ratio = "" if math.isnan(r) else "%.17g" % r
+                ratio = "" if math.isnan(r) else _fmt(r)
             rows.append(f"{n},{d3},{d2},{ratio}")
-        slope = "" if self.fitted_slope_log2 is None else "%.17g" % self.fitted_slope_log2
+        slope = "" if self.fitted_slope_log2 is None else _fmt(self.fitted_slope_log2)
         rows.append(f"slope,{slope},,")
         return rows
 

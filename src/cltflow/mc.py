@@ -24,52 +24,48 @@ the uniform to the bit, with no uniform made.
 Words are mixed in blocks of _BLOCK_CELLS counters (_blocks), whose
 buffers stay in L2 and serve every block.  A block's words key + PHI64
 (counter + 1) are a base array PHI64 i, built once per stream, plus one
-scalar; SplitMix then runs in place (_mix).  A law's draws are a
-generator (_drawer) that reads words through a _Reader, its place in the
-stream, and asks for the next block when it has read the one it holds;
-the law's transform (categorical index of the word; inverse CDF of its
-uniform) writes the draws into the law's own buffers.  The bits do not
-depend on the blocks:
+scalar; SplitMix then runs in place (_mix).  The bits do not depend on
+the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
 - every transform and every tree add works element by element.
 
-One stream serves many readers.  Under one seed, counter i gives every
-law the same word, so readers that start at one counter and read their
-counters in order all need the same block at the same time: _read hands
-each block to every reader still reading, and the words are mixed once
-for all of them.  So no transform may write into the words it is given:
-the next reader reads the same block.  The uniforms go to the law's own
-buffer (_uniform), the categorical index only compares, and a block is
-handed out read-only, so a transform that writes into it raises.
-
 The flow check draws atomic and parametric laws only, draw i of a law
 from counter i, and applies the map to one stream of 2^L n draws per
-law, L the top level.  The laws of one check read the one stream of the
-seed side by side, each law's levels a reader; a law alone reads the same
-words, so its levels are those of a check of its own.  Row i of 2^L
-consecutive draws gives draw i of every level: level k is the left node
-of the row's pairwise tree at depth k, the sum of the row's first 2^k
-draws, times 2^{-k/2}.  The tree halves a row y k times by the
-element-wise y[:, 0::2] + y[:, 1::2] (on the flat block of rows, [0::2] +
-[1::2]: the same pairs), and each node is scaled once.  One scale and not
-one per step: the tree sums of a lattice law with dyadic atoms
-(rademacher, skewed) are exact, so a level takes as many distinct values
-as its sums, and the lattice levels stay on EmpiricalCf's exact histogram
-path.  Each level has its law; the levels share draws and are dependent,
-and the envelope 4 / sqrt(n) holds level by level.  Each level's cf is a
-charfn.EmpiricalCf, fed on one of two routes, so no array of n draws
-appears.
+law, L the top level.  Under one seed, counter i gives every law the
+same word, so the laws of one check share the one stream of the seed:
+each block is mixed once and pushed to every law's sink (_float_levels,
+_lattice_levels), and a law alone gets the same words, so its levels are
+those of a check of its own.  So no sink may write into the words it is
+given: the next sink reads the same block.  The uniforms go to the law's
+own buffer (_uniform), the categorical index only compares, and a block
+is handed out read-only, so a sink that writes into it raises.
 
-The float route takes every law.  The levels' values are gathered in
-one reused buffer and added to the level's EmpiricalCf, a little over 4096
-at a time: exact sums over the level's histogram for lattice draws (at
-most 4096 distinct values), one cos and sin per distinct value and point; for
-dense draws a sum over bins of width 1 / max|xi| through 12 moments each,
-whose cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, far
-inside the envelope 4 / sqrt(n), plus rounding, of order 1e-14 for 1e5
-gaussian draws.  A dense level's first add already holds more than 4096
+Row i of 2^L consecutive draws gives draw i of every level: level k is
+the left node of the row's pairwise tree at depth k, the sum of the
+row's first 2^k draws, times 2^{-k/2}.  A block grows to a whole row,
+max(_BLOCK_CELLS, 2^L) words, both powers of two, so every block but the
+last of a stream holds the same whole rows.  The tree halves a row y k
+times by the element-wise y[:, 0::2] + y[:, 1::2] (on the flat block of
+rows, [0::2] + [1::2]: the same pairs), and each node is scaled once.
+One scale and not one per step: the tree sums of a lattice law with
+dyadic atoms (rademacher, skewed) are exact, so a level takes as many
+distinct values as its sums, and the lattice levels stay on
+EmpiricalCf's exact histogram path.  Each level has its law; the levels
+share draws and are dependent, and the envelope 4 / sqrt(n) holds level
+by level.  Each level's cf is a charfn.EmpiricalCf, fed on one of two
+routes, so no array of n draws appears.
+
+The float route takes every law and makes each block one part of
+draws.  The levels' values are gathered in one reused buffer and added
+to the level's EmpiricalCf, a little over 4096 at a time: exact sums
+over the level's histogram for lattice draws (at most 4096 distinct
+values), one cos and sin per distinct value and point; for dense draws
+a sum over bins of width 1 / max|xi| through 12 moments each, whose cut
+series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, far inside
+the envelope 4 / sqrt(n), plus rounding, of order 1e-14 for 1e5 gaussian
+draws.  A dense level's first add already holds more than 4096
 distinct values, so it leaves the histogram at once.
 
 The lattice route takes an atomic law of 2 to _WALLS_MAX + 1 atoms at
@@ -83,8 +79,9 @@ The lattice route takes an atomic law of 2 to _WALLS_MAX + 1 atoms at
 A draw's code is sum_i s_i [z >= W_i] over the inner walls, s_i =
 j_{i+1} - j_i, so a row's level-k sum is sum_i s_i times the popcount of
 the first 2^k of its bits [z >= W_i].  Blocks are packed (np.packbits,
-little bit order) into passes of _PASS_CELLS bits per wall, read as
-'<u1' .. '<u8' words on any platform, and counted masked to 2^k <= 64
+little bit order) into passes of _PASS_CELLS bits per wall, a block
+that crosses the end of a pass split there.  A full pass is read as
+'<u1' .. '<u8' words on any platform and counted masked to 2^k <= 64
 bits or over 2^(k-6) words; rows under 8 draws share a byte.  The sums
 add up in uint16 and go into integer histograms.  At the end, level k's
 values are ((a0 2^k) + g c) 2^-e 2^{-k/2} at the sums c it holds: the
@@ -122,9 +119,10 @@ _MASK = (1 << 64) - 1
 # the flow check's levels 0..MAX_FLOW_LEVELS, and its fewest draws per level
 MAX_FLOW_LEVELS = 12
 MIN_FLOW_SAMPLES = 10**5
-# counters per block and draws per tree row at most: their few buffers
-# stay in L2 and serve every block; a multiple of 8, so every part the
-# lattice route packs, but a stream's last, starts and ends on a byte
+# counters per block, unless a tree row of draws is longer: their few
+# buffers stay in L2 and serve every block; a power of two, so a block
+# holds whole rows, and a multiple of 8, so every part the lattice route
+# packs, but a stream's last, starts and ends on a byte
 _BLOCK_CELLS = 1 << 14
 # atomic laws with at most this many atoms draw by counting edges
 _COUNT_EDGES_MAX = 8
@@ -218,14 +216,16 @@ def _pick(edges: np.ndarray):
     return index
 
 
-def _blocks(seed: int, start: int, length: int):
+def _blocks(seed: int, start: int, length: int, row: int = 1):
     """The mixed words of counters start .. start + length - 1 under seed, a block at a time.
 
-    A block is up to _BLOCK_CELLS words key + PHI64 (counter + 1), key =
-    mix64(seed), put through _mix, in one reused buffer that is valid until
-    the next block and read-only to its readers.
+    A block is max(_BLOCK_CELLS, row) words key + PHI64 (counter + 1), key
+    = mix64(seed), put through _mix, the last block the rest, in one reused
+    buffer that is valid until the next block and read-only to its sinks.
+    For a row a power of two, every block of a stream of whole rows holds
+    whole rows.
     """
-    key, size = _mix64_int(seed), max(1, min(_BLOCK_CELLS, length))
+    key, size = _mix64_int(seed), max(1, min(max(_BLOCK_CELLS, row), length))
     delta = np.arange(size, dtype=np.uint64) * np.uint64(PHI64)
     buf, scratch = np.empty_like(delta), np.empty_like(delta)
     for t in range(0, length, size):
@@ -235,54 +235,6 @@ def _blocks(seed: int, start: int, length: int):
         z = _mix(z, scratch[:b])
         z.flags.writeable = False
         yield z
-
-
-class _Reader:
-    """One reader's place in a stream of word blocks."""
-
-    def __init__(self):
-        self._block, self._at = np.empty(0, dtype=np.uint64), 0
-
-    def fill(self, size: int, put):
-        """(generator) Hand the next size words to put part by part, as put(z, i).
-
-        z is a part's words and i the place of its first word among the
-        size.  A part's words lie in one block; fill yields for the next
-        block when it has read the one it holds.
-        """
-        i = 0
-        while i < size:
-            if self._at == self._block.size:
-                self._block, self._at = (yield), 0
-            z = self._block[self._at : self._at + size - i]
-            self._at += z.size
-            put(z, i)
-            i += z.size
-
-
-def _read(readers, blocks):
-    """Run the generators readers side by side, each block going to every reader still reading.
-
-    A reader yields when it has read the block it holds and needs the next,
-    and returns when it needs no more.  Readers that start together at one
-    counter and each read counters in order are thus at the same block:
-    every block is made once, for all of them.  Returns what each reader
-    returned, in order.
-    """
-    done, live, z = [None] * len(readers), list(enumerate(readers)), None
-    while live:
-        still = []
-        for i, reader in live:
-            try:
-                reader.send(z)
-            except StopIteration as stop:
-                done[i] = stop.value
-            else:
-                still.append((i, reader))
-        live = still
-        if live:
-            z = next(blocks)
-    return done
 
 
 def _pairwise(y: np.ndarray, spare: np.ndarray, depth: int):
@@ -303,33 +255,17 @@ def _pairwise(y: np.ndarray, spare: np.ndarray, depth: int):
         a, b = nodes, a
 
 
-def _drawer(m: Atomic | Parametric):
-    """prepare for m, an atomic or parametric law, each draw made from one mixed word z.
+def _transform(m: Atomic | Parametric, size: int):
+    """transform(z, out), which writes into out the draws of m made from the mixed words z.
 
-    prepare(size, words) returns draw(out), a generator that writes into
-    out, of at most size, the next out.size draws, reading their words from
-    the _Reader words.  All that does not depend on the words (buffers,
-    thresholds) is worked out by prepare: make(size) returns transform(z,
-    out), which writes the draws of the words z into out and only reads z.
+    m is an atomic or parametric law, each draw is made from one word, and
+    z, of at most size words, is only read.
     """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
-
-        def make(size):
-            return lambda z, out: np.take(pos, pick(z), out=out, mode="clip")
-
-    else:
-
-        def make(size):
-            invert, u = _families.row(m.family).sampler(m.params, size), np.empty(size)
-            return lambda z, out: invert(_uniform(z, u[: z.size]), out)
-
-    def prepare(size, words):
-        transform = make(size)
-        return lambda out: words.fill(
-            out.size, lambda z, i: transform(z, out[i : i + z.size]))
-
-    return prepare
+        return lambda z, out: np.take(pos, pick(z), out=out, mode="clip")
+    invert, u = _families.row(m.family).sampler(m.params, size), np.empty(size)
+    return lambda z, out: invert(_uniform(z, u[: z.size]), out)
 
 
 @dataclass(frozen=True)
@@ -369,10 +305,10 @@ def _lattice(m: Measure, depth: int):
 
 
 def _lattice_levels(base: Atomic, lattice, levels: int, n: int, pts):
-    """A reader of the flow check's level cfs from the wall bits of base's draws (module notes).
+    """put, cfs: a sink of the flow check's level cfs from base's wall bits (module notes).
 
-    The reader is a generator for _read that reads n 2^levels words and
-    returns the cfs.
+    put(z) packs the next block of words; cfs() returns the level cfs once
+    all n 2^levels words are put.
     """
     a0, g, e, codes = lattice
     walls = _walls(np.cumsum(base.weights))[: len(codes) - 1]
@@ -386,18 +322,11 @@ def _lattice_levels(base: Atomic, lattice, levels: int, n: int, pts):
     masks = [[dtype.type(((1 << (1 << k)) - 1) << (s << levels)) for s in range(per)]
              for k in range(min(levels, 6) + 1)]
     rows = max(1, min(n, _PASS_CELLS >> max(levels, 6)))
-    hit = np.empty(min(_BLOCK_CELLS, rows << levels), dtype=bool)
+    hit = np.empty(min(max(_BLOCK_CELLS, 1 << levels), rows << levels), dtype=bool)
     packed = np.empty((walls.size, -(-(rows << levels) // 8)), dtype=np.uint8)
     hists = [np.zeros((codes[-1] << k) + 1, dtype=np.int64) for k in range(levels + 1)]
     ecfs = [EmpiricalCf(pts) for _ in hists]
-    words = _Reader()
-
-    def put(z, i):
-        # a part starts on a byte: blocks and passes hold multiples of 8 words
-        bits, at = hit[: z.size], i >> 3
-        for wall, row in zip(walls, packed):
-            np.greater_equal(z, wall, out=bits)
-            row[at : at + -(-z.size // 8)] = np.packbits(bits, bitorder="little")
+    done = at = 0  # the rows counted, and the words packed into the pass
 
     def counts(row, r):
         """The popcounts of the first 2^k bits of each of the pass's r rows, level by level."""
@@ -411,87 +340,88 @@ def _lattice_levels(base: Atomic, lattice, levels: int, n: int, pts):
             out += [full[:, (1 << (k - 6)) - 1] for k in range(7, levels + 1)]
         return out
 
-    def read():
-        for t in range(0, n, rows):
-            r = min(rows, n - t)
-            yield from words.fill(r << levels, put)
+    def put(z):
+        nonlocal done, at
+        while z.size:
+            r = min(rows, n - done)
+            # a part starts on a byte: blocks and passes hold multiples of 8 words
+            part, z = z[: (r << levels) - at], z[(r << levels) - at :]
+            bits = hit[: part.size]
+            for wall, row in zip(walls, packed):
+                np.greater_equal(part, wall, out=bits)
+                row[at >> 3 : (at >> 3) + -(-part.size // 8)] = np.packbits(bits, bitorder="little")
+            at += part.size
+            if at < r << levels:
+                return
             # each add makes a new uint16 array, so the zeros are shared
             sums = [np.zeros(r, dtype=np.uint16)] * (levels + 1)
-            for step, row in zip(steps, packed[:, : -(-(r << levels) // 8)]):
+            for step, row in zip(steps, packed[:, : -(-at // 8)]):
                 sums = [s + (c if step == 1 else c * step) for s, c in zip(sums, counts(row, r))]
             for hist, s in zip(hists, sums):
                 hist += np.bincount(s, minlength=hist.size)
+            done, at = done + r, 0
+
+    def cfs():
         for k, (ecf, hist) in enumerate(zip(ecfs, hists)):
             c = np.flatnonzero(hist)
             sums = np.ldexp(((a0 << k) + g * c).astype(float), -e)  # exact: below 2^53 times 2^-e
             ecf.add_histogram(sums * 2.0 ** (-k / 2.0), hist[c])
         return ecfs
 
-    return read()
+    return put, cfs
 
 
 def _float_levels(base: Atomic | Parametric, levels: int, n: int, pts):
-    """A reader of the flow check's level cfs from the float draws of base (module notes).
+    """put, cfs: a sink of the flow check's level cfs from the float draws of base (module notes).
 
-    The reader is a generator for _read that reads n 2^levels words and
-    returns the cfs.
+    put(z) makes the next block of words, whole rows of 2^levels, one part
+    of draws; cfs() returns the level cfs once all n 2^levels words are put.
     """
-    prepare = _drawer(base)
     rows = max(1, _BLOCK_CELLS >> levels)
     buf = np.empty(min(rows, n) << levels)
-    draw = prepare(buf.size, _Reader())
+    transform = _transform(base, buf.size)
     # a level's values go to its EmpiricalCf more than _LATTICE_MAX at a
     # time, whole parts' worth, so a dense level leaves the histogram at once
     vals = np.empty((levels + 1, -(-(_LATTICE_MAX + 1) // rows) * rows))
     spare = np.empty(max(1, rows << levels >> 1))
     scales = [2.0 ** (-k / 2.0) for k in range(levels + 1)]
     ecfs = [EmpiricalCf(pts) for _ in scales]
+    done = filled = 0  # the rows made, and those not yet added
 
-    def read():
-        filled = 0
-        for done in range(0, n, rows):
-            r = min(rows, n - done)
-            part = buf[: r << levels]
-            yield from draw(part)
-            for k, nodes in enumerate(_pairwise(part, spare, levels)):
-                np.multiply(nodes[:: 1 << (levels - k)], scales[k],
-                            out=vals[k, filled : filled + r])
-            filled += r
-            if filled == vals.shape[1] or done + r == n:
-                for ecf, v in zip(ecfs, vals):
-                    ecf.add(v[:filled])
-                filled = 0
-        return ecfs
+    def put(z):
+        nonlocal done, filled
+        r, part = z.size >> levels, buf[: z.size]
+        transform(z, part)
+        for k, nodes in enumerate(_pairwise(part, spare, levels)):
+            np.multiply(nodes[:: 1 << (levels - k)], scales[k], out=vals[k, filled : filled + r])
+        done, filled = done + r, filled + r
+        if filled == vals.shape[1] or done == n:
+            for ecf, v in zip(ecfs, vals):
+                ecf.add(v[:filled])
+            filled = 0
 
-    return read()
+    return put, lambda: ecfs
 
 
 def empirical_flow_check(
-    m: Measure | Sequence[Measure],
-    levels: int,
-    n: int,
-    seed: int,
-    grid: GridSpec | None = None,
-) -> FlowCheck | tuple[FlowCheck, ...]:
-    """Compare empirical cfs of pairwise-summed samples with analytic iterates.
+    laws: Sequence[Measure], levels: int, n: int, seed: int
+) -> tuple[FlowCheck, ...]:
+    """Compare empirical cfs of pairwise-summed samples of each law with analytic iterates.
 
-    For each level k = 0..levels, n samples of the k-fold pairwise-summed and
-    rescaled law are taken from one stream of 2^L n base draws, L the top
-    level (module notes), and their empirical cf is compared on the grid
-    against the analytic cf of the k-th iterate.  Passing means every
-    deviation stays within the conservative envelope 4/sqrt(n).  The default
-    grid is the coarse ORACLE_GRID; the envelope does not depend on grid
-    resolution.  Each level is streamed through a charfn.EmpiricalCf: memory
-    does not grow with n.
+    For each law and level k = 0..levels, n samples of the k-fold
+    pairwise-summed and rescaled law are taken from one stream of 2^L n
+    base draws, L the top level (module notes), and their empirical cf is
+    compared on ORACLE_GRID against the analytic cf of the k-th iterate.
+    Passing means every deviation stays within the conservative envelope
+    4/sqrt(n), which does not depend on grid resolution.  Each level is
+    streamed through a charfn.EmpiricalCf: memory does not grow with n.
 
-    m is one law, which gives one FlowCheck, or a sequence of laws, which
-    gives a tuple of FlowChecks, one per law in order.  Every law reads the
-    counter stream of seed from counter 0 on, so the laws are checked side
-    by side: each block of words is mixed once and read by every law still
-    drawing, and each law's check is the one it gets alone, bit for bit.
-    Each law must be atomic or parametric, the laws the CLI names; any
-    other raises MeasureError.  Laws are validated law by law before any
-    draw, so the first invalid law in order raises.
+    Returns one FlowCheck per law, in order.  Every law reads the counter
+    stream of seed from counter 0 on: each block of words is mixed once
+    and pushed to every law's sink, and each law's check is the one it
+    gets alone, bit for bit.  Each law must be atomic or parametric, the
+    laws the CLI names; any other raises MeasureError.  Laws are validated
+    law by law before any draw, so the first invalid law in order raises.
 
     An atomic law of few atoms whose positions are (a0 + g j) 2^-e for
     integers a0, g and codes j takes the lattice route where its tree sums
@@ -506,11 +436,11 @@ def empirical_flow_check(
         raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
     if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
         raise MeasureError("the flow check needs at least 1e5 samples per level")
-    laws = (m,) if isinstance(m, Measure) else tuple(m)
+    laws = tuple(laws)
     if not laws:
         raise MeasureError("the flow check needs at least one law")
-    pts = (grid or ORACLE_GRID).points()
-    readers = []
+    pts = ORACLE_GRID.points()
+    sinks = []
     for law in laws:
         if not isinstance(law, (Atomic, Parametric)):
             raise MeasureError(
@@ -519,16 +449,19 @@ def empirical_flow_check(
         require_membership(law, 2, "the empirical flow check")
         lattice = _lattice(law, levels)
         if lattice:
-            readers.append(_lattice_levels(law, lattice, levels, n, pts))
+            sinks.append(_lattice_levels(law, lattice, levels, n, pts))
         else:
-            readers.append(_float_levels(law, levels, n, pts))
+            sinks.append(_float_levels(law, levels, n, pts))
+    for z in _blocks(seed, 0, n << levels, 1 << levels):
+        for put, _ in sinks:
+            put(z)
     envelope = 4.0 / math.sqrt(n)
     checks = []
-    for law, ecfs in zip(laws, _read(readers, _blocks(seed, 0, n << levels))):
+    for law, (_, cfs) in zip(laws, sinks):
         devs = []
-        for k, ecf in enumerate(ecfs):
+        for k, ecf in enumerate(cfs()):
             acf = eval_cf_grid(_iterate(law, k), pts)
             devs.append(float(np.max(np.abs(ecf.value() - acf))))
         worst = max(devs)
         checks.append(FlowCheck(worst <= envelope, worst, envelope, tuple(devs)))
-    return checks[0] if isinstance(m, Measure) else tuple(checks)
+    return tuple(checks)

@@ -51,12 +51,14 @@ def abs_third_moment(m):
 def draws(m, n, seed, start=0):
     """n draws of the atomic or parametric law m from counter start on under seed.
 
-    They come through the oracle's draw pipeline: one reader takes the words
-    of the blocks it reads (mc._drawer, mc._Reader, mc._read and mc._blocks),
-    as each law of a flow check does.
+    They come through the oracle's draw pipeline: the law's transform
+    (mc._transform) makes each block of words (mc._blocks) its draws, as a
+    flow check's float route does.
     """
-    out = np.empty(n)
-    mc._read([mc._drawer(m)(n, mc._Reader())(out)], mc._blocks(seed, start, n))
+    out, transform, i = np.empty(n), mc._transform(m, min(n, mc._BLOCK_CELLS)), 0
+    for z in mc._blocks(seed, start, n):
+        transform(z, out[i : i + z.size])
+        i += z.size
     return out
 
 
@@ -64,8 +66,9 @@ def level_draws(m, k, n, seed, start=0):
     """n draws of T^k m from counter start on: the top level of a flow check's float route.
 
     Draw i is the root of the pairwise tree over the row of 2^k draws of m
-    from counter start + i 2^k on, scaled once by 2^{-k/2}; mc._float_levels
-    makes it, and its level cfs are replaced by recorders of what they are fed.
+    from counter start + i 2^k on, scaled once by 2^{-k/2}; the sink of
+    mc._float_levels makes it from the blocks of whole rows it is put, and
+    its level cfs are replaced by recorders of what they are fed.
     """
     made = []
 
@@ -79,7 +82,9 @@ def level_draws(m, k, n, seed, start=0):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc, "EmpiricalCf", Recording)
-        mc._read([mc._float_levels(m, k, n, None)], mc._blocks(seed, start, n << k))
+        put, _ = mc._float_levels(m, k, n, None)
+        for z in mc._blocks(seed, start, n << k, 1 << k):
+            put(z)
     return np.concatenate(made[-1].fed)
 
 

@@ -155,7 +155,7 @@ def exact_devs(m, levels, n, seed):
 @pytest.mark.parametrize("name", ["rademacher", "skewed"])
 def test_flow_check_keeps_the_lattice_bits(name):
     m = bank.ALIASES[name]()
-    got = mc.empirical_flow_check(m, levels=6, n=100_000, seed=1234)
+    (got,) = mc.empirical_flow_check([m], levels=6, n=100_000, seed=1234)
     want = exact_devs(m, 6, 100_000, 1234)
     assert np.array_equal(
         np.array(got.per_level).view(np.uint64), np.array(want).view(np.uint64)
@@ -165,7 +165,7 @@ def test_flow_check_keeps_the_lattice_bits(name):
 
 def test_flow_check_gaussian_within_the_bound_of_the_exact_path():
     m = bank.gaussian()
-    got = mc.empirical_flow_check(m, levels=2, n=100_000, seed=1234)
+    (got,) = mc.empirical_flow_check([m], levels=2, n=100_000, seed=1234)
     want = exact_devs(m, 2, 100_000, 1234)
     assert max(map(abs, np.subtract(got.per_level, want))) <= TOL
     assert got.ok and got.envelope == 4.0 / math.sqrt(1e5)
@@ -177,9 +177,9 @@ def test_flow_check_lattice_levels_never_go_dense(name, level_cfs, monkeypatch):
     # the 2^k + 1 values of its sums, and no level leaves the histogram, on
     # the lattice route (fed histograms) and on the float route (fed values)
     m = bank.ALIASES[name]()
-    lattice = mc.empirical_flow_check(m, 6, 200_000, 1234)
+    (lattice,) = mc.empirical_flow_check([m], 6, 200_000, 1234)
     monkeypatch.setattr(mc, "_lattice", lambda base, depth: None)
-    assert mc.empirical_flow_check(m, 6, 200_000, 1234) == lattice and lattice.ok
+    assert mc.empirical_flow_check([m], 6, 200_000, 1234) == (lattice,) and lattice.ok
     assert len(level_cfs) == 14
     for route, fed in ((level_cfs[:7], "histograms"), (level_cfs[7:], "fed")):
         assert all(getattr(ecf, fed) for ecf in route)
@@ -195,7 +195,7 @@ def test_flow_check_memory_does_not_grow_with_the_sample(name):
     for n in (100_000, 800_000):
         tracemalloc.start()
         try:
-            mc.empirical_flow_check(m, 2, n, 7)
+            mc.empirical_flow_check([m], 2, n, 7)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -71,12 +71,12 @@ def test_sample_cflevel_depth_refused(rademacher):
     # draws: a cf-level law of any depth is refused as an input
     for n in (2, 1 << 26):
         with pytest.raises(MeasureError, match="not NormalizedSum"):
-            empirical_flow_check(cf.NormalizedSum(rademacher, n), 1, 100_000, 0)
+            empirical_flow_check([cf.NormalizedSum(rademacher, n)], 1, 100_000, 0)
 
 
 def test_sample_rejects_composites(gauss):
     with pytest.raises(MeasureError, match="not ConvProduct"):
-        empirical_flow_check(cf.convolve(bank.uniform_std(), gauss), 1, 100_000, 0)
+        empirical_flow_check([cf.convolve(bank.uniform_std(), gauss)], 1, 100_000, 0)
 
 
 def test_empirical_cf_mc_oracle_gaussian(gauss):
@@ -87,7 +87,7 @@ def test_empirical_cf_mc_oracle_gaussian(gauss):
 
 
 def test_empirical_flow_check_gaussian_small(gauss):
-    chk = empirical_flow_check(gauss, levels=2, n=100_000, seed=42)
+    (chk,) = empirical_flow_check([gauss], levels=2, n=100_000, seed=42)
     assert chk.ok
     assert chk.envelope == pytest.approx(4.0 / math.sqrt(100_000))
     assert len(chk.per_level) == 3
@@ -95,7 +95,7 @@ def test_empirical_flow_check_gaussian_small(gauss):
 
 
 def test_empirical_flow_check_rademacher_small(rademacher):
-    chk = empirical_flow_check(rademacher, levels=3, n=100_000, seed=42)
+    (chk,) = empirical_flow_check([rademacher], levels=3, n=100_000, seed=42)
     assert chk.ok
 
 
@@ -109,21 +109,21 @@ def test_empirical_flow_check_compares_the_normalized_sums(skewed, monkeypatch):
         return eval_cf_grid(law, pts)
 
     monkeypatch.setattr(cf.mc, "eval_cf_grid", recording)
-    chk = empirical_flow_check(skewed, levels=3, n=100_000, seed=42)
+    (chk,) = empirical_flow_check([skewed], levels=3, n=100_000, seed=42)
     assert iterates == [skewed] + [cf.NormalizedSum(skewed, n) for n in (2, 4, 8)]
     assert chk.ok and len(chk.per_level) == 4
 
 
 def test_empirical_flow_check_validation(gauss):
     with pytest.raises(MeasureError):
-        empirical_flow_check(gauss, levels=13, n=100_000, seed=0)
+        empirical_flow_check([gauss], levels=13, n=100_000, seed=0)
     with pytest.raises(MeasureError):
-        empirical_flow_check(gauss, levels=2, n=50_000, seed=0)
+        empirical_flow_check([gauss], levels=2, n=50_000, seed=0)
 
 
 def test_empirical_flow_check_deterministic(rademacher):
-    a = empirical_flow_check(rademacher, levels=1, n=100_000, seed=5)
-    b = empirical_flow_check(rademacher, levels=1, n=100_000, seed=5)
+    (a,) = empirical_flow_check([rademacher], levels=1, n=100_000, seed=5)
+    (b,) = empirical_flow_check([rademacher], levels=1, n=100_000, seed=5)
     assert a.per_level == b.per_level
 
 

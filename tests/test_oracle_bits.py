@@ -7,13 +7,16 @@ the mirrored, blocked and in-place versions in the library replace.  Every
 comparison is bit for bit (view(np.uint64)): EmpiricalCf keeps the
 reference's bits on its exact paths (lattice samples, and the dense
 fall-back for samples no bin takes), and the oracle's draws keep theirs.
-The library's draws come from conftest.draws, the oracle's draw pipeline
-read by one reader, and a level's from conftest.level_draws, the top level
-of the flow check's float route.  The gaussian reference draws through the
-library's own inverse normal: these tests check blocking and the order of
-the tree's sums, and test_special checks the transform against mpmath.
+The library's draws come from conftest.draws, the oracle's word blocks
+made draws by one law's transform, and a level's from
+conftest.level_draws, the top level of the flow check's float route.  The
+gaussian reference draws through the library's own inverse normal: these
+tests check blocking and the order of the tree's sums, and test_special
+checks the transform against mpmath.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -23,6 +26,7 @@ import pytest
 import cltflow as cf
 from cltflow import bank, charfn, mc
 from cltflow._special import InverseNormal
+from cltflow.cli import main as cli_main
 from cltflow.errors import MeasureError, MembershipError
 from cltflow.mc import ORACLE_GRID
 from conftest import draws, level_draws
@@ -355,8 +359,8 @@ def test_sampler_matches_fold_loop(name, k):
 
 @pytest.mark.parametrize("name", ["atomic-2", "atomic-13", "gaussian", "exponential-std"])
 def test_sampler_matches_fold_loop_beyond_one_block(name):
-    # a row of 2^15 draws exceeds a block's 2^14, so one row reads the
-    # words of two blocks: the same pairs as one tree over the row
+    # a row of 2^15 draws exceeds _BLOCK_CELLS = 2^14, so a block grows to
+    # the whole row: the same pairs as one tree over the row
     k = 15
     assert (1 << k) > mc._BLOCK_CELLS
     assert_sampler_bits(BASES[name](), k, starts=(0, 2**64 - 70_000), sizes=(1, 2, 3))
@@ -364,9 +368,8 @@ def test_sampler_matches_fold_loop_beyond_one_block(name):
 
 @pytest.fixture
 def small_block(monkeypatch):
-    # 64 counters a block: a level-7 law's rows of 128 draws each read the
-    # words of two blocks, so every split and ragged edge shows at a small
-    # size
+    # 64 counters a block: for a level-7 law a block grows to a whole row
+    # of 128 draws, so every ragged edge shows at a small size
     monkeypatch.setattr(mc, "_BLOCK_CELLS", 64)
 
 
@@ -410,27 +413,22 @@ def part_draws(m, k, seed, n):
     """n draws of level k of m from counter 0 on, and the draws of each part they were made in.
 
     The flow check's float route makes them (conftest.level_draws): one
-    draw generator fills each part of one buffer in turn, the last holding
-    the rest, from one reader of one block stream.
+    transform makes each block of words a part of draws in one buffer, the
+    last part holding the rest.
     """
-    sizes, drawer = [], mc._drawer
+    sizes, transform = [], mc._transform
 
-    def recording(law):
-        prepare = drawer(law)
+    def recording(law, size):
+        made = transform(law, size)
 
-        def prepare_parts(size, words):
-            draw = prepare(size, words)
+        def record(z, out):
+            sizes.append(z.size >> k)
+            return made(z, out)
 
-            def draw_part(out):
-                yield from draw(out)
-                sizes.append(out.size >> k)
-
-            return draw_part
-
-        return prepare_parts
+        return record
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_drawer", recording)
+        patch.setattr(mc, "_transform", recording)
         return level_draws(m, k, n, seed), sizes
 
 
@@ -438,7 +436,7 @@ def part_draws(m, k, seed, n):
 @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
 def test_stream_parts_are_the_draws(name, size):
     # whole parts, then a last part of one draw, alone or after a whole one,
-    # each made by the one generator into the one reused buffer
+    # each made by the one transform into the one reused buffer
     law, k = STREAM_LAWS[name]
     m = law()
     cols = mc._BLOCK_CELLS >> k
@@ -527,7 +525,7 @@ def test_histogram_lookup_matches_the_unique_merge(case):
 FLOW_LEVELS = {
     # law, levels, n, _BLOCK_CELLS: the benchmark's shape; a top level of
     # 12, where a part holds four rows and n leaves a ragged last part; rows
-    # of 2^8 draws against blocks of 2^6
+    # of 2^8 draws against _BLOCK_CELLS = 2^6, where a block grows to a row
     "rademacher-6": (bank.rademacher, 6, 100_000, None),
     "gaussian-12": (bank.gaussian, 12, 37, None),
     "skewed-12": (bank.skewed_two_atom, 12, 37, None),
@@ -568,7 +566,7 @@ def test_flow_levels_are_scaled_tree_sums_of_one_sample(name, level_cfs, monkeyp
     m = law()
     lattice = takes_lattice_route(m, levels)
     assert lattice == (name == "rademacher-6")
-    mc.empirical_flow_check(m, levels, n, 1234)
+    mc.empirical_flow_check([m], levels, n, 1234)
     want = ref_levels(m, levels, n, 1234)
     assert len(level_cfs) == levels + 1
     for ecf, w in zip(level_cfs, want):
@@ -617,7 +615,7 @@ LATTICE_LAWS = {
     # _WALLS_MAX walls, and two more, which the lattice route leaves
     "walls-max-2": (lambda: centred_lattice(16), 2, True, {}),
     "walls-max-plus-two-2": (lambda: centred_lattice(17), 2, False, {}),
-    # rows of 2^9 draws against blocks of 2^6: one row a block
+    # rows of 2^9 draws against _BLOCK_CELLS = 2^6: a block grows to a row
     "skewed-9-small-block": (bank.skewed_two_atom, 9, True, {"_BLOCK_CELLS": 64}),
     # passes of 4 rows of 2^7 draws, and of 8 rows of 4 draws: 1001 rows end
     # in a pass of one row, half a byte in the second
@@ -641,7 +639,7 @@ def test_lattice_route_keeps_the_float_route_bits(name, level_cfs, monkeypatch):
         monkeypatch.setattr(mc, constant, value)
     m, n, pts = law(), 1001, ORACLE_GRID.points()
     assert takes_lattice_route(m, levels) == lattice
-    got = mc.empirical_flow_check(m, levels, n, 1234)
+    (got,) = mc.empirical_flow_check([m], levels, n, 1234)
     want_levels = ref_levels(m, levels, n, 1234)
     assert len(level_cfs) == levels + 1
     for ecf, w in zip(level_cfs, want_levels):
@@ -651,7 +649,7 @@ def test_lattice_route_keeps_the_float_route_bits(name, level_cfs, monkeypatch):
         if lattice:
             assert_fed_histogram(ecf, w)
     monkeypatch.setattr(mc, "_lattice", lambda base, depth: None)
-    want = mc.empirical_flow_check(m, levels, n, 1234)
+    (want,) = mc.empirical_flow_check([m], levels, n, 1234)
     assert got == want and same_bits(got.per_level, want.per_level)
 
 
@@ -662,7 +660,7 @@ def test_one_atom_law_takes_no_lattice_route(pos):
     m = cf.measures.make_atomic([(pos, 1.0)])
     assert mc._lattice(m, 6) is None
     with pytest.raises(MembershipError):
-        mc.empirical_flow_check(m, 6, 100_000, 1234)
+        mc.empirical_flow_check([m], 6, 100_000, 1234)
 
 
 @pytest.mark.parametrize("case", ["lattice", "first-add", "overflow", "dense"])
@@ -698,10 +696,10 @@ def test_flow_check_draws_each_base_value_once(name, monkeypatch):
     # 2^L n draws for a top level L, each from one word.  Laws checked in
     # one call read one stream: its words are mixed once, not once per law
     if name == "all-four":
-        m = [law() for law in FLOW_DRAW_LAWS.values()]
+        laws = [law() for law in FLOW_DRAW_LAWS.values()]
     else:
-        m = FLOW_DRAW_LAWS[name]()
-        assert takes_lattice_route(m, 3) == (name in ("skewed", "rademacher"))
+        laws = [FLOW_DRAW_LAWS[name]()]
+        assert takes_lattice_route(laws[0], 3) == (name in ("skewed", "rademacher"))
     drawn = []
     mix = mc._mix  # SplitMix, on the words of both routes
 
@@ -711,13 +709,13 @@ def test_flow_check_draws_each_base_value_once(name, monkeypatch):
 
     monkeypatch.setattr(mc, "_mix", counting_mix)
     levels, n = 3, 100_000
-    checks = mc.empirical_flow_check(m, levels, n, 5)
-    assert all(chk.ok for chk in (checks if name == "all-four" else [checks]))
+    checks = mc.empirical_flow_check(laws, levels, n, 5)
+    assert all(chk.ok for chk in checks)
     assert sum(drawn) == n << levels == 800_000
 
 
 def test_word_blocks_are_read_only():
-    # every reader of a block reads the same words: none may write them
+    # every sink of a block reads the same words: none may write them
     blocks = list(z.copy() for z in mc._blocks(9, 2**64 - 5, 3 * mc._BLOCK_CELLS + 7))
     assert [z.size for z in blocks] == [mc._BLOCK_CELLS] * 3 + [7]
     assert np.array_equal(np.concatenate(blocks), ref_words(9, 2**64 - 5, 3 * mc._BLOCK_CELLS + 7))
@@ -725,6 +723,27 @@ def test_word_blocks_are_read_only():
         assert not z.flags.writeable
         with pytest.raises(ValueError):
             z[0] = 0
+
+
+def test_a_block_grows_to_a_whole_row(monkeypatch):
+    # _BLOCK_CELLS = 64 against rows of 2^9 draws: every block but the last
+    # holds one whole row, for both routes of one check
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(mc, "MIN_FLOW_SAMPLES", 1)
+    sizes, mix = [], mc._mix
+
+    def recording_mix(z, scratch):
+        sizes.append(z.size)
+        return mix(z, scratch)
+
+    monkeypatch.setattr(mc, "_mix", recording_mix)
+    laws = [bank.gaussian(), bank.skewed_two_atom()]
+    assert [takes_lattice_route(m, 9) for m in laws] == [False, True]
+    mc.empirical_flow_check(laws, 9, 37, 1234)
+    assert sizes == [512] * 37
+    sizes.clear()
+    assert [z.size for z in mc._blocks(9, 0, 3 * 512 + 7, 512)] == [512] * 3 + [7]
+    assert sizes == [512] * 3 + [7]
 
 
 def assert_same_cf(a, b):
@@ -747,7 +766,7 @@ MANY_LAWS = {
         (bank.gaussian, bank.rademacher, bank.skewed_two_atom), 4, 100_000, None),
     # n 2^L words end mid-block: 400,012 against blocks of 2^14
     "ragged-n": ((bank.skewed_two_atom, bank.uniform_std), 2, 100_003, None),
-    # 1001 2^5 words against blocks of 64
+    # 1001 rows of 2^5 words, two to a block of 64
     "small-block": ((bank.gaussian, bank.skewed_two_atom, bank.laplace_std), 5, 1001, 64),
 }
 
@@ -769,7 +788,7 @@ def test_laws_checked_together_get_their_checks_alone(name, level_cfs, monkeypat
     assert len(made) == len(laws) * (levels + 1)
     for i, m in enumerate(laws):
         level_cfs.clear()
-        alone = mc.empirical_flow_check(m, levels, n, 1234)
+        (alone,) = mc.empirical_flow_check([m], levels, n, 1234)
         assert together[i] == alone and same_bits(together[i].per_level, alone.per_level)
         assert len(level_cfs) == levels + 1
         for a, b in zip(made[i * (levels + 1) :], level_cfs):
@@ -806,6 +825,27 @@ def test_flow_check_refuses_a_composite_law(name, monkeypatch):
 
     monkeypatch.setattr(mc, "_mix", no_words)
     with pytest.raises(MeasureError, match=f"not {type(m).__name__}"):
-        mc.empirical_flow_check(m, 2, 100_000, 1)
+        mc.empirical_flow_check([m], 2, 100_000, 1)
     with pytest.raises(MeasureError, match=f"not {type(m).__name__}"):
         mc.empirical_flow_check([bank.gaussian(), m], 2, 100_000, 1)
+
+
+# sha256 of the oracle CSV of FIVE_LAW_ORACLE: the lattice route
+# (rademacher, skewed) and the float route beside it, by inverse CDF
+# (gaussian, uniform-std) and by the counted index of a non-dyadic law
+FIVE_LAW_ORACLE_SHA256 = "3fb0d3af429937de2667fa1fce16091ead5beb1d66f847cda0e5546bdfc89cf6"
+FIVE_LAW_ORACLE = {
+    "seed": 77,
+    "measures": {"third": {"type": "atomic", "atoms": [[-3.0, 0.1], [0.3333333333333333, 0.9]]}},
+    "commands": [{"command": "oracle", "levels": 4, "samples": 100_000,
+                  "measures": ["gaussian", "rademacher", "skewed", "third", "uniform-std"]}],
+}
+
+
+def test_five_law_oracle_keeps_its_bytes(tmp_path):
+    assert not mc._lattice(cf.make_atomic(FIVE_LAW_ORACLE["measures"]["third"]["atoms"]), 4)
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(FIVE_LAW_ORACLE))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    blob = (tmp_path / "out" / "01_oracle.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == FIVE_LAW_ORACLE_SHA256
