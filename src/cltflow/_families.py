@@ -22,7 +22,7 @@ laplace (loc, scale b), t = b xi: k = (loc, 2 b^2, 0, 12 b^4);
   loc - b sign(v) log1p(-2 |v|), v = u - 1/2.
 
 exponential (rate, shift), t = xi / rate: make_parametric takes the rate
-  alone, shift 0; the shift serves the standardized form (1, -1).
+  alone, shift 0; the shift serves the centred, reduced member (1, -1).
   k = (1/rate + shift, rate^-2, 2 rate^-3, 6 rate^-4); D = i t / (1 - i t)
   and phi = 1 / (1 - i t) at loc = shift.  The centred D (shift rate = -1)
   is (cos t - 1 - i (sin t - t)) / (1 - i t): the linear terms of the two
@@ -30,13 +30,16 @@ exponential (rate, shift), t = xi / rate: make_parametric takes the rate
   imaginary part accurate after deep squaring chains.  Draws are
   shift - log1p(-u) / rate.
 
-heavy_cubic (): the standardized symmetric law with density
-  (sqrt 3 / 6) |x|^-4 on |x| >= 1/sqrt 3, which the bank builds: unit
-  variance, E|X| = sqrt 3 / 2, no finite third absolute moment, so
-  k = (0, 1, nan, inf).  Its cf at t = |xi| / sqrt 3 is
+heavy_cubic (scale s): s X for the symmetric law X of density
+  (sqrt 3 / 6) |x|^-4 on |x| >= 1/sqrt 3, which the bank builds at s = 1:
+  unit variance, E|X| = sqrt 3 / 2, no finite third absolute moment, so
+  k = (0, s^2, nan, inf).  Its cf at t = |s xi| / sqrt 3 is
   _special.heavy_cubic_cf.  Draws are
-  sign(u - 1/2) (3 sqrt 3 (1 - |2u - 1|))^(-1/3).  Its shifts and scales
-  are Affine laws; every other family keeps them in its parameters.
+  sign(u - 1/2) (3 sqrt 3 (1 - |2u - 1|))^(-1/3) s, the scale applied
+  last.
+
+Every family is closed under scaling, so the law of lam X keeps the family
+and only its parameters change.
 
 The numpy kernels that the rows share with charfn live here too, so that
 charfn imports them from below and no import cycle forms.
@@ -53,11 +56,10 @@ import numpy as np
 from ._special import InverseNormal, heavy_cubic_cf
 from .errors import MeasureError
 
-# atom positions, the locations, scales and rates of the closed-form
+# atom positions, and the locations, scales and rates of the closed-form
 # families (mean and standard deviation, endpoints, location and scale,
-# shift, rate and 1/rate), and affine scales and shifts, up to this size
-# keep x^4, and the cumulant cross terms of up to 12 x^4, within the float
-# range
+# shift, rate and 1/rate, scale), up to this size keep x^4, and the
+# cumulant cross terms of up to 12 x^4, within the float range
 ATOM_ABS_MAX = 1e75
 _SERIES_CUT = 0.1
 
@@ -194,29 +196,23 @@ class Family:
     read; deviation(p, xi) and value(p, xi, lo) give (body, loc), the cf times
     exp(-i loc xi) as a deviation and as a value at xi + lo; sampler(p, size)
     gives transform(u, out), the draws for a block of up to size uniforms.
-    shifted, scaled and added give the parameters of X + c, lam X and the sum
-    of independent laws p and q, or None where the law leaves the family;
-    standardized gives those of (X - mean) / sd, by default the standard
-    member.  from_public turns make_parametric's parameters into p.
+    scaled gives the parameters of lam X; added gives those of the sum of
+    independent laws p and q, or None where it leaves the family.  standard
+    is the centred, reduced member.  from_public turns make_parametric's
+    parameters into p.
     """
 
     needs: str  # the parameters and their condition, for the error message
+    standard: tuple  # p has as many entries
     sizes: Callable
     cumulants: Callable
     deviation: Callable
     value: Callable
     sampler: Callable
-    standard: tuple = ()  # the centred, reduced member; p has as many entries
+    scaled: Callable
     public: bool = True  # built by make_parametric and measure literals
     from_public: Callable = lambda p: p
-    shifted: Callable = lambda p, c: None
-    scaled: Callable = lambda p, lam: None
-    standardized: Callable | None = None
     added: Callable = lambda p, q: None
-
-    def standardize(self, p, mean: float, sd: float) -> tuple:
-        """The parameters of (X - mean) / sd for X of parameters p."""
-        return self.standard if self.standardized is None else self.standardized(p, mean, sd)
 
 
 FAMILIES: dict[str, Family] = {
@@ -228,7 +224,6 @@ FAMILIES: dict[str, Family] = {
         deviation=lambda p, xi: (np.expm1(-0.5 * p[1] * xi * xi) + 0j, p[0]),
         value=lambda p, xi, lo: (np.exp(-0.5 * p[1] * xi * xi) + 0j, p[0]),
         sampler=_gaussian_sampler,
-        shifted=lambda p, c: (p[0] + c, p[1]),
         scaled=lambda p, lam: (lam * p[0], lam * lam * p[1]),
         added=lambda p, q: (p[0] + q[0], p[1] + q[1]),
     ),
@@ -240,9 +235,7 @@ FAMILIES: dict[str, Family] = {
         deviation=_uniform_deviation,
         value=_uniform_value,
         sampler=_inverse(lambda p, u: u * (p[1] - p[0]) + p[0]),
-        shifted=lambda p, c: (p[0] + c, p[1] + c),
         scaled=lambda p, lam: (lam * p[0], lam * p[1]),
-        standardized=lambda p, mean, sd: ((p[0] - mean) / sd, (p[1] - mean) / sd),
     ),
     "exponential": Family(
         needs="(rate, shift) with rate > 0",
@@ -253,7 +246,6 @@ FAMILIES: dict[str, Family] = {
         deviation=_exponential_deviation,
         value=lambda p, xi, lo: (1.0 / (1.0 - 1j * (xi / p[0])), p[1]),
         sampler=_inverse(lambda p, u: p[1] - np.log1p(-u) / p[0]),
-        shifted=lambda p, c: (p[0], p[1] + c),
         scaled=lambda p, lam: (p[0] / lam, lam * p[1]),
     ),
     "laplace": Family(
@@ -266,22 +258,25 @@ FAMILIES: dict[str, Family] = {
         sampler=_inverse(
             lambda p, u: p[0] - p[1] * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
         ),
-        shifted=lambda p, c: (p[0] + c, p[1]),
         scaled=lambda p, lam: (lam * p[0], lam * p[1]),
-        standardized=lambda p, mean, sd: (0.0, p[1] / sd),
     ),
     "heavy_cubic": Family(
-        needs="no parameters",
+        needs="(scale,) with scale > 0",
+        standard=(1.0,),
         public=False,
-        sizes=lambda p: (),
+        sizes=lambda p: p if p[0] > 0 else None,
         # third moment not absolutely convergent, fourth infinite
-        cumulants=lambda p: (0.0, 1.0, math.nan, math.inf),
-        deviation=lambda p, xi: (heavy_cubic_cf(np.abs(xi) / math.sqrt(3.0), 1.0) + 0j, 0.0),
-        value=lambda p, xi, lo: (heavy_cubic_cf(np.abs(xi) / math.sqrt(3.0), 0.0) + 0j, 0.0),
+        cumulants=lambda p: (0.0, p[0] * p[0], math.nan, math.inf),
+        deviation=lambda p, xi: (
+            heavy_cubic_cf(np.abs(p[0] * xi) / math.sqrt(3.0), 1.0) + 0j, 0.0),
+        value=lambda p, xi, lo: (
+            heavy_cubic_cf(np.abs(p[0] * xi) / math.sqrt(3.0), 0.0) + 0j, 0.0),
         sampler=_inverse(
             lambda p, u: np.where(u < 0.5, -1.0, 1.0)
             * (3.0 * math.sqrt(3.0) * (1.0 - np.abs(2.0 * u - 1.0))) ** (-1.0 / 3.0)
+            * p[0]
         ),
+        scaled=lambda p, lam: (lam * p[0],),
     ),
 }
 PUBLIC_FAMILIES = tuple(name for name, row in FAMILIES.items() if row.public)

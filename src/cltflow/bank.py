@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 
-from .measures import Measure, Parametric, make_atomic, make_parametric, standardize
+from ._families import FAMILIES
+from .measures import Measure, Parametric, make_atomic, make_parametric
 
 __all__ = [
     "gaussian",
@@ -42,12 +43,12 @@ def laplace_std() -> Measure:
 
 
 def exponential_std() -> Measure:
-    return standardize(make_parametric("exponential", (1.0,)))
+    return Parametric("exponential", FAMILIES["exponential"].standard)
 
 
 def heavy_tail_std() -> Measure:
     # unit variance, infinite third absolute moment
-    return Parametric("heavy_cubic", ())
+    return Parametric("heavy_cubic", FAMILIES["heavy_cubic"].standard)
 
 
 ALIASES = {

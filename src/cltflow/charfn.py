@@ -21,8 +21,8 @@ Each rule keeps errors relative to the deviation itself, so cf differences
 stay accurate to ~1e-14 relative after 40 renormalization steps (n = 2^40).
 For an atomic base that holds only where its float mean np.dot(ws, pos) is
 exact, as for the bank's laws: otherwise the rounding of the split-off
-linear term is carried 2^(k/2) times through k squarings, and standardized
-random 2-12-atom laws reach about 1.6e-7 relative at depth 40.
+linear term is carried 2^(k/2) times through k squarings, and centred,
+reduced random 2-12-atom laws reach about 1.6e-7 relative at depth 40.
 
 Where phi is small, 1 + D cancels: its error is relative to 1, not to phi.
 So cf values (``eval_cf_grid``) are 1 + D wherever |1 + D| >= 1/2 and come
@@ -33,15 +33,13 @@ from the value form elsewhere:
   location;
 * normalized sums carry D through the binary power while |1 + D| >= 1/2
   and multiply values from the first factor where it drops below 1/2;
-* convolution products multiply the values of their parts, and affine
-  images take the base value at the scaled argument times the shift phase.
+* convolution products multiply the values of their parts.
 
-Affine images and normalized sums scale the argument; the value form gets
-the scaled argument as hi + lo, the rounded product and its error, because
-near a zero of sin the uniform's sin(t)/t loses every digit to a rounded t.
-A normalized sum's scale n^{-1/2} is itself carried as hi + lo
-(_sum_scale); an affine image's scale is the float it holds.  The other
-forms take hi alone.
+A normalized sum scales the argument; the value form gets the scaled
+argument as hi + lo, the rounded product and its error, because near a
+zero of sin the uniform's sin(t)/t loses every digit to a rounded t.  The
+scale n^{-1/2} is itself carried as hi + lo (_sum_scale).  The other forms
+take hi alone.
 
 The value form keeps the relative error of phi within a few (1 + |ln phi|)
 machine epsilons where phi -> 0; the heavy-cubic law's value stays within
@@ -59,9 +57,9 @@ Inside a metrics.shared_deviations() scope, metrics._grid_deviation
 evaluates a law at a grid's own positive points through _dev with that
 grid, and a leaf law (atomic or parametric) there, alone or as a part of a
 convolution product, is computed once and then read from the scope's table
-(see _scope).  The base of a normalized sum or an affine image is
-evaluated at scaled points, never read from the table.  cf_deviation takes
-no grid: it computes every deviation afresh.
+(see _scope).  The base of a normalized sum is evaluated at scaled points,
+never read from the table.  cf_deviation takes no grid: it computes every
+deviation afresh.
 
 EmpiricalCf is the empirical cf of samples fed to it chunk by chunk, the
 Monte Carlo oracle's (mc): exact over a histogram of lattice samples,
@@ -77,14 +75,7 @@ import numpy as np
 from . import _families, _scope
 from ._families import _combine, _cos_rem, _phase, _phase_dev, _sin_rem, _two_prod
 from .errors import CharFnBoundError, MeasureError
-from .measures import (
-    Affine,
-    Atomic,
-    ConvProduct,
-    Measure,
-    NormalizedSum,
-    Parametric,
-)
+from .measures import Atomic, ConvProduct, Measure, NormalizedSum, Parametric
 
 __all__ = [
     "cf_deviation",
@@ -220,11 +211,6 @@ def _dev(m: Measure, xi: np.ndarray, grid=None) -> np.ndarray:
             if k:  # square in place only once acc no longer holds base
                 base, sq = _square(base, None if acc is base else sq)
         return acc
-    if isinstance(m, Affine):
-        d = _dev(m.base, m.scale * xi)
-        if m.shift == 0.0:
-            return d
-        return _combine(d, _phase_dev(m.shift * xi))
     raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 
@@ -272,18 +258,12 @@ def _sum_scale(n: int) -> tuple[float, float]:
     return hi, (((1.0 - q) - f) - n * e) / (2.0 * n * hi)
 
 
-def _scaled(c: float, clo: float, xi: np.ndarray, lo: np.ndarray):
-    """(c + clo) * (xi + lo) as hi + lo, dropping only the product clo * lo."""
-    hi, plo = _two_prod(c, xi)
-    return hi, plo + (c * lo + clo * xi)
-
-
 def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """phi_m(xi + lo) in value form, accurate relative to |phi| where it is small.
 
-    xi + lo is the argument carried to double length through affine and
-    normalized-sum scalings; only the uniform's sin(t)/t needs lo, every
-    other form takes the argument xi.
+    xi + lo is the argument carried to double length through normalized-sum
+    scalings; only the uniform's sin(t)/t needs lo, every other form takes
+    the argument xi.
     """
     if isinstance(m, Atomic):
         return _phi_atomic(m.positions, m.weights, xi)
@@ -295,11 +275,10 @@ def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
             out = out * _phi(part, xi, lo)
         return out
     if isinstance(m, NormalizedSum):
-        arg, arg_lo = _scaled(*_sum_scale(m.n), xi, lo)
-        return _pair_power(_pair(m.base, arg, arg_lo), m.n)[1]
-    if isinstance(m, Affine):
-        out = _phi(m.base, *_scaled(m.scale, 0.0, xi, lo))
-        return out if m.shift == 0.0 else out * _phase(m.shift * xi)
+        # (c + clo) (xi + lo) as hi + lo, dropping only the product clo lo
+        c, clo = _sum_scale(m.n)
+        arg, arg_lo = _two_prod(c, xi)
+        return _pair_power(_pair(m.base, arg, arg_lo + (c * lo + clo * xi)), m.n)[1]
     raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 

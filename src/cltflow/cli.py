@@ -42,7 +42,7 @@ from .metrics import (
     ds_distance,
     shared_deviations,
 )
-from .mc import MAX_FLOW_LEVELS, MIN_FLOW_SAMPLES, ORACLE_GRID, empirical_flow_check
+from .mc import MAX_FLOW_LEVELS, MAX_SEED, MIN_FLOW_SAMPLES, ORACLE_GRID, empirical_flow_check
 
 DEFAULT_SEED = 1234
 DEFAULT_ORACLE_SAMPLES = 1_000_000
@@ -52,8 +52,6 @@ MAX_ORACLE_SAMPLES = 10_000_000
 MAX_POINTS_PER_DECADE = 10_000
 # verify-clt-rate checks n = 2..n_max, about 0.9 ms per n at the default grid
 MAX_CLT_RATE_N = 1024
-# the generator's key is a 64-bit word: a larger seed would alias seed mod 2^64
-MAX_SEED = 2**64 - 1
 # a Lyapunov step passes when d2 falls by more than this fraction of itself;
 # d2 is accurate to about 1e-14 relative, its true decrease is above 0.1
 LYAPUNOV_MIN_RELATIVE_DECREASE = 1e-9

@@ -2,7 +2,6 @@
 
 __all__ = [
     "MeasureError",
-    "DegenerateMeasureError",
     "MembershipError",
     "CharFnBoundError",
     "ConfigError",
@@ -11,10 +10,6 @@ __all__ = [
 
 class MeasureError(ValueError):
     """Invalid construction or use of a probability measure."""
-
-
-class DegenerateMeasureError(MeasureError):
-    """Zero or non-finite variance where a standardizable law is required."""
 
 
 class MembershipError(MeasureError):

@@ -119,6 +119,8 @@ _MASK = (1 << 64) - 1
 # the flow check's levels 0..MAX_FLOW_LEVELS, and its fewest draws per level
 MAX_FLOW_LEVELS = 12
 MIN_FLOW_SAMPLES = 10**5
+# the generator's key is a 64-bit word: a larger seed would alias seed mod 2^64
+MAX_SEED = 2**64 - 1
 # counters per block, unless a tree row of draws is longer: their few
 # buffers stay in L2 and serve every block; a power of two, so a block
 # holds whole rows, and a multiple of 8, so every part the lattice route
@@ -415,6 +417,8 @@ def empirical_flow_check(
     Passing means every deviation stays within the conservative envelope
     4/sqrt(n), which does not depend on grid resolution.  Each level is
     streamed through a charfn.EmpiricalCf: memory does not grow with n.
+    levels, n and seed are ints, not bools, with seed in 0..MAX_SEED, the
+    generator's 64-bit key; any other raises MeasureError.
 
     Returns one FlowCheck per law, in order.  Every law reads the counter
     stream of seed from counter 0 on: each block of words is mixed once
@@ -432,10 +436,12 @@ def empirical_flow_check(
     exact sums only, so the cfs keep the float route's bits.  Every other
     law takes the float route (module notes).
     """
-    if not isinstance(levels, int) or not 0 <= levels <= MAX_FLOW_LEVELS:
+    if type(levels) is not int or not 0 <= levels <= MAX_FLOW_LEVELS:
         raise MeasureError(f"levels must be an integer in 0..{MAX_FLOW_LEVELS}")
-    if not isinstance(n, int) or n < MIN_FLOW_SAMPLES:
+    if type(n) is not int or n < MIN_FLOW_SAMPLES:
         raise MeasureError("the flow check needs at least 1e5 samples per level")
+    if type(seed) is not int or not 0 <= seed <= MAX_SEED:
+        raise MeasureError(f"the seed must be an integer in 0..{MAX_SEED}")
     laws = tuple(laws)
     if not laws:
         raise MeasureError("the flow check needs at least one law")

@@ -1,6 +1,6 @@
 """Probability measures on the real line and their exact moment algebra.
 
-A measure is represented by one of a small set of immutable value types:
+A measure is represented by one of four immutable value types:
 
 * ``Atomic``        finite support, positive weights summing to one
 * ``Parametric``    closed-form family (gaussian, uniform, exponential, laplace,
@@ -10,7 +10,9 @@ A measure is represented by one of a small set of immutable value types:
                     X_i of one base law; n = 2^k is k steps of the
                     renormalization map
 * ``ConvProduct``   convolution of independent component laws
-* ``Affine``        the law of shift + scale * X
+
+Each is closed under scaling (scale_law), the one affine map the library
+uses: every law in P_r is centred, so none needs a shift.
 
 All representations carry exact first-through-fourth cumulants (with ``inf``
 and ``nan`` markers where a moment is infinite or not absolutely convergent),
@@ -33,7 +35,7 @@ import numpy as np
 from . import _families
 from ._families import ATOM_ABS_MAX, PUBLIC_FAMILIES
 from ._scope import summary
-from .errors import DegenerateMeasureError, MeasureError, MembershipError
+from .errors import MeasureError, MembershipError
 
 __all__ = [
     "Measure",
@@ -41,12 +43,10 @@ __all__ = [
     "Parametric",
     "NormalizedSum",
     "ConvProduct",
-    "Affine",
     "QMembership",
     "make_atomic",
     "make_parametric",
     "moment",
-    "standardize",
     "scale_law",
     "convolve",
     "q_membership",
@@ -121,21 +121,6 @@ class ConvProduct(Measure):
     def __post_init__(self):
         if len(self.parts) < 2:
             raise MeasureError("convolution product needs at least two parts")
-
-
-@dataclass(frozen=True)
-class Affine(Measure):
-    """The law of shift + scale * X with scale > 0."""
-
-    base: Measure
-    scale: float
-    shift: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.scale <= ATOM_ABS_MAX:
-            raise MeasureError(f"affine scale must lie in (0, {ATOM_ABS_MAX:g}]")
-        if not abs(self.shift) <= ATOM_ABS_MAX:
-            raise MeasureError(f"affine shift must lie within ±{ATOM_ABS_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -288,10 +273,6 @@ def cumulants(m: Measure) -> tuple[float, float, float, float]:
     if isinstance(m, ConvProduct):
         ks = [cumulants(p) for p in m.parts]
         return tuple(math.fsum(k[i] for k in ks) for i in range(4))  # type: ignore[return-value]
-    if isinstance(m, Affine):
-        k1, k2, k3, k4 = cumulants(m.base)
-        s = m.scale
-        return (m.shift + s * k1, s * s * k2, s**3 * k3, s**4 * k4)
     raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 
@@ -310,42 +291,8 @@ def moment(m: Measure, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def standardize(m: Measure) -> Measure:
-    """Affine image (X - mean)/stddev; exact per representation."""
-    k1, k2, _, _ = cumulants(m)
-    if not math.isfinite(k2) or k2 <= 0.0:
-        raise DegenerateMeasureError(
-            f"cannot standardize a measure with variance {k2}"
-        )
-    mean, sd = k1, math.sqrt(k2)
-    if isinstance(m, Atomic):
-        xs = (m.positions - mean) / sd
-        ws = m.weights
-        xs = xs - float(np.dot(ws, xs))  # second pass kills rounding in the mean
-        return make_atomic(zip(xs, ws))
-    if isinstance(m, Parametric):
-        return Parametric(m.family, _families.row(m.family).standardize(m.params, mean, sd))
-    if abs(mean) <= 1e-12 and abs(k2 - 1.0) <= 1e-14:
-        return m
-    return scale_law(_shift(m, -mean), 1.0 / sd)
-
-
-def _shift(m: Measure, c: float) -> Measure:
-    if c == 0.0:
-        return m
-    if isinstance(m, Atomic):
-        return make_atomic(zip(m.positions + c, m.weights))
-    if isinstance(m, Parametric):
-        p = _families.row(m.family).shifted(m.params, c)
-        if p is not None:
-            return Parametric(m.family, p)
-    if isinstance(m, Affine):
-        return Affine(m.base, m.scale, m.shift + c)
-    return Affine(m, 1.0, c)
-
-
 def scale_law(m: Measure, lam: float) -> Measure:
-    """The law of lam * X for lam > 0."""
+    """The law of lam * X for lam > 0, in the representation of m."""
     lam = float(lam)
     if not lam > 0 or not math.isfinite(lam):
         raise MeasureError(f"scale factor must be positive and finite, got {lam}")
@@ -354,29 +301,24 @@ def scale_law(m: Measure, lam: float) -> Measure:
     if isinstance(m, Atomic):
         return make_atomic(zip(m.positions * lam, m.weights))
     if isinstance(m, Parametric):
-        p = _families.row(m.family).scaled(m.params, lam)
-        if p is not None:
-            return Parametric(m.family, p)
-    if isinstance(m, Affine):
-        return Affine(m.base, lam * m.scale, lam * m.shift)
-    return Affine(m, lam, 0.0)
+        return Parametric(m.family, _families.row(m.family).scaled(m.params, lam))
+    if isinstance(m, NormalizedSum):
+        return NormalizedSum(scale_law(m.base, lam), m.n)
+    if isinstance(m, ConvProduct):
+        return ConvProduct(tuple(scale_law(part, lam) for part in m.parts))
+    raise MeasureError(f"unsupported representation {type(m).__name__}")
 
 
 def convolve(a: Measure, b: Measure) -> Measure:
     """The law of X + Y for independent X ~ a, Y ~ b.
 
     Atomic pairs convolve exactly (with position merging); pairs of one
-    family that is closed under convolution (the gaussian) stay in it; point
-    masses act as shifts; everything else becomes a cf-product
-    representation.
+    family that is closed under convolution (the gaussian) stay in it;
+    everything else becomes a cf-product representation.
     """
     for m in (a, b):
         if not math.isfinite(cumulants(m)[1]):
             raise MeasureError("convolution requires finite second moments")
-    if isinstance(a, Atomic) and len(a.atoms) == 1:
-        return _shift(b, a.atoms[0][0])
-    if isinstance(b, Atomic) and len(b.atoms) == 1:
-        return _shift(a, b.atoms[0][0])
     if isinstance(a, Atomic) and isinstance(b, Atomic):
         pos = np.add.outer(a.positions, b.positions).ravel()
         ws = np.multiply.outer(a.weights, b.weights).ravel()

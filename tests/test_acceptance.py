@@ -298,3 +298,34 @@ def test_criterion_11_byte_identical_runs(tmp_path):
         f"two full-suite runs wrote {len(blobs[0])} byte-identical CSV reports, "
         f"digests moved: {moved or 'none'}",
     )
+
+
+# sha256 of each CSV this config writes at seed 77 on the grid (1e-3, 1e4,
+# 300): the scaling rows of verify-ideal, the flows and the oracle of the
+# standardized exponential and heavy-tail laws, which criterion 11 leaves out
+FINE_GRID_SHA256 = {
+    "01_verify-ideal.csv": "d4f2007a7542b3baa5b60b8d07004be4ec389613bfaca2e9feb1ddac172ee60e",
+    "02_flow.csv": "873e68b524f0e19c42279be2d164e665225c688f0a7e74ac8911a63a8f9c7768",
+    "03_flow.csv": "89245dfecf36ee7e0e188e6932adefd26862981851bb1d6a175eefbeca457e2a",
+    "04_oracle.csv": "af5dbb7bb3f7bbf3251f040d0ddac326dbf6eef1a55021a0b96ea1e890f1b8c2",
+}
+
+
+def test_fine_grid_scaling_flow_and_oracle_bytes(tmp_path):
+    config = {
+        "seed": 77,
+        "grid": {"xi_min": 1e-3, "xi_max": 1e4, "points_per_decade": 300},
+        "commands": [
+            {"command": "verify-ideal"},
+            {"command": "flow", "measure": "heavy-tail-std", "steps": 12},
+            {"command": "flow", "measure": "exponential-std", "steps": 12},
+            {"command": "oracle", "levels": 4, "samples": 100000,
+             "measures": ["exponential-std", "heavy-tail-std", "laplace-std", "uniform-std"]},
+        ],
+    }
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in os.listdir(out)}
+    assert digests == FINE_GRID_SHA256

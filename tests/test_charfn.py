@@ -156,8 +156,9 @@ def _relative_accuracy_cases():
         "cflevel-1": (cf.NormalizedSum(g, 2), lambda x, mp: mp.exp(-x * x / 2), mid),
         "cflevel-7": (cf.NormalizedSum(g, 1 << 7), lambda x, mp: mp.exp(-x * x / 2), mid),
         "cflevel-40": (cf.NormalizedSum(g, 1 << 40), lambda x, mp: mp.exp(-x * x / 2), mid),
+        # 0.3 + 0.7 (X + Y) / sqrt 2: a scaled sum and a point mass
         "affine": (
-            cf.Affine(g, 0.7, 0.3),
+            cf.convolve(cf.scale_law(cf.NormalizedSum(g, 2), 0.7), cf.make_atomic([(0.3, 1.0)])),
             lambda x, mp: mp.exp(-(0.7**2) * x * x / 2 + 1j * mp.mpf(0.3) * x),
             mid,
         ),
@@ -173,12 +174,12 @@ def _relative_accuracy_cases():
         ),
         "laplace": (lap, lambda x, mp: 1 / (1 + x * x / 2), wide),
         "exponential": (expo, lambda x, mp: mp.exp(-1j * x) / (1 - 1j * x), wide),
-        # the scaled argument of the uniform is carried as hi + lo: near the
+        # the uniform's argument half xi is carried as hi + lo: near the
         # zeros of sin a rounded argument alone costs every digit
         "affine-uniform": (
-            cf.Affine(bank.uniform_std(), 0.7),
-            lambda x, mp: _sinc(mp.mpf(half) * mp.mpf(0.7) * x, mp),
-            _near_sinc_zeros(half * 0.7),
+            cf.scale_law(bank.uniform_std(), 0.7),
+            lambda x, mp: _sinc(mp.mpf(0.7 * half) * x, mp),
+            _near_sinc_zeros(0.7 * half),
         ),
         "cflevel-uniform-3": (
             cf.NormalizedSum(bank.uniform_std(), 8),
@@ -252,7 +253,7 @@ def test_grid_values_equal_pointwise_bit_for_bit(which):
 
 def test_uniform_deviation_at_zero_has_no_zero_division():
     # runs under error::RuntimeWarning, so a masked 0/0 would fail here
-    unif = cf.Affine(bank.uniform_std(), 1.0, 0.25)
+    unif = cf.scale_law(bank.uniform_std(), 0.7)
     d = cf.cf_deviation(unif, [-1.0, 0.0, 1.0])
     assert d[1] == 0.0
 
@@ -431,19 +432,16 @@ def test_atomic_rows_keep_the_outer_product_bits(atoms, points):
 
 def test_non_finite_deviations_are_refused(monkeypatch, gauss, grid):
     # NaN fails every comparison, so a check `peak > bound` let it through
-    m = bank.uniform_std()
-    for _ in range(4):  # scale 1e300: xi = 1e10 overflows to inf, sin(inf) is NaN
-        m = cf.Affine(m, 1e75)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(CharFnBoundError, match="nan"):
-            cf.cf_deviation(m, [1.0, 1e10])
-        with pytest.raises(CharFnBoundError, match="nan"):
-            cf_at(m, 1e10)
-    # inside a scope a leaf first evaluated as a part is checked on its own,
-    # before the product it enters is
     monkeypatch.setattr(
         charfn, "_dev_parametric", lambda family, p, xi: np.full(xi.shape, np.nan + 0j)
     )
+    m = cf.NormalizedSum(cf.scale_law(bank.uniform_std(), 0.7), 4)
+    with pytest.raises(CharFnBoundError, match="nan"):
+        cf.cf_deviation(m, [1.0, 1e10])
+    with pytest.raises(CharFnBoundError, match="nan"):
+        cf_at(m, 1e10)
+    # inside a scope a leaf first evaluated as a part is checked on its own,
+    # before the product it enters is
     with metrics.shared_deviations():
         with pytest.raises(CharFnBoundError, match="nan"):
             charfn._dev(cf.ConvProduct((bank.rademacher(), gauss)), grid.positive_points(), grid)

@@ -121,6 +121,28 @@ def test_empirical_flow_check_validation(gauss):
         empirical_flow_check([gauss], levels=2, n=50_000, seed=0)
 
 
+@pytest.mark.parametrize("levels, n, seed", [
+    (1, 100_000, 2**64), (1, 100_000, -(2**64)), (1, 100_000, -1), (1, 100_000, 1.0),
+    (True, 100_000, 0), (1, 100_000, True), (1, 100_000, False),
+], ids=["2^64", "-2^64", "-1", "float", "bool-levels", "bool-seed", "bool-seed-0"])
+def test_empirical_flow_check_refuses_seeds_that_alias(rademacher, monkeypatch, levels, n, seed):
+    # the key is seed mod 2^64, so 2^64 and -2^64 ran as seed 0, and a
+    # bool ran as 0 or 1: each is refused before a word is mixed
+    def no_words(z, scratch):
+        raise AssertionError("a word was mixed")
+
+    monkeypatch.setattr(cf.mc, "_mix", no_words)
+    with pytest.raises(MeasureError, match="seed|levels|samples"):
+        empirical_flow_check([rademacher], levels, n, seed)
+
+
+def test_empirical_flow_check_takes_the_largest_seed(rademacher):
+    assert cf.mc.MAX_SEED == 2**64 - 1
+    (a,) = empirical_flow_check([rademacher], 1, 100_000, cf.mc.MAX_SEED)
+    (b,) = empirical_flow_check([rademacher], 1, 100_000, 0)
+    assert a != b
+
+
 def test_empirical_flow_check_deterministic(rademacher):
     (a,) = empirical_flow_check([rademacher], levels=1, n=100_000, seed=5)
     (b,) = empirical_flow_check([rademacher], levels=1, n=100_000, seed=5)

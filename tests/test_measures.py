@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cltflow as cf
 from cltflow import bank
-from cltflow.errors import DegenerateMeasureError, MeasureError, MembershipError
+from cltflow.errors import MeasureError, MembershipError
 from conftest import abs_third_moment, draws
 
 SQRT3 = math.sqrt(3.0)
@@ -100,32 +100,8 @@ def test_moment_rejects_bad_order(gauss):
 
 
 # ---------------------------------------------------------------------------
-# standardize / scale / convolve
+# scale / convolve
 # ---------------------------------------------------------------------------
-
-
-def test_standardize_uniform_01():
-    m = cf.standardize(cf.make_parametric("uniform", (0.0, 1.0)))
-    assert cf.moment(m, 1) == pytest.approx(0.0, abs=1e-15)
-    assert cf.moment(m, 2) == pytest.approx(1.0, abs=1e-12)
-    assert m.params[0] == pytest.approx(-SQRT3, rel=1e-14)
-
-
-def test_standardize_gaussian_identity(gauss):
-    assert cf.standardize(gauss) == gauss
-
-
-def test_standardize_idempotent(skewed):
-    shifted = cf.make_atomic([(5.0, 0.2), (2.5, 0.8)])
-    once = cf.standardize(shifted)
-    twice = cf.standardize(once)
-    for k in (1, 2, 3):
-        assert cf.moment(twice, k) == pytest.approx(cf.moment(once, k), abs=1e-10)
-
-
-def test_standardize_degenerate_rejected():
-    with pytest.raises(DegenerateMeasureError):
-        cf.standardize(cf.make_atomic([(5.0, 1.0)]))
 
 
 def test_scale_law_identity_and_atoms(rademacher):
@@ -136,6 +112,36 @@ def test_scale_law_identity_and_atoms(rademacher):
         cf.scale_law(rademacher, 0.0)
     with pytest.raises(MeasureError):
         cf.scale_law(rademacher, -1.0)
+
+
+def test_scale_law_keeps_each_of_the_four_types(skewed, gauss):
+    mp = pytest.importorskip("mpmath")
+    lam, heavy, lap = 0.7, bank.heavy_tail_std(), bank.laplace_std()
+    total = cf.NormalizedSum(lap, 8)
+    product = cf.convolve(lap, bank.exponential_std())
+    for m in (skewed, gauss, heavy, total, product):
+        scaled = cf.scale_law(m, lam)
+        assert type(scaled) is type(m)
+        k = np.array(cf.cumulants(m))
+        np.testing.assert_allclose(cf.cumulants(scaled), k * lam ** np.arange(1, 5),
+                                   rtol=1e-14, atol=1e-15)
+    assert cf.scale_law(heavy, lam) == cf.Parametric("heavy_cubic", (lam,))
+    xi = np.geomspace(1e-3, 1e4, 71)
+    assert np.array_equal(cf.cf_deviation(cf.scale_law(heavy, lam), xi),
+                          cf.cf_deviation(heavy, lam * xi))
+    # the law of lam X, each scaled part evaluated at 80 digits, within the
+    # 1e-14 of |D| the charfn module states
+    refs = [
+        (total, lambda t: (1 + t * t / 16) ** -8),
+        (product, lambda t: mp.expj(-t) / ((1 + t * t / 2) * (1 - 1j * t))),
+    ]
+    xi = np.concatenate([-xi[::7], xi[xi <= 40.0]])
+    with mp.workdps(80):
+        for m, phi in refs:
+            got = cf.cf_deviation(cf.scale_law(m, lam), xi)
+            for x, dev in zip(xi, got):
+                want = phi(mp.mpf(lam) * mp.mpf(float(x))) - 1
+                assert abs(mp.mpc(dev.real, dev.imag) - want) <= 1e-14 * abs(want), (m, x)
 
 
 def test_gaussian_stability_under_scaled_convolution(gauss):
@@ -157,9 +163,14 @@ def test_convolve_gaussians(gauss):
 
 
 def test_convolve_with_point_mass_is_identity(skewed, gauss):
+    # atomic pairs convolve exactly; any other pair is a product, the same law
     delta0 = cf.make_atomic([(0.0, 1.0)])
     assert cf.convolve(skewed, delta0) == skewed
-    assert cf.convolve(delta0, gauss) == gauss
+    both = cf.convolve(delta0, gauss)
+    assert both == cf.ConvProduct((delta0, gauss))
+    assert cf.cumulants(both) == cf.cumulants(gauss)
+    xi = np.geomspace(1e-3, 50.0, 60)
+    assert np.array_equal(cf.cf_deviation(both, xi), cf.cf_deviation(gauss, xi))
 
 
 def test_convolve_generic_becomes_product(gauss):
@@ -202,6 +213,10 @@ def test_q_membership_rejects_unsupported_r(gauss):
         cf.q_membership(gauss, 4)
 
 
+def _point(c):
+    return cf.make_atomic([(c, 1.0)])
+
+
 def _verdict_laws():
     """(id, law, member at r = 2, member at r = 3) for the verdict table."""
     heavy, gauss, uni = bank.heavy_tail_std(), bank.gaussian(), bank.uniform_std()
@@ -230,11 +245,13 @@ def _verdict_laws():
         ("conv-heavy-heavy-scaled", cf.scale_law(cf.convolve(heavy, heavy), half), True, False),
         ("sum-of-conv-4", cf.NormalizedSum(cf.scale_law(cf.convolve(uni, gauss), half), 4),
          True, True),
-        ("affine-uniform-shift-1e-11", cf.Affine(uni, 1.0, 1e-11), True, True),
-        ("affine-heavy-shift-1e-11", cf.Affine(heavy, 1.0, 1e-11), True, False),
-        ("affine-heavy-moved", cf.Affine(heavy, 2.0, 1.0), False, False),
-        ("affine-at-the-bound", cf.Affine(uni, big, -big), False, False),
-        ("affine-at-the-bound-reduced", cf.Affine(cf.scale_law(uni, 1.0 / big), big),
+        # shift + scale X: the scaled law convolved with a point mass
+        ("affine-uniform-shift-1e-11", cf.convolve(uni, _point(1e-11)), True, True),
+        ("affine-heavy-shift-1e-11", cf.convolve(heavy, _point(1e-11)), True, False),
+        ("affine-heavy-moved", cf.convolve(cf.scale_law(heavy, 2.0), _point(1.0)), False, False),
+        ("affine-at-the-bound", cf.convolve(cf.scale_law(heavy, big), _point(-big)),
+         False, False),
+        ("affine-at-the-bound-reduced", cf.scale_law(cf.scale_law(uni, 1.0 / big), big),
          True, True),
     ]
 
@@ -334,14 +351,16 @@ def test_centered_third_moments_add(aa, bb):
     (1.0, 1e76), (1.0, -1e300), (1.0, math.inf), (1.0, math.nan),
 ])
 def test_affine_scale_and_shift_are_bounded(scale, shift):
-    # cumulants(Affine(uniform_std, 1e80)) raised OverflowError from s**4,
-    # and Affine(uniform_std, 1e300) gave NaN cf values at xi = 1e10
-    with pytest.raises(MeasureError, match="affine"):
-        cf.Affine(bank.uniform_std(), scale, shift)
+    # shift + scale X is the scaled law convolved with a point mass: a
+    # scale beyond ATOM_ABS_MAX would overflow the cumulants' s^4, and the
+    # heavy-tail law's scale, like an atom's position, is refused beyond it
+    with pytest.raises(MeasureError):
+        cf.convolve(cf.scale_law(bank.heavy_tail_std(), scale), _point(shift))
 
 
 def test_affine_at_the_bound_has_finite_moments():
-    m = cf.Affine(bank.uniform_std(), cf.measures.ATOM_ABS_MAX, -cf.measures.ATOM_ABS_MAX)
+    big = cf.measures.ATOM_ABS_MAX
+    m = cf.convolve(cf.scale_law(bank.laplace_std(), big), _point(-big))
     assert all(map(math.isfinite, cf.cumulants(m)))
 
 

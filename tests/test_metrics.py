@@ -335,7 +335,7 @@ def test_memo_exists_only_inside_a_scope(skewed, gauss, grid):
     with pytest.raises(MembershipError):
         with metrics.shared_deviations():
             cf.ds_distance(skewed, gauss, 3, cf.GridSpec(1e-3, 50.0, 10))
-            cf.ds_distance(cf.Affine(skewed, 1.0, 1.0), gauss, 3, grid)
+            cf.ds_distance(cf.scale_law(skewed, 2.0), gauss, 3, grid)
     assert _scope.active is None
 
 

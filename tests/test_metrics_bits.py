@@ -80,7 +80,9 @@ def _laws():
         # convolution powers, normalized: sums of n copies over sqrt(n)
         "convpower-3": cf.NormalizedSum(skewed, 3),
         "convpower-64": cf.NormalizedSum(bank.uniform_std(), 64),
-        "affine-shift": cf.Affine(skewed, 0.7, 0.3),
+        # 0.3 + 0.7 (X_1 + X_2) / sqrt 2: a scaled sum and a point mass
+        "affine-shift": cf.convolve(cf.scale_law(cf.NormalizedSum(skewed, 2), 0.7),
+                                    make_atomic([(0.3, 1.0)])),
         "convproduct": cf.ConvProduct((skewed, bank.laplace_std(), bank.uniform_std())),
         "atoms-12": twelve,
         "empirical-3000": make_atomic((x, 1.0) for x in rng.gamma(2.0, size=3000)),

@@ -799,15 +799,16 @@ def test_flow_check_of_no_laws_or_a_bad_one_raises():
     with pytest.raises(MeasureError):
         mc.empirical_flow_check([], 2, 100_000, 1)
     # the first bad law in order raises, before any draw
-    composite = cf.Affine(cf.convolve(bank.gaussian(), bank.rademacher()), 2.0**-0.5)
-    with pytest.raises(MeasureError, match="not Affine"):
+    composite = cf.scale_law(cf.convolve(bank.gaussian(), bank.rademacher()), 2.0**-0.5)
+    with pytest.raises(MeasureError, match="not ConvProduct"):
         mc.empirical_flow_check(
             [bank.gaussian(), composite, cf.NormalizedSum(bank.gaussian(), 2**30)], 2, 100_000, 1)
 
 
 COMPOSITES = {
     "normalized-sum": lambda: cf.NormalizedSum(bank.skewed_two_atom(), 4),
-    "affine": lambda: cf.Affine(bank.rademacher(), 1.0),
+    # a point mass convolves with a closed-form law into a product
+    "affine": lambda: cf.convolve(bank.uniform_std(), cf.make_atomic([(0.0, 1.0)])),
     "conv-product": lambda: cf.convolve(cf.scale_law(bank.uniform_std(), 0.6),
                                         cf.scale_law(bank.gaussian(), 0.8)),
 }
