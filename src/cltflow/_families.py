@@ -10,6 +10,8 @@ gaussian (mean, var): k = (mean, var, 0, 0); D = expm1(-var xi^2 / 2) and
   inverse normal (_special.InverseNormal), about 1e-16 relative from
   u = 2^-53 to 1 - 2^-53, with buffers allocated once per block shape;
   gaussian(0, 1) skips the scale and shift.  Two gaussians add to one.
+  |xi| is capped at 64 / sqrt(var), where phi is 0 and D is -1 already, so
+  var xi^2 never overflows.
 
 uniform (a, b), half = (b - a) / 2, t = half xi: k = ((a + b) / 2,
   half^2 / 3, 0, -2 half^4 / 15); D = (sin t - t) / t and phi = sin t / t at
@@ -18,8 +20,9 @@ uniform (a, b), half = (b - a) / 2, t = half xi: k = ((a + b) / 2,
   of t times t / |sin t|.  Draws are a + (b - a) u.
 
 laplace (loc, scale b), t = b xi: k = (loc, 2 b^2, 0, 12 b^4);
-  D = -t^2 / (1 + t^2) and phi = 1 / (1 + t^2) at loc.  Draws are
-  loc - b sign(v) log1p(-2 |v|), v = u - 1/2.
+  D = -t^2 / (1 + t^2) and phi = 1 / (1 + t^2) at loc, D with |t| capped
+  at 2^27, where it is -1 already, and phi taken as (1 / t)^2 where t^2
+  overflows.  Draws are loc - b sign(v) log1p(-2 |v|), v = u - 1/2.
 
 exponential (rate, shift), t = xi / rate: make_parametric takes the rate
   alone, shift 0; the shift serves the centred, reduced member (1, -1).
@@ -48,6 +51,7 @@ charfn imports them from below and no import cycle forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +66,7 @@ from .errors import MeasureError
 # cumulant cross terms of up to 12 x^4, within the float range
 ATOM_ABS_MAX = 1e75
 _SERIES_CUT = 0.1
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # its square is finite
 
 
 def _sin_rem(t: np.ndarray) -> np.ndarray:
@@ -169,9 +174,25 @@ def _rate_alone(p):
     return (p[0], 0.0)
 
 
+def _gaussian_exponent(p, xi):
+    """-var xi^2 / 2 with |xi| capped at 64 / sd: exp is 0 from -2048 on, and nothing overflows."""
+    x = np.minimum(np.abs(xi), 64.0 / math.sqrt(p[1]))
+    return -0.5 * p[1] * x * x
+
+
 def _laplace_deviation(p, xi):
-    t2 = (p[1] * xi) ** 2
+    # from |t| = 2^27 on, 1 + t^2 rounds to t^2 and D to -1, so capping |t|
+    # there keeps every bit and t^2 finite
+    t2 = np.minimum(np.abs(p[1] * xi), 2.0**27) ** 2
     return -t2 / (1.0 + t2) + 0j, p[0]
+
+
+def _laplace_value(p, xi, lo):
+    # where t^2 would overflow, 1 / (1 + t^2) is (1 / t)^2, below 6e-309
+    t = np.abs(p[1] * xi)
+    r = 1.0 / np.maximum(t, _SQRT_FLOAT_MAX)
+    v = np.where(t > _SQRT_FLOAT_MAX, r * r, 1.0 / (1.0 + np.minimum(t, _SQRT_FLOAT_MAX) ** 2))
+    return v + 0j, p[0]
 
 
 def _inverse(cdf_inverse):
@@ -221,8 +242,8 @@ FAMILIES: dict[str, Family] = {
         standard=(0.0, 1.0),
         sizes=lambda p: (p[0], math.sqrt(p[1])) if p[1] > 0 else None,
         cumulants=lambda p: (p[0], p[1], 0.0, 0.0),
-        deviation=lambda p, xi: (np.expm1(-0.5 * p[1] * xi * xi) + 0j, p[0]),
-        value=lambda p, xi, lo: (np.exp(-0.5 * p[1] * xi * xi) + 0j, p[0]),
+        deviation=lambda p, xi: (np.expm1(_gaussian_exponent(p, xi)) + 0j, p[0]),
+        value=lambda p, xi, lo: (np.exp(_gaussian_exponent(p, xi)) + 0j, p[0]),
         sampler=_gaussian_sampler,
         scaled=lambda p, lam: (lam * p[0], lam * lam * p[1]),
         added=lambda p, q: (p[0] + q[0], p[1] + q[1]),
@@ -254,7 +275,7 @@ FAMILIES: dict[str, Family] = {
         sizes=lambda p: p if p[1] > 0 else None,
         cumulants=lambda p: (p[0], 2.0 * p[1] * p[1], 0.0, 12.0 * p[1] ** 4),
         deviation=_laplace_deviation,
-        value=lambda p, xi, lo: (1.0 / (1.0 + (p[1] * xi) ** 2) + 0j, p[0]),
+        value=_laplace_value,
         sampler=_inverse(
             lambda p, u: p[0] - p[1] * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
         ),

@@ -23,25 +23,11 @@ from dataclasses import dataclass
 
 from .bank import Q2_BANK_NAMES, Q3_BANK_NAMES, resolve_alias
 from .errors import CharFnBoundError, ConfigError, MeasureError
-from .flow import (
-    CONTRACTION_BOUND,
-    MAX_TRAJECTORY_STEPS,
-    clt_rate_check,
-    contraction_ratio,
-    renorm_trajectory,
-)
-from .measures import Measure, convolve, measure_from_literal
-from .metrics import (
-    GRID_XI_MAX,
-    GRID_XI_MIN,
-    GridSpec,
-    _fmt,
-    check_convolution_invariance,
-    check_convolution_subadditivity,
-    check_scaling_ideality,
-    ds_distance,
-    shared_deviations,
-)
+from .flow import MAX_TRAJECTORY_STEPS, clt_rate_check, contraction_ratio, renorm_trajectory
+from .measures import Measure, measure_from_literal
+from .metrics import (GRID_XI_MAX, GRID_XI_MIN, GridSpec, _fmt, check_convolution_invariance,
+                      check_convolution_subadditivity, check_doubling, check_scaling_ideality,
+                      ds_distance, shared_deviations)
 from .mc import MAX_FLOW_LEVELS, MAX_SEED, MIN_FLOW_SAMPLES, ORACLE_GRID, empirical_flow_check
 
 DEFAULT_SEED = 1234
@@ -52,9 +38,6 @@ MAX_ORACLE_SAMPLES = 10_000_000
 MAX_POINTS_PER_DECADE = 10_000
 # verify-clt-rate checks n = 2..n_max, about 0.9 ms per n at the default grid
 MAX_CLT_RATE_N = 1024
-# a Lyapunov step passes when d2 falls by more than this fraction of itself;
-# d2 is accurate to about 1e-14 relative, its true decrease is above 0.1
-LYAPUNOV_MIN_RELATIVE_DECREASE = 1e-9
 IDEAL_LAMBDAS = (0.5, 2.0**-0.5, 1.0, 2.0)
 # a command that raises one of these fails with an error row; any other
 # exception propagates
@@ -112,62 +95,52 @@ def _run_distance(cmd: dict, env: _Env) -> CommandResult:
     return CommandResult(header, [row], True, summary)
 
 
+def _report(header: str, rows: list[str], oks: list[bool], summary: str) -> CommandResult:
+    """The result of a command whose rows carry the verdicts oks: ok when all hold."""
+    ok = all(oks)
+    return CommandResult(header, rows, ok, f"{summary} {'ok' if ok else 'FAIL'}")
+
+
 def _run_flow(cmd: dict, env: _Env) -> CommandResult:
-    m = env.resolve(cmd["measure"])
     steps = cmd["steps"]
-    report = renorm_trajectory(m, steps, env.grid)
-    ok = report.lyapunov_monotone
+    report = renorm_trajectory(env.resolve(cmd["measure"]), steps, env.grid)
     detail = []
-    if report.distances_d3 is not None and report.distances_d3[0] > 1e-12:
-        d0 = report.distances_d3[0]
-        for n in range(1, steps + 1):
-            if report.distances_d3[n] > 2.0 ** (-n / 2.0) * d0 * (1.0 + 1e-6):
-                ok = False
-                detail.append(f"decay envelope violated at step {n}")
-                break
-    if not report.lyapunov_monotone:
-        detail.append("d2 not strictly decreasing")
-    slope = (
-        "undefined"
-        if report.fitted_slope_log2 is None
-        else _fmt(report.fitted_slope_log2)
-    )
+    if report.envelope_violation is not None:
+        detail.append(f"decay envelope violated at step {report.envelope_violation}")
+    if not all(report.lyapunov):
+        detail.append(f"d2 not strictly decreasing at step {report.lyapunov.index(False)}")
+    slope = "undefined" if report.fitted_slope_log2 is None else _fmt(report.fitted_slope_log2)
     summary = (
         f"flow {cmd['measure']} steps={steps}: slope_log2={slope} "
-        f"{'ok' if ok else 'FAIL (' + '; '.join(detail) + ')'}"
+        f"{'ok' if report.ok else 'FAIL (' + '; '.join(detail) + ')'}"
     )
-    return CommandResult(report.CSV_HEADER, report.to_csv_rows(), ok, summary)
+    return CommandResult(report.CSV_HEADER, report.to_csv_rows(), report.ok, summary)
 
 
 def _run_verify_contraction(cmd: dict, env: _Env) -> CommandResult:
-    bank = env.bank(Q3_BANK_NAMES)
-    bound = CONTRACTION_BOUND + 1e-6
-    rows, ok = [], True
-    worst = 0.0
-    for (na, ma), (nb, mb) in itertools.combinations(bank.items(), 2):
-        ratio = contraction_ratio(ma, mb, env.grid)
-        good = ratio <= bound
-        ok &= good
-        worst = max(worst, ratio)
-        rows.append(f"{na},{nb},{_fmt(ratio)},{_fmt(bound)},{_flag(good)}")
-    summary = (
-        f"verify-contraction: 10 pairs, worst ratio {_fmt(worst)} "
-        f"(bound {_fmt(bound)}) {'ok' if ok else 'FAIL'}"
+    rows, checks = [], []
+    for (na, ma), (nb, mb) in itertools.combinations(env.bank(Q3_BANK_NAMES).items(), 2):
+        chk = contraction_ratio(ma, mb, env.grid)
+        checks.append(chk)
+        rows.append(f"{na},{nb},{_fmt(chk.lhs)},{_fmt(chk.rhs)},{_flag(chk.ok)}")
+    worst = max(checks, key=lambda chk: chk.lhs)
+    return _report(
+        "a,b,ratio,bound,ok", rows, [chk.ok for chk in checks],
+        f"verify-contraction: {len(rows)} pairs, worst ratio {_fmt(worst.lhs)} "
+        f"(bound {_fmt(worst.rhs)})",
     )
-    return CommandResult("a,b,ratio,bound,ok", rows, ok, summary)
 
 
 def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
     gauss = env.resolve("gaussian")
-    rows, ok = [], True
+    rows, oks = [], []
 
-    def emit(check, s, names, lam, lhs, rhs, stat, good):
-        nonlocal ok
-        ok &= good
+    def emit(check, s, names, lam, chk):
+        oks.append(chk.ok)
         lam_s = "" if lam is None else _fmt(lam)
         rows.append(
-            f"{check},{s},{'|'.join(names)},{lam_s},{_fmt(lhs)},{_fmt(rhs)},"
-            f"{_fmt(stat)},{_flag(good)}"
+            f"{check},{s},{'|'.join(names)},{lam_s},{_fmt(chk.lhs)},{_fmt(chk.rhs)},"
+            f"{_fmt(chk.stat)},{_flag(chk.ok)}"
         )
 
     for s in (2, 3):
@@ -176,9 +149,8 @@ def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
         for (na, ma), (nb, mb) in itertools.combinations_with_replacement(
             bank.items(), 2
         ):
-            sub = check_convolution_subadditivity(ma, mb, gauss, gauss, s, env.grid)
             emit("subadditivity", s, (na, nb, "gaussian", "gaussian"), None,
-                 sub.lhs, sub.rhs, sub.margin, sub.ok)
+                 check_convolution_subadditivity(ma, mb, gauss, gauss, s, env.grid))
         # lambda in the outer loop keeps one lambda's rescaled laws shared
         # across the pairs; a check that fails raises at its own row
         scaling = {}
@@ -191,63 +163,48 @@ def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
                 scaling[na, nb, lam] = sc
         for (na, ma), (nb, mb) in pairs:
             for eta_name in ("gaussian", "rademacher"):
-                inv = check_convolution_invariance(
-                    ma, mb, env.resolve(eta_name), s, env.grid
-                )
                 emit("conv-invariance", s, (na, nb, eta_name), None,
-                     inv.lhs, inv.rhs, inv.margin, inv.ok)
+                     check_convolution_invariance(ma, mb, env.resolve(eta_name), s, env.grid))
             for lam in IDEAL_LAMBDAS:
                 sc = scaling[na, nb, lam]
                 if isinstance(sc, Exception):
                     raise sc
-                emit("scaling", s, (na, nb), lam, sc.lhs, sc.rhs, sc.ratio, sc.ok)
-            # generic doubling bound: d(nu*nu, mu*mu) <= 2 d(nu, mu)
-            lhs = ds_distance(
-                convolve(ma, ma), convolve(mb, mb), s, env.grid,
-                require_class_membership=False,
-            ).value
-            rhs = ds_distance(ma, mb, s, env.grid).value
-            emit("doubling", s, (na, nb), None, lhs, 2.0 * rhs,
-                 2.0 * rhs - lhs, lhs <= 2.0 * rhs + 1e-8)
-    summary = f"verify-ideal: {len(rows)} checks {'ok' if ok else 'FAIL'}"
-    return CommandResult("check,s,measures,lambda,lhs,rhs,stat,ok", rows, ok, summary)
+                emit("scaling", s, (na, nb), lam, sc)
+            emit("doubling", s, (na, nb), None, check_doubling(ma, mb, s, env.grid))
+    return _report("check,s,measures,lambda,lhs,rhs,stat,ok", rows, oks,
+                    f"verify-ideal: {len(rows)} checks")
 
 
 def _run_verify_lyapunov(cmd: dict, env: _Env) -> CommandResult:
     steps = cmd["steps"]
-    rows, ok = [], True
+    rows, oks = [], []
     for name, m in env.bank(Q2_BANK_NAMES).items():
         report = renorm_trajectory(m, steps, env.grid)
         d2 = report.distances_d2
-        for n in range(steps):
-            decrease = d2[n] - d2[n + 1]
-            good = decrease > LYAPUNOV_MIN_RELATIVE_DECREASE * d2[n]
-            ok &= good
+        for n, good in enumerate(report.lyapunov):
+            oks.append(good)
             rows.append(
-                f"{name},{n},{_fmt(d2[n])},{_fmt(d2[n + 1])},{_fmt(decrease)},"
+                f"{name},{n},{_fmt(d2[n])},{_fmt(d2[n + 1])},{_fmt(d2[n] - d2[n + 1])},"
                 f"{_flag(good)}"
             )
-    summary = (
-        f"verify-lyapunov: strict d2 decrease over {steps} steps "
-        f"{'ok' if ok else 'FAIL'}"
-    )
-    return CommandResult("measure,n,v_before,v_after,decrease,ok", rows, ok, summary)
+    return _report("measure,n,v_before,v_after,decrease,ok", rows, oks,
+                    f"verify-lyapunov: strict d2 decrease over {steps} steps")
 
 
 def _run_verify_clt_rate(cmd: dict, env: _Env) -> CommandResult:
     n_max = cmd["n_max"]
-    rows, ok = [], True
+    rows, oks = [], []
     for name in ("rademacher", "skewed"):
         m = env.resolve(name)
         for n in range(2, n_max + 1):
             chk = clt_rate_check(m, n, env.grid)
-            ok &= chk.ok
+            oks.append(chk.ok)
             rows.append(
-                f"{name},{n},{_fmt(chk.lhs)},{_fmt(chk.rhs)},{_fmt(chk.margin)},"
+                f"{name},{n},{_fmt(chk.lhs)},{_fmt(chk.rhs)},{_fmt(chk.stat)},"
                 f"{_flag(chk.ok)}"
             )
-    summary = f"verify-clt-rate: n=2..{n_max} {'ok' if ok else 'FAIL'}"
-    return CommandResult("measure,n,lhs,rhs,margin,ok", rows, ok, summary)
+    return _report("measure,n,lhs,rhs,margin,ok", rows, oks,
+                    f"verify-clt-rate: n=2..{n_max}")
 
 
 def _run_oracle(cmd: dict, env: _Env) -> CommandResult:
@@ -255,19 +212,13 @@ def _run_oracle(cmd: dict, env: _Env) -> CommandResult:
     names = cmd["measures"]
     checks = empirical_flow_check([env.resolve(name) for name in names], levels, samples,
                                   env.seed)
-    rows, ok = [], True
-    for name, chk in zip(names, checks):
-        ok &= chk.ok
-        for level, dev in enumerate(chk.per_level):
-            rows.append(
-                f"{name},{level},{_fmt(dev)},{_fmt(chk.envelope)},"
-                f"{_flag(dev <= chk.envelope)}"
-            )
-    summary = (
-        f"oracle: levels 0..{levels} at n={samples}, seed={env.seed} "
-        f"{'ok' if ok else 'FAIL'}"
-    )
-    return CommandResult("measure,level,max_dev,envelope,ok", rows, ok, summary)
+    rows = [
+        f"{name},{level},{_fmt(dev)},{_fmt(chk.envelope)},{_flag(good)}"
+        for name, chk in zip(names, checks)
+        for level, (dev, good) in enumerate(zip(chk.per_level, chk.levels_ok))
+    ]
+    return _report("measure,level,max_dev,envelope,ok", rows, [chk.ok for chk in checks],
+                    f"oracle: levels 0..{levels} at n={samples}, seed={env.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -226,14 +226,6 @@ def measure_from_literal(obj) -> Measure:
 # ---------------------------------------------------------------------------
 
 
-def _raw_to_cumulants(m1, m2, m3, m4):
-    k1 = m1
-    k2 = m2 - m1 * m1
-    k3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
-    k4 = m4 - 4.0 * m1 * m3 - 3.0 * m2 * m2 + 12.0 * m1 * m1 * m2 - 6.0 * m1**4
-    return (k1, k2, k3, k4)
-
-
 def _cumulants_to_raw(k1, k2, k3, k4):
     # cross terms vanish identically for centred laws even when the higher
     # cumulant carries an inf/nan marker, so 0 * marker must stay 0
@@ -247,10 +239,12 @@ def _cumulants_to_raw(k1, k2, k3, k4):
     return (m1, m2, m3, m4)
 
 
-def _atomic_raw(atoms):
-    xs = np.array([a[0] for a in atoms])
-    ws = np.array([a[1] for a in atoms])
-    return tuple(float(np.dot(ws, xs**k)) for k in (1, 2, 3, 4))
+def _atomic_cumulants(m: Atomic):
+    """k1..k4 from the moments about the mean, so a point mass has k2 = k3 = k4 = 0."""
+    xs, ws = m.positions, m.weights
+    mean = float(np.dot(ws, xs))
+    c2, c3, c4 = (float(np.dot(ws, (xs - mean) ** k)) for k in (2, 3, 4))
+    return (mean, c2, c3, c4 - 3.0 * c2 * c2)
 
 
 @summary
@@ -262,7 +256,7 @@ def cumulants(m: Measure) -> tuple[float, float, float, float]:
     lambda^k, which makes every composite exact.
     """
     if isinstance(m, Atomic):
-        return _raw_to_cumulants(*_atomic_raw(m.atoms))
+        return _atomic_cumulants(m)
     if isinstance(m, Parametric):
         return _families.row(m.family).cumulants(m.params)
     if isinstance(m, NormalizedSum):
@@ -282,7 +276,7 @@ def moment(m: Measure, k: int) -> float:
     if not isinstance(k, int) or not 1 <= k <= 4:
         raise MeasureError("moment order must be an integer in 1..4")
     if isinstance(m, Atomic):
-        return _atomic_raw(m.atoms)[k - 1]
+        return float(np.dot(m.weights, m.positions**k))
     return _cumulants_to_raw(*cumulants(m))[k - 1]
 
 

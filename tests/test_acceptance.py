@@ -55,7 +55,7 @@ def test_criterion_2_contraction_constant():
     bound = 2.0**-0.5 + 1e-6
     worst = 0.0
     for (na, ma), (nb, mb) in itertools.combinations(Q3.items(), 2):
-        ratio = cf.contraction_ratio(ma, mb, GRID)
+        ratio = cf.contraction_ratio(ma, mb, GRID).lhs
         worst = max(worst, ratio)
         assert ratio <= bound, (na, nb, ratio)
     elapsed = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_criterion_5_sqrt_n_clt_rate():
         m = Q3[name]
         for n in range(2, 65):
             chk = cf.clt_rate_check(m, n, GRID)
-            worst_margin = min(worst_margin, chk.margin)
+            worst_margin = min(worst_margin, chk.stat)
             assert chk.ok, (name, n)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
@@ -157,8 +157,8 @@ def test_criterion_6_ideal_metric_suite():
             for lam in lambdas:
                 sc = cf.check_scaling_ideality(ma, mb, lam, s, GRID)
                 assert sc.ok, ("scaling", s, na, nb, lam)
-                assert abs(sc.ratio - 1.0) <= 1e-6, (s, na, nb, lam, sc.ratio)
-                assert sc.ratio <= 1.0 + 1e-8
+                assert abs(sc.stat - 1.0) <= 1e-6, (s, na, nb, lam, sc.stat)
+                assert sc.stat <= 1.0 + 1e-8
                 checks += 1
     _announce(
         6,

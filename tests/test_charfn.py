@@ -282,6 +282,26 @@ def test_cf_at_the_largest_grid_point(q2_bank):
         assert np.all(np.abs(1.0 + cf.cf_deviation(m, xi)) <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e60, 1e74])
+@pytest.mark.parametrize("name", ["laplace-std", "gaussian"])
+def test_wide_laplace_and_gaussian_do_not_overflow(name, scale):
+    # runs under error::RuntimeWarning: (b xi)^2 and var xi xi overflowed
+    # at xi = 1e100, and the laplace deviation was NaN
+    mp = pytest.importorskip("mpmath")
+    m = cf.scale_law(bank.ALIASES[name](), scale)
+    xi = np.array([1e10, 1e50, 1e100])
+    assert np.array_equal(cf.cf_deviation(m, xi), [-1.0, -1.0, -1.0])
+    value = cf.eval_cf_grid(m, xi)
+    if name == "gaussian":
+        assert np.array_equal(value, [0.0, 0.0, 0.0])
+    else:  # 1 / (1 + (b xi)^2), at most 2e-140; the last is subnormal
+        b = m.params[1]
+        with mp.workdps(50):
+            want = [float(1 / (1 + (mp.mpf(b) * mp.mpf(x)) ** 2)) for x in xi]
+        assert np.all(value.imag == 0.0) and value.real.max() <= 2e-140
+        assert np.allclose(value.real, want, rtol=4 * EPS, atol=1e-323)
+
+
 @pytest.mark.parametrize("name", ["skewed", "rademacher"])
 def test_atomic_deviation_keeps_its_digits_at_large_xi(name):
     # xi mean + sum w (sin t - t) cancels terms of size |t|; beyond

@@ -10,7 +10,7 @@ import pytest
 
 import cltflow
 import cltflow.charfn as charfn
-from cltflow import _scope, cli, metrics
+from cltflow import _scope, cli, flow, mc, metrics
 from cltflow.cli import main
 from cltflow.errors import MeasureError
 
@@ -168,13 +168,14 @@ def test_run_config_unknown_command_keys_exit_2(tmp_path, capsys):
     assert "unknown keys" in err
 
 
-def perturb_gaussian(monkeypatch):
-    # damp the gaussian reference cf by ~1e-3: inequalities must now fail
+def perturb_gaussian(monkeypatch, family="gaussian"):
+    # damp the gaussian reference cf (or the family's) by ~1e-3, at xi
+    # itself, whatever the law's scale: inequalities must now fail
     orig = charfn._dev_parametric
 
-    def perturbed(family, params, xi):
-        dev = orig(family, params, xi)
-        if family == "gaussian":
+    def perturbed(fam, params, xi):
+        dev = orig(fam, params, xi)
+        if fam == family:
             g = xi * xi / (1.0 + xi * xi)
             dev = dev + (1.0 + dev) * (-1e-3 * g)
         return dev
@@ -190,6 +191,103 @@ def test_fault_injection_exits_1(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def step_is_identity(monkeypatch):
+    # T nu swapped for nu itself: every contraction ratio is 1
+    monkeypatch.setattr(flow, "renorm_step", lambda m: m)
+
+
+def fourfold_for_twofold(monkeypatch):
+    # each convolution a * b of the structural checks swapped for (a * b) * (a * b)
+    orig = metrics.convolve
+    monkeypatch.setattr(metrics, "convolve", lambda a, b: orig(orig(a, b), orig(a, b)))
+
+
+def biased_draws(monkeypatch):
+    # every draw of the oracle's float route made 10% too wide
+    orig = mc._transform
+
+    def biased(m, size):
+        transform = orig(m, size)
+
+        def draw(z, out):
+            transform(z, out)
+            out *= 1.1
+
+        return draw
+
+    monkeypatch.setattr(mc, "_transform", biased)
+
+
+@pytest.mark.parametrize("fault, cmd, failing", [
+    (step_is_identity, {"command": "verify-contraction"}, ""),
+    (lambda patch: perturb_gaussian(patch, "uniform"), {"command": "verify-ideal"}, "scaling,"),
+    (fourfold_for_twofold, {"command": "verify-ideal"}, "doubling,"),
+    (perturb_gaussian, {"command": "verify-clt-rate", "n_max": 4}, ""),
+    (biased_draws, {"command": "oracle", "measures": ["gaussian"], "levels": 1,
+                    "samples": 100_000}, ""),
+], ids=["contraction", "scaling", "doubling", "clt-rate", "oracle"])
+def test_a_fault_upstream_of_a_verdict_writes_a_false_row(fault, cmd, failing, tmp_path,
+                                                          capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"commands": [cmd]}))
+    csv = f"01_{cmd['command']}.csv"
+    code, _, _ = run_cli(["run", "--config", str(config), "--out", str(tmp_path / "clean")],
+                         capsys)
+    assert code == 0
+    fault(monkeypatch)
+    code, out, _ = run_cli(["run", "--config", str(config), "--out", str(tmp_path / "faulty")],
+                           capsys)
+    assert code == 1 and "FAIL" in out
+    rows = (tmp_path / "faulty" / csv).read_text().splitlines()[1:]
+    assert not any(row.startswith("error,") for row in rows)
+    assert any(row.startswith(failing) and row.endswith(",false") for row in rows)
+
+
+def test_a_perturbed_gaussian_breaks_the_decay_envelope(capsys, monkeypatch):
+    perturb_gaussian(monkeypatch)
+    assert cltflow.renorm_trajectory(cltflow.bank.skewed_two_atom(), 4).envelope_violation == 1
+    code, out, _ = run_cli(["flow", "--measure", "skewed", "--steps", "4"], capsys)
+    assert code == 1 and "FAIL (decay envelope violated at step 1)" in out
+
+
+def test_flow_and_verify_lyapunov_share_one_lyapunov_rule(tmp_path, capsys, monkeypatch):
+    # d2 at step 2 made to fall from its value at step 1 by a relative 1e-12
+    # only, in every trajectory: both commands fail that step
+    orig = flow.ds_distance
+    last = {}
+
+    def patched(a, b, s, grid=None, **kwargs):
+        res = orig(a, b, s, grid, **kwargs)
+        if s == 2:
+            if isinstance(a, cltflow.NormalizedSum) and a.n == 4:
+                res = dataclasses.replace(res, value=last["d2"] * (1.0 - 1e-12))
+            last["d2"] = res.value
+        return res
+
+    monkeypatch.setattr(flow, "ds_distance", patched)
+    code, out, _ = run_cli(["flow", "--measure", "skewed", "--steps", "4"], capsys)
+    assert code == 1 and "FAIL (d2 not strictly decreasing at step 1)" in out
+    code, out, _ = run_cli(["verify-lyapunov", "--steps", "4", "--out", str(tmp_path)], capsys)
+    assert code == 1 and "FAIL" in out
+    rows = (tmp_path / "01_verify-lyapunov.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows if row.endswith(",false")] == ["1"] * 6
+
+
+def test_the_gaussian_under_a_q2_name_passes_both_lyapunov_commands(tmp_path, capsys):
+    # at the fixed point d2 is rounding and has nothing to lose: every step passes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "measures": {"rademacher": {"type": "parametric", "family": "gaussian",
+                                    "params": [0.0, 1.0]}},
+        "commands": [{"command": "flow", "measure": "rademacher", "steps": 10},
+                     {"command": "verify-lyapunov", "steps": 10}],
+    }))
+    code, out, _ = run_cli(["run", "--config", str(config), "--out", str(tmp_path)], capsys)
+    assert code == 0 and "all checks passed" in out
+    rows = (tmp_path / "02_verify-lyapunov.csv").read_text().splitlines()[1:]
+    assert len(rows) == 60 and all(row.endswith(",true") for row in rows)
 
 
 def test_io_failure_exits_3(tmp_path, capsys):

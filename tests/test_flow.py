@@ -100,7 +100,7 @@ def test_trajectory_gaussian_fixed_point(gauss, coarse_grid):
     assert all(d <= 1e-10 for d in rep.distances_d3)
     assert all(d <= 1e-10 for d in rep.distances_d2)
     assert rep.fitted_slope_log2 is None
-    assert rep.lyapunov_monotone
+    assert all(rep.lyapunov)
 
 
 def test_trajectory_skewed_decay_and_slope(skewed):
@@ -111,7 +111,7 @@ def test_trajectory_skewed_decay_and_slope(skewed):
         assert d3[n] <= 2.0 ** (-n / 2.0) * d3[0] * (1.0 + 1e-6)
         assert d3[n] >= 2.0 ** (-n / 2.0) * 0.25 * (1.0 - 1e-6)
     assert rep.fitted_slope_log2 == pytest.approx(-0.5, abs=0.02)
-    assert rep.lyapunov_monotone
+    assert all(rep.lyapunov)
     ratios = rep.contraction_ratios
     assert all(r == pytest.approx(2.0**-0.5, rel=1e-9) for r in ratios)
 
@@ -120,7 +120,7 @@ def test_trajectory_heavy_tail_d2_only():
     rep = cf.renorm_trajectory(bank.heavy_tail_std(), 10)
     assert rep.distances_d3 is None
     assert rep.contraction_ratios is None
-    assert rep.lyapunov_monotone
+    assert all(rep.lyapunov)
     d2 = rep.distances_d2
     assert all(d2[n + 1] < d2[n] - 1e-10 for n in range(10))
 
@@ -162,9 +162,16 @@ def test_trajectory_csv_rows(skewed):
 
 def test_contraction_all_bank_pairs(q3_bank, grid):
     for (na, ma), (nb, mb) in itertools.combinations(q3_bank.items(), 2):
-        ratio = cf.contraction_ratio(ma, mb, grid)
+        ratio = cf.contraction_ratio(ma, mb, grid).lhs
         assert ratio <= CONTRACTION_BOUND + 1e-6, (na, nb)
         assert ratio == pytest.approx(PINNED_RATIOS[(na, nb)], rel=1e-12)
+
+
+def test_contraction_fails_where_the_step_does_not_contract(rademacher, skewed, monkeypatch):
+    # T nu swapped for nu itself: the ratio is 1, above the bound
+    monkeypatch.setattr(cf.flow, "renorm_step", lambda m: m)
+    chk = cf.contraction_ratio(rademacher, skewed)
+    assert not chk.ok and chk.lhs == 1.0 and chk.rhs == CONTRACTION_BOUND + 1e-6
 
 
 def test_contraction_rejects_coincident(gauss):

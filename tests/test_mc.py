@@ -114,6 +114,16 @@ def test_empirical_flow_check_compares_the_normalized_sums(skewed, monkeypatch):
     assert chk.ok and len(chk.per_level) == 4
 
 
+def test_empirical_flow_check_fails_level_by_level(gauss, monkeypatch):
+    # the analytic iterates from level 1 on swapped for those of a law 10% wider
+    iterate = cf.mc._iterate
+    monkeypatch.setattr(
+        cf.mc, "_iterate", lambda law, k: iterate(law if k == 0 else cf.scale_law(law, 1.1), k)
+    )
+    (chk,) = empirical_flow_check([gauss], levels=2, n=100_000, seed=42)
+    assert not chk.ok and chk.levels_ok == (True, False, False)
+
+
 def test_empirical_flow_check_validation(gauss):
     with pytest.raises(MeasureError):
         empirical_flow_check([gauss], levels=13, n=100_000, seed=0)

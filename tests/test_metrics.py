@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import _scope, bank, metrics
+from cltflow import _scope, bank, charfn, metrics
 from cltflow.errors import MeasureError, MembershipError
 
 SQRT2 = math.sqrt(2.0)
@@ -247,7 +247,7 @@ def test_subadditivity_trivial_and_bank(gauss, rademacher, skewed, coarse_grid):
     chk = cf.check_convolution_subadditivity(
         rademacher, rademacher, gauss, gauss, 3, coarse_grid
     )
-    assert chk.ok and chk.margin >= 0.0
+    assert chk.ok and chk.stat >= 0.0
     chk = cf.check_convolution_subadditivity(
         skewed, rademacher, gauss, gauss, 3, coarse_grid
     )
@@ -256,16 +256,16 @@ def test_subadditivity_trivial_and_bank(gauss, rademacher, skewed, coarse_grid):
 
 def test_scaling_ideality_identity(rademacher, gauss, coarse_grid):
     chk = cf.check_scaling_ideality(rademacher, gauss, 1.0, 3, coarse_grid)
-    assert chk.ok and chk.ratio == 1.0
+    assert chk.ok and chk.stat == 1.0
 
 
 def test_scaling_ideality_bank(rademacher, skewed, gauss, coarse_grid):
     chk = cf.check_scaling_ideality(rademacher, gauss, 2.0**-0.5, 3, coarse_grid)
     assert chk.ok
-    assert chk.ratio == pytest.approx(1.0, abs=1e-6)
+    assert chk.stat == pytest.approx(1.0, abs=1e-6)
     chk = cf.check_scaling_ideality(skewed, gauss, 2.0, 2, coarse_grid)
     assert chk.ok
-    assert chk.ratio == pytest.approx(1.0, abs=1e-6)
+    assert chk.stat == pytest.approx(1.0, abs=1e-6)
 
 
 def test_scaling_rejects_nonpositive_lambda(rademacher, gauss):
@@ -278,7 +278,7 @@ def test_convolution_invariance(rademacher, skewed, gauss, coarse_grid):
     chk = cf.check_convolution_invariance(rademacher, gauss, delta0, 3, coarse_grid)
     assert chk.ok and chk.lhs == chk.rhs
     chk = cf.check_convolution_invariance(rademacher, gauss, gauss, 3, coarse_grid)
-    assert chk.ok and chk.margin > 0.0
+    assert chk.ok and chk.stat > 0.0
     chk = cf.check_convolution_invariance(skewed, skewed, gauss, 3, coarse_grid)
     assert chk.ok and chk.lhs == 0.0
 
@@ -304,6 +304,32 @@ def test_generic_doubling_bound(q3_bank, q2_bank, gauss, coarse_grid):
             ).value
             rhs = cf.ds_distance(a, b, s, coarse_grid).value
             assert lhs <= 2.0 * rhs + 1e-8
+
+
+def test_doubling_check_fails_on_a_fourfold_convolution(rademacher, skewed, coarse_grid,
+                                                          monkeypatch):
+    # nu * nu swapped for nu^{*4}: d3 of the fourfold sums is 4 |dk3| / 6 = 1
+    assert cf.check_doubling(rademacher, skewed, 3, coarse_grid).ok
+    convolve = metrics.convolve
+    monkeypatch.setattr(metrics, "convolve", lambda a, b: convolve(convolve(a, b), convolve(a, b)))
+    chk = cf.check_doubling(rademacher, skewed, 3, coarse_grid)
+    assert not chk.ok and chk.lhs == pytest.approx(1.0) and chk.rhs == pytest.approx(0.5)
+    assert chk.stat == chk.rhs - chk.lhs
+
+
+def test_scaling_check_fails_on_a_cf_that_does_not_scale(gauss, coarse_grid, monkeypatch):
+    # the uniform's deviation damped at xi itself, whatever its scale
+    dev = charfn._dev_parametric
+
+    def perturbed(family, params, xi):
+        d = dev(family, params, xi)
+        return d + (1.0 + d) * (-1e-3 * xi * xi / (1.0 + xi * xi)) if family == "uniform" else d
+
+    monkeypatch.setattr(charfn, "_dev_parametric", perturbed)
+    uniform = bank.uniform_std()
+    assert cf.check_scaling_ideality(uniform, gauss, 1.0, 3, coarse_grid).ok
+    chk = cf.check_scaling_ideality(uniform, gauss, 2.0, 3, coarse_grid)
+    assert not chk.ok and chk.stat == chk.lhs / chk.rhs and chk.stat < 0.5
 
 
 def test_csv_row_format(gauss, rademacher):
