@@ -69,25 +69,28 @@ _SERIES_CUT = 0.1
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)  # its square is finite
 
 
-def _sin_rem(t: np.ndarray) -> np.ndarray:
-    """sin(t) - t, accurate relative to its own O(t^3) size."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    small = np.abs(t) < _SERIES_CUT
-    ts = t[small]
-    t2 = ts * ts
-    out[small] = ts * t2 * (
-        -1.0 / 6.0 + t2 * (1.0 / 120.0 + t2 * (-1.0 / 5040.0 + t2 / 362880.0))
-    )
-    tl = t[~small]
-    out[~small] = np.sin(tl) - tl
+def _sin_rem(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sin(t) - t to its own O(t^3) size, into out if given: a series on t clipped
+    to the cut, where t * t cannot overflow, and sin where |t| >= cut."""
+    far = np.abs(t) >= _SERIES_CUT
+    out = np.clip(t, -_SERIES_CUT, _SERIES_CUT, out=out)
+    t2 = out * out
+    p = t2 / 362880.0 - 1.0 / 5040.0
+    for c in (1.0 / 120.0, -1.0 / 6.0):  # Horner in t2, in place
+        p *= t2
+        p += c
+    out *= t2
+    out *= p
+    np.sin(t, out=out, where=far)
+    np.subtract(out, t, out=out, where=far)
     return out
 
 
-def _cos_rem(t: np.ndarray) -> np.ndarray:
-    """cos(t) - 1 without cancellation."""
-    s = np.sin(0.5 * np.asarray(t, dtype=float))
-    return -2.0 * s * s
+def _cos_rem(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(t) - 1 without cancellation, (-2 s) s for s = sin(t / 2), into out if given."""
+    s = np.sin(np.multiply(0.5, t, out=out), out=out)
+    s *= -2.0 * s
+    return s
 
 
 def _phase_dev(t: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ so plain complex evaluation would amplify representation noise by up to 1e9
 on the default grid.  Deviations avoid that:
 
 * atomic laws use  cos(t) - 1 = -2 sin^2(t/2)  and a series kernel for
-  sin(t) - t, with the exact linear term split off through the stored mean;
+  sin(t) - t per distinct |x|, the exact linear term split off by the mean;
 * closed-form families use their rows of the _families table, where each
   family's deviation and value are stated;
 * convolution products combine deviations via  (1+a)(1+b) - 1 = a + b + ab;
@@ -85,8 +85,7 @@ __all__ = [
 
 MODULUS_SLACK = 1e-12
 _CHUNK = 1 << 22
-# atom-point cells per block of atom rows in an atomic cf sum: one row at a
-# time on a grid of more points, so the transient stays the size of the grid
+# magnitude-point cells per block of atoms in an atomic cf sum (_atom_sums)
 _ROW_CELLS = 1 << 13
 # laws whose deviation a shared_deviations() scope keeps per grid
 _LEAF_TYPES = (Atomic, Parametric)
@@ -111,41 +110,48 @@ _REMAINDER_T_MAX = 256.0
 XI_ABS_MAX = 1e100
 
 
-def _atom_sums(positions, weights, xi, *fns) -> list[np.ndarray]:
-    """sum_j weights[j] * fn(positions[j] * xi) for each fn, atom by atom in order.
+def _atom_sums(positions, weights, xi, even, odd) -> list[np.ndarray]:
+    """sum_j weights[j] * fn(positions[j] * xi) for fn = even, odd, atom by atom in order.
 
-    The atoms are taken in blocks of at most _ROW_CELLS atom-point cells, one
-    row at a time when xi has more points, so no array grows with atoms times
-    points.  The summation order depends only on the atoms, never on how many
-    points a row holds or how the rows are blocked; a BLAS product chooses
-    its order by the shape.
+    Each kernel runs once per distinct |x| in a block of atoms: even(x xi) is
+    even(|x| xi), and odd(x xi) is -odd(|x| xi) where x has its sign bit set,
+    to the bit, as numpy's cos and sin are (tests/test_charfn.py checks it).
+    even may be None.  A block holds at most _ROW_CELLS magnitude-point
+    cells: the whole law when its distinct |x| fit, else cells / points atoms.
+    The summation order depends only on the atoms, not the blocks, where a
+    BLAS product would choose its order by the shape.
     """
-    step = max(1, _ROW_CELLS // max(xi.size, 1))
-    sums: list = [None] * len(fns)
+    cap = max(1, _ROW_CELLS // max(xi.size, 1))
+    mags = np.abs(positions).tolist()
+    step = positions.size if len(set(mags)) <= cap else cap
+    signed = np.where(np.signbit(positions), -weights, weights)
+    buf = np.empty_like(xi)
+    sums: list = [None, None]
     for a in range(0, positions.size, step):
-        t = np.multiply.outer(positions[a : a + step], xi)
-        for i, fn in enumerate(fns):
-            for w, row in zip(weights[a : a + step], fn(t)):
+        rows = {m: r for r, m in enumerate(dict.fromkeys(mags[a : a + step]))}
+        t = np.multiply.outer(list(rows), xi)
+        vals = np.empty_like(t)
+        for i, fn, ws in ((0, even, weights), (1, odd, signed)):
+            if fn is None:
+                continue
+            fn(t, out=vals)
+            for w, m in zip(ws[a : a + step], mags[a : a + step]):
+                term = np.multiply(w, vals[rows[m]], out=buf)
                 if sums[i] is None:
-                    sums[i] = w * row
+                    sums[i] = term.copy()
                 else:
-                    sums[i] += w * row
+                    sums[i] += term
     return sums
 
 
 def _dev_atomic(positions, weights, mean, span, xi):
     """Deviation of sum w exp(i xi x) with mean sum w x and span max |x|."""
-    re, rem = _atom_sums(positions, weights, xi, _cos_rem, _sin_rem)
-    im = xi * mean + rem
+    re, im = _atom_sums(positions, weights, xi, _cos_rem, _sin_rem)
+    im += xi * mean
     lim = _REMAINDER_T_MAX / span if span else math.inf
     if xi.size and (xi.max() > lim or xi.min() < -lim):
         far = np.abs(xi) > lim
-        im[far] = _atom_sums(positions, weights, xi[far], np.sin)[0]
-    return re + 1j * im
-
-
-def _phi_atomic(positions, weights, xi):
-    re, im = _atom_sums(positions, weights, xi, np.cos, np.sin)
+        im[far] = _atom_sums(positions, weights, xi[far], None, np.sin)[1]
     return re + 1j * im
 
 
@@ -266,7 +272,8 @@ def _phi(m: Measure, xi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     the argument xi.
     """
     if isinstance(m, Atomic):
-        return _phi_atomic(m.positions, m.weights, xi)
+        re, im = _atom_sums(m.positions, m.weights, xi, np.cos, np.sin)
+        return re + 1j * im
     if isinstance(m, Parametric):
         return _phi_parametric(m.family, m.params, xi, lo)
     if isinstance(m, ConvProduct):

@@ -263,8 +263,8 @@ def ds_distance(
     xi, powers = _positive_points(grid)
     ratio = np.abs(_grid_deviation(a, grid) - _grid_deviation(b, grid))
     ratio /= powers[s]
-    grid_sup = float(np.max(ratio))
-    argmax = xi[np.flatnonzero(ratio == grid_sup)[0]]
+    i = int(np.argmax(ratio))  # the first peak: the ratio holds no NaN
+    grid_sup, argmax = float(ratio[i]), xi[i]
     tail = 2.0 / grid.xi_max**s
     value = max(grid_sup, zl)
     return DistanceResult(

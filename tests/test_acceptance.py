@@ -329,3 +329,42 @@ def test_fine_grid_scaling_flow_and_oracle_bytes(tmp_path):
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
     digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in os.listdir(out)}
     assert digests == FINE_GRID_SHA256
+
+
+# sha256 of each CSV the analytic-suite config writes on the fine grid
+# (points_per_decade 1600): every analytic subcommand, 40-step flows of a
+# skewed and a symmetric law, and verify-lyapunov and verify-clt-rate at
+# their defaults, where criterion 11 has 8-step flows on the default grid
+ANALYTIC_SUITE_SHA256 = {
+    "01_distance.csv": "af2fbe446cb730fe65e8d332ab1316546545c5f946bdd52c091c84af8bd5a25c",
+    "02_distance.csv": "7f02b8179b83d9504cab690a3f75a8a6c83fc05b9b692ccde45aa98ab46ca1f3",
+    "03_flow.csv": "fc4c905bc1ad75928c30d74ec85c1f8ca8cb37e88ff695f3865ac02de7b25707",
+    "04_flow.csv": "847e1123d376e7cd39a39d7bc77b088b115fa8c56135a72bcd192f9c3330ec8d",
+    "05_verify-contraction.csv": "56254f31b48104db6e4bec19813cf9f466f3f29ffaa49a6a2c33f8721d6c2a32",
+    "06_verify-ideal.csv": "acd41cecde368e076f9d27d43eee7b099d6b2f552ddf783bb50537ac7fe96aca",
+    "07_verify-lyapunov.csv": "b4419792ab815ca325d882838cde2b60e347451a2c6d55ec9fdde4f1aa838291",
+    "08_verify-clt-rate.csv": "b56b8e53371b0e464eff36e53d839e0ba39613cf7117e6d5c2d3453a7f348185",
+}
+
+
+def test_analytic_suite_bytes_on_the_fine_grid(tmp_path):
+    config = {
+        "seed": 1234,
+        "grid": {"points_per_decade": 1600},
+        "commands": [
+            {"command": "distance", "a": "skewed", "b": "gaussian", "s": 3},
+            {"command": "distance", "a": "rademacher", "b": "gaussian", "s": 2},
+            {"command": "flow", "measure": "skewed", "steps": 40},
+            {"command": "flow", "measure": "rademacher", "steps": 40},
+            {"command": "verify-contraction"},
+            {"command": "verify-ideal"},
+            {"command": "verify-lyapunov"},
+            {"command": "verify-clt-rate", "n_max": 64},
+        ],
+    }
+    path = tmp_path / "analytic.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in os.listdir(out)}
+    assert digests == ANALYTIC_SUITE_SHA256

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,46 +409,128 @@ def test_sum_scale_is_n_to_the_minus_half_to_double_length():
         assert charfn._sum_scale(1 << k) == _level_scale(k)
 
 
+# Frozen bit references: the remainder kernels in their boolean gather and
+# scatter form, and the atom-by-atom loop over one row per atom.  They do
+# not follow the library's kernels, so the tests below compare the library
+# against a fixed reference rather than against itself.
+def _ref_sin_rem(t):
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    small = np.abs(t) < 0.1
+    ts = t[small]
+    t2 = ts * ts
+    out[small] = ts * t2 * (
+        -1.0 / 6.0 + t2 * (1.0 / 120.0 + t2 * (-1.0 / 5040.0 + t2 / 362880.0))
+    )
+    tl = t[~small]
+    out[~small] = np.sin(tl) - tl
+    return out
+
+
+def _ref_cos_rem(t):
+    s = np.sin(0.5 * np.asarray(t, dtype=float))
+    return -2.0 * s * s
+
+
+def _ref_atom_sum(weights, rows):
+    """sum_j weights[j] * rows[j], one row per atom, in atom order."""
+    acc = weights[0] * rows[0]
+    for w, row in zip(weights[1:], rows[1:]):
+        acc += w * row
+    return acc
+
+
 def _outer_dev_atomic(positions, weights, mean, span, xi):
     """The atomic deviation over the whole atoms-by-points outer product."""
     t = np.multiply.outer(positions, xi)
-
-    def atom_sum(rows):
-        acc = weights[0] * rows[0]
-        for w, row in zip(weights[1:], rows[1:]):
-            acc += w * row
-        return acc
-
-    re = atom_sum(charfn._cos_rem(t))
-    im = xi * mean + atom_sum(charfn._sin_rem(t))
-    lim = charfn._REMAINDER_T_MAX / span
+    re = _ref_atom_sum(weights, _ref_cos_rem(t))
+    im = xi * mean + _ref_atom_sum(weights, _ref_sin_rem(t))
+    lim = charfn._REMAINDER_T_MAX / span if span else math.inf
     far = np.abs(xi) > lim
     if far.any():
-        im[far] = atom_sum(np.sin(t[:, far]))
+        im[far] = _ref_atom_sum(weights, np.sin(t[:, far]))
     return re + 1j * im
+
+
+def _outer_phi_atomic(positions, weights, xi):
+    t = np.multiply.outer(positions, xi)
+    return _ref_atom_sum(weights, np.cos(t)) + 1j * _ref_atom_sum(weights, np.sin(t))
+
+
+def _assert_atomic_bits(pos, ws, xi):
+    mean, span = float(np.dot(ws, pos)), float(np.max(np.abs(pos)))
+    got = charfn._dev_atomic(pos, ws, mean, span, xi)
+    assert got.tobytes() == _outer_dev_atomic(pos, ws, mean, span, xi).tobytes()
+    got = charfn._phi(cf.Atomic(tuple(zip(pos, ws))), xi, np.zeros_like(xi))
+    assert got.tobytes() == _outer_phi_atomic(pos, ws, xi).tobytes()
 
 
 @pytest.mark.parametrize("atoms, points", [
     (2, 7521), (12, 941), (700, 941), (700, 5), (5000, 1), (5000, 7),
 ])
 def test_atomic_rows_keep_the_outer_product_bits(atoms, points):
-    # the rows are summed one at a time on a grid, in blocks of rows on few
-    # points; each point adds the same terms in the same atom order either way
+    # the rows are summed per distinct |x| in blocks of atoms; each point adds
+    # the same terms in the same atom order as one row per atom does
     rng = np.random.default_rng(atoms * 7 + points)
     pos = np.sort(rng.normal(scale=3.0, size=atoms))
     ws = rng.random(atoms)
     ws /= ws.sum()
     xi = np.sort(rng.choice([-1.0, 1.0], points) * 10.0 ** rng.uniform(-3.0, 2.5, points))
-    mean, span = float(np.dot(ws, pos)), float(np.max(np.abs(pos)))
-    want = _outer_dev_atomic(pos, ws, mean, span, xi)
-    assert np.array_equal(charfn._dev_atomic(pos, ws, mean, span, xi), want)
-    t = np.multiply.outer(pos, xi)
-    re = ws[0] * np.cos(t[0])
-    im = ws[0] * np.sin(t[0])
-    for w, c, s in zip(ws[1:], np.cos(t[1:]), np.sin(t[1:])):
-        re += w * c
-        im += w * s
-    assert np.array_equal(charfn._phi_atomic(pos, ws, xi), re + 1j * im)
+    _assert_atomic_bits(pos, ws, xi)
+
+
+def _symmetric_12():
+    half = np.sort(np.random.default_rng(12).uniform(0.1, 3.0, 6))
+    ws = np.random.default_rng(13).random(6)
+    return cf.make_atomic([(s * x, w) for x, w in zip(half, ws) for s in (-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("law", {
+    "rademacher": bank.rademacher,
+    "-2,0,2": lambda: cf.make_atomic([(-2.0, 0.25), (0.0, 0.5), (2.0, 0.25)]),
+    "symmetric-12": _symmetric_12,
+    "atom-at-0": lambda: cf.make_atomic([(-1.5, 0.3), (0.0, 0.2), (0.5, 0.4), (3.0, 0.1)]),
+    "atom-at-minus-0": lambda: cf.Atomic(((-0.0, 0.5), (1.0, 0.5))),
+}.items(), ids=lambda item: item[0])
+@pytest.mark.parametrize("ppd", [200, 1600])
+def test_mirrored_atoms_keep_the_outer_product_bits(law, ppd):
+    # mirrored atoms share one row per |x| and a block; an atom at 0 (or -0)
+    # has its own; both signs of xi, xi = ±0, and points beyond the
+    # remainder form's reach
+    m = law[1]()
+    pos, ws = m.positions, m.weights
+    grid = metrics.GridSpec(points_per_decade=ppd)
+    _assert_atomic_bits(pos, ws, grid.positive_points())
+    _assert_atomic_bits(pos, ws, grid.points())
+    _assert_atomic_bits(pos, ws, np.array([-0.0, 0.0, -300.0, 1e3, 1e100, -1e100]))
+
+
+def test_remainder_kernels_keep_their_bits():
+    # 2-D arguments on both sides of the series cut, both signs, zeros and
+    # |t| up to 1e100: t * t must not overflow there, and nothing may warn
+    rng = np.random.default_rng(22)
+    wide = rng.choice([-1.0, 1.0], (64, 97)) * 10.0 ** rng.uniform(-300.0, 100.0, (64, 97))
+    near = rng.uniform(-0.3, 0.3, (41, 53))
+    edges = np.array([[0.0, -0.0, 0.1, -0.1, np.nextafter(0.1, 0.0), -np.nextafter(0.1, 0.0)],
+                      [1e-300, -1e-300, 5e-324, 1e100, -1e100, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (wide, near, edges, wide[:, ::3]):
+            for kernel, ref in ((charfn._sin_rem, _ref_sin_rem), (charfn._cos_rem, _ref_cos_rem)):
+                want = ref(t)
+                got = kernel(t)
+                assert got.shape == np.shape(t) and got.tobytes() == want.tobytes()
+                out = np.full(np.shape(t), np.nan)
+                assert kernel(t, out=out) is out and out.tobytes() == want.tobytes()
+
+
+def test_numpy_sin_is_odd_and_cos_even_bit_for_bit():
+    # the atomic sums evaluate one row per |x| and take the row at -x from
+    # it; that rests on these parities holding to the last bit
+    x = np.concatenate((np.geomspace(1e-300, 1e100, 400_000),
+                        np.random.default_rng(5).uniform(0.0, 1e4, 100_000)))
+    assert np.sin(-x).tobytes() == np.negative(np.sin(x)).tobytes()
+    assert np.cos(-x).tobytes() == np.cos(x).tobytes()
 
 
 def test_non_finite_deviations_are_refused(monkeypatch, gauss, grid):
