@@ -47,8 +47,8 @@ def exponential_std() -> Measure:
 
 
 def heavy_tail_std() -> Measure:
-    # unit variance, infinite third absolute moment
-    return Parametric("heavy_cubic", FAMILIES["heavy_cubic"].standard)
+    # Student's t3 scaled to unit variance: in P_2, not in P_3 (E|X|^3 = inf)
+    return Parametric("student3", FAMILIES["student3"].standard)
 
 
 ALIASES = {

@@ -42,8 +42,8 @@ scale n^{-1/2} is itself carried as hi + lo (_sum_scale).  The other forms
 take hi alone.
 
 The value form keeps the relative error of phi within a few (1 + |ln phi|)
-machine epsilons where phi -> 0; the heavy-cubic law's value stays within
-a few epsilons of its envelope 3 / t out to |xi| = 1e100 (see _special).
+machine epsilons where phi -> 0; the Student t3 law's value (1 + a) e^-a
+stays within 3 epsilons of phi wherever phi is a normal float (see _families).
 Sums over atoms run atom by atom in a fixed order, so a value at one point
 never depends on which other points are evaluated with it.
 

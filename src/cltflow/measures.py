@@ -4,7 +4,7 @@ A measure is represented by one of four immutable value types:
 
 * ``Atomic``        finite support, positive weights summing to one
 * ``Parametric``    closed-form family (gaussian, uniform, exponential, laplace,
-                    plus the internal heavy-tail family used by the test bank),
+                    plus the internal Student t3 of the bank's heavy-tail-std),
                     each with its rules in one row of the _families table
 * ``NormalizedSum`` the law of (X_1 + ... + X_n)/sqrt(n) for independent
                     X_i of one base law; n = 2^k is k steps of the

@@ -258,8 +258,8 @@ CRITERION_11_SHA256 = {
     "02_distance.csv": "3db157d2c642006a524d9b2db70be853ac050eb733cba8875ac9c7e3605ea53a",
     "03_flow.csv": "dc916369f477e118fb5d0d60de35eaea0f6aed29f4df1457c407db9c9a14c92b",
     "04_verify-contraction.csv": "28cda6625fe2fd42595d6d7b8537475e78c6c5b6bf9827e05ca7ad324ed040c1",
-    "05_verify-ideal.csv": "9661d966a459c9d30fad06b13b100172a50805e503d5c5b394174efd38c26e96",
-    "06_verify-lyapunov.csv": "2944c77b87dcfaf2bb5a59a9a358b4566141b2df07a53acadc0bb1b2e068a480",
+    "05_verify-ideal.csv": "ef504bbd767a1ac94fcec2f0ff135663781abaa8303d8c231e3f91030d961bdb",
+    "06_verify-lyapunov.csv": "73a011a64c9c20d7a3a8dc18b7919b340ec0350bbd47463032ed5ea0f3eaeef5",
     "07_verify-clt-rate.csv": "0ddeed810f5fd9d276a2ef7e7cbefe6391c3d8320e4fe889cc150249e5b1183d",
     "08_oracle.csv": "f18d53ea8e4645b226703f4e26ce1347a76b36e06bcffd21513d7e5bfdb17605",
 }
@@ -304,10 +304,10 @@ def test_criterion_11_byte_identical_runs(tmp_path):
 # 300): the scaling rows of verify-ideal, the flows and the oracle of the
 # standardized exponential and heavy-tail laws, which criterion 11 leaves out
 FINE_GRID_SHA256 = {
-    "01_verify-ideal.csv": "d4f2007a7542b3baa5b60b8d07004be4ec389613bfaca2e9feb1ddac172ee60e",
-    "02_flow.csv": "873e68b524f0e19c42279be2d164e665225c688f0a7e74ac8911a63a8f9c7768",
+    "01_verify-ideal.csv": "cd070f2bfd048ffe9387308ee8c835439a9eb2cbbf1b4947644b9661f03b4ab1",
+    "02_flow.csv": "a8ea1ec129a1582ce8c5b675b309bc6a819bb2414de8eb72483a0f016ee289e1",
     "03_flow.csv": "89245dfecf36ee7e0e188e6932adefd26862981851bb1d6a175eefbeca457e2a",
-    "04_oracle.csv": "af5dbb7bb3f7bbf3251f040d0ddac326dbf6eef1a55021a0b96ea1e890f1b8c2",
+    "04_oracle.csv": "0119827667f3f1dd4bd76f63cca45eacf8172f2d49aeeaae3727db96a1f4f7af",
 }
 
 
@@ -341,8 +341,8 @@ ANALYTIC_SUITE_SHA256 = {
     "03_flow.csv": "fc4c905bc1ad75928c30d74ec85c1f8ca8cb37e88ff695f3865ac02de7b25707",
     "04_flow.csv": "847e1123d376e7cd39a39d7bc77b088b115fa8c56135a72bcd192f9c3330ec8d",
     "05_verify-contraction.csv": "56254f31b48104db6e4bec19813cf9f466f3f29ffaa49a6a2c33f8721d6c2a32",
-    "06_verify-ideal.csv": "acd41cecde368e076f9d27d43eee7b099d6b2f552ddf783bb50537ac7fe96aca",
-    "07_verify-lyapunov.csv": "b4419792ab815ca325d882838cde2b60e347451a2c6d55ec9fdde4f1aa838291",
+    "06_verify-ideal.csv": "c7cd3f65bb8e7451a00a7bb8f55ea420be5198be779ecccd7978a61fedbb37e9",
+    "07_verify-lyapunov.csv": "60bf8d7c7d519534535bef81590d8881c543ac1153d0a320a3e3bfbe2fef3c31",
     "08_verify-clt-rate.csv": "b56b8e53371b0e464eff36e53d839e0ba39613cf7117e6d5c2d3453a7f348185",
 }
 

@@ -17,14 +17,10 @@ EPS = np.finfo(float).eps
 XIS = np.array([-2.5, -0.37, 1e-3, 0.05, 0.8, 3.1])
 
 
-def _mp_heavy_cubic(p, xi):
-    # 3 int_1^inf cos(t v) v^-4 dv at t = |scale xi| / sqrt 3, through the
-    # sine integral's auxiliary functions (A&S 5.2.6-7)
-    t = abs(p[0] * xi) / mp.sqrt(3)
-    ci, si = mp.ci(t), mp.si(t) - mp.pi / 2
-    f = ci * mp.sin(t) - si * mp.cos(t)
-    g = -ci * mp.cos(t) - si * mp.sin(t)
-    return mp.cos(t) * (1 - t**2 / 2 + t**3 * f / 2) + mp.sin(t) * (t**3 * g / 2 - t / 2)
+def _mp_student3(p, xi):
+    # the cf (1 + a) e^-a of s T_3 / sqrt 3 at a = |s xi|
+    a = abs(p[0] * xi)
+    return (1 + a) * mp.exp(-a)
 
 
 def _mp_uniform(p, xi):
@@ -39,7 +35,7 @@ MP_CF = {
     "uniform": _mp_uniform,
     "laplace": lambda p, xi: mp.expj(p[0] * xi) / (1 + (p[1] * xi) ** 2),
     "exponential": lambda p, xi: mp.expj(p[1] * xi) / (1 - 1j * xi / p[0]),
-    "heavy_cubic": _mp_heavy_cubic,
+    "student3": _mp_student3,
 }
 
 
@@ -60,7 +56,7 @@ _MOVED = {
     "uniform": (-math.sqrt(3.0) - 3.0, math.sqrt(3.0) - 3.0),
     "exponential": (1.0, -4.0),
     "laplace": (-3.0, math.sqrt(0.5)),
-    "heavy_cubic": (1.0,),
+    "student3": (1.0,),
 }
 
 

@@ -50,13 +50,15 @@ def momseed(name: str) -> int:
 
 
 def test_sample_heavy_tail_matches_cdf():
+    # X = T_3 / sqrt 3: P(X <= x) = 1/2 + (atan x + x / (1 + x^2)) / pi, so
+    # P(|X| > 1) = 1/2 - 1/pi and P(|X| > 10) = 1 - (2 atan 10 + 20/101) / pi
     vals = draws(bank.heavy_tail_std(), 400_000, 9)
-    x0 = 1.0 / math.sqrt(3.0)
-    assert np.all(np.abs(vals) >= x0 - 1e-12)
-    # P(|X| > 1) = 1/(3 sqrt(3))
-    frac = float(np.mean(np.abs(vals) > 1.0))
-    expect = 1.0 / (3.0 * math.sqrt(3.0))
-    assert abs(frac - expect) < 5.0 / math.sqrt(vals.size)
+    for x, expect in ((1.0, 0.5 - 1.0 / math.pi),
+                      (10.0, 1.0 - (2.0 * math.atan(10.0) + 20.0 / 101.0) / math.pi)):
+        frac = float(np.mean(np.abs(vals) > x))
+        assert abs(frac - expect) < 5.0 * math.sqrt(expect / vals.size), x
+    # and the law is symmetric
+    assert abs(float(np.mean(vals > 0.0)) - 0.5) < 5.0 * 0.5 / math.sqrt(vals.size)
 
 
 def test_sample_cflevel_pairwise_sums(rademacher):

@@ -125,7 +125,7 @@ def test_scale_law_keeps_each_of_the_four_types(skewed, gauss):
         k = np.array(cf.cumulants(m))
         np.testing.assert_allclose(cf.cumulants(scaled), k * lam ** np.arange(1, 5),
                                    rtol=1e-14, atol=1e-15)
-    assert cf.scale_law(heavy, lam) == cf.Parametric("heavy_cubic", (lam,))
+    assert cf.scale_law(heavy, lam) == cf.Parametric("student3", (lam,))
     xi = np.geomspace(1e-3, 1e4, 71)
     assert np.array_equal(cf.cf_deviation(cf.scale_law(heavy, lam), xi),
                           cf.cf_deviation(heavy, lam * xi))

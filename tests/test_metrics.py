@@ -10,7 +10,9 @@ from cltflow.errors import MeasureError, MembershipError
 
 SQRT2 = math.sqrt(2.0)
 
-# regression pins, established by the dense-grid oracle below at 10x resolution
+# regression pins, established by the dense-grid oracle below at 10x resolution;
+# heavy-tail-std's is sup |(1 + xi) e^-xi - e^(-xi^2 / 2)| / xi^2 over the
+# default grid's positive points in 40-digit mpmath, rounded once
 PINNED_D3 = {
     "rademacher": 0.07523920775801167,
     "skewed": 0.25,
@@ -24,7 +26,7 @@ PINNED_D2 = {
     "uniform-std": 0.05874845318285324,
     "laplace-std": 0.0665562540290772,
     "exponential-std": 0.17323324748305527,
-    "heavy-tail-std": 0.057805561599287486,
+    "heavy-tail-std": 0.13025331619913508,
 }
 
 
@@ -36,6 +38,7 @@ ORACLE_CFS = {
     "uniform-std": lambda xi: np.sin(math.sqrt(3.0) * xi) / (math.sqrt(3.0) * xi) + 0j,
     "laplace-std": lambda xi: 1.0 / (1.0 + 0.5 * xi**2) + 0j,
     "exponential-std": lambda xi: np.exp(-1j * xi) / (1.0 - 1j * xi),
+    "heavy-tail-std": lambda xi: (1.0 + np.abs(xi)) * np.exp(-np.abs(xi)) + 0j,
 }
 
 
@@ -148,8 +151,8 @@ def test_dense_grid_oracle_brackets_pinned_values(q3_bank):
         assert oracle <= PINNED_D3[name] * 1.01
 
 
-def test_dense_grid_oracle_brackets_pinned_d2(q3_bank):
-    for name in q3_bank:
+def test_dense_grid_oracle_brackets_pinned_d2(q2_bank):
+    for name in q2_bank:
         oracle = brute_force_ratio_sup(name, "gaussian", 2)
         assert PINNED_D2[name] * (1.0 - 1e-6) <= oracle <= PINNED_D2[name] * 1.01
 

@@ -10,9 +10,9 @@ fall-back for samples no bin takes), and the oracle's draws keep theirs.
 The library's draws come from conftest.draws, the oracle's word blocks
 made draws by one law's transform, and a level's from
 conftest.level_draws, the top level of the flow check's float route.  The
-gaussian reference draws through the library's own inverse normal: these
-tests check blocking and the order of the tree's sums, and test_special
-checks the transform against mpmath.
+gaussian and Student t3 references draw through the library's own inverse
+CDFs: these tests check blocking and the order of the tree's sums, and
+test_special checks the transforms against mpmath.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ import pytest
 
 import cltflow as cf
 from cltflow import bank, charfn, mc
-from cltflow._special import InverseNormal
+from cltflow._families import InverseNormal, t3_quantile
 from cltflow.cli import main as cli_main
 from cltflow.errors import MeasureError, MembershipError
 from cltflow.mc import ORACLE_GRID
@@ -101,10 +101,8 @@ def ref_invert(fam, p, u):
         return p[0] - p[1] * np.sign(v) * np.log1p(-2.0 * np.abs(v))
     if fam == "exponential":
         return p[1] - np.log1p(-u) / p[0]
-    if fam == "heavy_cubic":
-        sign = np.where(u < 0.5, -1.0, 1.0)
-        tail = 1.0 - np.abs(2.0 * u - 1.0)
-        return sign * (3.0 * math.sqrt(3.0) * tail) ** (-1.0 / 3.0)
+    if fam == "student3":
+        return t3_quantile(u) * p[0]
     raise AssertionError(fam)
 
 

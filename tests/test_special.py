@@ -1,9 +1,10 @@
-"""The numpy special functions against 80-digit mpmath, and scipy where it is installed.
+"""The numpy special functions against high-precision mpmath, and scipy where it is installed.
 
-The library draws gaussians through AS241 and evaluates the heavy-cubic cf
-through a power series and fitted remainders of the sine integral's
-auxiliary functions.  Each is checked here against an independent
-high-precision reference across every switch point of its evaluation.
+The library draws gaussians through AS241 and evaluates the heavy-tail
+law, Student's t3 scaled to unit variance, through a power series and the
+closed form of its cf and through a Newton solve of its CDF.  Each is
+checked here against an independent high-precision reference across every
+switch point of its evaluation.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 
 import cltflow
 from cltflow import bank, charfn
-from cltflow._special import InverseNormal, heavy_cubic_cf
+from cltflow._families import FAMILIES, InverseNormal, t3_quantile
 
 EPS = 2.0**-52
 SQRT3 = math.sqrt(3.0)
@@ -38,27 +39,29 @@ def mp_ndtri(u: float):
         return mp.findroot(lambda x: mp.ncdf(x) - mp.mpf(u), guess)
 
 
-def mp_phi(t: float):
-    """The heavy-cubic cf 3 int_1^inf cos(t v) v^-4 dv at the double t, to 80 digits.
+def mp_student3(a: float):
+    """phi(a) = (1 + a) e^-a of the t3 law and D = phi - 1, each to 40 digits.
 
-    Up to t = 1e3 from Ci and Si, with digits to spare for phi - 1 ~ -3 t^2 / 2
-    at small t; beyond, from the asymptotic series of the auxiliary functions
-    f and g, whose forty terms err by under 1e-100 there.
+    D ~ -a^2 / 2 cancels against 1, so the working precision grows as a falls.
     """
-    t = mp.mpf(t)
-    if t <= 1000:
-        with mp.workdps(90 + max(0, int(-2 * mp.log10(t)))):
-            ci, si = mp.ci(t), mp.si(t) - mp.pi / 2
-            f = ci * mp.sin(t) - si * mp.cos(t)
-            g = -ci * mp.cos(t) - si * mp.sin(t)
-            return +(mp.cos(t) * (1 - t**2 / 2 + t**3 * f / 2)
-                     + mp.sin(t) * (t**3 * g / 2 - t / 2))
-    with mp.workdps(80):
-        y = 1 / t**2
-        rf = mp.fsum((-1) ** k * mp.factorial(2 * k) / 24 * y ** (k - 2) for k in range(2, 40))
-        rg = mp.fsum((-1) ** k * mp.factorial(2 * k + 1) / 120 * y ** (k - 2)
-                     for k in range(2, 40))
-        return +(12 * rf * mp.cos(t) * y - 3 * mp.sin(t) / t + 60 * rg * mp.sin(t) * y / t)
+    with mp.workdps(40 + max(0, int(-2 * math.log10(a)))):
+        a = mp.mpf(a)
+        phi = (1 + a) * mp.exp(-a)
+        return phi, phi - 1
+
+
+def mp_t3_quantile(u: float, guess: float):
+    """The root x of P(X <= x) = u for X = T_3 / sqrt 3, to 40 digits.
+
+    P(|X| > y) = I_{1 / (1 + y^2)}(3/2, 1/2), the regularized incomplete beta
+    function of Student's t, and half of it is the tail mass min(u, 1 - u).
+    """
+    with mp.workdps(40):
+        tail = min(mp.mpf(u), 1 - mp.mpf(u))
+        y = mp.findroot(
+            lambda y: mp.betainc(1.5, 0.5, 0, 1 / (1 + y * y), regularized=True) / 2 - tail,
+            mp.mpf(abs(guess)))
+        return y if u > 0.5 else -y
 
 
 def near(x: float, k: int) -> list[float]:
@@ -111,52 +114,83 @@ def test_inverse_normal_block_buffers():
 
 
 # ---------------------------------------------------------------------------
-# heavy-cubic cf
+# heavy-cubic: the bank's heavy-tail-std, Student t3 scaled to unit variance,
+# whose tail mass falls as |x|^-3; its cf and its quantile
 # ---------------------------------------------------------------------------
 
-# the series / value switch and every piece edge of the fitted remainders
-SWITCHES = [2.0, 2.0 * math.sqrt(2.0), 4.0, 4.0 * math.sqrt(2.0), 8.0, 8.0 * math.sqrt(2.0),
-            16.0, 32.0]
-HEAVY_T = np.unique(np.concatenate([
-    *[near(x, 4) for x in SWITCHES],
-    np.exp(_RNG.uniform(math.log(1e-6), math.log(2.0), 80)),
-    np.exp(_RNG.uniform(math.log(2.0), math.log(1e3), 120)),
-    np.exp(_RNG.uniform(math.log(1e3), math.log(1e100 / SQRT3), 40)),
-    [1e-150, 0.1, 1.0, 1.5, 1e100 / SQRT3],
+STUDENT3 = FAMILIES["student3"]
+# both sides of the series / expm1 cut at a = 1, the band 708..715 where phi
+# is a normal float and e^-a is not, and a from 1e-150 to 1e100
+STUDENT3_A = np.unique(np.concatenate([
+    near(1.0, 4),
+    np.exp(_RNG.uniform(math.log(1e-150), math.log(1e100), 200)),
+    np.exp(_RNG.uniform(math.log(0.3), math.log(3.0), 100)),
+    _RNG.uniform(700.0, 720.0, 40),
+    [1e-150, 0.5, 2.0, 745.0, 1e100],
 ]))
+TINY = np.finfo(float).tiny
 
 
 def test_heavy_cubic_against_mpmath():
-    dev = heavy_cubic_cf(HEAVY_T, 1.0)
-    val = heavy_cubic_cf(HEAVY_T, 0.0)
-    for t, d, v in zip(HEAVY_T, dev, val):
-        phi = mp_phi(t)
-        if t < 2.0:
-            # the series keeps the deviation accurate relative to itself
-            assert abs(d - (phi - 1)) <= 4 * EPS * abs(phi - 1), (t, d)
-            assert abs(v - phi) <= 8 * EPS, (t, v)
-        else:
-            # the value form is accurate relative to the envelope 3 / t of
-            # phi, and to phi itself away from its zeros
-            assert abs(v - phi) <= 6 * EPS * max(abs(phi), 1.0 / t), (t, v)
-            assert abs(d - (phi - 1)) <= 4 * EPS, (t, d)
+    # within 3 epsilons of D and of phi wherever each is a normal float
+    dev = STUDENT3.deviation((1.0,), STUDENT3_A)[0]
+    val = STUDENT3.value((1.0,), STUDENT3_A, None)[0]
+    assert np.all(dev.imag == 0.0) and np.all(val.imag == 0.0)
+    for a, d, v in zip(STUDENT3_A, dev.real, val.real):
+        phi, want = mp_student3(a)
+        if abs(want) >= TINY:
+            assert abs(d - want) <= 3 * EPS * abs(want), (a, d)
+        if phi >= TINY:
+            assert abs(v - phi) <= 3 * EPS * phi, (a, v)
 
 
 @pytest.mark.parametrize("xi_max", [50.0, 1e6, 1e14, 1e100])
 def test_heavy_cubic_cf_through_the_library(xi_max):
-    # cf_deviation and eval_cf_grid go through t = |xi| / sqrt 3 in double
+    # cf_deviation and eval_cf_grid, at a = |xi| for the bank's scale 1
     xi = np.geomspace(1e-3, xi_max, 300)
     xi = np.concatenate([-xi, xi])
     law = bank.heavy_tail_std()
     dev = charfn.cf_deviation(law, xi)
     val = charfn.eval_cf_grid(law, xi)
     assert np.all(dev.imag == 0.0) and np.all(val.imag == 0.0)
-    assert np.max(np.abs(1.0 + dev)) <= 1.0 + 1e-12
+    assert np.max(np.abs(1.0 + dev)) <= 1.0
     for x, d, v in zip(xi[::7], dev[::7], val[::7]):
-        t = float(np.abs(np.float64(x)) / SQRT3)
-        phi = mp_phi(t)
-        assert abs(d.real - (phi - 1)) <= 4 * EPS * max(abs(phi - 1), 1.0), (x, d)
-        assert abs(v.real - phi) <= 8 * EPS * max(abs(phi), 1.0 / t, 1.0 if t < 2 else 0.0)
+        phi, want = mp_student3(abs(x))
+        assert abs(d.real - want) <= 3 * EPS * abs(want), (x, d)
+        if phi >= TINY:
+            assert abs(v.real - phi) <= 3 * EPS * phi, (x, v)
+        else:
+            assert v.real <= 2 * TINY, (x, v)
+
+
+def _t3_quantile_points():
+    cut = (0.6 - 0.5 * math.sin(1.2)) / math.pi  # the tail where v = 0.6
+    ulps = 2.0**-53 * np.arange(-4, 5)  # steps of 2^-53: exact near 1/4 and 3/4
+    return np.unique(np.concatenate([
+        [2.0**-53, 3 * 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53],
+        0.25 + ulps, 0.75 + ulps,
+        cut * (1.0 + 4 * EPS * np.arange(-4, 5)), 1.0 - cut * (1.0 + 4 * EPS * np.arange(-4, 5)),
+        _RNG.uniform(0.0, 1.0, 120),
+        _RNG.uniform(0.2, 0.3, 30), _RNG.uniform(0.7, 0.8, 30),
+        2.0 ** -_RNG.uniform(1.0, 53.0, 40), 1.0 - 2.0 ** -_RNG.uniform(1.0, 53.0, 20),
+    ]))
+
+
+def test_t3_quantile_against_mpmath():
+    u = _t3_quantile_points()
+    assert u.size >= 200
+    got = t3_quantile(u)
+    for ui, x in zip(u, got):
+        want = mp_t3_quantile(ui, x)
+        assert abs(x - want) <= 2 * EPS * abs(want), (ui, x, want)
+
+
+def test_t3_quantile_is_odd_and_ordered():
+    u = np.ldexp(np.floor(np.ldexp(np.linspace(1e-6, 0.5 - 1e-6, 4001), 53)), -53)
+    lo, hi = t3_quantile(u), t3_quantile(1.0 - u)
+    assert np.all(np.abs(lo + hi) <= 4 * EPS * np.abs(hi))
+    assert np.all(np.diff(t3_quantile(np.linspace(2.0**-53, 1.0 - 2.0**-53, 10001))) > 0)
+    assert t3_quantile(np.array([0.5]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +203,13 @@ def test_against_scipy():
     u = np.concatenate([_RNG.uniform(0.0, 1.0, 20000), INVERSE_NORMAL_U])
     want = special.ndtri(u)
     assert np.all(np.abs(ndtri(u) - want) <= 8 * EPS * np.abs(want))
-    # the closed form with scipy's Si, accurate to about 3e-14 below t = 4
-    t = np.geomspace(1e-3, 4.0, 2000)
-    si = special.sici(t)[0]
-    closed = (np.cos(t) - 1 - 0.5 * t * np.sin(t) - 0.5 * t * t * np.cos(t)
-              + 0.5 * t**3 * (0.5 * math.pi - si))
-    assert np.all(np.abs(heavy_cubic_cf(t, 1.0) - closed) <= 5e-14)
+    # scipy's Student t: its ppf is accurate to about 1e-12, its cdf and sf to
+    # a few epsilons of the tail mass
+    t3 = pytest.importorskip("scipy.stats").t(3)
+    x = t3_quantile(u)
+    assert np.all(np.abs(x - t3.ppf(u) / SQRT3) <= 1e-11 * np.abs(x))
+    tail = np.where(u < 0.5, t3.cdf(SQRT3 * x), t3.sf(SQRT3 * x))
+    assert np.all(np.abs(tail - np.minimum(u, 1.0 - u)) <= 32 * EPS * np.minimum(u, 1.0 - u))
 
 
 def test_cli_runs_without_scipy(tmp_path):
