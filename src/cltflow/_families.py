@@ -3,18 +3,39 @@
 A Parametric law is a family name and a parameter tuple p; FAMILIES maps
 the name to the row of rules that measures, charfn and mc use (Family).
 A cf comes as a body and a location loc, the cf being the body times
-exp(i loc xi); the caller applies that phase.  The families:
+exp(i loc xi); the caller applies that phase.  A row's sampler makes draw
+i from mixed word i alone; u is the word's uniform (_uniform).  The
+families:
 
 gaussian (mean, var): k = (mean, var, 0, 0); D = expm1(-var xi^2 / 2) and
-  phi = exp(-var xi^2 / 2) at loc = mean.  Draws are Wichura's AS241
-  inverse normal (PPND16, Applied Statistics 37, 1988; InverseNormal): a
-  rational function of degree 7/7 in r = 0.180625 - q^2, q = u - 1/2, for
-  |q| <= 0.425, and beyond it in r = sqrt(-log min(u, 1 - u)) - 1.6 up to
-  r = 5 and in r - 5 above, about 1e-16 relative from u = 2^-53 to
-  1 - 2^-53, with buffers allocated once per block shape; gaussian(0, 1)
-  skips the scale and shift.  Two gaussians add to one.
+  phi = exp(-var xi^2 / 2) at loc = mean.  Two gaussians add to one.
   |xi| is capped at 64 / sqrt(var), where phi is 0 and D is -1 already, so
-  var xi^2 never overflows.
+  var xi^2 never overflows.  Draws are the ziggurat of Marsaglia & Tsang
+  (2000, J. Stat. Softw. 5) with N = 2^12 layers of area V under
+  f(x) = exp(-x^2 / 2), exact in law, times sqrt(var) plus mean;
+  gaussian(0, 1) skips the scale and shift.  Draw i is a function of word
+  w = z_i alone.  Its low 12 bits are the layer i and its top 52 bits m
+  the signed uniform s = (2m + 1) 2^-52 - 1, disjoint bits as in Doornik
+  (2005, "An improved ziggurat method to generate normal random
+  samples"); the draw is x = s X[i] where |x| < X[i + 1], about 999 words
+  in 1000, each block at once.  The other words take the slow path, one
+  word at a time in Python ints, floats and math (_zig_slow): in layer 0
+  the draw is Marsaglia's tail beyond R, +-(R + a) for a = -log(U1) / R
+  once 2 (-log U2) >= a^2; above it x is the draw if the wedge test
+  f(X[i]) + U (f(X[i + 1]) - f(X[i])) < f(x) holds.  A failed wedge test
+  starts the draw again from a new word, a failed tail test the tail.
+  Each of those uniforms, and each new word, is mix64(w + c) of the
+  word w it follows, c a constant of its own per use, so the bits depend
+  on no block, block edge, counter wrap or other law of the stream.
+  R = 4.3859450348713048591 and V = 3.0615410327846447769e-4 solve the
+  top layer's closure X[N - 1] (1 - f(X[N - 1])) = V with
+  V = R f(R) + int_R^inf f (40-digit mpmath, by bisection).  X[0] =
+  V / f(R), X[1] = R, X[k + 1] = f^-1(V / X[k] + f(X[k])) and X[N] = 0,
+  with f(X), are built in float64 by the first sampler made, not at
+  import (_ziggurat, about 1.4 ms); the float table closes the top layer
+  to 1 - 8.3e-13 of V.  On a 2-core x86 VM a block of 2^14 words costs
+  about 8 ns a draw, a quarter of it in the slow path of about 19 of its
+  words, where an AS241 inverse CDF of the uniforms cost about 18.
 
 uniform (a, b), half = (b - a) / 2, t = half xi: k = ((a + b) / 2,
   half^2 / 3, 0, -2 half^4 / 15); D = (sin t - t) / t and phi = sin t / t at
@@ -55,17 +76,20 @@ student3 (scale s): s X for X = T_3 / sqrt 3, Student's t with three
   the step times dx/d(angle), so that the angle's own rounding, which tan
   and cot magnify up to 3 times near |u - 1/2| = 1/4, does not reach x.
   Draws stay within 2 epsilons of x (1.9 at most on 6,500 points against
-  mpmath) and cost about 250 ns each, against about 20 for AS241.
+  mpmath) and cost about 250 ns each, against about 8 for the gaussian's.
 
 Every family is closed under scaling, so the law of lam X keeps the family
 and only its parameters change.
 
-The numpy kernels that the rows share with charfn live here too, so that
-charfn imports them from below and no import cycle forms.
+The numpy kernels that the rows share with charfn live here too, and the
+SplitMix64 finalizer and the uniform of a word that the samplers share
+with mc, so that charfn and mc import them from below and no import
+cycle forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -146,39 +170,6 @@ def _phase(t: np.ndarray) -> np.ndarray:
 
 
 
-# AS241 PPND16, highest power first; each denominator ends in 1
-_A = (
-    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-    1.3314166789178437745e2, 3.3871328727963666080e0,
-)
-_B = (
-    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-    4.2313330701600911252e1, 1.0,
-)
-_C = (
-    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-    1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
-    4.63033784615654529590e0, 1.42343711074968357734e0,
-)
-_D = (
-    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
-    2.05319162663775882187e0, 1.0,
-)
-_E = (
-    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-    5.46378491116411436990e0, 6.65790464350110377720e0,
-)
-_F = (
-    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-    5.99832206555887937690e-1, 1.0,
-)
-
-
 def _horner(coefs, x, out):
     """sum_k coefs[k] x^(n - k), n = len(coefs) - 1, by Horner's rule into out."""
     np.multiply(coefs[0], x, out=out)
@@ -189,67 +180,114 @@ def _horner(coefs, x, out):
     return out
 
 
-class InverseNormal:
-    """Phi^-1(u) by AS241 for blocks of at most size uniforms in (0, 1).
+# the SplitMix64 finalizer's multipliers: mc's counter words and the
+# ziggurat's derived words
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
 
-    A call writes Phi^-1(u) into out and leaves u as it is.  The central
-    rational function is evaluated on the whole block, and the tail ones
-    overwrite it where |u - 1/2| > 0.425 (r < 0), about 15% of the draws.
-    The central denominator has no zero for r >= 0.180625 - 1/4 (its
-    largest real zero is near -0.0729), so the unused values it gives
-    there stay finite.
+
+def _mix64_int(z: int) -> int:
+    """The SplitMix64 finalizer of the word z mod 2^64 in masked Python ints; mc._mix for arrays."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _uniform(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The uniforms in (0, 1) of the mixed words z, written into out; z is only read.
+
+    The top 52 bits m become the float 1 + m 2^-52, which returns as
+    (1 + m 2^-52) - (1 - 2^-53) = (m + 1/2) 2^-52, exact because 2m + 1 < 2^53
+    makes the difference a float.
     """
+    bits = out.view(np.uint64)
+    np.right_shift(z, np.uint64(12), out=bits)
+    bits |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
+    out -= 1.0 - 2.0**-53
+    return out
 
-    def __init__(self, size: int):
-        self._q = np.empty(size)
-        self._r = np.empty(size)
-        self._num = np.empty(size)
-        self._den = np.empty(size)
-        self._tail = np.empty(size, dtype=bool)
 
-    def __call__(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        n = u.size
-        q, r, num, den = self._q[:n], self._r[:n], self._num[:n], self._den[:n]
-        np.subtract(u, 0.5, out=q)
-        np.multiply(q, q, out=r)
-        np.subtract(0.180625, r, out=r)
-        _horner(_A, r, num)
-        _horner(_B, r, den)
-        np.multiply(q, num, out=out)
-        out /= den
-        idx = np.flatnonzero(np.less(r, 0.0, out=self._tail[:n]))
-        k = idx.size
-        if k:
-            r, v, w = r[:k], num[:k], den[:k]
-            np.take(u, idx, out=r)
-            np.subtract(1.0, r, out=v)
-            np.minimum(r, v, out=r)  # 1 - u is exact where u > 1/2
-            np.log(r, out=r)
-            np.negative(r, out=r)
-            np.sqrt(r, out=r)
-            far = np.flatnonzero(r > 5.0)  # u or 1 - u below about 1.4e-11
-            rf = r[far] - 5.0
-            r -= 1.6
-            _horner(_C, r, v)
-            _horner(_D, r, w)
-            v /= w
-            if far.size:
-                v[far] = _horner(_E, rf, np.empty_like(rf)) / _horner(_F, rf, np.empty_like(rf))
-            np.copysign(v, np.take(q, idx, out=w), out=v)
-            out[idx] = v
-        return out
+# the gaussian's ziggurat (module notes): 2^12 layers of area _ZIG_V under
+# f(x) = exp(-x^2 / 2), the base layer's tail beyond _ZIG_R
+_ZIG_LAYER = (1 << 12) - 1
+_ZIG_R = 4.3859450348713048591
+_ZIG_V = 3.0615410327846447769e-4
+# the constants c of the slow path's derived words mix64(w + c), one per
+# use: the first 64 bits of the fractional parts of sqrt 2, 3, 5 and 7
+_WEDGE, _TAIL_X, _TAIL_Y, _AGAIN = (
+    0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B, 0xA54FF53A5F1D36F1
+)
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """X and f(X) for the 2^12 layers and X[2^12] = 0 (module notes).
+
+    Layer i is |x| < X[i] between the heights f(X[i]) and f(X[i + 1]); the
+    base layer, X[0] = V / f(R), holds the tail beyond X[1] = R.  Built on
+    the first call by the float64 recurrence X[k + 1] = f^-1(V / X[k] + f(X[k])).
+    """
+    x = [_ZIG_V / math.exp(-0.5 * _ZIG_R * _ZIG_R), _ZIG_R]
+    while len(x) <= _ZIG_LAYER:
+        x.append(math.sqrt(-2.0 * math.log(_ZIG_V / x[-1] + math.exp(-0.5 * x[-1] * x[-1]))))
+    x = np.array(x + [0.0])
+    return x, np.exp(-0.5 * x * x)
+
+
+def _word_uniform(w: int) -> float:
+    """The uniform of the word w, (m + 1/2) 2^-52 for its top 52 bits m, as _uniform makes it."""
+    return ((w >> 12) + 0.5) * 2.0**-52
+
+
+def _zig_slow(w: int, xs: memoryview, fs: memoryview) -> float:
+    """The ziggurat's draw of the word w, in Python ints and floats (module notes).
+
+    It tries the word's layer i and x = s X[i] first, as the block's fast
+    path does; s = (2m + 1) 2^-52 - 1 is exact.
+    """
+    while True:
+        i = w & _ZIG_LAYER
+        x = (((w >> 12) * 2 + 1) * 2.0**-52 - 1.0) * xs[i]
+        if abs(x) < xs[i + 1]:
+            return x
+        if i == 0:  # Marsaglia's tail beyond R, with the sign of x
+            while True:
+                a = -math.log(_word_uniform(_mix64_int(w + _TAIL_X))) / _ZIG_R
+                b = -math.log(_word_uniform(_mix64_int(w + _TAIL_Y)))
+                if b + b >= a * a:
+                    return math.copysign(_ZIG_R + a, x)
+                w = _mix64_int(w + _AGAIN)
+        u = _word_uniform(_mix64_int(w + _WEDGE))
+        if fs[i] + u * (fs[i + 1] - fs[i]) < math.exp(-0.5 * x * x):
+            return x
+        w = _mix64_int(w + _AGAIN)
 
 
 def _gaussian_sampler(p, size):
-    ndtri = InverseNormal(size)
-    if p[0] == 0.0 and p[1] == 1.0:
-        return ndtri
-    sd = math.sqrt(p[1])
+    xs, fs = _ziggurat()
+    # memoryviews hand the slow path Python floats without 0.2 MB of float lists
+    width, edge, slow = 2.0 * xs[:-1], xs[1:], (memoryview(xs), memoryview(fs))
+    h, e, far = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    layer = np.empty(size, dtype=np.intp)
+    sd, standard = math.sqrt(p[1]), p == (0.0, 1.0)
 
-    def transform(u, out):
-        ndtri(u, out)
-        out *= sd
-        out += p[0]
+    def transform(z, out):
+        n = z.size
+        s, i = h[:n], layer[:n]
+        np.subtract(_uniform(z, s), 0.5, out=s)  # s / 2, exact
+        np.bitwise_and(z, np.uint64(_ZIG_LAYER), out=i.view(np.uint64))
+        np.take(width, i, out=out, mode="clip")
+        out *= s  # (s / 2) (2 X[i]), the bits of s X[i]
+        np.take(edge, i, out=e[:n], mode="clip")
+        k = np.flatnonzero(np.greater_equal(np.abs(out, out=s), e[:n], out=far[:n]))
+        if k.size:
+            out[k] = [_zig_slow(w, *slow) for w in z[k].tolist()]
+        if not standard:
+            out *= sd
+            out += p[0]
+        return out
 
     return transform
 
@@ -368,11 +406,13 @@ def t3_quantile(u: np.ndarray) -> np.ndarray:
 
 
 def _inverse(cdf_inverse):
-    """The sampler of an inverse CDF cdf_inverse(p, u) that needs no buffers."""
+    """The sampler of an inverse CDF cdf_inverse(p, u), u the uniforms of the words (_uniform)."""
 
     def sampler(p, size):
-        def transform(u, out):
-            out[...] = cdf_inverse(p, u)
+        u = np.empty(size)
+
+        def transform(z, out):
+            out[...] = cdf_inverse(p, _uniform(z, u[: z.size]))
 
         return transform
 
@@ -388,7 +428,8 @@ class Family:
     or not absolutely convergent, which is also how membership in P_r is
     read; deviation(p, xi) and value(p, xi, lo) give (body, loc), the cf times
     exp(-i loc xi) as a deviation and as a value at xi + lo; sampler(p, size)
-    gives transform(u, out), the draws for a block of up to size uniforms.
+    gives transform(z, out), which writes into out the draws of a block of
+    up to size mixed words z, one word each, and only reads z.
     scaled gives the parameters of lam X; added gives those of the sum of
     independent laws p and q, or None where it leaves the family.  standard
     is the centred, reduced member.  from_public turns make_parametric's

@@ -145,14 +145,26 @@ def _atom_sums(positions, weights, xi, even, odd) -> list[np.ndarray]:
 
 
 def _dev_atomic(positions, weights, mean, span, xi):
-    """Deviation of sum w exp(i xi x) with mean sum w x and span max |x|."""
-    re, im = _atom_sums(positions, weights, xi, _cos_rem, _sin_rem)
-    im += xi * mean
+    """Deviation of sum w exp(i xi x) with mean sum w x and span max |x|.
+
+    The points beyond _REMAINDER_T_MAX / span take sum w sin t as the
+    imaginary part (module notes), the others the remainder form; each
+    point's sums are those of its form alone, whichever points share the call.
+    """
     lim = _REMAINDER_T_MAX / span if span else math.inf
-    if xi.size and (xi.max() > lim or xi.min() < -lim):
-        far = np.abs(xi) > lim
-        im[far] = _atom_sums(positions, weights, xi[far], None, np.sin)[1]
-    return re + 1j * im
+    if not xi.size or (xi.max() <= lim and xi.min() >= -lim):
+        re, im = _atom_sums(positions, weights, xi, _cos_rem, _sin_rem)
+        im += xi * mean
+        return re + 1j * im
+    far = np.abs(xi) > lim
+    near = ~far
+    dev = np.empty(xi.shape, dtype=complex)
+    re, im = _atom_sums(positions, weights, xi[far], _cos_rem, np.sin)
+    dev[far] = re + 1j * im
+    re, im = _atom_sums(positions, weights, xi[near], _cos_rem, _sin_rem)
+    im += xi[near] * mean
+    dev[near] = re + 1j * im
+    return dev
 
 
 def _dev_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:

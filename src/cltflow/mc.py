@@ -10,9 +10,14 @@ with pure 64-bit integer arithmetic, so batches are bit-identical across
 platforms and runs (Salmon et al. 2011, "Parallel random numbers: as easy
 as 1, 2, 3", for counter-based generation).  Uniforms take the top 52 bits
 offset by half an ulp, landing strictly inside (0, 1) on multiples of
-2^-53; parametric laws invert their CDFs, atomic laws draw categorically.
-Each closed-form family's inverse CDF is in its row of the _families table;
-a row's transform is made once per stream, with the buffers it needs.
+2^-53 (_families._uniform).  Atomic laws draw categorically; each
+closed-form family's sampler is in its row of the _families table and
+makes draw i from word i alone: the uniform, laplace, exponential and
+student3 rows invert their CDFs at the word's uniform, and the gaussian
+row runs a ziggurat on the word, whose rare slow path takes its uniforms
+from words derived from that word, mix64(w + c) for a constant c per use
+(_families module notes).  A row's transform is made once per stream,
+with the buffers it needs.
 
 An atomic law's index is found from the word itself: the uniform reaches
 an edge e of the cumulative weights exactly when the word reaches the
@@ -29,7 +34,8 @@ the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
-- every transform and every tree add works element by element.
+- every transform and every tree add works element by element, and a
+  derived word depends on its own word alone.
 
 The flow check draws atomic and parametric laws only, draw i of a law
 from counter i, and applies the map to one stream of 2^L n draws per
@@ -38,9 +44,9 @@ same word, so the laws of one check share the one stream of the seed:
 each block is mixed once and pushed to every law's sink (_float_levels,
 _lattice_levels), and a law alone gets the same words, so its levels are
 those of a check of its own.  So no sink may write into the words it is
-given: the next sink reads the same block.  The uniforms go to the law's
-own buffer (_uniform), the categorical index only compares, and a block
-is handed out read-only, so a sink that writes into it raises.
+given: the next sink reads the same block.  A row's transform writes
+its uniforms into its own buffers, the categorical index only compares,
+and a block is handed out read-only, so a sink that writes into it raises.
 
 Row i of 2^L consecutive draws gives draw i of every level: level k is
 the left node of the row's pairwise tree at depth k, the sum of the
@@ -99,6 +105,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _families
+from ._families import _MASK, _MIX1, _MIX2, _mix64_int
 from .errors import MeasureError
 from .measures import Atomic, Measure, Parametric, require_membership
 from .charfn import _LATTICE_MAX, EmpiricalCf, eval_cf_grid
@@ -112,9 +119,6 @@ __all__ = [
 ]
 
 PHI64 = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK = (1 << 64) - 1
 
 # the flow check's levels 0..MAX_FLOW_LEVELS, and its fewest draws per level
 MAX_FLOW_LEVELS = 12
@@ -140,13 +144,6 @@ _PASS_CELLS = 1 << 20
 ORACLE_GRID = GridSpec(1e-3, 50.0, 10)
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer of the words z = key + PHI64 * (counter + 1), in place.
 
@@ -161,26 +158,12 @@ def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def _uniform(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The uniforms in (0, 1) of the mixed words z, written into out; z is only read.
-
-    The top 52 bits m become the float 1 + m 2^-52, which returns as
-    (1 + m 2^-52) - (1 - 2^-53) = (m + 1/2) 2^-52, exact because 2m + 1 < 2^53
-    makes the difference a float.
-    """
-    bits = out.view(np.uint64)
-    np.right_shift(z, np.uint64(12), out=bits)
-    bits |= np.uint64(0x3FF0000000000000)  # the exponent of [1, 2)
-    out -= 1.0 - 2.0**-53
-    return out
-
-
 def _walls(edges: np.ndarray) -> np.ndarray:
     """The walls W_e = ceil(e 2^52 - 1/2) 2^12 of the edges e, up to the first no uniform reaches.
 
-    A mixed word z reaches W_e exactly when its uniform (_uniform) reaches
-    e; W_e is worked out from e's exact ratio.  No uniform is above
-    1 - 2^-53.
+    A mixed word z reaches W_e exactly when its uniform
+    (_families._uniform) reaches e; W_e is worked out from e's exact
+    ratio.  No uniform is above 1 - 2^-53.
     """
     walls = []
     for e in edges.tolist():
@@ -260,14 +243,14 @@ def _pairwise(y: np.ndarray, spare: np.ndarray, depth: int):
 def _transform(m: Atomic | Parametric, size: int):
     """transform(z, out), which writes into out the draws of m made from the mixed words z.
 
-    m is an atomic or parametric law, each draw is made from one word, and
-    z, of at most size words, is only read.
+    m is an atomic or parametric law; draw i is made from word i alone, by
+    the categorical index or by the family row's sampler, and z, of at
+    most size words, is only read.
     """
     if isinstance(m, Atomic):
         pos, pick = m.positions, _pick(np.cumsum(m.weights))
         return lambda z, out: np.take(pos, pick(z), out=out, mode="clip")
-    invert, u = _families.row(m.family).sampler(m.params, size), np.empty(size)
-    return lambda z, out: invert(_uniform(z, u[: z.size]), out)
+    return _families.row(m.family).sampler(m.params, size)
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,7 @@ CRITERION_11_SHA256 = {
     "05_verify-ideal.csv": "ef504bbd767a1ac94fcec2f0ff135663781abaa8303d8c231e3f91030d961bdb",
     "06_verify-lyapunov.csv": "73a011a64c9c20d7a3a8dc18b7919b340ec0350bbd47463032ed5ea0f3eaeef5",
     "07_verify-clt-rate.csv": "0ddeed810f5fd9d276a2ef7e7cbefe6391c3d8320e4fe889cc150249e5b1183d",
-    "08_oracle.csv": "f18d53ea8e4645b226703f4e26ce1347a76b36e06bcffd21513d7e5bfdb17605",
+    "08_oracle.csv": "e6fdf5b13ea3c9682be82e879c9b536299f9e8f55790e10e512dc21b04d50b3f",
 }
 
 

@@ -479,6 +479,42 @@ def test_atomic_rows_keep_the_outer_product_bits(atoms, points):
     _assert_atomic_bits(pos, ws, xi)
 
 
+def _random_atomic(atoms):
+    rng = np.random.default_rng(atoms)
+    ws = rng.random(atoms) + 0.01
+    return cf.make_atomic(zip(np.sort(rng.normal(scale=2.0, size=atoms)), ws / ws.sum()))
+
+
+REACH_LAWS = {"skewed": bank.skewed_two_atom, "random-9": lambda: _random_atomic(9)}
+
+
+@pytest.mark.parametrize("law", sorted(REACH_LAWS))
+def test_atomic_deviation_across_the_remainder_reach_keeps_each_points_bits(law, monkeypatch):
+    # on a grid that crosses |xi| = _REMAINDER_T_MAX / span each point keeps
+    # the bits it has alone: the remainder form near, sum w sin t beyond;
+    # the remainder kernel runs on the near points only
+    m = REACH_LAWS[law]()
+    pos, ws = m.positions, m.weights
+    mean, span = float(np.dot(ws, pos)), max(-pos[0], pos[-1])
+    lim = charfn._REMAINDER_T_MAX / span
+    half = np.geomspace(lim / 30.0, lim * 30.0, 401)
+    xi = np.concatenate([-half[::-1], [0.0], half, [lim, -lim, np.nextafter(lim, np.inf)]])
+    alone = [charfn._dev_atomic(pos, ws, mean, span, xi[j : j + 1]) for j in range(xi.size)]
+    seen = []
+
+    def recording_sin_rem(t, out=None):
+        seen.append(t.shape[-1])
+        return _sin_rem(t, out=out)
+
+    _sin_rem = charfn._sin_rem
+    monkeypatch.setattr(charfn, "_sin_rem", recording_sin_rem)
+    whole = charfn._dev_atomic(pos, ws, mean, span, xi)
+    assert whole.tobytes() == np.concatenate(alone).tobytes()
+    near = int(np.count_nonzero(np.abs(xi) <= lim))
+    assert 0 < near < xi.size and sum(seen) == near
+    assert cf.cf_deviation(m, xi).tobytes() == whole.tobytes()
+
+
 def _symmetric_12():
     half = np.sort(np.random.default_rng(12).uniform(0.1, 3.0, 6))
     ws = np.random.default_rng(13).random(6)

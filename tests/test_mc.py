@@ -126,6 +126,44 @@ def test_empirical_flow_check_fails_level_by_level(gauss, monkeypatch):
     assert not chk.ok and chk.levels_ok == (True, False, False)
 
 
+def oracle_z_max(law, levels, n, seed, made):
+    """The largest z = |phi-hat - phi| sqrt(n) / sqrt(1 - |phi|^2) over the flow check's grid and levels.
+
+    phi-hat is each level's empirical cf (made records them), phi the
+    analytic cf of the level's iterate of law.
+    """
+    made.clear()
+    empirical_flow_check([law], levels, n, seed)
+    pts = ORACLE_GRID.points()
+    z = []
+    for k, ecf in enumerate(made):
+        phi = charfn.eval_cf_grid(cf.mc._iterate(law, k), pts)
+        z.append(np.max(np.abs(ecf.value() - phi) / np.sqrt((1.0 - np.abs(phi) ** 2) / n)))
+    assert len(z) == levels + 1
+    return float(max(z))
+
+
+def test_oracle_within_each_points_standard_error(gauss, level_cfs, monkeypatch):
+    # E|phi-hat - phi|^2 = (1 - |phi|^2) / n, and phi-hat - phi is
+    # asymptotically complex gaussian, so P(z > t) is about e^(-t^2) at a
+    # point: t = sqrt(ln(points levels / alpha)) bounds the largest z of 96
+    # points and 7 levels at alpha = 1e-3.  Gaussian draws pass it; draws
+    # scaled by 1.01, which the 4 / sqrt(n) envelope still passes, do not
+    n, levels, seed = 200_000, 6, 1234
+    points = ORACLE_GRID.points().size
+    t = math.sqrt(math.log(points * (levels + 1) / 1e-3))
+    assert points == 96 and round(t, 2) == 3.66
+    assert oracle_z_max(gauss, levels, n, seed, level_cfs) < t
+    transform = cf.mc._transform
+
+    def wide(law, size):
+        draw = transform(law, size)
+        return lambda z, out: np.multiply(draw(z, out), 1.01, out=out)
+
+    monkeypatch.setattr(cf.mc, "_transform", wide)
+    assert oracle_z_max(gauss, levels, n, seed, level_cfs) > t
+
+
 def test_empirical_flow_check_validation(gauss):
     with pytest.raises(MeasureError):
         empirical_flow_check([gauss], levels=13, n=100_000, seed=0)

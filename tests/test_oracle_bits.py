@@ -10,11 +10,16 @@ fall-back for samples no bin takes), and the oracle's draws keep theirs.
 The library's draws come from conftest.draws, the oracle's word blocks
 made draws by one law's transform, and a level's from
 conftest.level_draws, the top level of the flow check's float route.  The
-gaussian and Student t3 references draw through the library's own inverse
-CDFs: these tests check blocking and the order of the tree's sums, and
-test_special checks the transforms against mpmath.
+Student t3 reference draws through the library's own quantile, which
+test_special checks against mpmath.  The gaussian reference is the
+ziggurat written out word by word (ref_gaussian_word) on the library's
+layer tables, which test_special also checks against mpmath; it shares
+no code with the library's sampler, so the cases below that start near
+the counter wrap, cut blocks short or let a row outgrow a block show
+that a draw's bits depend on its own word alone.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +30,7 @@ import pytest
 
 import cltflow as cf
 from cltflow import bank, charfn, mc
-from cltflow._families import InverseNormal, t3_quantile
+from cltflow._families import _MIX1, _MIX2, _ziggurat, t3_quantile
 from cltflow.cli import main as cli_main
 from cltflow.errors import MeasureError, MembershipError
 from cltflow.mc import ORACLE_GRID
@@ -61,15 +66,20 @@ def ref_empirical_cf(samples, xi):
     return (re + 1j * im) / x.size
 
 
+def ref_mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of each uint64 word of z."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+
 def ref_words(seed: int, start: int, count: int) -> np.ndarray:
     """count mixed words from counter positions start.."""
     key = np.uint64(mc._mix64_int(seed))
     with np.errstate(over="ignore"):
         idx = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) % 2**64)
-        z = key + np.uint64(mc.PHI64) * idx
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(mc._MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(mc._MIX2)
-        return z ^ (z >> np.uint64(31))
+        return ref_mix(key + np.uint64(mc.PHI64) * idx)
 
 
 def ref_uniform(z: np.ndarray) -> np.ndarray:
@@ -89,11 +99,86 @@ def ref_draw_atomic(m, n, seed, start):
     return m.positions[idx]
 
 
-def ref_invert(fam, p, u):
+def sqrt_bits(p: int) -> int:
+    """The first 64 bits of the fractional part of sqrt p."""
+    return math.isqrt(p << 128) % (1 << 64)
+
+
+# the ziggurat's constants c of the words mix64(w + c) it derives from a
+# word w: for the wedge test's uniform, the tail's two and a new try
+DERIVE = {"wedge": sqrt_bits(2), "tail-x": sqrt_bits(3), "tail-y": sqrt_bits(5),
+          "again": sqrt_bits(7)}
+
+
+def ref_derived(w: int, use: str) -> int:
+    """The word that the ziggurat derives from the word w for a use."""
+    return int(ref_mix(np.array([(w + DERIVE[use]) % 2**64], dtype=np.uint64))[0])
+
+
+def ref_word_uniform(w: int) -> float:
+    """The uniform of the word w: its top 52 bits plus one half, times 2^-52."""
+    return float(Fraction(2 * (w >> 12) + 1, 2**53))
+
+
+@functools.cache
+def zig_lists():
+    """The library's ziggurat tables X and f(X) as lists of floats."""
+    return tuple(t.tolist() for t in _ziggurat())
+
+
+def ref_gaussian_word(w: int, path: list | None = None) -> float:
+    """The standard gaussian draw of the word w: Marsaglia & Tsang's ziggurat of 4096 layers.
+
+    Layer i = w mod 4096 spans |x| < X[i] between heights f(X[i]) and
+    f(X[i + 1]), f(x) = exp(-x^2 / 2); s = (2m + 1) 2^-52 - 1 for the top
+    52 bits m, and the try x = s X[i] is the draw where |x| < X[i + 1].
+    Else in layer 0 the draw is R + a with x's sign, a = -log(U1) / R, for
+    the first pair of uniforms with -2 log(U2) >= a^2; above it x is the
+    draw where f(X[i]) + U (f(X[i + 1]) - f(X[i])) < f(x), and a new try
+    is made from a new word where not.  Every U comes from a word derived
+    from the word before it.  path, where given, collects the steps taken.
+    Python's math, as the library's slow path.
+    """
+    xs, fs = zig_lists()
+    steps = [] if path is None else path
+    while True:
+        i = w % 4096
+        x = float(Fraction(2 * (w >> 12) + 1, 2**52) - 1) * xs[i]
+        if abs(x) < xs[i + 1]:
+            steps.append("fast")
+            return x
+        if i == 0:
+            while True:
+                a = -math.log(ref_word_uniform(ref_derived(w, "tail-x"))) / xs[1]
+                b = -math.log(ref_word_uniform(ref_derived(w, "tail-y")))
+                if 2.0 * b >= a * a:
+                    steps.append("tail")
+                    return math.copysign(xs[1] + a, x)
+                steps.append("tail-again")
+                w = ref_derived(w, "again")
+        u = ref_word_uniform(ref_derived(w, "wedge"))
+        if fs[i] + u * (fs[i + 1] - fs[i]) < math.exp(-0.5 * x * x):
+            steps.append("wedge")
+            return x
+        steps.append("wedge-again")
+        w = ref_derived(w, "again")
+
+
+def ref_gaussian(z: np.ndarray) -> np.ndarray:
+    """ref_gaussian_word of each word of z, the try x = s X[i] made for all at once."""
+    xs = _ziggurat()[0]
+    i = (z % np.uint64(4096)).astype(np.intp)
+    x = (2.0 * ref_uniform(z) - 1.0) * xs[i]  # 2 u - 1 = (2m + 1) 2^-52 - 1, exact
+    slow = ~(np.abs(x) < xs[i + 1])
+    x[slow] = [ref_gaussian_word(w) for w in z[slow].tolist()]
+    return x
+
+
+def ref_invert(fam, p, z):
+    """The draws of the family fam at parameters p from the mixed words z."""
     if fam == "gaussian":
-        z = np.empty(u.size)
-        InverseNormal(u.size)(u, z)
-        return p[0] + math.sqrt(p[1]) * z
+        return p[0] + math.sqrt(p[1]) * ref_gaussian(z)
+    u = ref_uniform(z)
     if fam == "uniform":
         return p[0] + (p[1] - p[0]) * u
     if fam == "laplace":
@@ -117,7 +202,7 @@ def ref_draw(m, seed, start, n):
     """n draws of the atomic or parametric law m from counter start, one counter each."""
     if isinstance(m, cf.Atomic):
         return ref_draw_atomic(m, n, seed, start)
-    return ref_invert(m.family, m.params, ref_uniforms(seed, start, n))
+    return ref_invert(m.family, m.params, ref_words(seed, start, n))
 
 
 def ref_level(m, k, seed, start, n):
@@ -397,6 +482,40 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
     counters = (np.concatenate(seen) - key) * inv - np.uint64(1)
     want = (np.arange(n << k, dtype=np.uint64) + np.uint64(start % 2**64))
     assert np.array_equal(counters, want)
+
+
+# counters whose words under seed 5 take each way through the gaussian
+# ziggurat's slow path, by the steps ref_gaussian_word records
+SLOW_PATHS = {
+    ("wedge",): 409,
+    ("wedge-again", "fast"): 529,
+    ("tail",): 267_292,
+    ("wedge-again", "wedge-again", "fast"): 270_626,
+    ("wedge-again", "wedge"): 1_901_627,
+    ("tail-again", "tail"): 2_034_175,
+}
+
+
+@pytest.mark.parametrize("params", [(0.0, 1.0), (0.5, 2.0)])
+def test_gaussian_slow_paths_keep_their_bits(params):
+    # a word of each way through the slow path, alone, together, and among
+    # fast words at a block's start and end: the reference's bits each time,
+    # and the words left as they were
+    slow = []
+    for path, counter in SLOW_PATHS.items():
+        [w] = ref_words(5, counter, 1).tolist()
+        steps = []
+        ref_gaussian_word(w, steps)
+        assert tuple(steps) == path
+        slow.append(w)
+    slow, fast = np.array(slow, dtype=np.uint64), ref_words(6, 0, 50)
+    transform = mc._transform(cf.make_parametric("gaussian", params), 64)
+    blocks = (slow[:1], slow, np.concatenate([slow[:3], fast, slow[3:]]), np.concatenate([fast, slow]))
+    for z in blocks:
+        keep = z.copy()
+        z.flags.writeable = False
+        assert same_bits(transform(z, np.empty(z.size)), ref_invert("gaussian", params, keep))
+        assert np.array_equal(z, keep)
 
 
 STREAM_LAWS = {
@@ -832,7 +951,7 @@ def test_flow_check_refuses_a_composite_law(name, monkeypatch):
 # sha256 of the oracle CSV of FIVE_LAW_ORACLE: the lattice route
 # (rademacher, skewed) and the float route beside it, by inverse CDF
 # (gaussian, uniform-std) and by the counted index of a non-dyadic law
-FIVE_LAW_ORACLE_SHA256 = "3fb0d3af429937de2667fa1fce16091ead5beb1d66f847cda0e5546bdfc89cf6"
+FIVE_LAW_ORACLE_SHA256 = "c0fe81652386ad9cbac296a4eeb7a8c484b18961e01438c3d3d18dfa6551491a"
 FIVE_LAW_ORACLE = {
     "seed": 77,
     "measures": {"third": {"type": "atomic", "atoms": [[-3.0, 0.1], [0.3333333333333333, 0.9]]}},

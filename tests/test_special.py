@@ -1,10 +1,13 @@
-"""The numpy special functions against high-precision mpmath, and scipy where it is installed.
+"""The gaussian ziggurat and the numpy special functions against high-precision mpmath.
 
-The library draws gaussians through AS241 and evaluates the heavy-tail
-law, Student's t3 scaled to unit variance, through a power series and the
-closed form of its cf and through a Newton solve of its CDF.  Each is
-checked here against an independent high-precision reference across every
-switch point of its evaluation.
+The library draws gaussians by a ziggurat of 4096 layers, and evaluates
+the heavy-tail law, Student's t3 scaled to unit variance, through a power
+series and the closed form of its cf and through a Newton solve of its
+CDF.  The ziggurat's constants and layer table are derived again here in
+mpmath, and the law of its draws is tested on a fixed seed against
+mpmath's normal tail; each of the others is checked against an
+independent high-precision reference across every switch point of its
+evaluation, and against scipy where it is installed.
 """
 
 import json
@@ -18,25 +21,12 @@ import numpy as np
 import pytest
 
 import cltflow
-from cltflow import bank, charfn
-from cltflow._families import FAMILIES, InverseNormal, t3_quantile
+from cltflow import bank, charfn, mc
+from cltflow._families import _ZIG_R, _ZIG_V, FAMILIES, _ziggurat, t3_quantile
+from conftest import draws
 
 EPS = 2.0**-52
 SQRT3 = math.sqrt(3.0)
-
-
-def ndtri(u) -> np.ndarray:
-    """Phi^-1(u) for a 1-d array of u, from a fresh InverseNormal of u's size."""
-    out = np.empty(u.size)
-    InverseNormal(u.size)(u, out)
-    return out
-
-
-def mp_ndtri(u: float):
-    """Phi^-1(u) to 80 digits: the root of Phi(x) = u, from the double's guess."""
-    with mp.workdps(80):
-        guess = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(u) - 1)
-        return mp.findroot(lambda x: mp.ncdf(x) - mp.mpf(u), guess)
 
 
 def mp_student3(a: float):
@@ -69,48 +59,129 @@ def near(x: float, k: int) -> list[float]:
     return [x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), x * (1 - k * EPS), x * (1 + k * EPS)]
 
 
-# ---------------------------------------------------------------------------
-# inverse normal
-# ---------------------------------------------------------------------------
-
 _RNG = np.random.default_rng(20230324)
-INVERSE_NORMAL_U = np.unique(np.concatenate([
+# uniforms across (0, 1) and down to the generator's smallest, for scipy
+SCIPY_U = np.unique(np.concatenate([
     _RNG.uniform(0.0, 1.0, 120),
-    # both sides of |u - 1/2| = 0.425 and of r = sqrt(-log u) = 5
-    *[near(x, 1000) for x in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))],
-    # the tails down to the smallest uniform the generator gives
     2.0 ** -_RNG.uniform(1.0, 53.0, 60),
     1.0 - 2.0 ** -_RNG.uniform(1.0, 53.0, 30),
     [2.0**-53, 3 * 2.0**-53, 1.0 - 2.0**-53],
 ]))
 
 
-def test_inverse_normal_against_mpmath():
-    got = ndtri(INVERSE_NORMAL_U)
-    for u, x in zip(INVERSE_NORMAL_U, got):
-        want = mp_ndtri(u)
-        assert abs(x - want) <= 4 * EPS * abs(want), (u, x, want)
+# ---------------------------------------------------------------------------
+# the gaussian ziggurat: its constants, its layer table and the law it draws
+# ---------------------------------------------------------------------------
+
+ZIG_N = 4096
+ZIG_R = "4.3859450348713048591"
+ZIG_V = "3.0615410327846447769e-4"
 
 
-def test_inverse_normal_is_odd_and_ordered():
-    # multiples of 2^-53, as the generator's uniforms are: 1 - u is exact
-    u = np.ldexp(np.floor(np.ldexp(np.linspace(1e-6, 0.5 - 1e-6, 4001), 53)), -53)
-    lo, hi = ndtri(u), ndtri(1.0 - u)
-    assert np.all(np.abs(lo + hi) <= 4 * EPS * np.abs(hi))
-    assert np.all(np.diff(ndtri(np.linspace(2.0**-53, 1.0 - 2.0**-53, 10001))) > 0)
+def mp_layers(r, v):
+    """x_0 .. x_{N-1} at the working precision, f(x) = exp(-x^2 / 2).
+
+    x_0 = v / f(r), x_1 = r and x_{k+1} = f^-1(v / x_k + f(x_k)).
+    """
+    x = [v / mp.exp(-r * r / 2), r]
+    while len(x) < ZIG_N:
+        x.append(mp.sqrt(-2 * mp.log(v / x[-1] + mp.exp(-x[-1] ** 2 / 2))))
+    return x
 
 
-def test_inverse_normal_block_buffers():
-    # one object serves blocks of any size up to its own, leaves u alone and
-    # gives the bits of a fresh evaluation
-    u = INVERSE_NORMAL_U.copy()
-    inv = InverseNormal(u.size + 17)
-    out = np.empty(u.size)
-    for n in (u.size, 5, 1):
-        keep = u[:n].copy()
-        inv(u[:n], out[:n])
-        assert np.array_equal(u[:n], keep)
-        assert np.array_equal(out[:n], ndtri(keep))
+def test_ziggurat_constants_against_mpmath():
+    # V is the base layer's area, R f(R) plus the tail beyond R, and the
+    # recurrence from R closes the top layer: x_{N-1} (1 - f(x_{N-1})) = V
+    with mp.workdps(40):
+        r, v = mp.mpf(ZIG_R), mp.mpf(ZIG_V)
+        assert (float(r), float(v)) == (_ZIG_R, _ZIG_V)
+        tail = mp.sqrt(mp.pi / 2) * mp.erfc(r / mp.sqrt(2))
+        assert abs(r * mp.exp(-r * r / 2) + tail - v) <= 1e-18 * v
+        top = mp_layers(r, v)[-1]
+        assert abs(top * (1 - mp.exp(-top * top / 2)) - v) <= 1e-12 * v
+
+
+def test_ziggurat_table_against_mpmath():
+    # the float table against a 30-digit one: f(X) within 1e-13 relative,
+    # X within 4e-13, its top entries the worst (the forward recurrence
+    # magnifies a step's rounding up to about 1500 times on the way to the
+    # top layer); every layer's area V within 1e-12, the top one closed
+    xs, fs = _ziggurat()
+    assert xs.shape == fs.shape == (ZIG_N + 1,)
+    assert xs[1] == _ZIG_R and xs[ZIG_N] == 0.0 and fs[ZIG_N] == 1.0
+    assert np.all(np.diff(xs) < 0)
+    with mp.workdps(30):
+        want = mp_layers(mp.mpf(ZIG_R), mp.mpf(ZIG_V))
+        for x, f, w in zip(xs.tolist(), fs.tolist(), want):
+            assert abs(x - w) <= 4e-13 * w, (x, w)
+            fw = mp.exp(-w * w / 2)
+            assert abs(f - fw) <= 1e-13 * fw, (f, fw)
+    areas = xs[1:-1] * np.diff(fs[1:])  # layers 1 .. N - 1; layer 0 holds the tail
+    assert np.all(np.abs(areas - _ZIG_V) <= 1e-12 * _ZIG_V)
+    assert abs(xs[0] * fs[1] - _ZIG_V) <= 1e-15 * _ZIG_V
+
+
+def normal_quantiles(k: int) -> np.ndarray:
+    """The k - 1 inner edges of k equiprobable bins of the standard normal.
+
+    Newton in floats, from 0, on the lower tail Phi(x) = erfc(-x / sqrt 2) / 2
+    = j / k for j <= k / 2, where erfc keeps its relative accuracy; the upper
+    edges are their mirror images.
+    """
+    lower = []
+    for j in range(1, k // 2 + 1):
+        x = 0.0
+        for _ in range(60):
+            step = (0.5 * math.erfc(-x / math.sqrt(2.0)) - j / k) / math.exp(-0.5 * x * x)
+            x -= step * math.sqrt(2.0 * math.pi)
+            if abs(step) < 1e-17:
+                break
+        lower.append(x)
+    upper = [-x for x in reversed(lower[: (k - 1) // 2])]
+    return np.array(lower + upper)
+
+
+def test_ziggurat_law_on_a_fixed_seed():
+    # 2^23 draws at seed 99, a chunk at a time: the counts beyond 3, R (the
+    # slow path's tail), 4, 4.5 and 5 within |z| <= 4 of n 2 Phi-bar(t) from
+    # mpmath, and chi^2 of the first 2^21 over 1000 equiprobable bins within
+    # 4 standard deviations of its mean
+    n, chunk, binned, bins = 1 << 23, 1 << 20, 1 << 21, 1000
+    edges, cuts = normal_quantiles(bins), [3.0, _ZIG_R, 4.0, 4.5, 5.0]
+    counts, beyond = np.zeros(bins, dtype=np.int64), np.zeros(len(cuts), dtype=np.int64)
+    for start in range(0, n, chunk):
+        x = draws(bank.gaussian(), chunk, 99, start)
+        if start < binned:
+            counts += np.bincount(np.searchsorted(edges, x), minlength=bins)
+        ax = np.abs(x)
+        beyond += [np.count_nonzero(ax > t) for t in cuts]
+    expected = binned / bins
+    chi2 = float(np.sum((counts - expected) ** 2) / expected)
+    assert abs(chi2 - (bins - 1)) <= 4 * math.sqrt(2 * (bins - 1)), chi2
+    for t, k in zip(cuts, beyond.tolist()):
+        p = float(mp.erfc(mp.mpf(t) / mp.sqrt(2)))
+        assert abs(k - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (t, k, n * p)
+
+
+def test_ziggurat_tables_are_built_on_first_use():
+    # importing the CLI, which every command pays for, builds no table; the
+    # first gaussian sampler builds it, and later ones share it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cltflow.__file__)))
+    code = (
+        "import cltflow.cli\n"
+        "from cltflow import _families, bank, mc\n"
+        "print(_families._ziggurat.cache_info().currsize)\n"
+        "mc._transform(bank.gaussian(), 16)\n"
+        "mc._transform(cltflow.make_parametric('gaussian', (1.0, 4.0)), 16)\n"
+        "info = _families._ziggurat.cache_info()\n"
+        "print(info.currsize, info.misses)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +271,10 @@ def test_t3_quantile_is_odd_and_ordered():
 
 def test_against_scipy():
     special = pytest.importorskip("scipy.special")
-    u = np.concatenate([_RNG.uniform(0.0, 1.0, 20000), INVERSE_NORMAL_U])
-    want = special.ndtri(u)
-    assert np.all(np.abs(ndtri(u) - want) <= 8 * EPS * np.abs(want))
+    u = np.concatenate([_RNG.uniform(0.0, 1.0, 20000), SCIPY_U])
+    # the bin edges of the ziggurat's law test
+    want = special.ndtri(np.arange(1, 1000) / 1000)
+    assert np.all(np.abs(normal_quantiles(1000) - want) <= 4 * EPS * np.maximum(np.abs(want), 1.0))
     # scipy's Student t: its ppf is accurate to about 1e-12, its cdf and sf to
     # a few epsilons of the tail mass
     t3 = pytest.importorskip("scipy.stats").t(3)
