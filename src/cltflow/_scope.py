@@ -1,13 +1,19 @@
-"""What one analytic command computes once: live only inside metrics.shared_deviations().
+"""What one CLI run computes once: live only inside metrics.shared_deviations().
 
-A scope keeps, until it ends:
+cli.run opens one scope for the whole run, so every command of a config
+shares it, and drops its deviation tables at the end of each command
+(drop_deviations).  A scope keeps, until it ends:
 
 * the cf deviation of each leaf law (Atomic, Parametric) at the positive
   points of a grid, for the _LEAVES pairs most recently used;
 * the deviations of the last _COMPOSITES composite laws on a grid, enough
   for a flow iterate's d2 and d3;
 * every moment summary (cumulants, moment, q_membership) asked for, by
-  law and arguments.
+  law and arguments;
+* every finished distance, a DistanceResult keyed by (a, b, s, GridSpec),
+  about 0.4 KB an entry with its key: 2,048 entries for verify-clt-rate
+  at its largest n_max.  ds_distance checks its arguments on every call
+  and only then reads the table; a distance that raises stores nothing.
 
 Laws compare by value; deviations are keyed by (law, GridSpec) and stored
 read-only.  metrics._grid_deviation hands the cf the grid whose points it
@@ -37,6 +43,7 @@ class Scope:
         self.leaves: OrderedDict = OrderedDict()
         self.composites: OrderedDict = OrderedDict()
         self.summaries: dict = {}
+        self.distances: dict = {}
 
     def deviation(self, m, grid, leaf: bool, compute):
         """The deviation of m at the positive points of grid; compute() gives it on a miss."""
@@ -52,6 +59,18 @@ class Scope:
         if len(table) > size:
             table.popitem(last=False)
         return dev
+
+    def drop_deviations(self):
+        """Free the deviation tables; the distances and summaries stay."""
+        self.leaves.clear()
+        self.composites.clear()
+
+    def distance(self, key, compute):
+        """The distance stored under key (a, b, s, grid); compute() gives it on a miss."""
+        res = self.distances.get(key)
+        if res is None:
+            res = self.distances[key] = compute()
+        return res
 
 
 def summary(fn):

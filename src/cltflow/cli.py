@@ -21,6 +21,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from . import _scope
 from .bank import Q2_BANK_NAMES, Q3_BANK_NAMES, resolve_alias
 from .errors import CharFnBoundError, ConfigError, MeasureError
 from .flow import MAX_TRAJECTORY_STEPS, clt_rate_check, contraction_ratio, renorm_trajectory
@@ -36,7 +37,8 @@ DEFAULT_ORACLE_SAMPLES = 1_000_000
 # the benchmark and the accuracy studies use (2e5 samples, 3200 per decade)
 MAX_ORACLE_SAMPLES = 10_000_000
 MAX_POINTS_PER_DECADE = 10_000
-# verify-clt-rate checks n = 2..n_max, about 0.9 ms per n at the default grid
+# verify-clt-rate checks n = 2..n_max, about 0.4 ms per n (both laws) at the
+# default grid on a 2-core x86 VM, so about 0.4 s at the cap
 MAX_CLT_RATE_N = 1024
 IDEAL_LAMBDAS = (0.5, 2.0**-0.5, 1.0, 2.0)
 # a command that raises one of these fails with an error row; any other
@@ -409,19 +411,28 @@ def parse_config(doc) -> dict:
 
 
 def run(config: dict, out_dir: str | None = None, stream=None) -> int:
-    """Execute a validated config; returns the process exit status."""
+    """Execute a validated config; returns the process exit status.
+
+    One shared_deviations() scope lasts the whole run: its commands share
+    every distance and moment summary (the distance table grows by about
+    0.4 KB per distinct distance), and each command's deviation arrays are
+    freed when it ends.  A command that fails still writes its own error
+    row.
+    """
     stream = stream or sys.stdout
     env: _Env = config["env"]
     out_dir = out_dir or config.get("output_path")
     results: list[CommandResult] = []
-    for cmd in config["commands"]:
-        try:
-            with shared_deviations():
+    with shared_deviations():
+        for cmd in config["commands"]:
+            try:
                 results.append(COMMANDS[cmd["command"]].run(cmd, env))
-        except _RUN_ERRORS as exc:
-            results.append(
-                CommandResult("error", [f"error,{exc}"], False, f"{cmd['command']}: FAIL ({exc})")
-            )
+            except _RUN_ERRORS as exc:
+                results.append(CommandResult("error", [f"error,{exc}"], False,
+                                             f"{cmd['command']}: FAIL ({exc})"))
+            # a full leaf table carried into the next command raises its
+            # peak memory; the leaves it held are cheap to compute again
+            _scope.active.drop_deviations()
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)

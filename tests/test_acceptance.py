@@ -265,22 +265,24 @@ CRITERION_11_SHA256 = {
 }
 
 
+CRITERION_11_CONFIG = {
+    "seed": 1234,
+    "commands": [
+        {"command": "distance", "a": "skewed", "b": "gaussian", "s": 3},
+        {"command": "distance", "a": "rademacher", "b": "gaussian", "s": 2},
+        {"command": "flow", "measure": "skewed", "steps": 8},
+        {"command": "verify-contraction"},
+        {"command": "verify-ideal"},
+        {"command": "verify-lyapunov", "steps": 5},
+        {"command": "verify-clt-rate", "n_max": 16},
+        {"command": "oracle", "levels": 3, "samples": 200000},
+    ],
+}
+
+
 def test_criterion_11_byte_identical_runs(tmp_path):
-    config = {
-        "seed": 1234,
-        "commands": [
-            {"command": "distance", "a": "skewed", "b": "gaussian", "s": 3},
-            {"command": "distance", "a": "rademacher", "b": "gaussian", "s": 2},
-            {"command": "flow", "measure": "skewed", "steps": 8},
-            {"command": "verify-contraction"},
-            {"command": "verify-ideal"},
-            {"command": "verify-lyapunov", "steps": 5},
-            {"command": "verify-clt-rate", "n_max": 16},
-            {"command": "oracle", "levels": 3, "samples": 200000},
-        ],
-    }
     path = tmp_path / "suite.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(CRITERION_11_CONFIG))
     blobs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
@@ -347,24 +349,44 @@ ANALYTIC_SUITE_SHA256 = {
 }
 
 
-def test_analytic_suite_bytes_on_the_fine_grid(tmp_path):
-    config = {
-        "seed": 1234,
-        "grid": {"points_per_decade": 1600},
-        "commands": [
-            {"command": "distance", "a": "skewed", "b": "gaussian", "s": 3},
-            {"command": "distance", "a": "rademacher", "b": "gaussian", "s": 2},
-            {"command": "flow", "measure": "skewed", "steps": 40},
-            {"command": "flow", "measure": "rademacher", "steps": 40},
-            {"command": "verify-contraction"},
-            {"command": "verify-ideal"},
-            {"command": "verify-lyapunov"},
-            {"command": "verify-clt-rate", "n_max": 64},
-        ],
-    }
-    path = tmp_path / "analytic.json"
+ANALYTIC_SUITE_CONFIG = {
+    "seed": 1234,
+    "grid": {"points_per_decade": 1600},
+    "commands": [
+        {"command": "distance", "a": "skewed", "b": "gaussian", "s": 3},
+        {"command": "distance", "a": "rademacher", "b": "gaussian", "s": 2},
+        {"command": "flow", "measure": "skewed", "steps": 40},
+        {"command": "flow", "measure": "rademacher", "steps": 40},
+        {"command": "verify-contraction"},
+        {"command": "verify-ideal"},
+        {"command": "verify-lyapunov"},
+        {"command": "verify-clt-rate", "n_max": 64},
+    ],
+}
+
+
+def _run_config(tmp_path, tag, config) -> dict[str, bytes]:
+    """The CSVs one `run` of config writes, by file name."""
+    path = tmp_path / f"{tag}.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "out"
+    out = tmp_path / tag
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
-    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in os.listdir(out)}
+    return {n: (out / n).read_bytes() for n in os.listdir(out)}
+
+
+def test_analytic_suite_bytes_on_the_fine_grid(tmp_path):
+    blobs = _run_config(tmp_path, "analytic", ANALYTIC_SUITE_CONFIG)
+    digests = {n: hashlib.sha256(blob).hexdigest() for n, blob in blobs.items()}
     assert digests == ANALYTIC_SUITE_SHA256
+
+
+@pytest.mark.parametrize("config", [CRITERION_11_CONFIG, ANALYTIC_SUITE_CONFIG],
+                         ids=["criterion-11", "analytic-suite"])
+def test_each_command_of_a_run_writes_the_bytes_it_writes_alone(tmp_path, config):
+    # one scope serves the whole run: a distance, deviation or summary that
+    # one command leaves in it must give the next command its own bits
+    together = _run_config(tmp_path, "together", config)
+    assert len(together) == len(config["commands"])
+    for idx, cmd in enumerate(config["commands"], start=1):
+        alone = _run_config(tmp_path, f"alone-{idx}", {**config, "commands": [cmd]})
+        assert alone == {f"01_{cmd['command']}.csv": together[f"{idx:02d}_{cmd['command']}.csv"]}

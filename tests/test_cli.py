@@ -1,9 +1,11 @@
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import cltflow.charfn as charfn
 from cltflow import _scope, cli, flow, mc, metrics
 from cltflow.cli import main
 from cltflow.errors import MeasureError
+from test_acceptance import ANALYTIC_SUITE_CONFIG
 
 
 def run_cli(args, capsys):
@@ -518,7 +521,8 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
 
     def failing(cmd, env):
         cli.ds_distance(env.resolve("skewed"), env.resolve("gaussian"), 3, env.grid)
-        seen.append(len(_scope.active.leaves))
+        scope = _scope.active
+        seen.append((len(scope.leaves), len(scope.distances), weakref.ref(scope)))
         raise MeasureError("injected")
 
     monkeypatch.setitem(
@@ -528,7 +532,26 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
         ["distance", "--a", "skewed", "--b", "gaussian", "--s", "3"], capsys
     )
     assert code == 1 and "FAIL (injected)" in out
-    assert seen == [2]
+    (leaves, distances, scope), = seen
+    assert (leaves, distances) == (2, 1)
+    assert _scope.active is None
+    assert scope() is None  # the scope and its tables are freed
+
+
+def test_a_run_keeps_its_distances_and_drops_deviations_between_commands(monkeypatch):
+    seen = []
+    orig = cli.COMMANDS["distance"].run
+
+    def probe(cmd, env):
+        seen.append((len(_scope.active.leaves), len(_scope.active.distances)))
+        return orig(cmd, env)
+
+    monkeypatch.setitem(cli.COMMANDS, "distance",
+                        dataclasses.replace(cli.COMMANDS["distance"], run=probe))
+    cmd = {"command": "distance", "a": "skewed", "b": "gaussian", "s": 3}
+    config = cli.parse_config({"commands": [cmd, cmd, {**cmd, "s": 2}]})
+    assert cli.run(config, stream=io.StringIO()) == 0
+    assert seen == [(0, 0), (0, 1), (0, 1)]
     assert _scope.active is None
 
 
@@ -563,6 +586,42 @@ def test_each_deviation_is_evaluated_once_per_command(args, calls, points, capsy
     code, _, _ = run_cli(args, capsys)
     assert code == 0
     assert counts == {"calls": calls, "points": points}
+
+
+def count_distances(monkeypatch):
+    """Count the ds_distance calls, made through every module that calls it,
+    and the distances they computed rather than read from a scope."""
+    counts = {"calls": 0, "computed": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    calls = counted("calls", metrics.ds_distance)
+    for module in (metrics, flow, cli):
+        monkeypatch.setattr(module, "ds_distance", calls)
+    monkeypatch.setattr(metrics, "_distance", counted("computed", metrics._distance))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "doc, calls, computed",
+    [
+        # T^k nu meets flow, verify-lyapunov and verify-clt-rate again, and
+        # verify-ideal asks for a pair's d_s(nu, mu) up to eight times
+        (ANALYTIC_SUITE_CONFIG, 1017, 576),
+        ({"commands": [{"command": "verify-ideal"}]}, 458, 222),
+        # 126 sums and the two laws' own distances, the latter asked for at each n
+        ({"commands": [{"command": "verify-clt-rate", "n_max": 64}]}, 252, 128),
+    ],
+    ids=["analytic-suite", "verify-ideal", "verify-clt-rate"],
+)
+def test_each_distance_is_computed_once_per_run(doc, calls, computed, monkeypatch):
+    counts = count_distances(monkeypatch)
+    assert cli.run(cli.parse_config(doc), stream=io.StringIO()) == 0
+    assert counts == {"calls": calls, "computed": computed}
 
 
 def test_verify_ideal_evaluates_each_leaf_about_once(capsys, monkeypatch):

@@ -1,12 +1,13 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import cltflow as cf
 from cltflow import _scope, bank, charfn, metrics
-from cltflow.errors import MeasureError, MembershipError
+from cltflow.errors import CharFnBoundError, MeasureError, MembershipError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -353,19 +354,56 @@ def test_csv_row_format(gauss, rademacher):
 def test_memo_exists_only_inside_a_scope(skewed, gauss, grid):
     assert _scope.active is None
     with metrics.shared_deviations():
-        cf.ds_distance(skewed, gauss, 3, grid)
+        res = cf.ds_distance(skewed, gauss, 3, grid)
         scope = _scope.active
         assert set(scope.leaves) == {(skewed, grid), (gauss, grid)}
         assert not scope.composites
+        assert scope.distances == {(skewed, gauss, 3, grid): res}
         with metrics.shared_deviations():  # a nested scope shares the outer one
             assert _scope.active is scope
+            assert cf.ds_distance(skewed, gauss, 3, grid) is res
         assert len(scope.leaves) == 2
+        ref = weakref.ref(scope)
+        del scope
     assert _scope.active is None
+    assert ref() is None  # the scope and its tables are freed
+    assert cf.ds_distance(skewed, gauss, 3, grid) is not res
     with pytest.raises(MembershipError):
         with metrics.shared_deviations():
             cf.ds_distance(skewed, gauss, 3, cf.GridSpec(1e-3, 50.0, 10))
+            ref = weakref.ref(_scope.active)
+            assert len(_scope.active.distances) == 1
             cf.ds_distance(cf.scale_law(skewed, 2.0), gauss, 3, grid)
     assert _scope.active is None
+    assert ref() is None
+
+
+def test_distance_table_checks_each_call_and_keeps_only_results(skewed, gauss, grid,
+                                                                monkeypatch):
+    # laws of variance 4: outside P_3, but the distance is finite
+    wide, wide_gauss = cf.scale_law(skewed, 2.0), cf.scale_law(gauss, 2.0)
+    with metrics.shared_deviations():
+        table = _scope.active.distances
+        res = cf.ds_distance(wide, wide_gauss, 3, grid, require_class_membership=False)
+        assert table == {(wide, wide_gauss, 3, grid): res}
+        # the membership check runs before the table is read
+        with pytest.raises(MembershipError):
+            cf.ds_distance(wide, wide_gauss, 3, grid)
+        with pytest.raises(MeasureError, match="must be 2 or 3"):
+            cf.ds_distance(wide, wide_gauss, 4, grid, require_class_membership=False)
+        assert cf.ds_distance(wide, wide_gauss, 3.0, grid, require_class_membership=False) is res
+        # a distance that raises, at the zero limit or in the cf, stores nothing
+        with pytest.raises(MembershipError, match="diverges"):
+            cf.ds_distance(wide, gauss, 3, grid, require_class_membership=False)
+        with monkeypatch.context() as patch:
+            def failing(m, grid):
+                raise CharFnBoundError("injected")
+            patch.setattr(metrics, "_grid_deviation", failing)
+            with pytest.raises(CharFnBoundError, match="injected"):
+                cf.ds_distance(skewed, gauss, 3, grid)
+        assert list(table) == [(wide, wide_gauss, 3, grid)]
+        assert cf.ds_distance(skewed, gauss, 3, grid) == cf.ds_distance(skewed, gauss, 3, grid)
+        assert len(table) == 2
 
 
 def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coarse_grid):

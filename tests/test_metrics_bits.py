@@ -4,7 +4,8 @@ The reference below is the straightforward ds_distance that evaluates both
 laws on the whole mirrored grid, takes the ratio at every point and breaks
 ties towards the smallest |xi|, then the positive sign.  The library
 evaluates the positive points only and, inside shared_deviations(), reuses
-deviations; every DistanceResult field must agree bit for bit either way.
+deviations and finished distances; every DistanceResult field must agree
+bit for bit either way.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import bank, charfn, metrics
+from cltflow import _scope, bank, charfn, metrics
 from cltflow.bank import Q2_BANK_NAMES, resolve_alias
 from cltflow.measures import cumulants, make_atomic, make_parametric
 from cltflow.metrics import DistanceResult, GridSpec, ds_distance, shared_deviations
@@ -128,10 +129,14 @@ def test_ds_distance_matches_mirrored_grid_reference(law, grid_id):
         fresh = ds_distance(a, b, s, grid, require_class_membership=member)
         assert same_result(fresh, want[s]), (s, fresh, want[s])
     with shared_deviations():
-        for _ in range(2):  # computed, then read back from the scope
+        # computed, read back from the distance table, then computed again
+        # from the deviations read back from the scope
+        for table in ("computed", "distances", "deviations"):
+            if table == "deviations":
+                _scope.active.distances.clear()
             for s in want:
                 shared = ds_distance(a, b, s, grid, require_class_membership=member)
-                assert same_result(shared, want[s]), (s, shared, want[s])
+                assert same_result(shared, want[s]), (table, s, shared, want[s])
 
 
 def test_ties_go_to_the_smallest_positive_point():
