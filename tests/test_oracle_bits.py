@@ -484,6 +484,54 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
     assert np.array_equal(counters, want)
 
 
+@pytest.mark.parametrize(
+    "block, length, row",
+    [
+        (1 << 14, 3 * (1 << 14) + 40, 1),  # the default block, a short last block
+        (8, 101, 1),
+        (64, 1000, 8),
+        (64, 3 * 128 + 8, 128),  # a row longer than a block: a block of one row
+    ],
+)
+def test_blocks_start_on_a_cache_line_and_are_read_only(block, length, row, monkeypatch):
+    # every block, the short last one included, starts on a 64-byte line,
+    # refuses writes, and holds the reference's words in counter order
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", block)
+    seed, start, size = 9, 2**64 - 300, max(block, row)
+    got = []
+    for z in mc._blocks(seed, start, length, row):
+        assert z.ctypes.data % 64 == 0
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[:1] = 0
+        got.append(z.copy())
+    assert [z.size for z in got] == [size] * (length // size) + [length % size] * (length % size > 0)
+    assert np.array_equal(np.concatenate(got), ref_words(seed, start, length))
+
+
+def placed(words: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of the uint64 words that starts offset bytes past a 64-byte line."""
+    raw = np.empty(8 * words.size + 128, dtype=np.uint8)
+    at = -raw.ctypes.data % 64 + offset
+    out = raw[at : at + 8 * words.size].view(np.uint64)
+    out[:] = words
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def test_mix_keeps_its_bits_at_every_offset_in_a_cache_line():
+    # the same words mixed at each 16-byte offset inside a line, scratch at
+    # another: placement never moves a bit
+    key = np.uint64(mc._mix64_int(3))
+    with np.errstate(over="ignore"):
+        words = key + np.uint64(mc.PHI64) * np.arange(1, 1001, dtype=np.uint64)
+    want = ref_mix(words)
+    for offset in (0, 16, 32, 48):
+        z = placed(words, offset)
+        scratch = placed(np.zeros(words.size, dtype=np.uint64), (offset + 16) % 64)
+        assert np.array_equal(mc._mix(z, scratch), want), offset
+
+
 # counters whose words under seed 5 take each way through the gaussian
 # ziggurat's slow path, by the steps ref_gaussian_word records
 SLOW_PATHS = {
