@@ -8,23 +8,21 @@ shares it, and drops its deviation tables at the end of each command
   points of a grid, for the _LEAVES pairs most recently used;
 * the deviations of the last _COMPOSITES composite laws on a grid, enough
   for a flow iterate's d2 and d3;
-* every moment summary (cumulants, moment, q_membership) asked for, by
-  law and arguments;
 * every finished distance, a DistanceResult keyed by (a, b, s, GridSpec),
   about 0.4 KB an entry with its key: 2,048 entries for verify-clt-rate
   at its largest n_max.  ds_distance checks its arguments on every call
   and only then reads the table; a distance that raises stores nothing.
 
-Laws compare by value; deviations are keyed by (law, GridSpec) and stored
-read-only.  metrics._grid_deviation hands the cf the grid whose points it
-evaluates, so that a convolution product looks its leaf parts up by that
-grid (charfn._dev).  The base of a normalized sum is evaluated at scaled
-points and never looked up.
+It holds cf work only: a law's cumulants are kept by the law object
+(measures module notes).  Laws compare by value; deviations are keyed by
+(law, GridSpec) and stored read-only.  metrics._grid_deviation hands the
+cf the grid whose points it evaluates, so that a convolution product
+looks its leaf parts up by that grid (charfn._dev).  The base of a
+normalized sum is evaluated at scaled points and never looked up.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
 
 # at 1,600 points per decade on the default range an entry holds 7,521
@@ -42,7 +40,6 @@ class Scope:
     def __init__(self):
         self.leaves: OrderedDict = OrderedDict()
         self.composites: OrderedDict = OrderedDict()
-        self.summaries: dict = {}
         self.distances: dict = {}
 
     def deviation(self, m, grid, leaf: bool, compute):
@@ -61,7 +58,7 @@ class Scope:
         return dev
 
     def drop_deviations(self):
-        """Free the deviation tables; the distances and summaries stay."""
+        """Free the deviation tables; the distances stay."""
         self.leaves.clear()
         self.composites.clear()
 
@@ -72,19 +69,3 @@ class Scope:
             res = self.distances[key] = compute()
         return res
 
-
-def summary(fn):
-    """fn(m, ...) remembered by law and arguments inside a scope."""
-
-    @functools.wraps(fn)
-    def remembered(m, *args, **kwargs):
-        if active is None:
-            return fn(m, *args, **kwargs)
-        # the argument types too: moment(m, 3.0) must raise, not find moment(m, 3)
-        key = (fn, m, args, tuple(map(type, args)), tuple(kwargs.items()))
-        table = active.summaries
-        if key not in table:
-            table[key] = fn(m, *args, **kwargs)
-        return table[key]
-
-    return remembered

@@ -414,10 +414,9 @@ def run(config: dict, out_dir: str | None = None, stream=None) -> int:
     """Execute a validated config; returns the process exit status.
 
     One shared_deviations() scope lasts the whole run: its commands share
-    every distance and moment summary (the distance table grows by about
-    0.4 KB per distinct distance), and each command's deviation arrays are
-    freed when it ends.  A command that fails still writes its own error
-    row.
+    every distance (the table grows by about 0.4 KB per distinct
+    distance), and each command's deviation arrays are freed when it
+    ends.  A command that fails still writes its own error row.
     """
     stream = stream or sys.stdout
     env: _Env = config["env"]

@@ -128,7 +128,7 @@ def renorm_trajectory(m: Measure, steps: int, grid: GridSpec | None = None) -> F
         raise MeasureError(f"trajectory depth is capped at {MAX_TRAJECTORY_STEPS}")
     require_membership(m, 2, "the renormalization trajectory")
     grid = grid or GridSpec()
-    in_q3 = q_membership(m, 3).is_member
+    in_q3 = q_membership(m, 3)
     d3s: list[float] = []
     d2s: list[float] = []
     for n in range(steps + 1):

@@ -22,9 +22,8 @@ with the buffers it needs.
 An atomic law's index is found from the word itself: the uniform reaches
 an edge e of the cumulative weights exactly when the word reaches the
 integer wall W_e = ceil(e 2^52 - 1/2) 2^12 (_walls), so the index is the
-number of walls at or below the word, counted for at most
-_COUNT_EDGES_MAX atoms and binary-searched for more (_pick), the index of
-the uniform to the bit, with no uniform made.
+number of walls at or below the word, binary-searched (_pick), the index
+of the uniform to the bit, with no uniform made.
 
 Words are mixed in blocks of _BLOCK_CELLS counters (_blocks), whose
 buffers stay in L2 and serve every block.  A block's words key + PHI64
@@ -134,8 +133,6 @@ MAX_SEED = 2**64 - 1
 # holds whole rows, and a multiple of 8, so every part the lattice route
 # packs, but a stream's last, starts and ends on a byte
 _BLOCK_CELLS = 1 << 14
-# atomic laws with at most this many atoms draw by counting edges
-_COUNT_EDGES_MAX = 8
 # the flow check's lattice route takes atomic laws of at most this many
 # inner edges: each costs it a compare and a pack of every word, where the
 # float route's binary search grows with the log of the edges; the two
@@ -183,26 +180,9 @@ def _pick(edges: np.ndarray):
     """z -> the categorical index of mixed word z: min(searchsorted(edges, u, "right"), len - 1).
 
     u is z's uniform, and u >= e exactly when z reaches e's wall (_walls).
-    For few atoms the index is the count of inner walls at or below z,
-    cheaper than a binary search; it fits in a uint8, and numpy gathers by
-    a uint8 index faster than by an intp one.
     """
-    walls = _walls(edges)
-    if edges.size > _COUNT_EDGES_MAX:
-        last = edges.size - 1
-        return lambda z: np.minimum(np.searchsorted(walls, z, side="right"), last)
-
-    inner = walls[: edges.size - 1]
-    if not inner.size:  # one atom, or no uniform reaches an inner edge
-        return lambda z: np.zeros(z.shape, dtype=np.uint8)
-
-    def index(z):
-        idx = (z >= inner[0]).view(np.uint8)
-        for w in inner[1:]:
-            idx += z >= w
-        return idx
-
-    return index
+    walls, last = _walls(edges), edges.size - 1
+    return lambda z: np.minimum(np.searchsorted(walls, z, side="right"), last)
 
 
 def _aligned_words(size: int) -> np.ndarray:

@@ -14,27 +14,28 @@ A measure is represented by one of four immutable value types:
 Each is closed under scaling (scale_law), the one affine map the library
 uses: every law in P_r is centred, so none needs a shift.
 
-All representations carry exact first-through-fourth cumulants (with ``inf``
-and ``nan`` markers where a moment is infinite or not absolutely convergent),
-which is what the metric layer needs for its zero-frequency limits.  Every
-value is frozen and compares by value; operations return new measures.  A
-finite sample's empirical law is the equal-weight atomic law
-make_atomic((x, 1.0) for x in sample).  Membership in P_r reads the same
-markers: a law is in it when k1 = 0, k2 = 1 and k_r is finite.  Inside a
-metrics.shared_deviations() scope, cumulants, moment and q_membership are
-computed once per law and arguments.
+The first-through-fourth cumulants are the one moment summary: exact per
+representation, with ``inf`` and ``nan`` markers where a moment is infinite
+or not absolutely convergent, and all the metric layer reads of a law for
+its zero-frequency limits.  Each law object computes them once, on first
+use, and keeps them for its lifetime: they depend on the law's fields
+alone, and the cache sits outside the fields, so ==, hash and repr never
+see it.  Every value is frozen and compares by value; operations return
+new measures.  A finite sample's empirical law is the equal-weight atomic
+law make_atomic((x, 1.0) for x in sample).  Membership in P_r reads the
+cumulants' markers: a law is in it when k1 = 0, k2 = 1 and k_r is finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _families
 from ._families import ATOM_ABS_MAX, PUBLIC_FAMILIES
-from ._scope import summary
 from .errors import MeasureError, MembershipError
 
 __all__ = [
@@ -43,10 +44,8 @@ __all__ = [
     "Parametric",
     "NormalizedSum",
     "ConvProduct",
-    "QMembership",
     "make_atomic",
     "make_parametric",
-    "moment",
     "scale_law",
     "convolve",
     "q_membership",
@@ -61,6 +60,23 @@ _MEMBER_TOL = 1e-10
 @dataclass(frozen=True)
 class Measure:
     """Base class for all measure representations."""
+
+    @cached_property
+    def _cumulants(self) -> tuple[float, float, float, float]:
+        """k1..k4 by the representation's rule, once per law object (module notes)."""
+        if isinstance(self, Atomic):
+            return _atomic_cumulants(self)
+        if isinstance(self, Parametric):
+            return _families.row(self.family).cumulants(self.params)
+        if isinstance(self, NormalizedSum):
+            k1, k2, k3, k4 = cumulants(self.base)
+            n = self.n
+            # n k_j scaled by n^{-j/2}: each power of n rounded once
+            return (k1 * n**0.5, k2, k3 * n**-0.5, k4 / n)
+        if isinstance(self, ConvProduct):
+            ks = [cumulants(p) for p in self.parts]
+            return tuple(map(math.fsum, zip(*ks)))  # type: ignore[return-value]
+        raise MeasureError(f"unsupported representation {type(self).__name__}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +137,6 @@ class ConvProduct(Measure):
     def __post_init__(self):
         if len(self.parts) < 2:
             raise MeasureError("convolution product needs at least two parts")
-
-
-@dataclass(frozen=True)
-class QMembership:
-    """Verdict on membership in the centred, reduced, finite-r-th-moment class."""
-
-    r: float
-    is_member: bool
-    mean: float
-    variance: float
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +228,8 @@ def measure_from_literal(obj) -> Measure:
 
 
 # ---------------------------------------------------------------------------
-# cumulants and moments
+# cumulants
 # ---------------------------------------------------------------------------
-
-
-def _cumulants_to_raw(k1, k2, k3, k4):
-    # cross terms vanish identically for centred laws even when the higher
-    # cumulant carries an inf/nan marker, so 0 * marker must stay 0
-    def prod(a, b):
-        return 0.0 if a == 0.0 or b == 0.0 else a * b
-
-    m1 = k1
-    m2 = k2 + k1 * k1
-    m3 = k3 + prod(3.0 * k2, k1) + k1**3
-    m4 = k4 + prod(4.0 * k3, k1) + 3.0 * k2 * k2 + 6.0 * k2 * k1 * k1 + k1**4
-    return (m1, m2, m3, m4)
 
 
 def _atomic_cumulants(m: Atomic):
@@ -247,37 +240,14 @@ def _atomic_cumulants(m: Atomic):
     return (mean, c2, c3, c4 - 3.0 * c2 * c2)
 
 
-@summary
 def cumulants(m: Measure) -> tuple[float, float, float, float]:
-    """First through fourth cumulants, exact per representation.
+    """First through fourth cumulants, exact per representation, computed once per law object.
 
     Entries are inf when the moment is infinite and nan when not absolutely
     convergent.  Cumulants are additive under convolution and scale as
     lambda^k, which makes every composite exact.
     """
-    if isinstance(m, Atomic):
-        return _atomic_cumulants(m)
-    if isinstance(m, Parametric):
-        return _families.row(m.family).cumulants(m.params)
-    if isinstance(m, NormalizedSum):
-        k1, k2, k3, k4 = cumulants(m.base)
-        n = m.n
-        # n k_j scaled by n^{-j/2}: each power of n rounded once
-        return (k1 * n**0.5, k2, k3 * n**-0.5, k4 / n)
-    if isinstance(m, ConvProduct):
-        ks = [cumulants(p) for p in m.parts]
-        return tuple(math.fsum(k[i] for k in ks) for i in range(4))  # type: ignore[return-value]
-    raise MeasureError(f"unsupported representation {type(m).__name__}")
-
-
-@summary
-def moment(m: Measure, k: int) -> float:
-    """E(X^k) for k <= 4: inf when infinite, nan when not absolutely convergent."""
-    if not isinstance(k, int) or not 1 <= k <= 4:
-        raise MeasureError("moment order must be an integer in 1..4")
-    if isinstance(m, Atomic):
-        return float(np.dot(m.weights, m.positions**k))
-    return _cumulants_to_raw(*cumulants(m))[k - 1]
+    return m._cumulants
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +280,6 @@ def convolve(a: Measure, b: Measure) -> Measure:
     family that is closed under convolution (the gaussian) stay in it;
     everything else becomes a cf-product representation.
     """
-    for m in (a, b):
-        if not math.isfinite(cumulants(m)[1]):
-            raise MeasureError("convolution requires finite second moments")
     if isinstance(a, Atomic) and isinstance(b, Atomic):
         pos = np.add.outer(a.positions, b.positions).ravel()
         ws = np.multiply.outer(a.weights, b.weights).ravel()
@@ -327,9 +294,8 @@ def convolve(a: Measure, b: Measure) -> Measure:
     return ConvProduct(tuple(parts))
 
 
-@summary
-def q_membership(m: Measure, r) -> QMembership:
-    """Check mean 0, variance 1, and finiteness of the r-th absolute moment.
+def q_membership(m: Measure, r) -> bool:
+    """Whether m has mean 0, variance 1 and a finite r-th absolute moment.
 
     E|X|^r is finite exactly when the cumulant k_r is: the representations
     mark an infinite moment inf and one that is not absolutely convergent
@@ -337,27 +303,20 @@ def q_membership(m: Measure, r) -> QMembership:
     """
     if r not in (2, 3, 2.0, 3.0):
         raise MembershipError(f"membership is defined for r in {{2, 3}}, got {r}")
-    r = int(r)
     ks = cumulants(m)
-    ok = (
-        abs(ks[0]) <= _MEMBER_TOL
-        and abs(ks[1] - 1.0) <= _MEMBER_TOL
-        and math.isfinite(ks[r - 1])
-    )
-    return QMembership(float(r), ok, ks[0], ks[1])
+    return (abs(ks[0]) <= _MEMBER_TOL and abs(ks[1] - 1.0) <= _MEMBER_TOL
+            and math.isfinite(ks[int(r) - 1]))
 
 
-def require_membership(m: Measure, r, what: str = "operation") -> QMembership:
+def require_membership(m: Measure, r, what: str = "operation") -> None:
     """Raise MembershipError unless m is centred, reduced, with finite r-th moment."""
-    qm = q_membership(m, r)
-    if not qm.is_member:
-        finite = math.isfinite(cumulants(m)[int(r) - 1])
+    if not q_membership(m, r):
+        k = cumulants(m)
         raise MembershipError(
             f"{what} requires a centred, reduced law with finite absolute moment "
-            f"of order {r}: got mean {qm.mean:.3g}, variance {qm.variance:.6g}, "
-            f"E|X|^{r} {'finite' if finite else 'infinite'}"
+            f"of order {r}: got mean {k[0]:.3g}, variance {k[1]:.6g}, "
+            f"E|X|^{r} {'finite' if math.isfinite(k[int(r) - 1]) else 'infinite'}"
         )
-    return qm
 
 
 # The former name of the flow's iterates, still imported by bench/spans.py

@@ -5,9 +5,9 @@ from three mechanisms, one per regime of the ratio:
 
 * a symmetric log-spaced grid covers the bulk (the ratio is smooth there),
   from GRID_XI_MIN on, where rounding divided by |xi|^s stays small;
-* the exact xi -> 0 limit comes from moment differences (|dm3|/6 for s = 3,
-  |dvariance|/2 for s = 2), so no floating-point division by tiny xi^s ever
-  enters the reported value;
+* the exact xi -> 0 limit comes from cumulant differences (|dk3|/6 for
+  s = 3, |dk2|/2 for s = 2), so no floating-point division by tiny xi^s
+  ever enters the reported value;
 * the region beyond the grid is covered by the certificate 2 / xi_max^s,
   valid because cf differences are bounded by 2.
 
@@ -29,7 +29,9 @@ value, or computes and stores it.  Each leaf law (atomic or parametric)
 has its deviation on a grid computed once, whether ds_distance takes it
 alone or as a part of a convolution, while it stays among the 12 (law,
 grid) pairs most recently used; the last two composite deviations are
-kept too, and the moment summaries of every law.  _grid_deviation hands
+kept too.  The scope holds cf work only: a law's cumulants, which the
+zero limits and the membership checks read, are kept by the law object
+itself (measures module notes), in a scope or not.  _grid_deviation hands
 the cf the grid, so a convolution product finds its parts in the scope's
 table by that grid; a normalized sum evaluates its base at scaled points,
 outside the table.  The checks compare many laws and their convolutions
@@ -66,7 +68,7 @@ import numpy as np
 
 from . import _scope, charfn
 from .errors import MeasureError, MembershipError
-from .measures import Measure, convolve, cumulants, moment, require_membership, scale_law
+from .measures import Measure, convolve, cumulants, require_membership, scale_law
 
 __all__ = [
     "GridSpec",
@@ -183,9 +185,9 @@ def _zero_limit_relaxed(a: Measure, b: Measure, s: int) -> float:
     """xi -> 0 limit of the ratio for mean-matched laws.
 
     Mean mismatch makes the limit infinite for both exponents; variance
-    mismatch makes it infinite for s = 3 and equal to |dvariance|/2 for
-    s = 2.  For fully matched laws the limit is |dm3|/6 when s = 3 and 0
-    when s = 2.
+    mismatch makes it infinite for s = 3 and equal to |dk2|/2 for s = 2.
+    For laws whose means and variances match the limit is |dk3|/6 when
+    s = 3 and 0 when s = 2.
     """
     ka, kb = cumulants(a), cumulants(b)
     if abs(ka[0] - kb[0]) > _MOMENT_MATCH_TOL:
@@ -195,24 +197,23 @@ def _zero_limit_relaxed(a: Measure, b: Measure, s: int) -> float:
         return 0.5 * dvar
     if dvar > _MOMENT_MATCH_TOL:
         return math.inf
-    m3a, m3b = moment(a, 3), moment(b, 3)
-    if not (math.isfinite(m3a) and math.isfinite(m3b)):
+    if not (math.isfinite(ka[2]) and math.isfinite(kb[2])):
         raise MeasureError("the s = 3 zero limit needs finite third moments")
-    return abs(m3a - m3b) / 6.0
+    return abs(ka[2] - kb[2]) / 6.0
 
 
 @contextmanager
 def shared_deviations():
-    """Compute each distance, grid deviation and moment summary once until the scope ends.
+    """Compute each distance and grid deviation once until the scope ends.
 
     The scope keeps every finished distance, keyed by (a, b, s, grid),
-    about 0.4 KB each; the deviations, keyed by (law, grid), of the 12 leaf
-    laws (atomic or parametric) most recently used, whether ds_distance
-    took them alone or as parts of a convolution product, and of the last
-    two composite laws; and the cumulants, moments and memberships of
-    every law asked about.  Laws compare by value.  cli.run opens one scope
-    for a whole run, shared by all its commands, and frees its deviations
-    at the end of each command.
+    about 0.4 KB each, and the deviations, keyed by (law, grid), of the 12
+    leaf laws (atomic or parametric) most recently used, whether
+    ds_distance took them alone or as parts of a convolution product, and
+    of the last two composite laws.  Laws compare by value; a law's
+    cumulants are kept by the law itself, not the scope.  cli.run opens
+    one scope for a whole run, shared by all its commands, and frees its
+    deviations at the end of each command.
     Everything is freed when the scope ends, also on error.  A scope
     opened inside another shares the outer one.  Keep a scope short: a cf
     routine replaced inside it is not seen by what was computed before.

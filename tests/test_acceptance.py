@@ -178,7 +178,7 @@ def test_criterion_7_lyapunov_decrease():
             worst = min(worst, margin)
             assert margin > 1e-10, (name, n)
     # the heavy-tail law is in P_2 but not in P_3: E|X|^3 = inf
-    ok = not cf.q_membership(bank.heavy_tail_std(), 3).is_member
+    ok = not cf.q_membership(bank.heavy_tail_std(), 3)
     _announce(
         7,
         ok,
@@ -383,7 +383,7 @@ def test_analytic_suite_bytes_on_the_fine_grid(tmp_path):
 @pytest.mark.parametrize("config", [CRITERION_11_CONFIG, ANALYTIC_SUITE_CONFIG],
                          ids=["criterion-11", "analytic-suite"])
 def test_each_command_of_a_run_writes_the_bytes_it_writes_alone(tmp_path, config):
-    # one scope serves the whole run: a distance, deviation or summary that
+    # one scope serves the whole run: a distance or deviation that
     # one command leaves in it must give the next command its own bits
     together = _run_config(tmp_path, "together", config)
     assert len(together) == len(config["commands"])

@@ -647,7 +647,7 @@ def test_verify_ideal_evaluates_each_leaf_about_once(capsys, monkeypatch):
     {"command": "verify-clt-rate"},
 ], ids=lambda cmd: "-".join(map(str, cmd.values())))
 def test_shared_rows_equal_fresh_rows(cmd):
-    # outside a scope every deviation and moment is computed afresh
+    # outside a scope every distance and deviation is computed afresh
     config = cli.parse_config({"commands": [cmd]})
     env, (cmd,) = config["env"], config["commands"]
     runner = cli.COMMANDS[cmd["command"]].run

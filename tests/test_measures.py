@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,7 @@ SQRT3 = math.sqrt(3.0)
 
 
 def test_make_atomic_rademacher_moments(rademacher):
-    assert cf.moment(rademacher, 1) == 0.0
-    assert cf.moment(rademacher, 2) == 1.0
-    assert cf.moment(rademacher, 3) == 0.0
+    assert cf.cumulants(rademacher)[:3] == (0.0, 1.0, 0.0)
 
 
 def test_make_atomic_renormalizes_weights():
@@ -51,9 +51,7 @@ def test_make_atomic_rejects_bad_input():
 
 def test_skewed_two_atom_closed_form_and_mc_oracle(skewed):
     # closed-form arithmetic: 0.2*8 + 0.8*(-0.125) = 1.5
-    assert cf.moment(skewed, 1) == 0.0
-    assert cf.moment(skewed, 2) == 1.0
-    assert cf.moment(skewed, 3) == 1.5
+    assert cf.cumulants(skewed)[:3] == (0.0, 1.0, 1.5)
     x = draws(skewed, 400_000, 2024)
     est = float(np.mean(x**3))
     # CLT error bar: sd(X^3) / sqrt(N), generously widened
@@ -62,16 +60,15 @@ def test_skewed_two_atom_closed_form_and_mc_oracle(skewed):
 
 
 def test_make_parametric_gaussian_moments(gauss):
-    assert cf.moment(gauss, 1) == 0.0
-    assert cf.moment(gauss, 2) == 1.0
-    assert cf.moment(gauss, 3) == 0.0
-    assert cf.moment(gauss, 4) == 3.0
+    k1, k2, k3, k4 = cf.cumulants(gauss)
+    assert (k1, k2, k3) == (0.0, 1.0, 0.0)
+    assert k4 + 3.0 * k2 * k2 == 3.0  # E X^4 of a centred law
 
 
 def test_make_parametric_uniform_variance():
     m = cf.make_parametric("uniform", (-SQRT3, SQRT3))
-    assert cf.moment(m, 1) == 0.0
-    assert cf.moment(m, 2) == pytest.approx(1.0, abs=1e-15)
+    assert cf.cumulants(m)[0] == 0.0
+    assert cf.cumulants(m)[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_make_parametric_rejects_invalid():
@@ -86,17 +83,10 @@ def test_make_parametric_rejects_invalid():
 
 
 def test_heavy_tail_moment_markers():
-    m = bank.heavy_tail_std()
-    assert cf.moment(m, 2) == 1.0
-    assert math.isnan(cf.moment(m, 3))
-    assert math.isinf(cf.moment(m, 4))
-
-
-def test_moment_rejects_bad_order(gauss):
-    with pytest.raises(MeasureError):
-        cf.moment(gauss, 5)
-    with pytest.raises(MeasureError):
-        cf.moment(gauss, 0)
+    _, k2, k3, k4 = cf.cumulants(bank.heavy_tail_std())
+    assert k2 == 1.0
+    assert math.isnan(k3)
+    assert math.isinf(k4 + 3.0 * k2 * k2)  # E X^4 of a centred law
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +173,7 @@ def test_point_mass_cumulants_are_exactly_zero(gauss):
 def test_convolve_generic_becomes_product(gauss):
     m = cf.convolve(bank.uniform_std(), gauss)
     assert isinstance(m, cf.ConvProduct)
-    assert cf.moment(m, 2) == pytest.approx(2.0, abs=1e-14)
+    assert cf.cumulants(m)[1] == pytest.approx(2.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +182,27 @@ def test_convolve_generic_becomes_product(gauss):
 
 
 def test_q_membership_gaussian(gauss):
-    qm = cf.q_membership(gauss, 3)
-    assert qm.is_member
-    assert qm.mean == 0.0 and qm.variance == 1.0
+    assert cf.q_membership(gauss, 3) is True
+    assert cf.cumulants(gauss)[:2] == (0.0, 1.0)
 
 
 def test_q_membership_uniform01_not_centred():
-    qm = cf.q_membership(cf.make_parametric("uniform", (0.0, 1.0)), 3)
-    assert not qm.is_member
-    assert qm.mean == pytest.approx(0.5)
+    m = cf.make_parametric("uniform", (0.0, 1.0))
+    assert cf.q_membership(m, 3) is False
+    assert cf.cumulants(m)[0] == pytest.approx(0.5)
+    with pytest.raises(MembershipError, match="got mean 0.5, variance 0.0833333"):
+        cf.measures.require_membership(m, 3)
 
 
 def test_q_membership_skewed_abs_moment(skewed):
-    qm = cf.q_membership(skewed, 3)
-    assert qm.is_member
-    assert qm.mean == 0.0 and qm.variance == 1.0
+    assert cf.q_membership(skewed, 3) is True
+    assert cf.cumulants(skewed)[:2] == (0.0, 1.0)
 
 
 def test_q_membership_heavy_tail_split():
     m = bank.heavy_tail_std()
-    assert cf.q_membership(m, 2).is_member
-    assert not cf.q_membership(m, 3).is_member
+    assert cf.q_membership(m, 2)
+    assert not cf.q_membership(m, 3)
 
 
 def test_q_membership_rejects_unsupported_r(gauss):
@@ -268,8 +258,8 @@ def _verdict_laws():
 def test_q_membership_verdict_table(law, member2, member3):
     # centred, reduced laws whose verdict turns on a finite E|X|^r, and
     # laws that fail on the mean or the variance
-    assert cf.q_membership(law, 2).is_member == member2
-    assert cf.q_membership(law, 3).is_member == member3
+    assert cf.q_membership(law, 2) == member2
+    assert cf.q_membership(law, 3) == member3
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +311,8 @@ def test_scale_law_moment_scaling(atoms, lam):
     m = cf.make_atomic(atoms)
     scaled = cf.scale_law(m, lam)
     for k in (1, 2, 3):
-        expected = lam**k * cf.moment(m, k)
-        assert cf.moment(scaled, k) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        expected = lam**k * cf.cumulants(m)[k - 1]
+        assert cf.cumulants(scaled)[k - 1] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 @given(atom_lists, atom_lists)
@@ -330,8 +320,8 @@ def test_scale_law_moment_scaling(atoms, lam):
 def test_convolve_moment_additivity(aa, bb):
     a, b = cf.make_atomic(aa), cf.make_atomic(bb)
     s = cf.convolve(a, b)
-    assert cf.moment(s, 1) == pytest.approx(
-        cf.moment(a, 1) + cf.moment(b, 1), rel=1e-10, abs=1e-10
+    assert cf.cumulants(s)[0] == pytest.approx(
+        cf.cumulants(a)[0] + cf.cumulants(b)[0], rel=1e-10, abs=1e-10
     )
     var = cf.cumulants(s)[1]
     assert var == pytest.approx(
@@ -345,11 +335,11 @@ def test_centered_third_moments_add(aa, bb):
     # center both inputs explicitly; signed third moments then add
     ca = cf.make_atomic(aa)
     cb = cf.make_atomic(bb)
-    ca = cf.convolve(ca, cf.make_atomic([(-cf.moment(ca, 1), 1.0)]))
-    cb = cf.convolve(cb, cf.make_atomic([(-cf.moment(cb, 1), 1.0)]))
+    ca = cf.convolve(ca, cf.make_atomic([(-cf.cumulants(ca)[0], 1.0)]))
+    cb = cf.convolve(cb, cf.make_atomic([(-cf.cumulants(cb)[0], 1.0)]))
     s = cf.convolve(ca, cb)
-    assert cf.moment(s, 3) == pytest.approx(
-        cf.moment(ca, 3) + cf.moment(cb, 3), rel=1e-9, abs=1e-9
+    assert cf.cumulants(s)[2] == pytest.approx(
+        cf.cumulants(ca)[2] + cf.cumulants(cb)[2], rel=1e-9, abs=1e-9
     )
 
 
@@ -371,17 +361,31 @@ def test_affine_at_the_bound_has_finite_moments():
     assert all(map(math.isfinite, cf.cumulants(m)))
 
 
-def test_moment_summaries_are_shared_inside_a_scope(skewed):
-    law = cf.NormalizedSum(skewed, 8)
-    assert cf.cumulants(law) is not cf.cumulants(law)
+def test_cumulants_are_computed_once_per_law_object(skewed, gauss, monkeypatch):
+    rule, seen = cf.measures._atomic_cumulants, []
+    monkeypatch.setattr(cf.measures, "_atomic_cumulants", lambda m: seen.append(m) or rule(m))
+    law = cf.make_atomic(skewed.atoms)
+    assert cf.cumulants(law) is cf.cumulants(law)
+    assert cf.q_membership(law, 3) and seen == [law]
     with cf.metrics.shared_deviations():
-        assert cf.cumulants(law) is cf.cumulants(law)
-        assert cf.q_membership(law, 3) is cf.q_membership(law, 3)
-        assert cf.moment(law, 3) == cf.moment(law, 3)
-        with pytest.raises(MeasureError):  # not the summary of moment(law, 3)
-            cf.moment(law, 3.0)
-    assert cf.cumulants(law) == cf.cumulants(law)
-    assert cf.cumulants(law) is not cf.cumulants(law)
+        twin = cf.make_atomic(skewed.atoms)
+        assert cf.cumulants(twin) is cf.cumulants(twin)
+        assert cf.cumulants(twin) == cf.cumulants(law)
+        # a composite reads its parts' cumulants from them
+        cf.cumulants(cf.NormalizedSum(twin, 8))
+        cf.cumulants(cf.ConvProduct((twin, gauss)))
+        assert len(seen) == 2 and seen[1] is twin
+    cf.cumulants(law)
+    assert len(seen) == 2
+    # the cache is no field: a law whose cumulants were read equals, hashes
+    # and prints like a fresh one, and keys the scope's distance table alike
+    fresh = cf.make_atomic(skewed.atoms)
+    assert "_cumulants" in vars(law) and "_cumulants" not in vars(fresh)
+    assert law == fresh and hash(law) == hash(fresh) and repr(law) == repr(fresh)
+    with cf.metrics.shared_deviations():
+        first = cf.ds_distance(law, gauss, 3)
+        assert cf.ds_distance(fresh, gauss, 3) is first
+        assert list(cf._scope.active.distances) == [(law, gauss, 3, cf.GridSpec())]
 
 
 def test_third_absolute_moment_growth_under_step(q3_bank):
@@ -444,3 +448,42 @@ def test_normalized_sums_do_not_nest(skewed):
         cf.NormalizedSum(cf.NormalizedSum(skewed, 2), 2)
     # T applied to T^2 skewed is T^3 skewed, one sum of 2^3 copies
     assert cf.renorm_step(cf.NormalizedSum(skewed, 4)) == cf.NormalizedSum(skewed, 8)
+
+
+# ---------------------------------------------------------------------------
+# layering
+# ---------------------------------------------------------------------------
+
+_ABOVE_THE_MEASURES = {"_scope", "charfn", "metrics", "flow", "mc", "cli"}
+
+
+def _package_imports(source):
+    """(line, module) of each cltflow module that source imports, anywhere in it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("cltflow."):
+                    yield node.lineno, a.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cltflow" if node.level else None, node.module]))
+            if base == "cltflow":  # from . import a, b
+                yield from ((node.lineno, a.name) for a in node.names)
+            elif base.startswith("cltflow."):
+                yield node.lineno, base.split(".")[1]
+
+
+@pytest.mark.parametrize("module", ["measures", "_families"])
+def test_the_measure_layer_imports_nothing_above_it(module):
+    # laws and their cumulants stand on their own: no scope, cf, metric,
+    # flow, oracle or CLI code, read from the source without importing it
+    source = (Path(cf.__file__).parent / f"{module}.py").read_text()
+    found = [f"{module}.py:{line} imports {name}"
+             for line, name in _package_imports(source) if name in _ABOVE_THE_MEASURES]
+    assert not found, "; ".join(found)
+    # the check sees each form of import it is there to keep out
+    probe = ("from . import _scope, errors\nfrom .metrics import ds_distance\n"
+             "import cltflow.flow\nfrom cltflow.mc import draw\nfrom cltflow import cli\n"
+             "def f():\n    from .charfn import cf_deviation\n")
+    assert sorted(_package_imports(probe)) == [
+        (1, "_scope"), (1, "errors"), (2, "metrics"), (3, "flow"), (4, "mc"), (5, "cli"),
+        (7, "charfn")]

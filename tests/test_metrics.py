@@ -1,6 +1,7 @@
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +184,51 @@ def test_zero_limit_needs_third_moment_for_s3(gauss):
     heavy = bank.heavy_tail_std()
     with pytest.raises(MembershipError):
         cf.ds_distance(heavy, gauss, 3)
+
+
+def _centred_atomic(rng):
+    """A random law of 2..12 atoms off 0, shifted by its float mean: up to 2e-14 of mean stays."""
+    k = int(rng.integers(2, 13))
+    x = rng.normal(size=k) * rng.uniform(0.2, 3.0) + rng.normal(scale=10.0)
+    m = cf.make_atomic(zip(x, rng.random(k) + 0.05))
+    return cf.make_atomic(zip(m.positions - cf.cumulants(m)[0], m.weights))
+
+
+def _exact_k2_k3(m):
+    """k2 and k3 of the stored atoms, weights over their exact sum, as fractions."""
+    xs, ws = [Fraction(x) for x, _ in m.atoms], [Fraction(w) for _, w in m.atoms]
+    total = sum(ws)
+    mean = sum(w * x for w, x in zip(ws, xs)) / total
+    return tuple(sum(w * (x - mean) ** j for w, x in zip(ws, xs)) / total for j in (2, 3))
+
+
+@pytest.mark.parametrize("form", ["atomic", "with-rademacher", "sum-8"])
+def test_zero_limits_of_laws_with_an_inexact_mean_are_exact_to_a_few_ulps(form, rademacher,
+                                                                         coarse_grid):
+    # s = 3 gives |dk3| / 6 and s = 2 |dk2| / 2 against the exact cumulants
+    # of the stored atoms, within 4 ulps of the terms (E|X_a|^s + E|X_b|^s)
+    # / s!, not of their difference (here at most 2.1); centring leaves a
+    # mean of up to 1.8e-14, which a limit read from the raw third moments
+    # carried as 3 k2 k1, 60 to 840 ulps of the terms
+    rng = np.random.default_rng(2303)
+    eps = np.finfo(float).eps
+    root = {"atomic": 1.0, "with-rademacher": 1.0, "sum-8": math.sqrt(8.0)}[form]
+    for _ in range(100):
+        centred = _centred_atomic(rng), _centred_atomic(rng)
+        reduced = [cf.scale_law(m, cf.cumulants(m)[1] ** -0.5) for m in centred]
+        for s, pair in ((3, reduced), (2, centred)):
+            if form == "with-rademacher":
+                pair = [cf.convolve(m, rademacher) for m in pair]
+            laws = [cf.NormalizedSum(m, 8) for m in pair] if form == "sum-8" else pair
+            got = cf.ds_distance(*laws, s, coarse_grid, require_class_membership=False)
+            (k2a, k3a), (k2b, k3b) = map(_exact_k2_k3, pair)
+            if s == 3:  # k3 of S_8 / sqrt(8) is k3 / sqrt(8)
+                want = float(abs(k3a - k3b) / 6) / root
+            else:
+                want = float(abs(k2a - k2b) / 2)
+            terms = math.fsum(w * abs(x) ** s for m in pair for x, w in m.atoms)
+            terms /= math.factorial(s) * (root if s == 3 else 1.0)
+            assert abs(got.zero_limit - want) <= 4 * eps * terms, (form, s, pair)
 
 
 def test_unsupported_exponent(gauss, rademacher):
@@ -431,5 +477,4 @@ def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coa
         assert (product, coarse_grid) == list(scope.composites)[-1]
         tables = [*scope.leaves.values(), *scope.composites.values()]
         assert all(not dev.flags.writeable for dev in tables)
-        assert scope.summaries
     assert _scope.active is None
