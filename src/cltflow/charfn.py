@@ -53,13 +53,8 @@ terms of size |t| = |x xi|, so at the points where some atom has
 XI_ABS_MAX = 1e100, the largest grid point, and NaN are refused, and so is
 a deviation with |1 + D| above 1 + MODULUS_SLACK or not finite.
 
-Inside a metrics.shared_deviations() scope, metrics._grid_deviation
-evaluates a law at a grid's own positive points through _dev with that
-grid, and a leaf law (atomic or parametric) there, alone or as a part of a
-convolution product, is computed once and then read from the scope's table
-(see _scope).  The base of a normalized sum is evaluated at scaled points,
-never read from the table.  cf_deviation takes no grid: it computes every
-deviation afresh.
+Every function here is pure: the sharing of deviations within a run is
+the metric layer's (metrics module notes).
 
 EmpiricalCf is the empirical cf of samples fed to it chunk by chunk, the
 Monte Carlo oracle's (mc): exact over a histogram of lattice samples,
@@ -68,11 +63,12 @@ through binned moments for dense ones.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from . import _families, _scope
+from . import _families
 from ._families import _combine, _cos_rem, _phase, _phase_dev, _sin_rem, _two_prod
 from .errors import CharFnBoundError, MeasureError
 from .measures import Atomic, ConvProduct, Measure, NormalizedSum, Parametric
@@ -87,8 +83,6 @@ MODULUS_SLACK = 1e-12
 _CHUNK = 1 << 22
 # magnitude-point cells per block of atoms in an atomic cf sum (_atom_sums)
 _ROW_CELLS = 1 << 13
-# laws whose deviation a shared_deviations() scope keeps per grid
-_LEAF_TYPES = (Atomic, Parametric)
 # samples per cache-sized block of a dense empirical cf chunk
 _ROW_BLOCK = 512
 # samples with at most this many distinct values are summed value by value
@@ -174,15 +168,6 @@ def _dev_parametric(family: str, p: tuple, xi: np.ndarray) -> np.ndarray:
     return _combine(body, _phase_dev(loc * xi))
 
 
-def _dev_leaf(m: Measure, xi: np.ndarray) -> np.ndarray:
-    if isinstance(m, Atomic):
-        pos, ws = m.positions, m.weights
-        # the positions ascend, so the largest |x| is at an end
-        span = max(-pos[0], pos[-1])
-        return _dev_atomic(pos, ws, float(np.dot(ws, pos)), span, xi)
-    return _dev_parametric(m.family, m.params, xi)
-
-
 def _square(d: np.ndarray, sq: np.ndarray | None):
     """2 d + d^2, the deviation of the squared cf, with the roundings of 2 d + d*d.
 
@@ -199,25 +184,22 @@ def _square(d: np.ndarray, sq: np.ndarray | None):
     return d, sq
 
 
-def _dev(m: Measure, xi: np.ndarray, grid=None) -> np.ndarray:
-    """phi_m(xi) - 1.
+def _product(devs) -> np.ndarray:
+    """The deviation of a product of cfs from the deviations of its factors, in order."""
+    return functools.reduce(_combine, devs)
 
-    grid is given inside a shared_deviations() scope, by
-    metrics._grid_deviation, when xi are that grid's own positive points: a
-    leaf there comes from the scope's table, checked against |phi| <= 1 when
-    first computed.  Arrays from the table are read-only; a normalized sum's
-    base is evaluated afresh at the scaled points, and its squarings start
-    with new arrays.
-    """
-    if isinstance(m, _LEAF_TYPES):
-        if grid is None:
-            return _dev_leaf(m, xi)
-        return _scope.active.deviation(m, grid, True, lambda: _checked(m, _dev_leaf(m, xi)))
+
+def _dev(m: Measure, xi: np.ndarray) -> np.ndarray:
+    """phi_m(xi) - 1."""
+    if isinstance(m, Atomic):
+        pos, ws = m.positions, m.weights
+        # the positions ascend, so the largest |x| is at an end
+        span = max(-pos[0], pos[-1])
+        return _dev_atomic(pos, ws, float(np.dot(ws, pos)), span, xi)
+    if isinstance(m, Parametric):
+        return _dev_parametric(m.family, m.params, xi)
     if isinstance(m, ConvProduct):
-        out = _dev(m.parts[0], xi, grid)
-        for part in m.parts[1:]:
-            out = _combine(out, _dev(part, xi, grid))
-        return out
+        return _product(_dev(part, xi) for part in m.parts)
     if isinstance(m, NormalizedSum):
         base, sq = _dev(m.base, xi * m.n**-0.5), None
         acc = None
@@ -337,16 +319,13 @@ def _pair_power(pair, n: int):
     return acc
 
 
-def eval_cf_grid(m: Measure, grid) -> np.ndarray:
-    """phi_m(xi) = E exp(i X xi) at the points of a GridSpec or an explicit array.
+def eval_cf_grid(m: Measure, xi) -> np.ndarray:
+    """phi_m(xi) = E exp(i X xi) at the points xi.
 
     Accurate relative to |phi| where phi is small (see the module notes).
     Each value is identical bit for bit to the value at that point alone.
     """
-    if hasattr(grid, "points"):
-        pts = grid.points()
-    else:
-        pts = np.atleast_1d(np.asarray(grid, dtype=float))
+    pts = np.atleast_1d(np.asarray(xi, dtype=float))
     if pts.size == 0:
         raise MeasureError("cf grid must be nonempty")
     return _value(m, pts, cf_deviation(m, pts), np.zeros_like(pts))

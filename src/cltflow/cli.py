@@ -21,7 +21,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import _scope
 from .bank import Q2_BANK_NAMES, Q3_BANK_NAMES, resolve_alias
 from .errors import CharFnBoundError, ConfigError, MeasureError
 from .flow import MAX_TRAJECTORY_STEPS, clt_rate_check, contraction_ratio, renorm_trajectory
@@ -335,8 +334,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite_real(doc: dict, key: str, default: float) -> float:
-    value = doc.get(key, default)
+def _finite_real(key: str, value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
@@ -372,17 +370,18 @@ def parse_config(doc) -> dict:
     grid_extra = set(grid_doc) - set(_GRID_FLAGS)
     if grid_extra:
         raise ConfigError(f"unknown grid keys: {sorted(grid_extra)}")
-    ppd = grid_doc.get("points_per_decade", 200)
-    if not _is_int(ppd) or not 1 <= ppd <= MAX_POINTS_PER_DECADE:
+    # the keys the config gives are checked here; GridSpec fills in the rest
+    given = dict(grid_doc)
+    ppd = given.get("points_per_decade")
+    if "points_per_decade" in given and not (_is_int(ppd) and 1 <= ppd <= MAX_POINTS_PER_DECADE):
         raise ConfigError(
             f"grid key 'points_per_decade' must be an integer in 1..{MAX_POINTS_PER_DECADE}"
         )
+    for key in ("xi_min", "xi_max"):
+        if key in given:
+            given[key] = _finite_real(key, given[key])
     try:
-        grid = GridSpec(
-            xi_min=_finite_real(grid_doc, "xi_min", 1e-3),
-            xi_max=_finite_real(grid_doc, "xi_max", 50.0),
-            points_per_decade=ppd,
-        )
+        grid = GridSpec(**given)
     except MeasureError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     output_path = doc.get("output_path")
@@ -413,16 +412,14 @@ def parse_config(doc) -> dict:
 def run(config: dict, out_dir: str | None = None, stream=None) -> int:
     """Execute a validated config; returns the process exit status.
 
-    One shared_deviations() scope lasts the whole run: its commands share
-    every distance (the table grows by about 0.4 KB per distinct
-    distance), and each command's deviation arrays are freed when it
-    ends.  A command that fails still writes its own error row.
+    One shared_deviations() scope lasts the whole run (metrics module
+    notes).  A command that fails still writes its own error row.
     """
     stream = stream or sys.stdout
     env: _Env = config["env"]
     out_dir = out_dir or config.get("output_path")
     results: list[CommandResult] = []
-    with shared_deviations():
+    with shared_deviations() as scope:
         for cmd in config["commands"]:
             try:
                 results.append(COMMANDS[cmd["command"]].run(cmd, env))
@@ -431,7 +428,7 @@ def run(config: dict, out_dir: str | None = None, stream=None) -> int:
                                              f"{cmd['command']}: FAIL ({exc})"))
             # a full leaf table carried into the next command raises its
             # peak memory; the leaves it held are cheap to compute again
-            _scope.active.drop_deviations()
+            scope.drop_deviations()
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)

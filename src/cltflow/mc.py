@@ -265,10 +265,6 @@ class FlowCheck:
     def ok(self) -> bool:
         return all(self.levels_ok)
 
-    @property
-    def max_deviation(self) -> float:
-        return max(self.per_level)
-
 
 def _lattice(m: Measure, depth: int):
     """(a0, g, e, codes), m's positions being (a0 + g codes) 2^-e, where the lattice route holds.

@@ -320,6 +320,6 @@ def require_membership(m: Measure, r, what: str = "operation") -> None:
 
 
 # The former name of the flow's iterates, still imported by bench/spans.py
-# to read the depth of an oracle input; it goes when the benchmark's tracing
-# is brought up to date (ROADMAP item 1).  It is not part of the API.
+# to read the depth of an oracle input; it goes with spans.py when the
+# library counts its own work (ROADMAP item 13).  It is not part of the API.
 CfLevel = NormalizedSum

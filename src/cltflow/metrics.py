@@ -22,27 +22,38 @@ to the bit.  grid_argmax is the smallest positive point that attains the
 supremum, the point a mirrored grid reports when its ties go to the
 smallest |xi|, then to the positive sign.
 
-Inside a ``shared_deviations()`` scope each distance d_s(a, b) on a grid
-is computed once: ds_distance checks its arguments on every call, then
-returns the DistanceResult stored under (a, b, s, grid), laws compared by
-value, or computes and stores it.  Each leaf law (atomic or parametric)
-has its deviation on a grid computed once, whether ds_distance takes it
-alone or as a part of a convolution, while it stays among the 12 (law,
-grid) pairs most recently used; the last two composite deviations are
-kept too.  The scope holds cf work only: a law's cumulants, which the
-zero limits and the membership checks read, are kept by the law object
-itself (measures module notes), in a scope or not.  _grid_deviation hands
-the cf the grid, so a convolution product finds its parts in the scope's
-table by that grid; a normalized sum evaluates its base at scaled points,
-outside the table.  The checks compare many laws and their convolutions
-against the same gaussian, and each flow iterate against it twice; the
-commands of one config ask for many of the same distances (T^k nu is the
-normalized sum of 2^k copies, which verify-clt-rate and verify-lyapunov
-meet again).  Outside a scope every distance and deviation is computed
-afresh, so a library caller never sees a value from before a change to
-the cf code.  The CLI opens one scope per run, shared by its commands,
-and frees its deviations at the end of each command; its distance table
-grows by about 0.4 KB per distinct distance.
+Inside a ``shared_deviations()`` scope, the one memo of the library,
+work is shared between distances.  A scope keeps, until it ends:
+
+* every finished distance, a DistanceResult keyed by (a, b, s, grid),
+  about 0.4 KB an entry with its key.  ds_distance checks its arguments
+  on every call and only then reads the table; a distance that raises
+  stores nothing;
+* the deviation at the positive points of a grid of each leaf law
+  (atomic or parametric), keyed by (law, grid), for the _LEAVES = 12
+  pairs most recently used, whether ds_distance took the law alone or as
+  a part of a convolution product: 12 hold the six rescaled laws of a
+  scaling check and the six laws they rescale;
+* the deviations of the last _COMPOSITES = 2 composite laws on a grid,
+  enough for a flow iterate's d2 and d3.
+
+Laws compare by value, and the stored deviations are read-only, each
+checked against |phi| <= 1 when first computed, a leaf part before the
+product it enters.  _grid_deviation alone reads and writes the deviation
+tables: the cf code (charfn) is pure and knows no scope.  The base of a
+normalized sum is evaluated at scaled points and never stored.  The scope
+holds cf work only: a law's cumulants, which the zero limits and the
+membership checks read, are kept by the law object itself (measures
+module notes), in a scope or not.  The checks compare many laws and their
+convolutions against the same gaussian, and each flow iterate against it
+twice; the commands of one config ask for many of the same distances
+(T^k nu is the normalized sum of 2^k copies, which verify-clt-rate and
+verify-lyapunov meet again).  Outside a scope every distance and
+deviation is computed afresh, so a library caller never sees a value
+from before a change to the cf code.  cli.run opens one scope per run,
+shared by its commands, and drops its deviation tables at the end of
+each command (_Scope.drop_deviations); verify-clt-rate at its largest
+n_max stores 2,048 distances.
 
 The structural checks return a BoundCheck, each verdict with one named
 slack.  Subadditivity d_s(nu1*nu2, mu1*mu2) <= d_s(nu1, mu1) + d_s(nu2, mu2),
@@ -60,15 +71,17 @@ plus 1e-9.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import _scope, charfn
+from . import charfn
 from .errors import MeasureError, MembershipError
-from .measures import Measure, convolve, cumulants, require_membership, scale_law
+from .measures import (Atomic, ConvProduct, Measure, Parametric, convolve, cumulants,
+                       require_membership, scale_law)
 
 __all__ = [
     "GridSpec",
@@ -90,6 +103,12 @@ _MOMENT_MATCH_TOL = 1e-9
 # 1e-12; the largest point is the largest the cf takes (charfn.XI_ABS_MAX)
 GRID_XI_MIN = 1e-6
 GRID_XI_MAX = charfn.XI_ABS_MAX
+# the sizes of a scope's deviation tables (module notes); at 1,600 points
+# per decade on the default range a deviation holds 7,521 complex values,
+# about 120 KB
+_LEAVES = 12
+_COMPOSITES = 2
+_LEAF_LAWS = (Atomic, Parametric)
 
 
 @dataclass(frozen=True)
@@ -202,42 +221,73 @@ def _zero_limit_relaxed(a: Measure, b: Measure, s: int) -> float:
     return abs(ka[2] - kb[2]) / 6.0
 
 
+class _Scope:
+    """The tables of one shared_deviations() scope (module notes)."""
+
+    def __init__(self):
+        self.leaves: OrderedDict = OrderedDict()
+        self.composites: OrderedDict = OrderedDict()
+        self.distances: dict = {}
+
+    def deviation(self, m: Measure, grid: GridSpec, leaf: bool, compute) -> np.ndarray:
+        """The deviation of m on grid; compute() gives it on a miss."""
+        table, size = (self.leaves, _LEAVES) if leaf else (self.composites, _COMPOSITES)
+        key = (m, grid)
+        dev = table.get(key)
+        if dev is not None:
+            table.move_to_end(key)
+            return dev
+        dev = compute()
+        dev.setflags(write=False)
+        table[key] = dev
+        if len(table) > size:
+            table.popitem(last=False)
+        return dev
+
+    def drop_deviations(self):
+        """Free the deviation tables; the distances stay."""
+        self.leaves.clear()
+        self.composites.clear()
+
+
+_active: _Scope | None = None
+
+
 @contextmanager
 def shared_deviations():
-    """Compute each distance and grid deviation once until the scope ends.
+    """Share distances and grid deviations until the scope ends (module notes).
 
-    The scope keeps every finished distance, keyed by (a, b, s, grid),
-    about 0.4 KB each, and the deviations, keyed by (law, grid), of the 12
-    leaf laws (atomic or parametric) most recently used, whether
-    ds_distance took them alone or as parts of a convolution product, and
-    of the last two composite laws.  Laws compare by value; a law's
-    cumulants are kept by the law itself, not the scope.  cli.run opens
-    one scope for a whole run, shared by all its commands, and frees its
-    deviations at the end of each command.
-    Everything is freed when the scope ends, also on error.  A scope
-    opened inside another shares the outer one.  Keep a scope short: a cf
-    routine replaced inside it is not seen by what was computed before.
+    Yields the scope.  Everything is freed when it ends, also on error.  A
+    scope opened inside another shares the outer one.  Keep a scope short:
+    a cf routine replaced inside it is not seen by what was computed before.
     """
-    if _scope.active is not None:
-        yield
+    global _active
+    if _active is not None:
+        yield _active
         return
-    _scope.active = _scope.Scope()
+    _active = _Scope()
     try:
-        yield
+        yield _active
     finally:
-        _scope.active = None
+        _active = None
 
 
 def _grid_deviation(m: Measure, grid: GridSpec) -> np.ndarray:
     """cf deviation of m at the positive grid points, shared inside a scope (module notes)."""
     pts = grid.positive_points()
-    scope = _scope.active
+    scope = _active
     if scope is None:
         return charfn.cf_deviation(m, pts)
-    return scope.deviation(
-        m, grid, isinstance(m, charfn._LEAF_TYPES),
-        lambda: charfn._checked(m, charfn._dev(m, pts, grid)),
-    )
+
+    def compute():
+        if isinstance(m, ConvProduct):  # its leaf parts from the table, the others afresh
+            dev = charfn._product(_grid_deviation(p, grid) if isinstance(p, _LEAF_LAWS)
+                                  else charfn._dev(p, pts) for p in m.parts)
+        else:
+            dev = charfn._dev(m, pts)
+        return charfn._checked(m, dev)
+
+    return scope.deviation(m, grid, isinstance(m, _LEAF_LAWS), compute)
 
 
 def ds_distance(
@@ -253,10 +303,7 @@ def ds_distance(
     The grid supremum is taken over the positive grid points, where the
     ratio equals its value at the mirrored negative point bit for bit;
     grid_argmax is the smallest positive point that attains it.  Inside a
-    shared_deviations() scope a distance asked for before is read from the
-    scope, once the arguments pass their checks, and the deviation of each
-    law on the grid is reused from earlier calls; outside one both are
-    computed afresh.
+    shared_deviations() scope work is shared (module notes).
 
     With require_class_membership (the default) both laws must be centred,
     reduced, and have a finite s-th absolute moment.  The structural checks
@@ -268,10 +315,13 @@ def ds_distance(
     if require_class_membership:
         require_membership(a, s, f"d_{s}")
         require_membership(b, s, f"d_{s}")
-    scope = _scope.active
-    if scope is None:
+    if _active is None:
         return _distance(a, b, s, grid)
-    return scope.distance((a, b, s, grid), lambda: _distance(a, b, s, grid))
+    key, table = (a, b, s, grid), _active.distances
+    res = table.get(key)
+    if res is None:
+        res = table[key] = _distance(a, b, s, grid)
+    return res
 
 
 def _distance(a: Measure, b: Measure, s: int, grid: GridSpec) -> DistanceResult:

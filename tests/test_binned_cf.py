@@ -160,7 +160,7 @@ def test_flow_check_keeps_the_lattice_bits(name):
     assert np.array_equal(
         np.array(got.per_level).view(np.uint64), np.array(want).view(np.uint64)
     )
-    assert got.max_deviation == max(want) and got.ok
+    assert max(got.per_level) == max(want) and got.ok
 
 
 def test_flow_check_gaussian_within_the_bound_of_the_exact_path():

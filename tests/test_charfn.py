@@ -61,7 +61,7 @@ def test_eval_cf_grid_matches_pointwise(gauss, skewed):
     spec = cf.GridSpec(1e-2, 10.0, 20)
     pts = spec.points()
     for m in (gauss, skewed):
-        grid_vals = cf.eval_cf_grid(m, spec)
+        grid_vals = cf.eval_cf_grid(m, pts)
         assert grid_vals.shape == pts.shape
         for i in (0, len(pts) // 2, len(pts) - 1):
             assert grid_vals[i] == cf_at(m, pts[i])
@@ -580,7 +580,8 @@ def test_non_finite_deviations_are_refused(monkeypatch, gauss, grid):
     with pytest.raises(CharFnBoundError, match="nan"):
         cf_at(m, 1e10)
     # inside a scope a leaf first evaluated as a part is checked on its own,
-    # before the product it enters is
-    with metrics.shared_deviations():
-        with pytest.raises(CharFnBoundError, match="nan"):
-            charfn._dev(cf.ConvProduct((bank.rademacher(), gauss)), grid.positive_points(), grid)
+    # before the product it enters is, and neither is stored
+    with metrics.shared_deviations() as scope:
+        with pytest.raises(CharFnBoundError, match="nan > .* for Parametric$"):
+            metrics._grid_deviation(cf.ConvProduct((bank.rademacher(), gauss)), grid)
+        assert list(scope.leaves) == [(bank.rademacher(), grid)] and not scope.composites

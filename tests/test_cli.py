@@ -12,7 +12,7 @@ import pytest
 
 import cltflow
 import cltflow.charfn as charfn
-from cltflow import _scope, cli, flow, mc, metrics
+from cltflow import cli, flow, mc, metrics
 from cltflow.cli import main
 from cltflow.errors import MeasureError
 from test_acceptance import ANALYTIC_SUITE_CONFIG
@@ -521,7 +521,7 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
 
     def failing(cmd, env):
         cli.ds_distance(env.resolve("skewed"), env.resolve("gaussian"), 3, env.grid)
-        scope = _scope.active
+        scope = metrics._active
         seen.append((len(scope.leaves), len(scope.distances), weakref.ref(scope)))
         raise MeasureError("injected")
 
@@ -534,7 +534,7 @@ def test_memo_is_dropped_after_run_also_on_error(capsys, monkeypatch):
     assert code == 1 and "FAIL (injected)" in out
     (leaves, distances, scope), = seen
     assert (leaves, distances) == (2, 1)
-    assert _scope.active is None
+    assert metrics._active is None
     assert scope() is None  # the scope and its tables are freed
 
 
@@ -543,7 +543,8 @@ def test_a_run_keeps_its_distances_and_drops_deviations_between_commands(monkeyp
     orig = cli.COMMANDS["distance"].run
 
     def probe(cmd, env):
-        seen.append((len(_scope.active.leaves), len(_scope.active.distances)))
+        scope = metrics._active
+        seen.append((len(scope.leaves), len(scope.distances)))
         return orig(cmd, env)
 
     monkeypatch.setitem(cli.COMMANDS, "distance",
@@ -552,21 +553,23 @@ def test_a_run_keeps_its_distances_and_drops_deviations_between_commands(monkeyp
     config = cli.parse_config({"commands": [cmd, cmd, {**cmd, "s": 2}]})
     assert cli.run(config, stream=io.StringIO()) == 0
     assert seen == [(0, 0), (0, 1), (0, 1)]
-    assert _scope.active is None
+    assert metrics._active is None
 
 
 def count_deviations(monkeypatch):
-    """Count the cf deviations computed at a grid's own points (charfn._dev given the grid)."""
+    """Count the grid deviations the metrics scope computes, its table misses, and their points."""
     calls = {"calls": 0, "points": 0}
-    orig = charfn._dev
+    orig = metrics._Scope.deviation
 
-    def counted(m, xi, grid=None):
-        if grid is not None:
+    def counted(scope, m, grid, leaf, compute):
+        def miss():
+            dev = compute()
             calls["calls"] += 1
-            calls["points"] += np.size(xi)
-        return orig(m, xi, grid)
+            calls["points"] += dev.size
+            return dev
+        return orig(scope, m, grid, leaf, miss)
 
-    monkeypatch.setattr(charfn, "_dev", counted)
+    monkeypatch.setattr(metrics._Scope, "deviation", counted)
     return calls
 
 

@@ -382,10 +382,10 @@ def test_cumulants_are_computed_once_per_law_object(skewed, gauss, monkeypatch):
     fresh = cf.make_atomic(skewed.atoms)
     assert "_cumulants" in vars(law) and "_cumulants" not in vars(fresh)
     assert law == fresh and hash(law) == hash(fresh) and repr(law) == repr(fresh)
-    with cf.metrics.shared_deviations():
+    with cf.metrics.shared_deviations() as scope:
         first = cf.ds_distance(law, gauss, 3)
         assert cf.ds_distance(fresh, gauss, 3) is first
-        assert list(cf._scope.active.distances) == [(law, gauss, 3, cf.GridSpec())]
+        assert list(scope.distances) == [(law, gauss, 3, cf.GridSpec())]
 
 
 def test_third_absolute_moment_growth_under_step(q3_bank):
@@ -454,7 +454,10 @@ def test_normalized_sums_do_not_nest(skewed):
 # layering
 # ---------------------------------------------------------------------------
 
-_ABOVE_THE_MEASURES = {"_scope", "charfn", "metrics", "flow", "mc", "cli"}
+# the package's modules from the bottom up; the package's __init__ only
+# gathers them
+_LAYERS = ("errors", "_families", "measures", "bank", "charfn", "metrics", "flow", "mc", "cli")
+_SRC = Path(cf.__file__).parent
 
 
 def _package_imports(source):
@@ -472,18 +475,24 @@ def _package_imports(source):
                 yield node.lineno, base.split(".")[1]
 
 
-@pytest.mark.parametrize("module", ["measures", "_families"])
-def test_the_measure_layer_imports_nothing_above_it(module):
-    # laws and their cumulants stand on their own: no scope, cf, metric,
-    # flow, oracle or CLI code, read from the source without importing it
-    source = (Path(cf.__file__).parent / f"{module}.py").read_text()
+@pytest.mark.parametrize("module", _LAYERS)
+def test_no_module_imports_a_module_above_it(module):
+    # each layer stands on the ones below it alone: laws need no cf, the cf
+    # no metric and no memo, the metrics no flow; read from the source
+    # without importing it
+    below = _LAYERS[: _LAYERS.index(module)]
     found = [f"{module}.py:{line} imports {name}"
-             for line, name in _package_imports(source) if name in _ABOVE_THE_MEASURES]
+             for line, name in _package_imports((_SRC / f"{module}.py").read_text())
+             if name not in below]
     assert not found, "; ".join(found)
-    # the check sees each form of import it is there to keep out
-    probe = ("from . import _scope, errors\nfrom .metrics import ds_distance\n"
+
+
+def test_the_layer_order_names_every_module():
+    assert sorted(p.stem for p in _SRC.glob("*.py")) == sorted(("__init__", *_LAYERS))
+    # the import reader sees each form of import the layers keep out
+    probe = ("from . import bank, errors\nfrom .metrics import ds_distance\n"
              "import cltflow.flow\nfrom cltflow.mc import draw\nfrom cltflow import cli\n"
              "def f():\n    from .charfn import cf_deviation\n")
     assert sorted(_package_imports(probe)) == [
-        (1, "_scope"), (1, "errors"), (2, "metrics"), (3, "flow"), (4, "mc"), (5, "cli"),
+        (1, "bank"), (1, "errors"), (2, "metrics"), (3, "flow"), (4, "mc"), (5, "cli"),
         (7, "charfn")]

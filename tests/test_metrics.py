@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import _scope, bank, charfn, metrics
+from cltflow import bank, charfn, metrics
 from cltflow.errors import CharFnBoundError, MeasureError, MembershipError
 
 SQRT2 = math.sqrt(2.0)
@@ -398,29 +398,30 @@ def test_csv_row_format(gauss, rademacher):
 
 
 def test_memo_exists_only_inside_a_scope(skewed, gauss, grid):
-    assert _scope.active is None
-    with metrics.shared_deviations():
+    assert metrics._active is None
+    with metrics.shared_deviations() as scope:
         res = cf.ds_distance(skewed, gauss, 3, grid)
-        scope = _scope.active
+        assert scope is metrics._active
         assert set(scope.leaves) == {(skewed, grid), (gauss, grid)}
         assert not scope.composites
         assert scope.distances == {(skewed, gauss, 3, grid): res}
-        with metrics.shared_deviations():  # a nested scope shares the outer one
-            assert _scope.active is scope
+        with metrics.shared_deviations() as inner:  # a nested scope shares the outer one
+            assert inner is scope and metrics._active is scope
             assert cf.ds_distance(skewed, gauss, 3, grid) is res
         assert len(scope.leaves) == 2
         ref = weakref.ref(scope)
-        del scope
-    assert _scope.active is None
+        del scope, inner
+    assert metrics._active is None
     assert ref() is None  # the scope and its tables are freed
     assert cf.ds_distance(skewed, gauss, 3, grid) is not res
     with pytest.raises(MembershipError):
-        with metrics.shared_deviations():
+        with metrics.shared_deviations() as scope:
             cf.ds_distance(skewed, gauss, 3, cf.GridSpec(1e-3, 50.0, 10))
-            ref = weakref.ref(_scope.active)
-            assert len(_scope.active.distances) == 1
+            ref = weakref.ref(scope)
+            assert len(scope.distances) == 1
+            del scope
             cf.ds_distance(cf.scale_law(skewed, 2.0), gauss, 3, grid)
-    assert _scope.active is None
+    assert metrics._active is None
     assert ref() is None
 
 
@@ -428,8 +429,8 @@ def test_distance_table_checks_each_call_and_keeps_only_results(skewed, gauss, g
                                                                 monkeypatch):
     # laws of variance 4: outside P_3, but the distance is finite
     wide, wide_gauss = cf.scale_law(skewed, 2.0), cf.scale_law(gauss, 2.0)
-    with metrics.shared_deviations():
-        table = _scope.active.distances
+    with metrics.shared_deviations() as scope:
+        table = scope.distances
         res = cf.ds_distance(wide, wide_gauss, 3, grid, require_class_membership=False)
         assert table == {(wide, wide_gauss, 3, grid): res}
         # the membership check runs before the table is read
@@ -456,16 +457,15 @@ def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coa
     # symmetric two-atom laws of growing variance: leaves, with finite d2
     leaves = [cf.make_atomic([(-x, 0.5), (x, 0.5)]) for x in np.linspace(0.5, 1.5, 20)]
     levels = [cf.NormalizedSum(bank.skewed_two_atom(), 1 << n) for n in range(1, 6)]
-    with metrics.shared_deviations():
-        scope = _scope.active
+    with metrics.shared_deviations() as scope:
         for m in leaves:
             cf.ds_distance(m, gauss, 2, coarse_grid, require_class_membership=False)
-            assert len(scope.leaves) <= _scope._LEAVES == 12
+            assert len(scope.leaves) <= metrics._LEAVES == 12
         recent = {(m, coarse_grid) for m in leaves[-11:]} | {(gauss, coarse_grid)}
         assert set(scope.leaves) == recent
         for m in levels:
             cf.ds_distance(m, gauss, 3, coarse_grid)
-            assert len(scope.composites) <= _scope._COMPOSITES == 2
+            assert len(scope.composites) <= metrics._COMPOSITES == 2
         # a level's base is evaluated at scaled points, never stored by grid
         assert set(scope.leaves) == recent
         assert set(scope.composites) == {(m, coarse_grid) for m in levels[-2:]}
@@ -477,4 +477,4 @@ def test_scope_keeps_twelve_recent_leaves_and_the_last_two_composites(gauss, coa
         assert (product, coarse_grid) == list(scope.composites)[-1]
         tables = [*scope.leaves.values(), *scope.composites.values()]
         assert all(not dev.flags.writeable for dev in tables)
-    assert _scope.active is None
+    assert metrics._active is None

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import _scope, bank, charfn, metrics
+from cltflow import bank, charfn, metrics
 from cltflow.bank import Q2_BANK_NAMES, resolve_alias
 from cltflow.measures import cumulants, make_atomic, make_parametric
 from cltflow.metrics import DistanceResult, GridSpec, ds_distance, shared_deviations
@@ -128,12 +128,12 @@ def test_ds_distance_matches_mirrored_grid_reference(law, grid_id):
         assert want[s].grid_argmax > 0
         fresh = ds_distance(a, b, s, grid, require_class_membership=member)
         assert same_result(fresh, want[s]), (s, fresh, want[s])
-    with shared_deviations():
+    with shared_deviations() as scope:
         # computed, read back from the distance table, then computed again
         # from the deviations read back from the scope
         for table in ("computed", "distances", "deviations"):
             if table == "deviations":
-                _scope.active.distances.clear()
+                scope.distances.clear()
             for s in want:
                 shared = ds_distance(a, b, s, grid, require_class_membership=member)
                 assert same_result(shared, want[s]), (table, s, shared, want[s])
