@@ -25,15 +25,22 @@ integer wall W_e = ceil(e 2^52 - 1/2) 2^12 (_walls), so the index is the
 number of walls at or below the word, binary-searched (_pick), the index
 of the uniform to the bit, with no uniform made.
 
-Words are mixed in blocks of _BLOCK_CELLS counters (_blocks), whose
-buffers stay in L2 and serve every block.  A block's words key + PHI64
-(counter + 1) are a base array PHI64 i, built once per stream, plus one
-scalar; SplitMix then runs in place (_mix).  The word buffers start on a
-64-byte cache line (_aligned_words): off a 32-byte boundary, where a plain
-allocation lands or not by the state of the heap, every other vector of
-the SplitMix passes and the wall compares straddles two lines, and
-SplitMix took 2.8 ns a word, not 2.1 (x86-64 with AVX-512, numpy 2.4).
-Placement moves no bit.  The bits do not depend on the blocks:
+Words are mixed in blocks of _BLOCK_CELLS counters, the word stride
+(_blocks), whose buffers stay in L2 and serve every block.  A block's
+words key + PHI64 (counter + 1) are a base array PHI64 i, built once per
+stream, plus one scalar; SplitMix then runs in place (_mix): nine ufunc
+calls a block, the add included, whatever its size.  The stride is not
+the float route's part of _PART_CELLS draws: a sink cuts each block into
+its own parts, so the stride sets only the fixed cost per block.  The add
+and SplitMix cost 2.7 ns a word at a stride of 2^14 and 2.4 at 2^15, the
+fastest runs 2.6 and 2.3 (medians of 31 alternating runs on one CPU of a
+shared x86-64 VM with AVX-512 and 2 MB of L2, numpy 2.4); at 2^16 the
+buffers press on L2 and the oracle's CPU time rose by about 3%.  The word
+buffers start on a 64-byte cache line (_aligned_words): off a 32-byte
+boundary, where a plain allocation lands or not by the state of the
+heap, every other vector of the SplitMix passes and the wall compares
+straddles two lines.  Placement moves no bit.  The bits do not depend on
+the blocks:
 
 - uint64 arithmetic is modulo 2^64 however the terms are grouped, so the
   words, counters that wrap past 2^64 included, equal the formula above;
@@ -54,28 +61,30 @@ and a block is handed out read-only, so a sink that writes into it raises.
 Row i of 2^L consecutive draws gives draw i of every level: level k is
 the left node of the row's pairwise tree at depth k, the sum of the
 row's first 2^k draws, times 2^{-k/2}.  A block grows to a whole row,
-max(_BLOCK_CELLS, 2^L) words, both powers of two, so every block but the
-last of a stream holds the same whole rows.  The tree halves a row y k
-times by the element-wise y[:, 0::2] + y[:, 1::2] (on the flat block of
-rows, [0::2] + [1::2]: the same pairs), and each node is scaled once.
-One scale and not one per step: the tree sums of a lattice law with
-dyadic atoms (rademacher, skewed) are exact, so a level takes as many
-distinct values as its sums, and the lattice levels stay on
-EmpiricalCf's exact histogram path.  Each level has its law; the levels
-share draws and are dependent, and the envelope 4 / sqrt(n) holds level
-by level.  Each level's cf is a charfn.EmpiricalCf, fed on one of two
-routes, so no array of n draws appears.
+max(_BLOCK_CELLS, 2^L) words, and a float part to max(_PART_CELLS, 2^L),
+all powers of two, so every block and every part but a stream's last
+holds the same whole rows.  The tree halves a part's rows y k times by
+the element-wise y[:, 0::2] + y[:, 1::2] (on the flat part, [0::2] +
+[1::2]: the same pairs), and each node is scaled once.  One scale and not
+one per step: the tree sums of a lattice law with dyadic atoms
+(rademacher, skewed) are exact, so a level takes as many distinct values
+as its sums, and the lattice levels stay on EmpiricalCf's exact
+histogram path.  Each level has its law; the levels share draws and are
+dependent, and the envelope 4 / sqrt(n) holds level by level.  Each
+level's cf is a charfn.EmpiricalCf, fed on one of two routes, so no
+array of n draws appears.
 
-The float route takes every law and makes each block one part of
-draws.  The levels' values are gathered in one reused buffer and added
-to the level's EmpiricalCf, a little over 4096 at a time: exact sums
-over the level's histogram for lattice draws (at most 4096 distinct
-values), one cos and sin per distinct value and point; for dense draws
-a sum over bins of width 1 / max|xi| through 12 moments each, whose cut
-series errs by at most (1/2)^12 / 12! < 5.1e-13 per sample, far inside
-the envelope 4 / sqrt(n), plus rounding, of order 1e-14 for 1e5 gaussian
-draws.  A dense level's first add already holds more than 4096
-distinct values, so it leaves the histogram at once.
+The float route takes every law and makes each block its parts of draws,
+one transform and one tree a part, so its buffers do not grow with the
+stride.  The levels' values are gathered in one reused buffer and added
+to the level's EmpiricalCf, a little over 4096 at a time, whole parts'
+worth: exact sums over the level's histogram for lattice draws (at most
+4096 distinct values), one cos and sin per distinct value and point; for
+dense draws a sum over bins of width 1 / max|xi| through 12 moments
+each, whose cut series errs by at most (1/2)^12 / 12! < 5.1e-13 per
+sample, far inside the envelope 4 / sqrt(n), plus rounding, of order
+1e-14 for 1e5 gaussian draws.  A dense level's first add already holds
+more than 4096 distinct values, so it leaves the histogram at once.
 
 The lattice route takes an atomic law of 2 to _WALLS_MAX + 1 atoms at
 (a0 + g j_i) 2^-e for integers a0, g and codes 0 = j_0 < j_1 < ...
@@ -128,11 +137,18 @@ MAX_FLOW_LEVELS = 12
 MIN_FLOW_SAMPLES = 10**5
 # the generator's key is a 64-bit word: a larger seed would alias seed mod 2^64
 MAX_SEED = 2**64 - 1
-# counters per block, unless a tree row of draws is longer: their few
-# buffers stay in L2 and serve every block; a power of two, so a block
-# holds whole rows, and a multiple of 8, so every part the lattice route
-# packs, but a stream's last, starts and ends on a byte
-_BLOCK_CELLS = 1 << 14
+# the word stride: counters per block, unless a tree row of draws is
+# longer; a block's three word buffers (768 KB) stay in L2 and serve every
+# block, and each block pays the fixed cost of its ufunc calls once.  A
+# power of two, so a block holds whole rows and whole parts, and a multiple
+# of 8, so every part the lattice route packs, but a stream's last, starts
+# and ends on a byte
+_BLOCK_CELLS = 1 << 15
+# draws per part of the float route, unless a tree row is longer: each part
+# is one transform and one pairwise tree, and a level's EmpiricalCf.add
+# chunks are whole parts, so the dense levels' bits depend on this constant
+# and not on the stride
+_PART_CELLS = 1 << 14
 # the flow check's lattice route takes atomic laws of at most this many
 # inner edges: each costs it a compare and a pack of every word, where the
 # float route's binary search grows with the log of the edges; the two
@@ -199,9 +215,11 @@ def _blocks(seed: int, start: int, length: int, row: int = 1):
     = mix64(seed), put through _mix, the last block the rest, in one reused
     buffer that is valid until the next block and read-only to its sinks.
     For a row a power of two, every block of a stream of whole rows holds
-    whole rows.  The word buffers start on a cache line, so no vector of
-    the SplitMix passes or of a sink's compares straddles two lines, which
-    costs SplitMix about 30% a word; placement moves no bit.
+    whole rows.  The stride sets only how many words one pass of _mix and
+    one block of the sinks take: a sink cuts a block into its own parts,
+    and no bit depends on it.  The word buffers start on a cache line, so
+    no vector of the SplitMix passes or of a sink's compares straddles two
+    lines, which costs SplitMix about 30% a word; placement moves no bit.
     """
     key, size = _mix64_int(seed), max(1, min(max(_BLOCK_CELLS, row), length))
     delta, buf, scratch = (_aligned_words(size) for _ in range(3))
@@ -362,10 +380,12 @@ def _lattice_levels(base: Atomic, lattice, levels: int, n: int, pts):
 def _float_levels(base: Atomic | Parametric, levels: int, n: int, pts):
     """put, cfs: a sink of the flow check's level cfs from the float draws of base (module notes).
 
-    put(z) makes the next block of words, whole rows of 2^levels, one part
-    of draws; cfs() returns the level cfs once all n 2^levels words are put.
+    put(z) makes the next block of words, whole rows of 2^levels, into
+    draws a part of max(_PART_CELLS, 2^levels) words at a time, the
+    block's last part the rest; cfs() returns the level cfs once all
+    n 2^levels words are put.
     """
-    rows = max(1, _BLOCK_CELLS >> levels)
+    rows = max(1, _PART_CELLS >> levels)
     buf = np.empty(min(rows, n) << levels)
     transform = _transform(base, buf.size)
     # a level's values go to its EmpiricalCf more than _LATTICE_MAX at a
@@ -378,15 +398,17 @@ def _float_levels(base: Atomic | Parametric, levels: int, n: int, pts):
 
     def put(z):
         nonlocal done, filled
-        r, part = z.size >> levels, buf[: z.size]
-        transform(z, part)
-        for k, nodes in enumerate(_pairwise(part, spare, levels)):
-            np.multiply(nodes[:: 1 << (levels - k)], scales[k], out=vals[k, filled : filled + r])
-        done, filled = done + r, filled + r
-        if filled == vals.shape[1] or done == n:
-            for ecf, v in zip(ecfs, vals):
-                ecf.add(v[:filled])
-            filled = 0
+        for t in range(0, z.size, buf.size):
+            words = z[t : t + buf.size]
+            r, part = words.size >> levels, buf[: words.size]
+            transform(words, part)
+            for k, nodes in enumerate(_pairwise(part, spare, levels)):
+                np.multiply(nodes[:: 1 << (levels - k)], scales[k], out=vals[k, filled : filled + r])
+            done, filled = done + r, filled + r
+            if filled == vals.shape[1] or done == n:
+                for ecf, v in zip(ecfs, vals):
+                    ecf.add(v[:filled])
+                filled = 0
 
     return put, lambda: ecfs
 

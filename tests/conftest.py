@@ -52,8 +52,8 @@ def draws(m, n, seed, start=0):
     """n draws of the atomic or parametric law m from counter start on under seed.
 
     They come through the oracle's draw pipeline: the law's transform
-    (mc._transform) makes each block of words (mc._blocks) its draws, as a
-    flow check's float route does.
+    (mc._transform) makes each block of words (mc._blocks) its draws in
+    one call, where a flow check's float route makes them a part at a time.
     """
     out, transform, i = np.empty(n), mc._transform(m, min(n, mc._BLOCK_CELLS)), 0
     for z in mc._blocks(seed, start, n):

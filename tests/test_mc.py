@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cltflow as cf
-from cltflow import bank, charfn
+from cltflow import bank, charfn, mc
 from cltflow.errors import MeasureError
 from cltflow.mc import ORACLE_GRID, empirical_flow_check
 from conftest import draws, level_draws
@@ -202,3 +203,57 @@ def test_oracle_grid_shape():
     pts = ORACLE_GRID.points()
     assert pts[0] == -50.0 and pts[-1] == 50.0
     assert len(pts) < 120  # coarse by design; the envelope is grid-free
+
+
+def second_traced_peak(laws, levels, n):
+    """The peak bytes tracemalloc sees in the second of two like flow checks.
+
+    The first call fills what every later call shares (the ziggurat table,
+    the grid's iterates), so the second holds only the check's own memory.
+    """
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            empirical_flow_check(laws, levels, n, 1234)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+# _blocks' three word buffers
+WORD_BUFFERS = 3 * 8 * mc._BLOCK_CELLS
+# the grid, the histograms and the cfs' exact sums
+SMALL = 1 << 16
+
+
+def test_lattice_oracle_memory_is_its_buffers():
+    # the benchmark's lattice shape: each law's sink holds a block of hit
+    # bools and a pass of bits for its one wall; the counts of a pass hold
+    # its popcounts (uint8) and its level sums (uint16) next to the zeros
+    # they start from and the masked words (uint64) they count
+    levels = 6
+    rows = mc._PASS_CELLS >> levels
+    sinks = 2 * (mc._BLOCK_CELLS + mc._PASS_CELLS // 8)
+    counts = ((levels + 1) * (1 + 2) + 2 + 8) * rows
+    budget = WORD_BUFFERS + sinks + counts + SMALL
+    peak = second_traced_peak([bank.rademacher(), bank.skewed_two_atom()], levels, 200_000)
+    assert peak < budget, (peak, budget)
+
+
+def test_dense_oracle_memory_is_its_buffers():
+    # the benchmark's dense shape: the float sink holds a part of draws, the
+    # tree's spare half and the levels' values, one add's chunk a level; the
+    # ziggurat two float buffers of a part, its layers and its flags; each
+    # level's binned moments span |x| < 6 in bins of 1 / max|xi|; an add
+    # makes about 12 temporaries of its chunk (np.unique's passes on the
+    # first, then the binning's)
+    levels, part = 6, mc._PART_CELLS
+    chunk = -(-(charfn._LATTICE_MAX + 1) // (part >> levels)) * (part >> levels)
+    sink = 8 * part + 4 * part + 8 * (levels + 1) * chunk
+    ziggurat = (8 + 8 + 8 + 1) * part
+    bins = 2 * 6 * int(ORACLE_GRID.xi_max) + 1
+    moments = (levels + 1) * charfn._MOMENTS * 8 * bins
+    budget = WORD_BUFFERS + sink + ziggurat + moments + 12 * 8 * chunk + SMALL
+    peak = second_traced_peak([bank.gaussian()], levels, 100_000)
+    assert peak < budget, (peak, budget)

@@ -417,9 +417,10 @@ STARTS = (0, 12_345, 2**64 - 600)  # the last one wraps past 2^64 mid-draw
 def draw_sizes(k):
     """One draw, under a part's draws, one part, a last part of one draw, a ragged tail.
 
-    A part of the float route holds the rows of 2^k draws that fill a block.
+    A part of the float route holds the rows of 2^k draws that fill
+    _PART_CELLS words, or one row where it is longer.
     """
-    cols = max(1, mc._BLOCK_CELLS >> k)
+    cols = max(1, mc._PART_CELLS >> k)
     return (1, max(1, cols - 1), cols, 2 * cols + 1, 2 * cols + 5)
 
 
@@ -441,18 +442,20 @@ def test_sampler_matches_fold_loop(name, k):
 
 @pytest.mark.parametrize("name", ["atomic-2", "atomic-13", "gaussian", "exponential-std"])
 def test_sampler_matches_fold_loop_beyond_one_block(name):
-    # a row of 2^15 draws exceeds _BLOCK_CELLS = 2^14, so a block grows to
-    # the whole row: the same pairs as one tree over the row
-    k = 15
-    assert (1 << k) > mc._BLOCK_CELLS
+    # a row of 2^16 draws exceeds the word stride _BLOCK_CELLS = 2^15 and
+    # the part _PART_CELLS = 2^14, so a block and a part grow to the whole
+    # row: the same pairs as one tree over the row
+    k = 16
+    assert (1 << k) > max(mc._BLOCK_CELLS, mc._PART_CELLS)
     assert_sampler_bits(BASES[name](), k, starts=(0, 2**64 - 70_000), sizes=(1, 2, 3))
 
 
 @pytest.fixture
 def small_block(monkeypatch):
-    # 64 counters a block: for a level-7 law a block grows to a whole row
-    # of 128 draws, so every ragged edge shows at a small size
+    # 64 counters a block and 64 draws a part: for a level-7 law both grow
+    # to a whole row of 128 draws, so every ragged edge shows at a small size
     monkeypatch.setattr(mc, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(mc, "_PART_CELLS", 64)
 
 
 @pytest.mark.parametrize("name", ["atomic-2", "atomic-9", "gaussian", "empirical"])
@@ -460,7 +463,7 @@ def test_sampler_matches_fold_loop_small_block(name, small_block):
     assert_sampler_bits(BASES[name](), 7)
 
 
-@pytest.mark.parametrize("block", [8, 64, 1 << 14])
+@pytest.mark.parametrize("block", [8, 64, 1 << 14, 1 << 15])
 @pytest.mark.parametrize("name", ["flat"])
 def test_no_counter_is_drawn_twice(name, block, monkeypatch):
     # every word the generator mixes for a level-5 law, mapped back to its
@@ -486,7 +489,8 @@ def test_no_counter_is_drawn_twice(name, block, monkeypatch):
 @pytest.mark.parametrize(
     "block, length, row",
     [
-        (1 << 14, 3 * (1 << 14) + 40, 1),  # the default block, a short last block
+        (1 << 15, 3 * (1 << 15) + 40, 1),  # the default block, a short last block
+        (1 << 14, 3 * (1 << 14) + 40, 1),
         (8, 101, 1),
         (64, 1000, 8),
         (64, 3 * 128 + 8, 128),  # a row longer than a block: a block of one row
@@ -577,8 +581,8 @@ def part_draws(m, k, seed, n):
     """n draws of level k of m from counter 0 on, and the draws of each part they were made in.
 
     The flow check's float route makes them (conftest.level_draws): one
-    transform makes each block of words a part of draws in one buffer, the
-    last part holding the rest.
+    transform makes each part of a block of words its draws in one buffer,
+    the last part holding the rest.
     """
     sizes, transform = [], mc._transform
 
@@ -603,7 +607,7 @@ def test_stream_parts_are_the_draws(name, size):
     # each made by the one transform into the one reused buffer
     law, k = STREAM_LAWS[name]
     m = law()
-    cols = mc._BLOCK_CELLS >> k
+    cols = mc._PART_CELLS >> k
     n = {
         "parts": 2 * cols,
         "parts+1": 2 * cols + 1,
@@ -630,7 +634,7 @@ def test_binned_cf_keeps_lattice_bits_until_the_stream_overflows():
     pts = ORACLE_GRID.points()
     acc = charfn.EmpiricalCf(pts)
     seen, distinct = [], []
-    for part in np.split(draws(overflowing_law(), 6 * mc._BLOCK_CELLS, 1234), 6):
+    for part in np.split(draws(overflowing_law(), 6 * mc._PART_CELLS, 1234), 6):
         seen.append(part)
         acc.add(part)
         x = np.concatenate(seen)
@@ -655,7 +659,7 @@ HISTOGRAM_CASES = {
     "no-new": (lambda n: level_draws(bank.rademacher(), 2, n, 1234), 2000),
     # 65 values, the rarest arriving part by part
     "new": (lambda n: level_draws(bank.skewed_two_atom(), 6, n, 1234), 2000),
-    "overflow": (lambda n: draws(overflowing_law(), n, 1234), mc._BLOCK_CELLS),
+    "overflow": (lambda n: draws(overflowing_law(), n, 1234), mc._PART_CELLS),
 }
 
 
@@ -926,7 +930,7 @@ MANY_LAWS = {
     # the float route beside the lattice route
     "gaussian-rademacher-skewed": (
         (bank.gaussian, bank.rademacher, bank.skewed_two_atom), 4, 100_000, None),
-    # n 2^L words end mid-block: 400,012 against blocks of 2^14
+    # n 2^L words end mid-block: 400,012 against blocks of 2^15
     "ragged-n": ((bank.skewed_two_atom, bank.uniform_std), 2, 100_003, None),
     # 1001 rows of 2^5 words, two to a block of 64
     "small-block": ((bank.gaussian, bank.skewed_two_atom, bank.laplace_std), 5, 1001, 64),
@@ -955,6 +959,25 @@ def test_laws_checked_together_get_their_checks_alone(name, level_cfs, monkeypat
         assert len(level_cfs) == levels + 1
         for a, b in zip(made[i * (levels + 1) :], level_cfs):
             assert_same_cf(a, b)
+
+
+@pytest.mark.parametrize("stride", [1 << 6, 1 << 14, 1 << 15, 1 << 16])
+def test_flow_check_does_not_depend_on_the_word_stride(stride, level_cfs, monkeypatch):
+    # the stride sets how many words a block mixes, never a bit: the float
+    # route cuts each block into its parts of _PART_CELLS words, so a dense
+    # level's adds take the same chunks, 4352 values at a time, at every stride
+    laws, levels, n = [bank.gaussian(), bank.rademacher(), bank.skewed_two_atom()], 6, 100_000
+    want = mc.empirical_flow_check(laws, levels, n, 1234)
+    default = list(level_cfs)
+    level_cfs.clear()
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", stride)
+    got = mc.empirical_flow_check(laws, levels, n, 1234)
+    assert got == want and all(same_bits(a.per_level, b.per_level) for a, b in zip(got, want))
+    assert len(level_cfs) == len(default) == 3 * (levels + 1)
+    for a, b in zip(level_cfs, default):
+        assert_same_cf(a, b)
+    dense = level_cfs[: levels + 1]
+    assert all(ecf._dense and [v.size for v in ecf.fed] == [4352] * 22 + [4256] for ecf in dense)
 
 
 def test_flow_check_of_no_laws_or_a_bad_one_raises():
