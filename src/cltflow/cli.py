@@ -118,12 +118,37 @@ def _run_flow(cmd: dict, env: _Env) -> CommandResult:
     return CommandResult(report.CSV_HEADER, report.to_csv_rows(), report.ok, summary)
 
 
+def _run_checks(calls: dict, schedule) -> list:
+    """Run calls (row key -> (check, *args)) sorted by schedule; the results in row order.
+
+    The schedule lets the run's scope serve the checks from its tables (metrics
+    module notes).  Pairs of laws run by their second law, the first in reverse:
+    each pair of two laws shares one with the pair before.  verify-ideal runs the
+    unscaled checks kind by kind, invariance eta by eta, then scaling lambda by
+    lambda, with s = 2 and 3 back to back.  A check raising one of _RUN_ERRORS
+    stops no other; the first in row order is raised.
+    """
+    done = {}
+    for key in sorted(calls, key=schedule):
+        check, *args = calls[key]
+        try:
+            done[key] = check(*args)
+        except _RUN_ERRORS as exc:
+            done[key] = exc
+    results = [done[key] for key in calls]
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
+
+
 def _run_verify_contraction(cmd: dict, env: _Env) -> CommandResult:
-    rows, checks = [], []
-    for (na, ma), (nb, mb) in itertools.combinations(env.bank(Q3_BANK_NAMES).items(), 2):
-        chk = contraction_ratio(ma, mb, env.grid)
-        checks.append(chk)
-        rows.append(f"{na},{nb},{_fmt(chk.lhs)},{_fmt(chk.rhs)},{_flag(chk.ok)}")
+    bank, rank = env.bank(Q3_BANK_NAMES), Q3_BANK_NAMES.index
+    calls = {(na, nb): (contraction_ratio, bank[na], bank[nb], env.grid)
+             for na, nb in itertools.combinations(bank, 2)}
+    checks = _run_checks(calls, lambda pair: (rank(pair[1]), -rank(pair[0])))
+    rows = [f"{na},{nb},{_fmt(chk.lhs)},{_fmt(chk.rhs)},{_flag(chk.ok)}"
+            for (na, nb), chk in zip(calls, checks)]
     worst = max(checks, key=lambda chk: chk.lhs)
     return _report(
         "a,b,ratio,bound,ok", rows, [chk.ok for chk in checks],
@@ -133,47 +158,30 @@ def _run_verify_contraction(cmd: dict, env: _Env) -> CommandResult:
 
 
 def _run_verify_ideal(cmd: dict, env: _Env) -> CommandResult:
-    gauss = env.resolve("gaussian")
-    rows, oks = [], []
-
-    def emit(check, s, names, lam, chk):
-        oks.append(chk.ok)
-        lam_s = "" if lam is None else _fmt(lam)
-        rows.append(
-            f"{check},{s},{'|'.join(names)},{lam_s},{_fmt(chk.lhs)},{_fmt(chk.rhs)},"
-            f"{_fmt(chk.stat)},{_flag(chk.ok)}"
-        )
-
+    bank, etas, grid = env.bank(Q2_BANK_NAMES), env.bank(("gaussian", "rademacher")), env.grid
+    gauss = etas["gaussian"]
+    calls = {}  # (check, s, measures, lambda) -> (check, *args), in row order
     for s in (2, 3):
-        bank = env.bank(Q3_BANK_NAMES if s == 3 else Q2_BANK_NAMES)
-        pairs = list(itertools.combinations(bank.items(), 2))
-        for (na, ma), (nb, mb) in itertools.combinations_with_replacement(
-            bank.items(), 2
-        ):
-            emit("subadditivity", s, (na, nb, "gaussian", "gaussian"), None,
-                 check_convolution_subadditivity(ma, mb, gauss, gauss, s, env.grid))
-        # lambda in the outer loop keeps one lambda's rescaled laws shared
-        # across the pairs; a check that fails raises at its own row
-        scaling = {}
-        for lam in IDEAL_LAMBDAS:
-            for (na, ma), (nb, mb) in pairs:
-                try:
-                    sc = check_scaling_ideality(ma, mb, lam, s, env.grid)
-                except _RUN_ERRORS as exc:
-                    sc = exc
-                scaling[na, nb, lam] = sc
-        for (na, ma), (nb, mb) in pairs:
-            for eta_name in ("gaussian", "rademacher"):
-                emit("conv-invariance", s, (na, nb, eta_name), None,
-                     check_convolution_invariance(ma, mb, env.resolve(eta_name), s, env.grid))
+        names = Q3_BANK_NAMES if s == 3 else Q2_BANK_NAMES
+        for na, nb in itertools.combinations_with_replacement(names, 2):
+            calls["subadditivity", s, (na, nb, "gaussian", "gaussian"), None] = (
+                check_convolution_subadditivity, bank[na], bank[nb], gauss, gauss, s, grid)
+        for na, nb in itertools.combinations(names, 2):
+            ma, mb = bank[na], bank[nb]
+            for eta_name, eta in etas.items():
+                calls["conv-invariance", s, (na, nb, eta_name), None] = (
+                    check_convolution_invariance, ma, mb, eta, s, grid)
             for lam in IDEAL_LAMBDAS:
-                sc = scaling[na, nb, lam]
-                if isinstance(sc, Exception):
-                    raise sc
-                emit("scaling", s, (na, nb), lam, sc)
-            emit("doubling", s, (na, nb), None, check_doubling(ma, mb, s, env.grid))
-    return _report("check,s,measures,lambda,lhs,rhs,stat,ok", rows, oks,
-                    f"verify-ideal: {len(rows)} checks")
+                calls["scaling", s, (na, nb), lam] = (check_scaling_ideality, ma, mb, lam, s, grid)
+            calls["doubling", s, (na, nb), None] = (check_doubling, ma, mb, s, grid)
+    kind, rank = list(dict.fromkeys(key[0] for key in calls)).index, Q2_BANK_NAMES.index
+    checks = _run_checks(calls, lambda key: (key[3] or 0.0, kind(key[0]), key[2][2:],
+                                             rank(key[2][1]), -rank(key[2][0])))
+    rows = [f"{check},{s},{'|'.join(names)},{'' if lam is None else _fmt(lam)},"
+            f"{_fmt(chk.lhs)},{_fmt(chk.rhs)},{_fmt(chk.stat)},{_flag(chk.ok)}"
+            for (check, s, names, lam), chk in zip(calls, checks)]
+    return _report("check,s,measures,lambda,lhs,rhs,stat,ok", rows, [chk.ok for chk in checks],
+                   f"verify-ideal: {len(rows)} checks")
 
 
 def _run_verify_lyapunov(cmd: dict, env: _Env) -> CommandResult:

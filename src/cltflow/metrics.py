@@ -32,10 +32,11 @@ work is shared between distances.  A scope keeps, until it ends:
 * the deviation at the positive points of a grid of each leaf law
   (atomic or parametric), keyed by (law, grid), for the _LEAVES = 12
   pairs most recently used, whether ds_distance took the law alone or as
-  a part of a convolution product: 12 hold the six rescaled laws of a
-  scaling check and the six laws they rescale;
+  a part of a convolution product: 12 hold a schedule's working set
+  (cli._run_checks), the six bank laws and the leaves of their
+  convolutions, or the six rescaled laws of one lambda;
 * the deviations of the last _COMPOSITES = 2 composite laws on a grid,
-  enough for a flow iterate's d2 and d3.
+  enough for a flow iterate's d2 and d3 or the two sides of a check.
 
 Laws compare by value, and the stored deviations are read-only, each
 checked against |phi| <= 1 when first computed, a leaf part before the

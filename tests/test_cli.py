@@ -581,6 +581,14 @@ def count_deviations(monkeypatch):
         (["flow", "--measure", "skewed", "--steps", "40"], 42, 42 * 941),
         # 126 sums, the two laws and the gaussian, where 504 calls were made
         (["verify-clt-rate", "--n-max", "64"], 129, 129 * 941),
+        # the 29 leaves once each and 48 computations of 28 distinct
+        # convolutions on four grids, each pair sharing a law with the one
+        # before; in row order the checks made 206 calls on 193,846 points
+        (["verify-ideal"], 77, 72_457),
+        # the seven leaves and four stepped parametric laws, the least two
+        # composite slots allow when three of them are compared pairwise; in
+        # row order the pairs made 17 calls
+        (["verify-contraction"], 11, 11 * 941),
     ],
 )
 def test_each_deviation_is_evaluated_once_per_command(args, calls, points, capsys,
@@ -627,10 +635,19 @@ def test_each_distance_is_computed_once_per_run(doc, calls, computed, monkeypatc
     assert counts == {"calls": calls, "computed": computed}
 
 
-def test_verify_ideal_evaluates_each_leaf_about_once(capsys, monkeypatch):
+def test_analytic_suite_deviation_count(monkeypatch):
+    # with its structural checks in row order the suite made 467 deviation
+    # calls on 3,511,840 points
+    counts = count_deviations(monkeypatch)
+    assert cli.run(cli.parse_config(ANALYTIC_SUITE_CONFIG), stream=io.StringIO()) == 0
+    assert counts == {"calls": 332, "points": 2_496_640}
+
+
+def test_verify_ideal_evaluates_each_leaf_once(capsys, monkeypatch):
     # an 8-entry memo of whole deviations, where composites and rescaled
-    # laws evicted the bank laws, made 537 leaf evaluations; the scope's
-    # leaf table makes 54
+    # laws evicted the bank laws, made 537 leaf evaluations, and the scope's
+    # leaf table with the checks in row order 64; the schedule makes one per
+    # distinct (law, grid) leaf
     leaves = {"n": 0}
     for name in ("_dev_atomic", "_dev_parametric"):
         def counted(*args, _orig=getattr(charfn, name)):
@@ -639,7 +656,7 @@ def test_verify_ideal_evaluates_each_leaf_about_once(capsys, monkeypatch):
         monkeypatch.setattr(charfn, name, counted)
     code, _, _ = run_cli(["verify-ideal"], capsys)
     assert code == 0
-    assert leaves["n"] <= 80
+    assert leaves["n"] == 29
 
 
 @pytest.mark.parametrize("cmd", [
@@ -660,23 +677,40 @@ def test_shared_rows_equal_fresh_rows(cmd):
     assert shared == fresh
 
 
-def test_a_failing_scaling_check_fails_at_its_own_row(monkeypatch):
-    # the scaling checks run lambda by lambda ahead of the rows, so the last
-    # pair at lambda 1/2 runs before the first pair at lambda 2; the first
-    # failure in row order is still the one reported
-    orig = cli.check_scaling_ideality
-    first = (cltflow.bank.rademacher(), cltflow.bank.skewed_two_atom())
-    last = (cltflow.bank.exponential_std(), cltflow.bank.heavy_tail_std())
+_BANK = {name: cltflow.bank.resolve_alias(name)
+         for name in cli.Q2_BANK_NAMES + ("gaussian",)}
 
-    def failing(nu, mu, lam, s, grid):
-        if ((nu, mu), lam) in ((first, 2.0), (last, 0.5)):
-            raise MeasureError(f"injected at lambda {lam}")
-        return orig(nu, mu, lam, s, grid)
 
-    monkeypatch.setattr(cli, "check_scaling_ideality", failing)
-    env = cli.parse_config({"commands": [{"command": "verify-ideal"}]})["env"]
-    with pytest.raises(MeasureError, match="injected at lambda 2.0$"):
-        cli._run_verify_ideal({"command": "verify-ideal"}, env)
+@pytest.mark.parametrize("command, failing", [
+    # the scaling checks run lambda by lambda after the others, so the last
+    # pair at lambda 1/2 runs before the first pair at lambda 2
+    ("verify-ideal", [("check_scaling_ideality", ("rademacher", "skewed", 2.0, 2)),
+                      ("check_scaling_ideality", ("exponential-std", "heavy-tail-std", 0.5, 2))]),
+    # every subadditivity check runs before the doubling checks, with s = 2
+    # and 3 back to back, where s = 3 has its rows after all of s = 2
+    ("verify-ideal", [("check_doubling", ("exponential-std", "heavy-tail-std", 2)),
+                      ("check_convolution_subadditivity",
+                       ("rademacher", "rademacher", "gaussian", "gaussian", 3))]),
+    # the pairs ending in uniform-std run with their first laws in reverse
+    ("verify-contraction", [("contraction_ratio", ("rademacher", "uniform-std")),
+                            ("contraction_ratio", ("skewed", "uniform-std"))]),
+], ids=["scaling", "doubling-subadditivity", "contraction"])
+def test_a_failing_check_fails_at_its_own_row(command, failing, monkeypatch):
+    # failing lists two checks in row order, which the command's schedule
+    # runs in reverse: the first failure in row order is still the one raised
+    failing = [(name, tuple(_BANK.get(arg, arg) for arg in args)) for name, args in failing]
+    reached = []
+    for name in {name for name, _ in failing}:
+        def check(*args, _name=name, _orig=getattr(cli, name)):
+            if (_name, args[:-1]) in failing:  # the grid is the last argument
+                reached.append(failing.index((_name, args[:-1])))
+                raise MeasureError(f"injected failure {reached[-1]}")
+            return _orig(*args)
+        monkeypatch.setattr(cli, name, check)
+    env = cli.parse_config({"commands": [{"command": command}]})["env"]
+    with pytest.raises(MeasureError, match="injected failure 0$"):
+        cli.COMMANDS[command].run({"command": command}, env)
+    assert reached == [1, 0]
 
 
 @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
